@@ -7,7 +7,10 @@ numpy arrays; reductions use a fixed, input-independent order, which makes
 identical tapes produce bitwise-identical gradients.
 
 The primitive set is intentionally small: it is the closure of the encoder,
-interaction and loss computations under differentiation, nothing more.
+interaction and loss computations under differentiation, nothing more. One
+primitive is fused rather than elementary: ``maxsim``, the late-interaction
+score ``max over (patch, word) of patch . word``, whose backward touches only
+the winning pair instead of a dense similarity gradient.
 """
 
 from __future__ import annotations
@@ -159,6 +162,11 @@ class Tape:
         strictly in reverse append order; gradient accumulation for a tensor
         therefore happens in one fixed order, keeping results bitwise
         reproducible across identical tapes.
+
+        A tensor's second gradient is summed into a fresh buffer; its third
+        and later ones are added into that buffer in place. Only buffers
+        allocated here are ever mutated, never arrays a backward closure
+        returned, and the summation order is the same either way.
         """
         if output.tape is not self:
             raise AutodiffError("output tensor belongs to a different tape")
@@ -167,6 +175,7 @@ class Tape:
                 f"backward requires a scalar output, got shape {output.data.shape}"
             )
         grads: dict[int, Array] = {output.tid: np.ones((), dtype=np.float64)}
+        owned: set[int] = set()  # ids whose gradient buffer was allocated here
         for rec in reversed(self._records):
             g = grads.pop(rec.output_id, None)
             if g is None:
@@ -176,7 +185,13 @@ class Tape:
                 if not needed or gi is None:
                     continue
                 prev = grads.get(tid)
-                grads[tid] = gi if prev is None else prev + gi
+                if prev is None:
+                    grads[tid] = gi
+                elif tid in owned and prev.ndim:
+                    np.add(prev, gi, out=prev)
+                else:
+                    grads[tid] = prev + gi
+                    owned.add(tid)
         return grads
 
 
@@ -355,6 +370,46 @@ def dot(a: TapeTensor, b: TapeTensor) -> TapeTensor:
     return _record("dot", (a, b), out, bw)
 
 
+def maxsim(patches: TapeTensor, words: TapeTensor) -> TapeTensor:
+    """Late-interaction MaxSim: max over (patch, word) of patch . word.
+
+    patches is (..., N_p, D) and words (N_w, D); the result is (...). One
+    argmax over the row-major flattened (N_p, N_w) similarities resolves ties
+    to the smallest patch, then the smallest word. The backward routes the
+    gradient to that winning pair only: g * words[w*] into patch row p*, and
+    g * patches[p*] scatter-added into word row w* in a fixed sequential
+    order.
+    """
+    P, W = patches.data, words.data
+    if W.ndim != 2 or P.ndim < 2:
+        raise ShapeMismatchError(
+            f"maxsim expects patches (..., N_p, D) and words (N_w, D); got {P.shape} and {W.shape}"
+        )
+    if P.shape[-1] != W.shape[-1]:
+        raise ShapeMismatchError(f"maxsim embedding dimensions differ: {P.shape} and {W.shape}")
+    if P.shape[-2] < 1 or W.shape[0] < 1:
+        raise ShapeMismatchError("maxsim needs at least one patch and one word")
+    sims = np.matmul(P, W.T)
+    flat = sims.reshape(sims.shape[:-2] + (-1,))
+    best = np.argmax(flat, axis=-1)
+    out = np.take_along_axis(flat, best[..., None], axis=-1)[..., 0]
+    p_star, w_star = np.divmod(best, W.shape[0])
+
+    def bw(g):
+        gp = gw = None
+        if patches.requires_grad:
+            gp = np.zeros_like(P)
+            rows = (g[..., None] * W[w_star])[..., None, :]
+            np.put_along_axis(gp, p_star[..., None, None], rows, axis=-2)
+        if words.requires_grad:
+            gw = np.zeros_like(W)
+            winners = np.take_along_axis(P, p_star[..., None, None], axis=-2)[..., 0, :]
+            np.add.at(gw, w_star.ravel(), (g[..., None] * winners).reshape(-1, W.shape[1]))
+        return gp, gw
+
+    return _record("maxsim", (patches, words), out, bw)
+
+
 def l2_normalize(x: TapeTensor, axis: int = -1) -> TapeTensor:
     ax = _normalize_axis(axis, x.ndim)
     norm = np.sqrt(np.sum(x.data * x.data, axis=ax, keepdims=True))
@@ -384,7 +439,7 @@ def max_reduce(x: TapeTensor, axis: int) -> TapeTensor:
         np.put_along_axis(z, np.expand_dims(argmax, ax), np.expand_dims(g, ax), axis=ax)
         return (z,)
 
-    return _record("row_max_reduce", (x,), out, bw)
+    return _record("max_reduce", (x,), out, bw)
 
 
 def mean_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:

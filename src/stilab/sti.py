@@ -126,11 +126,11 @@ def spatial_nodes(
     """Per-frame MaxSim scores and score-rescaled frame features.
 
     proj_patches is (..., T, N_p, D), proj_words (N_w, D), frames (..., T, D).
-    The max runs over words first, then patches, so ties resolve to the
-    lexicographically smallest (patch, word) pair.
+    The scores come from the fused ``ad.maxsim`` primitive: ties resolve to
+    the lexicographically smallest (patch, word) pair, and the backward
+    reaches only each frame's winning patch and word rows.
     """
-    sims = ad.matmul(proj_patches, ad.transpose(proj_words))  # (..., T, N_p, N_w)
-    scores = ad.max_reduce(ad.max_reduce(sims, axis=-1), axis=-1)  # (..., T)
+    scores = ad.maxsim(proj_patches, proj_words)  # (..., T)
     feats = ad.mul(ad.expand_dims(scores, -1), frames)
     return scores, feats
 

@@ -9,6 +9,7 @@ trajectory as an uninterrupted run.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tape
+from .autodiff import ParameterStore, ShapeMismatchError, Tape
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, text_fingerprint
 from .objective import (
     INITIAL_TEMPERATURE,
@@ -129,18 +130,29 @@ def optimizer_step(
     """One bias-corrected adaptive-moment update with decoupled decay.
 
     Both the decay term and the moment step are computed from the current
-    parameter value: p <- p - lr*wd*p - lr*m_hat/(sqrt(v_hat)+eps).
+    parameter value: p <- p - lr*wd*p - lr*m_hat/(sqrt(v_hat)+eps). The step
+    is atomic: every gradient is checked for presence, shape and finiteness
+    before any parameter or moment changes.
     """
-    t = state.step + 1
-    lr, wd = config.learning_rate, config.weight_decay
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    checked: dict[str, Array] = {}
     for name in store.names():
         if name not in grads:
             raise KeyError(f"gradient map is missing parameter {name!r}")
         g = np.asarray(grads[name], dtype=np.float64)
+        if g.shape != store.value(name).shape:
+            raise ShapeMismatchError(
+                f"gradient for parameter {name!r} has shape {g.shape}, "
+                f"expected {store.value(name).shape}"
+            )
         if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+        checked[name] = g
+
+    t = state.step + 1
+    lr, wd = config.learning_rate, config.weight_decay
+    bias1 = 1.0 - state.beta1**t
+    bias2 = 1.0 - state.beta2**t
+    for name, g in checked.items():
         m = state.first_moment[name] = state.beta1 * state.first_moment[name] + (1 - state.beta1) * g
         v = state.second_moment[name] = state.beta2 * state.second_moment[name] + (1 - state.beta2) * (g * g)
         value = store.value(name)
@@ -403,32 +415,47 @@ def _write_named_arrays(fh, arrays: dict[str, Array]) -> None:
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
-    """Serialize training state; round-trips bitwise."""
+    """Serialize training state; round-trips bitwise.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target in one ``os.replace``: a failed write leaves any
+    previous checkpoint untouched and removes the temporary file.
+    """
     path = Path(path)
-    store, opt = checkpoint.store, checkpoint.optimizer
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(f"version {CHECKPOINT_VERSION}\n".encode("ascii"))
-        fh.write(
-            ("config " + json.dumps(checkpoint.config.to_dict(), sort_keys=True) + "\n").encode("utf-8")
-        )
-        fh.write(f"epoch {checkpoint.epoch}\n".encode("ascii"))
-        fh.write(f"step {opt.step}\n".encode("ascii"))
-        fh.write(f"betas {opt.beta1!r} {opt.beta2!r} {opt.epsilon!r}\n".encode("ascii"))
-        fh.write(f"params {len(store.names())}\n".encode("ascii"))
-        for name in store.names():
-            _write_named_arrays(
-                fh,
-                {
-                    name: store.value(name),
-                    f"{name}.m": opt.first_moment[name],
-                    f"{name}.v": opt.second_moment[name],
-                },
-            )
-        history = np.asarray(checkpoint.loss_history, dtype=np.float64)
-        fh.write(f"history {history.size}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(history, dtype="<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, checkpoint)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
+    store, opt = checkpoint.store, checkpoint.optimizer
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(f"version {CHECKPOINT_VERSION}\n".encode("ascii"))
+    fh.write(
+        ("config " + json.dumps(checkpoint.config.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+    )
+    fh.write(f"epoch {checkpoint.epoch}\n".encode("ascii"))
+    fh.write(f"step {opt.step}\n".encode("ascii"))
+    fh.write(f"betas {opt.beta1!r} {opt.beta2!r} {opt.epsilon!r}\n".encode("ascii"))
+    fh.write(f"params {len(store.names())}\n".encode("ascii"))
+    for name in store.names():
+        _write_named_arrays(
+            fh,
+            {
+                name: store.value(name),
+                f"{name}.m": opt.first_moment[name],
+                f"{name}.v": opt.second_moment[name],
+            },
+        )
+    history = np.asarray(checkpoint.loss_history, dtype=np.float64)
+    fh.write(f"history {history.size}\n".encode("ascii"))
+    fh.write(np.ascontiguousarray(history, dtype="<f8").tobytes())
 
 
 def _read_text_line(fh, expected_key: str) -> list[str]:

@@ -129,16 +129,6 @@ def params_from_store(
     return enc, sti
 
 
-def store_from_params(enc: EncoderParams, sti: STIParameters, log_tau: float) -> ParameterStore:
-    store = ParameterStore()
-    store.register(PARAM_VIDEO_WEIGHT, enc.video_weight)
-    store.register(PARAM_VIDEO_BIAS, enc.video_bias)
-    store.register(PARAM_PATCH_WEIGHT, sti.patch_weight)
-    store.register(PARAM_WORD_WEIGHT, sti.word_weight)
-    store.register("log_tau", np.log(log_tau))
-    return store
-
-
 @dataclass
 class TrainedRun:
     corpus: SyntheticCorpus

@@ -67,6 +67,11 @@ class TestPrimitiveBackwardRules:
         grads = tape.backward(loss)
         assert np.array_equal(grads[x.tid], [[0, 1, 0], [1, 0, 0]])
 
+    def test_max_reduce_records_its_public_name(self):
+        tape = Tape()
+        ad.max_reduce(tape.leaf(np.ones((2, 3))), axis=1)
+        assert [rec.op for rec in tape.records] == ["max_reduce"]
+
     def test_clip_gradient_masks_outside(self):
         tape = Tape()
         x = tape.leaf(np.array([-2.0, 0.5, 2.0]))
@@ -155,6 +160,180 @@ class TestBackwardStructure:
         loss = ad.add(ad.mul(x, x), ad.mul(x, 4.0))  # x^2 + 4x
         grads = tape.backward(loss)
         assert float(grads[x.tid]) == 10.0
+
+
+def dense_maxsim_chain(patches, words):
+    """The unfused MaxSim graph: similarities, max over words, max over patches."""
+    sims = ad.matmul(patches, ad.transpose(words))
+    return ad.max_reduce(ad.max_reduce(sims, axis=-1), axis=-1)
+
+
+def maxsim_grads(build, patches, words, upstream, *, patches_leaf=True, words_leaf=True):
+    """Gradients of sum(upstream * build(P, W)) for the requested leaves."""
+    tape = Tape()
+    p = tape.leaf(patches) if patches_leaf else tape.constant(patches)
+    w = tape.leaf(words) if words_leaf else tape.constant(words)
+    scores = build(p, w)
+    grads = tape.backward(ad.sum_reduce(ad.mul(scores, tape.constant(upstream))))
+    return scores.data, grads.get(p.tid), grads.get(w.tid)
+
+
+class TestMaxSim:
+    LEADING = [(), (3,), (2, 3), (2, 1, 3)]
+
+    def instances(self, integer):
+        rng = np.random.default_rng(20 + integer)
+        for lead in self.LEADING:
+            if integer:  # small integers make exact ties between pairs common
+                patches = rng.integers(0, 3, size=lead + (5, 4)).astype(float)
+                words = rng.integers(0, 3, size=(3, 4)).astype(float)
+            else:
+                patches = rng.standard_normal(lead + (5, 4))
+                words = rng.standard_normal((3, 4))
+            yield patches, words, rng.standard_normal(lead)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_forward_bitwise_equals_dense_chain(self, integer):
+        for patches, words, _ in self.instances(integer):
+            tape = Tape()
+            p, w = tape.constant(patches), tape.constant(words)
+            fused = ad.maxsim(p, w)
+            assert fused.shape == patches.shape[:-2]
+            assert np.array_equal(fused.data, dense_maxsim_chain(p, w).data)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_backward_matches_dense_chain(self, integer):
+        for patches, words, upstream in self.instances(integer):
+            _, gp, gw = maxsim_grads(ad.maxsim, patches, words, upstream)
+            _, dense_gp, dense_gw = maxsim_grads(dense_maxsim_chain, patches, words, upstream)
+            assert np.allclose(gp, dense_gp, rtol=0.0, atol=1e-12)
+            assert np.allclose(gw, dense_gw, rtol=0.0, atol=1e-12)
+
+    def test_only_winning_patch_rows_receive_gradient(self):
+        for patches, words, upstream in self.instances(False):
+            _, gp, _ = maxsim_grads(ad.maxsim, patches, words, upstream)
+            sims = patches @ words.T
+            flat = sims.reshape(sims.shape[:-2] + (-1,))
+            winner = np.argmax(flat, axis=-1) // words.shape[0]
+            rows = np.arange(patches.shape[-2]) == winner[..., None]  # (..., N_p)
+            assert np.all(gp[~rows] == 0.0)
+            assert np.all(np.any(gp[rows] != 0.0, axis=-1))
+
+    def test_ties_route_to_smallest_patch_then_smallest_word(self):
+        # patches 1 and 2 tie against words 1 and 2 (all four products are 2)
+        patches = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        words = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        score, gp, gw = maxsim_grads(ad.maxsim, patches, words, np.array(1.0))
+        assert score == 2.0
+        assert np.array_equal(gp, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(gw, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+
+    def test_word_gradient_sums_over_every_slot_a_word_wins(self):
+        patches = np.array([[[1.0, 0.0]], [[2.0, 0.0]], [[0.0, 3.0]]])  # three slots, N_p=1
+        words = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, _, gw = maxsim_grads(ad.maxsim, patches, words, np.array([1.0, 0.5, 2.0]))
+        assert np.array_equal(gw, [[2.0, 0.0], [0.0, 6.0]])
+
+    def test_constant_patches_or_words(self):
+        patches, words, upstream = next(iter(self.instances(False)))
+        _, full_gp, full_gw = maxsim_grads(ad.maxsim, patches, words, upstream)
+        _, gp, gw = maxsim_grads(ad.maxsim, patches, words, upstream, words_leaf=False)
+        assert gw is None and np.array_equal(gp, full_gp)
+        _, gp, gw = maxsim_grads(ad.maxsim, patches, words, upstream, patches_leaf=False)
+        assert gp is None and np.array_equal(gw, full_gw)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(24)
+        store = ParameterStore()
+        store.register("p", rng.standard_normal((2, 4, 3)))
+        store.register("w", rng.standard_normal((5, 3)))
+        upstream = rng.standard_normal(2)
+
+        def loss_fn(params):
+            tape = Tape()
+            leaves = params.leaves(tape)
+            scores = ad.maxsim(leaves["p"], leaves["w"])
+            return ad.sum_reduce(ad.mul(scores, tape.constant(upstream)))
+
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-6
+
+    @pytest.mark.parametrize(
+        "p_shape, w_shape",
+        [((4, 3), (2, 4)), ((3,), (2, 3)), ((2, 4, 3), (3,)), ((0, 3), (2, 3)), ((4, 3), (0, 3))],
+    )
+    def test_shape_errors(self, p_shape, w_shape):
+        tape = Tape()
+        with pytest.raises(ShapeMismatchError):
+            ad.maxsim(tape.constant(np.ones(p_shape)), tape.constant(np.ones(w_shape)))
+
+
+def out_of_place_backward(tape, output):
+    """Reference gradient loop that always sums into a fresh array."""
+    grads = {output.tid: np.ones((), dtype=np.float64)}
+    for rec in reversed(tape.records):
+        g = grads.pop(rec.output_id, None)
+        if g is None:
+            continue
+        for tid, needed, gi in zip(rec.input_ids, rec.input_requires, rec.backward_fn(g)):
+            if needed and gi is not None:
+                prev = grads.get(tid)
+                grads[tid] = gi if prev is None else prev + gi
+    return grads
+
+
+def fan_out_graph():
+    """One leaf x feeding five consumers, two of which pass g straight through;
+    a 0-d leaf s also feeds three consumers."""
+    rng = np.random.default_rng(30)
+    tape = Tape()
+    x = tape.leaf(rng.standard_normal((4, 3)))
+    s = tape.leaf(np.array(0.7))
+    w = tape.constant(rng.standard_normal((3, 3)))
+    branches = [
+        ad.add(x, tape.constant(rng.standard_normal((4, 3)))),
+        ad.mul(x, s),
+        ad.relu(ad.matmul(x, w)),
+        ad.add(x, x),
+        ad.softmax(ad.mul(x, s), axis=0),
+        ad.mul(ad.exp(x), s),
+    ]
+    total = branches[0]
+    for branch in branches[1:]:
+        total = ad.add(total, ad.mul(branch, tape.constant(rng.standard_normal((4, 3)))))
+    return tape, ad.sum_reduce(total), (x, s)
+
+
+class TestInPlaceAccumulation:
+    def test_fan_out_gradients_bitwise_equal_out_of_place_loop(self):
+        tape, loss, leaves = fan_out_graph()
+        got = tape.backward(loss)
+        ref_tape, ref_loss, _ = fan_out_graph()
+        want = out_of_place_backward(ref_tape, ref_loss)
+        assert got.keys() == want.keys()
+        for tid in want:
+            assert got[tid].shape == want[tid].shape
+            assert np.array_equal(got[tid], want[tid]), tid
+        for leaf in leaves:
+            assert np.all(got[leaf.tid] != 0.0)
+
+    def test_arrays_returned_by_backward_closures_are_never_mutated(self):
+        tape, loss, _ = fan_out_graph()
+        returned = []
+
+        def keep(fn):
+            def wrapped(g):
+                out = fn(g)
+                returned.extend((gi, gi.copy()) for gi in out if gi is not None)
+                return out
+
+            return wrapped
+
+        for rec in tape.records:
+            rec.backward_fn = keep(rec.backward_fn)
+        tape.backward(loss)
+        assert any(gi.ndim for gi, _ in returned)
+        for gi, snapshot in returned:
+            assert np.array_equal(gi, snapshot)
 
 
 class TestShapeErrors:

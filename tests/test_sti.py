@@ -151,6 +151,39 @@ class TestSpatialInteraction:
         grads = tape.backward(ad.sum_reduce(scores, axis=0))
         assert np.array_equal(grads[words.tid], [[1.0, 1.0], [0.0, 0.0]])
 
+    def test_tie_gradient_routes_to_smallest_patch(self):
+        # two identical patches in one frame: the tie must route to patch 0
+        tape = Tape()
+        patches = tape.leaf(np.ones((1, 2, 2)))
+        words = tape.constant(np.array([[1.0, 2.0]]))
+        from stilab.sti import spatial_nodes
+
+        scores, _ = spatial_nodes(patches, words, tape.constant(np.ones((1, 2))))
+        grads = tape.backward(ad.sum_reduce(scores, axis=0))
+        assert np.array_equal(grads[patches.tid], [[[1.0, 2.0], [0.0, 0.0]]])
+
+    def test_batched_scores_match_enumeration_with_one_fused_record(self):
+        from stilab.sti import spatial_nodes
+
+        rng = np.random.default_rng(4)
+        batch = [integer_instance(rng) for _ in range(3)]
+        patches = np.stack([b[0] for b in batch])  # (B, T, N_p, D)
+        words = batch[0][1]
+        frames = np.stack([b[2] for b in batch])
+        tape = Tape()
+        p = tape.leaf(patches)
+        scores, feats = spatial_nodes(p, tape.constant(words), tape.constant(frames))
+        assert [rec.op for rec in tape.records] == ["maxsim", "expand_dims", "mul"]
+        grad = tape.backward(ad.sum_reduce(scores))[p.tid]
+        for i in range(3):
+            want_scores, want_feats, argpairs = maxsim_enumeration(patches[i], words, frames[i])
+            assert np.array_equal(scores.data[i], want_scores)
+            assert np.array_equal(feats.data[i], want_feats)
+            for t, (k, l) in enumerate(argpairs):
+                want = np.zeros_like(patches[i, t])
+                want[k] = words[l]
+                assert np.array_equal(grad[i, t], want)
+
 
 class TestTemporalSaliency:
     def test_identical_frames_give_uniform_weights(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stilab.autodiff import ParameterStore
+from stilab import trainer
+from stilab.autodiff import ParameterStore, ShapeMismatchError
 from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from stilab.encoders import text_fingerprint
 from stilab.trainer import (
@@ -79,6 +80,38 @@ class TestOptimizerStep:
         state = OptimizerState.for_store(store)
         with pytest.raises(KeyError):
             optimizer_step(store, {}, state, TrainConfig(epochs=1, batch_size=1))
+
+    def two_parameter_state(self):
+        store = ParameterStore()
+        store.register("a", np.array([1.0, -2.0]))
+        store.register("b", np.array([[0.5]]))
+        state = OptimizerState.for_store(store)
+        config = TrainConfig(learning_rate=0.01, weight_decay=0.1, epochs=1, batch_size=1)
+        optimizer_step(store, {"a": np.array([0.3, 0.1]), "b": np.array([[-0.2]])}, state, config)
+        return store, state, config
+
+    @pytest.mark.parametrize(
+        "bad_b, error",
+        [
+            (np.array([[np.nan]]), NonFiniteGradientError),
+            (np.array([0.1, 0.2]), ShapeMismatchError),
+            (None, KeyError),
+        ],
+    )
+    def test_rejected_step_changes_nothing(self, bad_b, error):
+        store, state, config = self.two_parameter_state()
+        fingerprint = store.fingerprint()
+        moments = [{n: m.copy() for n, m in d.items()} for d in (state.first_moment, state.second_moment)]
+        grads = {"a": np.array([0.4, -0.4])}
+        if bad_b is not None:
+            grads["b"] = bad_b
+        with pytest.raises(error, match="'b'"):
+            optimizer_step(store, grads, state, config)
+        assert store.fingerprint() == fingerprint
+        for before, after in zip(moments, (state.first_moment, state.second_moment)):
+            assert before.keys() == after.keys()
+            assert all(np.array_equal(before[n], after[n]) for n in before)
+        assert state.step == 1
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +306,23 @@ class TestCheckpointing:
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, small_training, tmp_path, monkeypatch):
+        _, data = small_training
+        checkpoint = self.make_checkpoint(data)
+        path = save_checkpoint(tmp_path / "ckpt.stickpt", checkpoint)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
+        before = path.read_bytes()
+
+        def fail_midway(fh, arrays):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer, "_write_named_arrays", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, checkpoint)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
 
 
 class TestLossCsv:
