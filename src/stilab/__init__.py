@@ -31,12 +31,10 @@ from .evaluation import (
     evaluate_split,
     export_saliency,
     sample_category_subset,
-    zero_shot_classify,
 )
 from .objective import (
     BatchRecord,
     PositiveSet,
-    cosine_similarity,
     loss_c2v,
     loss_v2c,
     score_matrix,
@@ -48,13 +46,8 @@ from .sti import (
     STIParameters,
     SpatialResult,
     TemporalSaliency,
-    aggregate_video,
-    mean_pool_baseline,
-    project_patches,
-    project_words,
     spatial_interaction,
     sti_forward,
-    temporal_saliency,
 )
 from .trainer import (
     Checkpoint,

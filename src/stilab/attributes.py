@@ -8,15 +8,15 @@ is a pure function, so the mock pipeline is a deterministic test oracle.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+import urllib.request
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import requests
 
 from .encoders import tokenize
 
@@ -235,21 +235,25 @@ def _endpoint_keywords(
     class_name: str, description: str, config: ExtractionClientConfig, endpoint: str
 ) -> list[str]:
     prompt = config.prompt_template.format(description=description, action_name=class_name)
+    body = json.dumps(
+        {
+            "prompt": prompt,
+            "temperature": config.sampling_temperature,
+            "max_tokens": config.max_output_tokens,
+        }
+    ).encode("utf-8")
     try:
+        request = urllib.request.Request(
+            endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
+        )
         with _endpoint_lock(endpoint):
-            response = requests.post(
-                endpoint,
-                json={
-                    "prompt": prompt,
-                    "temperature": config.sampling_temperature,
-                    "max_tokens": config.max_output_tokens,
-                },
-                timeout=_ENDPOINT_TIMEOUT_SECONDS,
-            )
-        response.raise_for_status()
-    except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=_ENDPOINT_TIMEOUT_SECONDS) as response:
+                text = response.read().decode("utf-8")
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # OSError covers refused connections, timeouts and HTTP error
+        # statuses; ValueError covers a malformed URL and a non-UTF-8 body
         raise ExtractionError(f"extraction endpoint unreachable: {endpoint}: {exc}") from exc
-    keywords = _parse_endpoint_completion(response.text)
+    keywords = _parse_endpoint_completion(text)
     if not keywords:
         raise ExtractionError(
             f"extraction endpoint {endpoint} returned an unparseable or empty completion"

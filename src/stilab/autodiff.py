@@ -10,14 +10,16 @@ The primitive set is intentionally small: it is the closure of the encoder,
 interaction and loss computations under differentiation, nothing more. One
 primitive is fused rather than elementary: ``maxsim``, the late-interaction
 score ``max over (patch, word) of patch . word``, whose backward touches only
-the winning pair instead of a dense similarity gradient.
+the winning pair instead of a dense similarity gradient. ``max_reduce`` has
+no pipeline caller; it is the dense reference the ``maxsim`` tests compare
+against.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,34 +82,6 @@ class TapeTensor:
 
     def __repr__(self) -> str:
         return f"TapeTensor(id={self.tid}, shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _coerce(self.tape, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(self.tape, other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(self.tape, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(self.tape, other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(self.tape, other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(self.tape, other))
 
 
 @dataclass
@@ -237,16 +211,6 @@ def add(a: TapeTensor, b) -> TapeTensor:
     return _record("add", (a, b), out, bw)
 
 
-def sub(a: TapeTensor, b) -> TapeTensor:
-    b = _coerce(a.tape, b)
-    out = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _record("sub", (a, b), out, bw)
-
-
 def mul(a: TapeTensor, b) -> TapeTensor:
     b = _coerce(a.tape, b)
     out = a.data * b.data
@@ -282,11 +246,6 @@ def neg(x: TapeTensor) -> TapeTensor:
 def exp(x: TapeTensor) -> TapeTensor:
     out = np.exp(x.data)
     return _record("exp", (x,), out, lambda g: (g * out,))
-
-
-def log(x: TapeTensor) -> TapeTensor:
-    out = np.log(x.data)
-    return _record("log", (x,), out, lambda g: (g / x.data,))
 
 
 def relu(x: TapeTensor) -> TapeTensor:
@@ -354,20 +313,6 @@ def transpose(x: TapeTensor, axes: tuple[int, ...] | None = None) -> TapeTensor:
     out = np.transpose(x.data, axes)
     inverse = None if axes is None else tuple(np.argsort(axes))
     return _record("transpose", (x,), out, lambda g: (np.transpose(g, inverse),))
-
-
-def dot(a: TapeTensor, b: TapeTensor) -> TapeTensor:
-    """Inner product of two 1-d vectors."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatchError(f"dot expects equal-length vectors, got {a.shape} and {b.shape}")
-    out = np.dot(a.data, b.data)
-
-    def bw(g):
-        ga = g * b.data if a.requires_grad else None
-        gb = g * a.data if b.requires_grad else None
-        return ga, gb
-
-    return _record("dot", (a, b), out, bw)
 
 
 def maxsim(patches: TapeTensor, words: TapeTensor) -> TapeTensor:

@@ -13,10 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .attributes import (
@@ -37,8 +34,6 @@ from .trainer import (
     write_loss_csv,
 )
 from .workflow import (
-    corpus_encoder_params,
-    eval_group,
     eval_group_three_splits,
     params_from_store,
     train_on_corpus,
@@ -162,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the checkpoint's attribute count")
     p_eval.add_argument("--spatial", action=argparse.BooleanOptionalAction, default=None)
     p_eval.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=None)
-    p_eval.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
 
     p_sal = sub.add_parser("saliency", help="export per-frame saliency for a (video, class) pair")
     common(p_sal)
@@ -171,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sal.add_argument("--video-id", required=True)
     p_sal.add_argument("--class-name", required=True)
     p_sal.add_argument("--num-attributes", type=int, default=None)
-    p_sal.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
     return parser
 
 
@@ -254,6 +247,7 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
         store=run.result.store,
         optimizer=run.result.optimizer,
         loss_history=run.result.loss_history,
+        tau_saliency=args.tau_saliency,
     )
     ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", checkpoint)
     loss_path = write_loss_csv(args.out_dir / "loss.csv", run.result.loss_history)
@@ -282,7 +276,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
         checkpoint.store,
         text_table_seed=corpus.spec.seed,
         dim=corpus.spec.dim,
-        tau_saliency=args.tau_saliency,
+        tau_saliency=checkpoint.tau_saliency,
     )
     if args.mode == "few-shot":
         if not corpus.unseen_class_indices:
@@ -301,13 +295,13 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
         )
         tuned = few_shot_finetune(
             checkpoint.store.copy(), data, args.shots, args.finetune_epochs, args.seed,
-            config=config, tau_saliency=args.tau_saliency,
+            config=config, tau_saliency=checkpoint.tau_saliency,
         )
         enc, sti = params_from_store(
             tuned.fit.store,
             text_table_seed=corpus.spec.seed,
             dim=corpus.spec.dim,
-            tau_saliency=args.tau_saliency,
+            tau_saliency=checkpoint.tau_saliency,
         )
         holdout = [i for i in range(len(data.videos)) if i not in set(tuned.sample.indices)]
         if not holdout:
@@ -358,7 +352,7 @@ def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
         checkpoint.store,
         text_table_seed=corpus.spec.seed,
         dim=corpus.spec.dim,
-        tau_saliency=args.tau_saliency,
+        tau_saliency=checkpoint.tau_saliency,
     )
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:

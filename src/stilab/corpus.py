@@ -13,7 +13,7 @@ pretrained joint embedding space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +113,6 @@ class SyntheticCorpus:
     @property
     def unseen_class_indices(self) -> tuple[int, ...]:
         return tuple(c.index for c in self.classes if not c.seen)
-
-    def descriptions(self) -> dict[str, ClassDescription]:
-        return {c.name: c.description for c in self.classes}
-
-    def videos_of_class(self, class_index: int) -> list[VideoSample]:
-        return [v for v in self.videos if v.class_index == class_index]
-
-    def videos_of_split(self, seen: bool) -> list[VideoSample]:
-        wanted = set(self.seen_class_indices if seen else self.unseen_class_indices)
-        return [v for v in self.videos if v.class_index in wanted]
 
 
 def _build_description(concepts: tuple[str, ...], fillers: tuple[str, ...]) -> str:
@@ -379,11 +369,23 @@ def load_corpus(corpus_dir) -> SyntheticCorpus:
             f"corpus metadata lists {len(meta['videos'])} videos, "
             f"container holds {len(features_list)}"
         )
+    expected_shape = (spec.frames, spec.patches_per_frame, spec.dim)
     videos = []
     for entry, features in zip(meta["videos"], features_list):
+        video_id = entry["video_id"]
+        if features.shape != expected_shape:
+            raise ValueError(
+                f"video {video_id!r} has features of shape {features.shape}, "
+                f"corpus spec expects {expected_shape}"
+            )
+        if not 0 <= entry["class_index"] < len(classes):
+            raise ValueError(
+                f"video {video_id!r} has class_index {entry['class_index']}, "
+                f"corpus has {len(classes)} classes"
+            )
         videos.append(
             VideoSample(
-                video_id=entry["video_id"],
+                video_id=video_id,
                 class_index=entry["class_index"],
                 features=features,
                 patch_concepts=np.asarray(entry["patch_concepts"], dtype=np.int64),

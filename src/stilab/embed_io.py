@@ -1,15 +1,9 @@
-"""Bit-exact embedding container.
+"""Bit-exact container for raw video features.
 
 File layout: the magic line ``STIEMB1\\n`` followed by one or more records.
-Each record starts with a decimal text header line ``<kind> <counts...>``
-and is followed by a row-major little-endian float64 payload:
-
-* kind 0, header ``0 T N_p D``: a frame set, payload = T*N_p*D patch values
-  then T*D per-frame class embeddings.
-* kind 1, header ``1 N_w D``: a text sequence, followed by one text line of
-  space-joined tokens, payload = N_w*D word embeddings then D class values.
-* kind 2, header ``2 T N_p D``: raw per-patch video features, payload =
-  T*N_p*D values.
+Each record is a decimal text header line ``2 T N_p D`` (record kind 2, raw
+per-patch video features) followed by T*N_p*D row-major little-endian
+float64 values. Any other record kind is rejected.
 
 Round-trips are bitwise lossless.
 """
@@ -21,12 +15,8 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
-
 MAGIC = b"STIEMB1\n"
 
-KIND_FRAME_SET = 0
-KIND_TEXT_SEQUENCE = 1
 KIND_RAW_VIDEO = 2
 
 
@@ -46,17 +36,6 @@ class HeaderFormatError(EmbeddingIOError):
     pass
 
 
-def _write_array(fh: BinaryIO, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_line(fh: BinaryIO, what: str) -> str:
-    line = fh.readline()
-    if not line:
-        raise TruncatedPayloadError(f"unexpected end of file while reading {what}")
-    return line.decode("utf-8").rstrip("\n")
-
-
 def _read_array(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
     count = int(np.prod(shape)) if shape else 1
     nbytes = count * 8
@@ -68,44 +47,24 @@ def _read_array(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _write_record(fh: BinaryIO, item) -> None:
-    if isinstance(item, FrameEmbeddingSet):
-        t, n_p, d = item.patch_embeddings.shape
-        fh.write(f"{KIND_FRAME_SET} {t} {n_p} {d}\n".encode("ascii"))
-        _write_array(fh, item.patch_embeddings)
-        _write_array(fh, item.frame_class_embeddings)
-    elif isinstance(item, TextEmbeddingSequence):
-        n_w, d = item.word_embeddings.shape
-        fh.write(f"{KIND_TEXT_SEQUENCE} {n_w} {d}\n".encode("ascii"))
-        fh.write((" ".join(item.token_texts) + "\n").encode("utf-8"))
-        _write_array(fh, item.word_embeddings)
-        _write_array(fh, item.class_embedding)
-    elif isinstance(item, np.ndarray) and item.ndim == 3:
-        t, n_p, d = item.shape
-        fh.write(f"{KIND_RAW_VIDEO} {t} {n_p} {d}\n".encode("ascii"))
-        _write_array(fh, item)
-    else:
-        raise TypeError(f"cannot serialize {type(item).__name__} into an embedding container")
+def save_embeddings(path, videos: Sequence) -> Path:
+    """Write (T, N_p, D) raw video feature arrays to a container file.
 
-
-def save_embeddings(path, sets: Sequence) -> Path:
-    """Write embedding sets to a container file. Values must be finite."""
+    Values must be finite.
+    """
     path = Path(path)
-    for item in sets:
-        arrays = (
-            (item.patch_embeddings, item.frame_class_embeddings)
-            if isinstance(item, FrameEmbeddingSet)
-            else (item.word_embeddings, item.class_embedding)
-            if isinstance(item, TextEmbeddingSequence)
-            else (np.asarray(item),)
-        )
-        for arr in arrays:
-            if not np.isfinite(arr).all():
-                raise ValueError("refusing to serialize non-finite values")
+    arrays = [np.asarray(video) for video in videos]
+    for arr in arrays:
+        if arr.ndim != 3:
+            raise TypeError(f"expected a (T, N_p, D) array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("refusing to serialize non-finite values")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        for item in sets:
-            _write_record(fh, item)
+        for arr in arrays:
+            t, n_p, d = arr.shape
+            fh.write(f"{KIND_RAW_VIDEO} {t} {n_p} {d}\n".encode("ascii"))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return path
 
 
@@ -123,10 +82,10 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     return kind, counts
 
 
-def load_embeddings(path) -> list:
+def load_embeddings(path) -> list[np.ndarray]:
     """Read every record from a container file, in order."""
     path = Path(path)
-    out: list = []
+    out: list[np.ndarray] = []
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -139,34 +98,9 @@ def load_embeddings(path) -> list:
             if not header.strip():
                 raise HeaderFormatError("blank record header")
             kind, counts = _parse_header(header)
-            if kind == KIND_FRAME_SET:
-                if len(counts) != 3:
-                    raise HeaderFormatError(f"frame-set header needs T N_p D, got {header!r}")
-                t, n_p, d = counts
-                patches = _read_array(fh, (t, n_p, d), "frame-set patches")
-                frames = _read_array(fh, (t, d), "frame-set class embeddings")
-                out.append(FrameEmbeddingSet(frame_class_embeddings=frames, patch_embeddings=patches))
-            elif kind == KIND_TEXT_SEQUENCE:
-                if len(counts) != 2:
-                    raise HeaderFormatError(f"text header needs N_w D, got {header!r}")
-                n_w, d = counts
-                token_line = _read_line(fh, "token texts")
-                tokens = tuple(token_line.split(" ")) if token_line else ()
-                if len(tokens) != n_w:
-                    raise HeaderFormatError(
-                        f"token line holds {len(tokens)} tokens, header promises {n_w}"
-                    )
-                words = _read_array(fh, (n_w, d), "word embeddings")
-                cls = _read_array(fh, (d,), "class embedding")
-                out.append(
-                    TextEmbeddingSequence(
-                        class_embedding=cls, word_embeddings=words, token_texts=tokens
-                    )
-                )
-            elif kind == KIND_RAW_VIDEO:
-                if len(counts) != 3:
-                    raise HeaderFormatError(f"raw-video header needs T N_p D, got {header!r}")
-                out.append(_read_array(fh, counts, "raw video features"))
-            else:
+            if kind != KIND_RAW_VIDEO:
                 raise HeaderFormatError(f"unknown record kind {kind}")
+            if len(counts) != 3:
+                raise HeaderFormatError(f"raw-video header needs T N_p D, got {header!r}")
+            out.append(_read_array(fh, counts, "raw video features"))
     return out

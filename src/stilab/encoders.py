@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,10 +105,6 @@ class FrameEmbeddingSet:
     @property
     def num_frames(self) -> int:
         return self.patch_embeddings.shape[0]
-
-    @property
-    def num_patches(self) -> int:
-        return self.patch_embeddings.shape[1]
 
     @property
     def dim(self) -> int:

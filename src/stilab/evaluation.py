@@ -26,26 +26,6 @@ _EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """One evaluation split: which classes it covers and its sampling seed."""
-
-    split_id: int
-    class_indices: tuple[int, ...]
-    seed: int
-
-    def __post_init__(self):
-        if self.split_id not in (1, 2, 3):
-            raise ValueError("split_id must be 1, 2 or 3")
-        if not self.class_indices:
-            raise ValueError("split class subset must be non-empty")
-
-    def check_zero_shot(self, train_class_indices) -> None:
-        overlap = set(self.class_indices) & set(train_class_indices)
-        if overlap:
-            raise ValueError(f"zero-shot split overlaps training classes: {sorted(overlap)}")
-
-
-@dataclass(frozen=True)
 class SplitMetrics:
     split_id: int
     top1: float
@@ -81,24 +61,6 @@ class MetricReport:
             top5_mean=float(np.mean(top5)),
             top5_std=std(top5),
         )
-
-
-def zero_shot_classify(
-    video: FrameEmbeddingSet,
-    class_texts: Sequence[TextEmbeddingSequence],
-    sti_params: STIParameters,
-    enc_params,
-    toggles: InteractionToggles | None = None,
-) -> tuple[int, Array]:
-    """Predict the class with the highest cosine score for one video.
-
-    Ties resolve to the smallest class index. Returns (index, score vector).
-    """
-    if len(class_texts) < 1:
-        raise ValueError("need at least one candidate class")
-    batch = BatchRecord(videos=(video,), labels=np.zeros(1, dtype=np.int64))
-    scores = score_matrix(batch, class_texts, sti_params, enc_params, toggles)[0]
-    return int(np.argmax(scores)), scores
 
 
 def _topk_hits(scores: Array, labels: Array, k: int) -> Array:
@@ -182,14 +144,13 @@ def evaluate_three_splits(
         chosen = sorted(
             sample_category_subset(list(range(num_classes)), subset_size, seed * 10 + split_id)
         )
-        spec = SplitSpec(split_id=split_id, class_indices=tuple(chosen), seed=seed)
-        remap = {old: new for new, old in enumerate(spec.class_indices)}
+        remap = {old: new for new, old in enumerate(chosen)}
         keep = [i for i, label in enumerate(labels) if int(label) in remap]
         if not keep:
             raise ValueError(f"split {split_id} selected classes with no evaluation videos")
         split_videos = [videos[i] for i in keep]
         split_labels = np.array([remap[int(labels[i])] for i in keep])
-        split_texts = [class_texts[i] for i in spec.class_indices]
+        split_texts = [class_texts[i] for i in chosen]
         top1, top5 = evaluate_split(
             split_videos, split_labels, split_texts, sti_params, enc_params, toggles
         )

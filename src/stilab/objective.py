@@ -86,18 +86,6 @@ class PositiveSet:
         return same.astype(np.float64) / (b * counts[None, :])
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of two nonzero vectors, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"expected two equal-length vectors, got {u.shape} and {v.shape}")
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def _unit(v: Array) -> Array:
     n = float(np.linalg.norm(v))
     if n == 0.0:

@@ -199,27 +199,6 @@ def sti_pipeline_nodes(
 # array-facing operations
 # ---------------------------------------------------------------------------
 
-def _project(x, weight) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeMismatchError(
-            f"projection input dim {x.shape[-1]} does not match weight {weight.shape}"
-        )
-    tape = Tape()
-    return project_nodes(tape.constant(x), tape.constant(weight)).data
-
-
-def project_patches(patches, patch_weight) -> Array:
-    """ReLU-projected patch embeddings, shape preserved."""
-    return _project(patches, patch_weight)
-
-
-def project_words(words, word_weight) -> Array:
-    """ReLU-projected word embeddings, shape preserved."""
-    return _project(words, word_weight)
-
-
 def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialResult:
     """MaxSim spatial scoring of already-projected patches against words.
 
@@ -244,36 +223,6 @@ def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialRe
         tape.constant(proj_patches), tape.constant(proj_words), tape.constant(frame_embeddings)
     )
     return SpatialResult(spatial_scores=scores.data, spatial_features=feats.data)
-
-
-def temporal_saliency(spatial_features, proj_words, tau: float) -> TemporalSaliency:
-    """Softmax frame saliency from spatial features and projected words."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    spatial_features = np.asarray(spatial_features, dtype=np.float64)
-    proj_words = np.asarray(proj_words, dtype=np.float64)
-    if spatial_features.ndim != 2 or proj_words.ndim != 2:
-        raise ShapeMismatchError("expected spatial features (T,D) and words (N_w,D)")
-    if spatial_features.shape[-1] != proj_words.shape[-1]:
-        raise ShapeMismatchError("feature and word dimensions differ")
-    tape = Tape()
-    weights = temporal_nodes(tape.constant(spatial_features), tape.constant(proj_words), tau)
-    return TemporalSaliency(weights=weights.data)
-
-
-def aggregate_video(frame_embeddings, saliency) -> Array:
-    """Weighted sum of frame embeddings under a saliency distribution."""
-    frames = np.asarray(frame_embeddings, dtype=np.float64)
-    weights = saliency.weights if isinstance(saliency, TemporalSaliency) else np.asarray(saliency)
-    if frames.ndim != 2 or weights.shape != (frames.shape[0],):
-        raise ShapeMismatchError("frames must be (T,D) with one weight per frame")
-    tape = Tape()
-    return aggregate_nodes(tape.constant(frames), tape.constant(weights)).data
-
-
-def mean_pool_baseline(frames: FrameEmbeddingSet) -> Array:
-    """Plain frame average: the no-interaction video representation."""
-    return np.mean(frames.frame_class_embeddings, axis=0)
 
 
 def sti_forward(

@@ -8,6 +8,7 @@ trajectory as an uninterrupted run.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -39,7 +40,7 @@ PARAM_LOG_TAU = "log_tau"
 _FEWSHOT_STREAM = 9001  # distinguishes the sampling stream from epoch shuffles
 
 CHECKPOINT_MAGIC = b"STICKPT1\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 predates the tau_saliency line
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -405,6 +406,7 @@ class Checkpoint:
     store: ParameterStore
     optimizer: OptimizerState
     loss_history: list[float]
+    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE  # trained with; eval reuses it
 
 
 def _write_named_arrays(fh, arrays: dict[str, Array]) -> None:
@@ -440,6 +442,7 @@ def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     fh.write(
         ("config " + json.dumps(checkpoint.config.to_dict(), sort_keys=True) + "\n").encode("utf-8")
     )
+    fh.write(f"tau_saliency {float(checkpoint.tau_saliency)!r}\n".encode("ascii"))
     fh.write(f"epoch {checkpoint.epoch}\n".encode("ascii"))
     fh.write(f"step {opt.step}\n".encode("ascii"))
     fh.write(f"betas {opt.beta1!r} {opt.beta2!r} {opt.epsilon!r}\n".encode("ascii"))
@@ -458,93 +461,113 @@ def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     fh.write(np.ascontiguousarray(history, dtype="<f8").tobytes())
 
 
-def _read_text_line(fh, expected_key: str) -> list[str]:
+def _read_text_line(fh, expected_key: str) -> str:
     line = fh.readline()
-    if not line:
+    if not line.endswith(b"\n"):
         raise CheckpointFormatError(f"truncated checkpoint: missing {expected_key!r} line")
-    parts = line.decode("utf-8").rstrip("\n").split(" ", 1)
-    if parts[0] != expected_key:
-        raise CheckpointFormatError(f"expected {expected_key!r} line, got {parts[0]!r}")
-    return parts[1:] if len(parts) > 1 else []
+    key, _, value = line[:-1].decode("utf-8").partition(" ")
+    if key != expected_key:
+        raise CheckpointFormatError(f"expected {expected_key!r} line, got {key!r}")
+    return value
 
 
-def _read_array_block(fh, expected_name: str) -> Array:
+def _read_count(fh, key: str) -> int:
+    count = int(_read_text_line(fh, key))
+    if count < 0:
+        raise CheckpointFormatError(f"negative {key} count {count}")
+    return count
+
+
+def _read_values(fh, count: int, what: str) -> Array:
+    payload = fh.read(count * 8)
+    if len(payload) != count * 8:
+        raise CheckpointFormatError(f"truncated payload for {what}")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CheckpointFormatError(f"non-finite values in {what}")
+    return values
+
+
+def _read_array_block(fh, expected_name: str | None) -> tuple[str, Array]:
+    """One named block; ``expected_name=None`` accepts any name."""
     line = fh.readline()
-    if not line:
+    if not line.endswith(b"\n"):
         raise CheckpointFormatError(f"truncated checkpoint: missing array {expected_name!r}")
     fields = line.decode("ascii").split()
     name, ndim, dims = fields[0], int(fields[1]), tuple(int(d) for d in fields[2:])
-    if name != expected_name or len(dims) != ndim:
+    wrong_name = expected_name is not None and name != expected_name
+    if wrong_name or len(dims) != ndim or min(dims, default=0) < 0:
         raise CheckpointFormatError(f"corrupt array header for {expected_name!r}: {fields}")
     count = int(np.prod(dims)) if dims else 1
-    payload = fh.read(count * 8)
-    if len(payload) != count * 8:
-        raise CheckpointFormatError(f"truncated payload for array {expected_name!r}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+    return name, _read_values(fh, count, f"array {name!r}").reshape(dims)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Every malformed file, including a truncated one, one with trailing
+    bytes and one holding non-finite values, raises CheckpointFormatError.
+    Version 1 files carry no saliency temperature and load with the default.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = _read_text_line(fh, "version")
-        if int(version) != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (config_json,) = _read_text_line(fh, "config")
-        config = TrainConfig(**json.loads(config_json))
-        (epoch,) = _read_text_line(fh, "epoch")
-        (step,) = _read_text_line(fh, "step")
-        (betas,) = _read_text_line(fh, "betas")
-        beta1, beta2, epsilon = (float(x) for x in betas.split())
-        (param_count,) = _read_text_line(fh, "params")
-        store = ParameterStore()
-        first: dict[str, Array] = {}
-        second: dict[str, Array] = {}
-        names: list[str] = []
-        for _ in range(int(param_count)):
-            position = fh.tell()
-            header = fh.readline()
-            if not header:
-                raise CheckpointFormatError("truncated checkpoint: missing parameter block")
-            name = header.decode("ascii").split()[0]
-            fh.seek(position)
-            store.register(name, _read_array_block(fh, name))
-            first[name] = _read_array_block(fh, f"{name}.m")
-            second[name] = _read_array_block(fh, f"{name}.v")
-            names.append(name)
-        (history_count,) = _read_text_line(fh, "history")
-        count = int(history_count)
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
-            raise CheckpointFormatError("truncated loss history payload")
-        history = np.frombuffer(payload, dtype="<f8").astype(np.float64).tolist()
+    fh = io.BytesIO(path.read_bytes())
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"{path}: bad checkpoint magic {magic!r}")
+    try:
+        return _parse_checkpoint(fh)
+    except (ValueError, IndexError, KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+
+
+def _parse_checkpoint(fh) -> Checkpoint:
+    version = int(_read_text_line(fh, "version"))
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    config = TrainConfig(**json.loads(_read_text_line(fh, "config")))
+    tau_saliency = DEFAULT_SALIENCY_TEMPERATURE
+    if version >= 2:
+        tau_saliency = float(_read_text_line(fh, "tau_saliency"))
+        if not (np.isfinite(tau_saliency) and tau_saliency > 0):
+            raise CheckpointFormatError(f"tau_saliency must be finite and positive: {tau_saliency}")
+    epoch = _read_count(fh, "epoch")
+    step = _read_count(fh, "step")
+    beta1, beta2, epsilon = (float(x) for x in _read_text_line(fh, "betas").split())
+    store = ParameterStore()
+    first: dict[str, Array] = {}
+    second: dict[str, Array] = {}
+    for _ in range(_read_count(fh, "params")):
+        name, value = _read_array_block(fh, None)
+        store.register(name, value)
+        first[name] = _read_array_block(fh, f"{name}.m")[1]
+        second[name] = _read_array_block(fh, f"{name}.v")[1]
+        if not first[name].shape == second[name].shape == value.shape:
+            raise CheckpointFormatError(f"moment shapes for {name!r} differ from its value")
+    history = _read_values(fh, _read_count(fh, "history"), "loss history").tolist()
+    if fh.read(1):
+        raise CheckpointFormatError("trailing bytes after the loss history")
     optimizer = OptimizerState(
         first_moment=first,
         second_moment=second,
-        step=int(step),
+        step=step,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
     )
     return Checkpoint(
         config=config,
-        epoch=int(epoch),
+        epoch=epoch,
         store=store,
         optimizer=optimizer,
         loss_history=history,
+        tau_saliency=tau_saliency,
     )
 
 
-def resume_fit(
-    data: TrainingData,
-    checkpoint: Checkpoint,
-    *,
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
-) -> FitResult:
-    """Continue training from a checkpoint to the configured epoch count;
-    bitwise identical to the uninterrupted run."""
+def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> FitResult:
+    """Continue training from a checkpoint to the configured epoch count,
+    at the checkpoint's saliency temperature; bitwise identical to the
+    uninterrupted run."""
     return fit(
         data,
         checkpoint.config,
@@ -552,7 +575,7 @@ def resume_fit(
         optimizer=checkpoint.optimizer,
         start_epoch=checkpoint.epoch,
         loss_history=list(checkpoint.loss_history),
-        tau_saliency=tau_saliency,
+        tau_saliency=checkpoint.tau_saliency,
     )
 
 

@@ -1,4 +1,7 @@
+import http.client
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,15 +109,19 @@ class TestExtractKeywords:
         with pytest.raises(ValueError):
             extract_keywords("x", "", MOCK)
 
-    def test_unreachable_endpoint(self):
+    def test_unreachable_endpoint(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
         config = ExtractionClientConfig(endpoint="http://unreachable.invalid/extract")
         with pytest.raises(ExtractionError, match="unreachable"):
             extract_keywords("swing", "a dance", config)
+        assert [call["request"].full_url for call in calls] == [config.endpoint]
 
     def test_env_var_overrides_endpoint(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
         monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "http://unreachable.invalid/x")
         with pytest.raises(ExtractionError, match="unreachable"):
             extract_keywords("swing", "a dance", MOCK)
+        assert [call["request"].full_url for call in calls] == ["http://unreachable.invalid/x"]
         monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "mock")
         config = ExtractionClientConfig(endpoint="http://unreachable.invalid/x")
         assert extract_keywords("swing", "a partner dance", config) == ["partner", "dance"]
@@ -131,15 +138,32 @@ class TestExtractKeywords:
 
 
 class FakeResponse:
-    def __init__(self, text, status_code=200):
-        self.text = text
-        self.status_code = status_code
+    def __init__(self, body: bytes):
+        self.body = body
 
-    def raise_for_status(self):
-        import requests
+    def read(self) -> bytes:
+        return self.body
 
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def fake_urlopen(monkeypatch, outcome):
+    """Replace ``urllib.request.urlopen``: ``outcome`` is the response body,
+    or an exception to raise. Returns the list of recorded calls."""
+    calls = []
+
+    def urlopen(request, timeout=None):
+        calls.append({"request": request, "timeout": timeout})
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return FakeResponse(outcome)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
 
 
 class TestEndpointClient:
@@ -147,47 +171,57 @@ class TestEndpointClient:
 
     ENDPOINT = "http://extractor.test/v1"
 
-    def patch_post(self, monkeypatch, response):
-        calls = []
-
-        def fake_post(url, json=None, timeout=None):
-            calls.append({"url": url, "json": json, "timeout": timeout})
-            return response
-
-        import stilab.attributes as attributes_module
-
-        monkeypatch.setattr(attributes_module.requests, "post", fake_post)
-        return calls
-
     def test_newline_separated_completion(self, monkeypatch):
-        self.patch_post(monkeypatch, FakeResponse("dance\npartner\nturns\n"))
+        fake_urlopen(monkeypatch, b"dance\npartner\nturns\n")
         config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         assert extract_keywords("salsa", "a dance", config) == ["dance", "partner", "turns"]
 
     def test_comma_separated_completion(self, monkeypatch):
-        self.patch_post(monkeypatch, FakeResponse("dance, partner , turns"))
+        fake_urlopen(monkeypatch, b"dance, partner , turns")
         config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         assert extract_keywords("salsa", "a dance", config) == ["dance", "partner", "turns"]
 
     def test_request_carries_prompt_and_sampling_settings(self, monkeypatch):
-        calls = self.patch_post(monkeypatch, FakeResponse("dance"))
+        calls = fake_urlopen(monkeypatch, b"dance")
         config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         extract_keywords("salsa spin", "a dance with turns", config)
         (call,) = calls
-        assert call["url"] == self.ENDPOINT
-        assert "a dance with turns" in call["json"]["prompt"]
-        assert "salsa spin" in call["json"]["prompt"]
-        assert call["json"]["temperature"] == 0.7
-        assert call["json"]["max_tokens"] == 256
+        request = call["request"]
+        assert request.full_url == self.ENDPOINT
+        assert request.get_method() == "POST"
+        assert request.get_header("Content-type") == "application/json"
+        assert call["timeout"] == 10.0
+        payload = json.loads(request.data.decode("utf-8"))
+        assert "a dance with turns" in payload["prompt"]
+        assert "salsa spin" in payload["prompt"]
+        assert payload["temperature"] == 0.7
+        assert payload["max_tokens"] == 256
 
     def test_empty_completion_is_an_error(self, monkeypatch):
-        self.patch_post(monkeypatch, FakeResponse("   \n  "))
+        fake_urlopen(monkeypatch, b"   \n  ")
         config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         with pytest.raises(ExtractionError, match="empty"):
             extract_keywords("salsa", "a dance", config)
 
     def test_http_error_is_reported(self, monkeypatch):
-        self.patch_post(monkeypatch, FakeResponse("oops", status_code=500))
+        error = urllib.error.HTTPError(self.ENDPOINT, 500, "Internal Server Error", None, None)
+        fake_urlopen(monkeypatch, error)
+        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
+        with pytest.raises(ExtractionError, match="unreachable"):
+            extract_keywords("salsa", "a dance", config)
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+            TimeoutError("timed out"),
+            http.client.BadStatusLine("garbage"),
+            b"\xff\xfe not utf-8",
+        ],
+        ids=["connection-error", "timeout", "bad-status-line", "non-utf8-body"],
+    )
+    def test_transport_failures_are_extraction_errors(self, monkeypatch, outcome):
+        fake_urlopen(monkeypatch, outcome)
         config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         with pytest.raises(ExtractionError, match="unreachable"):
             extract_keywords("salsa", "a dance", config)

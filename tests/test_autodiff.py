@@ -33,7 +33,7 @@ class TestPrimitiveBackwardRules:
         tape = Tape()
         x = tape.leaf(np.array([0.0, 0.0]))
         s = ad.softmax(x, axis=0)
-        loss = ad.dot(s, tape.constant(np.array([1.0, 0.0])))
+        loss = ad.sum_reduce(ad.mul(s, tape.constant(np.array([1.0, 0.0]))))
         grads = tape.backward(loss)
         s_val = np.array([0.5, 0.5])
         upstream = np.array([1.0, 0.0])
@@ -49,7 +49,7 @@ class TestPrimitiveBackwardRules:
         upstream -= upstream @ x_val * x_val  # orthogonal component only
         tape = Tape()
         x = tape.leaf(x_val)
-        loss = ad.dot(ad.l2_normalize(x, axis=0), tape.constant(upstream))
+        loss = ad.sum_reduce(ad.mul(ad.l2_normalize(x, axis=0), tape.constant(upstream)))
         grads = tape.backward(loss)
         assert abs(grads[x.tid] @ x_val) < 1e-12
 
@@ -343,9 +343,10 @@ class TestShapeErrors:
             ad.matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((4, 2))))
 
     def test_dot_requires_matching_vectors(self):
+        # (k,) @ (k,) is the inner product; unequal lengths are rejected
         tape = Tape()
         with pytest.raises(ShapeMismatchError):
-            ad.dot(tape.constant(np.ones(3)), tape.constant(np.ones(4)))
+            ad.matmul(tape.constant(np.ones(3)), tape.constant(np.ones(4)))
 
     def test_weighted_sum_shape_check(self):
         tape = Tape()
@@ -425,14 +426,14 @@ class TestFiniteDifferenceCheck:
 
     def test_non_finite_loss_rejected(self):
         store = ParameterStore()
-        store.register("x", np.array(0.0))
+        store.register("x", np.array(1000.0))
 
         def loss_fn(params):
             tape = Tape()
             leaves = params.leaves(tape)
-            return ad.log(leaves["x"])  # log(0) = -inf
+            return ad.exp(leaves["x"])  # exp(1000) overflows to inf
 
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore"):
             with pytest.raises(AutodiffError):
                 finite_difference_check(loss_fn, store)
 

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stilab
 from stilab.attributes import load_attribute_records
 from stilab.cli import main
 from stilab.corpus import load_corpus
-from stilab.evaluation import evaluate_split
+from stilab.encoders import FrameEmbeddingSet
+from stilab.evaluation import evaluate_split, export_saliency
 from stilab.sti import InteractionToggles
 from stilab.trainer import load_checkpoint
 from stilab.workflow import params_from_store, training_data_for
@@ -184,6 +190,40 @@ class TestSaliency:
         weights = [float(line.split(",")[2]) for line in lines[1:]]
         assert abs(sum(weights) - 1.0) < 1e-9
 
+    def test_saliency_uses_the_checkpoint_temperature(self, synth_dir, tmp_path):
+        corpus_dir = synth_dir / "corpus"
+        train = tmp_path / "train-hot"
+        assert run_cli(
+            "train", "--seed", 3, "--out-dir", train, "--corpus", corpus_dir,
+            "--epochs", 2, "--batch-size", 8, "--tau-saliency", 1.0,
+        ) == 0
+        checkpoint_path = train / "checkpoint.stickpt"
+        out = tmp_path / "sal"
+        pair = ("--video-id", "vid00_000", "--class-name", "activity00")
+        assert run_cli(
+            "saliency", "--out-dir", out, "--corpus", corpus_dir,
+            "--checkpoint", checkpoint_path, *pair,
+        ) == 0
+
+        corpus = load_corpus(corpus_dir)
+        checkpoint = load_checkpoint(checkpoint_path)
+        enc, sti = params_from_store(
+            checkpoint.store, text_table_seed=corpus.spec.seed, dim=corpus.spec.dim,
+            tau_saliency=1.0,
+        )
+        data, _ = training_data_for(corpus, (0,), 8, enc)
+        expected = export_saliency(
+            FrameEmbeddingSet.from_raw(corpus.videos[0].features),
+            data.class_texts[0].sequence, sti, enc, tmp_path / "expected.csv",
+        )
+        written = out / "saliency_vid00_000_activity00.csv"
+        assert written.read_bytes() == expected.read_bytes()
+        # the temperature comes from the checkpoint, not from a flag
+        assert run_cli(
+            "saliency", "--out-dir", out, "--corpus", corpus_dir,
+            "--checkpoint", checkpoint_path, *pair, "--tau-saliency", 1.0,
+        ) == 2
+
     def test_unknown_video_id_fails(self, synth_dir, trained, tmp_path, capsys):
         code = run_cli(
             "saliency", "--out-dir", tmp_path / "x", "--corpus", synth_dir / "corpus",
@@ -214,3 +254,14 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["dim"] == 16
         assert manifest["config"]["seed"] == 2
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(stilab.__file__).resolve().parents[1])
+    code = "import sys, stilab.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "False"

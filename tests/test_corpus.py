@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stilab.corpus import (
     load_corpus,
     save_corpus,
 )
+from stilab.embed_io import save_embeddings
 from stilab.encoders import tokenize
 
 SMALL = SyntheticCorpusSpec(
@@ -152,4 +155,23 @@ class TestPersistence:
         meta_path = tmp_path / "corpus" / "corpus.json"
         meta_path.write_text(meta_path.read_text().replace('"format_version": 1', '"format_version": 9'))
         with pytest.raises(ValueError, match="format version"):
+            load_corpus(tmp_path / "corpus")
+
+    def test_rejects_videos_that_do_not_match_the_spec(self, tmp_path):
+        corpus = generate_synthetic_corpus(SMALL)
+        save_corpus(corpus, tmp_path / "corpus")
+        features = [video.features for video in corpus.videos]
+        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
+        save_embeddings(tmp_path / "corpus" / "videos.bin", features)
+        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
+            load_corpus(tmp_path / "corpus")
+
+    def test_rejects_out_of_range_class_index(self, tmp_path):
+        corpus = generate_synthetic_corpus(SMALL)
+        save_corpus(corpus, tmp_path / "corpus")
+        meta_path = tmp_path / "corpus" / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        meta["videos"][2]["class_index"] = len(corpus.classes)
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=corpus.videos[2].video_id):
             load_corpus(tmp_path / "corpus")

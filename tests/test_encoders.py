@@ -121,7 +121,7 @@ class TestEncodeVideo:
         w_leaf = tape.leaf(weight, name="w")
         b_leaf = tape.leaf(bias, name="b")
         patches, frames = encode_video_nodes(tape.constant(raw), w_leaf, b_leaf)
-        loss = ad.sum_reduce(patches) + ad.sum_reduce(frames)
+        loss = ad.add(ad.sum_reduce(patches), ad.sum_reduce(frames))
         grads = tape.backward(loss)
 
         eps = 1e-6

@@ -8,7 +8,6 @@ from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import (
     MetricReport,
     SplitMetrics,
-    SplitSpec,
     _topk_hits,
     aggregate_splits,
     evaluate_split,
@@ -16,8 +15,8 @@ from stilab.evaluation import (
     export_saliency,
     sample_category_subset,
     write_metric_csv,
-    zero_shot_classify,
 )
+from stilab.objective import BatchRecord, score_matrix
 from stilab.sti import STIParameters
 from stilab.workflow import corpus_encoder_params, params_from_store, training_data_for
 from stilab.trainer import default_parameter_store
@@ -50,10 +49,18 @@ def clean_corpus_setup():
     return corpus, data, sti_params, enc_params
 
 
+def classify(video, class_texts, sti, enc):
+    """Zero-shot prediction for one video: the argmax of its score row
+    (ties go to the smallest class index)."""
+    batch = BatchRecord(videos=(video,), labels=np.zeros(1, dtype=np.int64))
+    scores = score_matrix(batch, class_texts, sti, enc)[0]
+    return int(np.argmax(scores)), scores
+
+
 class TestZeroShotClassify:
     def test_single_class_always_wins(self, clean_corpus_setup):
         _, data, sti, enc = clean_corpus_setup
-        index, scores = zero_shot_classify(data.videos[0], [data.class_texts[0].sequence], sti, enc)
+        index, scores = classify(data.videos[0], [data.class_texts[0].sequence], sti, enc)
         assert index == 0
         assert scores.shape == (1,)
 
@@ -61,7 +68,7 @@ class TestZeroShotClassify:
         _, data, sti, enc = clean_corpus_setup
         texts = [ct.sequence for ct in data.class_texts]
         for video, label in zip(data.videos, data.labels):
-            predicted, _ = zero_shot_classify(video, texts, sti, enc)
+            predicted, _ = classify(video, texts, sti, enc)
             assert predicted == int(label)
 
     def test_duplicate_class_ties_break_to_smallest_index(self, clean_corpus_setup):
@@ -70,14 +77,14 @@ class TestZeroShotClassify:
         video = data.videos[-1]
         true = int(data.labels[-1])
         duplicated = texts[:true] + [texts[true], texts[true]]
-        predicted, scores = zero_shot_classify(video, duplicated, sti, enc)
+        predicted, scores = classify(video, duplicated, sti, enc)
         assert predicted == true
         assert scores[true] == scores[true + 1]
 
     def test_empty_class_list_rejected(self, clean_corpus_setup):
         _, data, sti, enc = clean_corpus_setup
         with pytest.raises(ValueError):
-            zero_shot_classify(data.videos[0], [], sti, enc)
+            classify(data.videos[0], [], sti, enc)
 
 
 class TestEvaluateSplit:
@@ -174,15 +181,17 @@ class TestThreeSplitProtocol:
         assert abs(report.top1_mean - mean) < 1e-15
         assert abs(report.top1_std - std) < 1e-15
 
-    def test_split_spec_validation(self):
+    def test_split_spec_validation(self, clean_corpus_setup):
+        _, data, sti, enc = clean_corpus_setup
+        texts = [ct.sequence for ct in data.class_texts]
+        with pytest.raises(ValueError, match="no evaluation videos"):
+            evaluate_three_splits(data.videos, data.labels, texts, sti, enc, seed=0, subset_size=0)
         with pytest.raises(ValueError):
-            SplitSpec(split_id=4, class_indices=(0,), seed=0)
-        with pytest.raises(ValueError):
-            SplitSpec(split_id=1, class_indices=(), seed=0)
-        spec = SplitSpec(split_id=1, class_indices=(5, 6), seed=0)
-        with pytest.raises(ValueError, match="overlap"):
-            spec.check_zero_shot((0, 5))
-        spec.check_zero_shot((0, 1))
+            evaluate_three_splits(data.videos, data.labels, texts, sti, enc, seed=0, subset_size=-1)
+        with pytest.raises(ValueError, match="exceeds"):
+            evaluate_three_splits(
+                data.videos, data.labels, texts, sti, enc, seed=0, subset_size=len(texts) + 1
+            )
 
     def test_metric_report_invariants(self):
         with pytest.raises(ValueError):

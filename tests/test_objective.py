@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stilab.autodiff import ParameterStore, Tape, finite_difference_check
-from stilab.encoders import EncoderParams, FrameEmbeddingSet, encode_video
+from stilab.encoders import EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence, encode_video
 from stilab.objective import (
     BatchRecord,
     PositiveSet,
-    cosine_similarity,
     loss_c2v,
     loss_nodes,
     loss_v2c,
@@ -15,15 +14,7 @@ from stilab.objective import (
     temperature_node,
     total_loss,
 )
-from stilab.sti import (
-    InteractionToggles,
-    STIParameters,
-    aggregate_video,
-    project_patches,
-    project_words,
-    spatial_interaction,
-    temporal_saliency,
-)
+from stilab.sti import InteractionToggles, STIParameters, sti_forward
 from stilab.trainer import (
     PARAM_LOG_TAU,
     PARAM_PATCH_WEIGHT,
@@ -58,26 +49,52 @@ def transcribed_losses(scores, labels, tau):
     return v2c / b, c2v / b
 
 
+def cosine(u, v) -> float:
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def pooled_score(feature, class_embedding) -> float:
+    """score_matrix entry for a one-frame, one-patch video whose feature is
+    exactly ``feature`` (identity encoder, interaction off)."""
+    feature = np.asarray(feature, dtype=float)
+    d = feature.shape[0]
+    batch = BatchRecord(videos=(FrameEmbeddingSet.from_raw(feature.reshape(1, 1, d)),), labels=[0])
+    text = TextEmbeddingSequence(
+        class_embedding=np.asarray(class_embedding, dtype=float),
+        word_embeddings=np.ones((1, d)),
+        token_texts=("w",),
+    )
+    scores = score_matrix(
+        batch, [text], STIParameters.identity_init(d), EncoderParams.pretrained(0, d),
+        InteractionToggles(False, False),
+    )
+    return float(scores[0, 0])
+
+
 class TestCosineSimilarity:
     def test_self_similarity(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert cosine_similarity(v, v) == 1.0
+        assert pooled_score(v, v) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert pooled_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_antipodal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
+        assert pooled_score(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(3), np.ones(3))
+            pooled_score(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            pooled_score(np.zeros(3), np.ones(3))
 
     def test_clamped_into_range(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             u, v = rng.standard_normal(8), rng.standard_normal(8)
-            assert -1.0 <= cosine_similarity(u, v) <= 1.0
+            score = pooled_score(u, v)
+            assert -1.0 <= score <= 1.0
+            assert abs(score - cosine(u, v)) < 1e-12
 
 
 def make_setup(rng, b=3, k=3, t=3, n_p=4, d=8):
@@ -112,20 +129,17 @@ class TestScoreMatrix:
         assert np.array_equal(scores[0], scores[1])
 
     def test_matches_per_pair_component_composition(self):
-        # straight-line oracle: run the per-(video, class) pipeline through
-        # the individual public operations and compare entrywise
+        # per-pair oracle: one unbatched sti_forward per (video, class) and a
+        # numpy cosine, compared entrywise with the batched shared-projection
+        # score matrix
         rng = np.random.default_rng(3)
         batch, texts, sti, enc = make_setup(rng)
         scores = score_matrix(batch, texts, sti, enc)
         for i, video in enumerate(batch.videos):
             encoded = encode_video(video.patch_embeddings, enc)
-            proj_p = project_patches(encoded.patch_embeddings, sti.patch_weight)
             for j, text in enumerate(texts):
-                proj_w = project_words(text.word_embeddings, sti.word_weight)
-                spatial = spatial_interaction(proj_p, proj_w, encoded.frame_class_embeddings)
-                saliency = temporal_saliency(spatial.spatial_features, proj_w, sti.tau_saliency)
-                feature = aggregate_video(encoded.frame_class_embeddings, saliency)
-                expected = cosine_similarity(text.class_embedding, feature)
+                feature = sti_forward(encoded, text, sti).video_feature
+                expected = cosine(text.class_embedding, feature)
                 assert abs(scores[i, j] - expected) < 1e-12
 
     def test_label_range_checked(self):
@@ -154,7 +168,7 @@ class TestScoreMatrix:
             encoded = encode_video(video.patch_embeddings, enc)
             pooled = encoded.frame_class_embeddings.mean(axis=0)
             for j, text in enumerate(texts):
-                assert abs(scores[i, j] - cosine_similarity(text.class_embedding, pooled)) < 1e-12
+                assert abs(scores[i, j] - cosine(text.class_embedding, pooled)) < 1e-12
 
 
 class TestPositiveSet:

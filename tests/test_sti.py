@@ -8,15 +8,12 @@ from stilab.sti import (
     STIParameters,
     SpatialResult,
     TemporalSaliency,
-    aggregate_video,
-    mean_pool_baseline,
+    aggregate_nodes,
     project_nodes,
-    project_patches,
-    project_words,
     saliency_rows,
     spatial_interaction,
     sti_forward,
-    temporal_saliency,
+    temporal_nodes,
 )
 from stilab import autodiff as ad
 
@@ -52,6 +49,27 @@ def integer_instance(rng, t=3, n_p=4, n_w=3, d=6):
     return proj_patches, proj_words, frames
 
 
+def project(x, weight) -> np.ndarray:
+    tape = Tape()
+    return project_nodes(tape.constant(x), tape.constant(weight)).data
+
+
+def saliency(spatial_features, proj_words, tau) -> np.ndarray:
+    tape = Tape()
+    return temporal_nodes(tape.constant(spatial_features), tape.constant(proj_words), tau).data
+
+
+def aggregate(frames, weights) -> np.ndarray:
+    tape = Tape()
+    return aggregate_nodes(tape.constant(frames), tape.constant(weights)).data
+
+
+def mean_pooled(frames: FrameEmbeddingSet, text: TextEmbeddingSequence) -> np.ndarray:
+    """The video feature with both interaction stages off."""
+    params = STIParameters.identity_init(frames.dim)
+    return sti_forward(frames, text, params, InteractionToggles(False, False)).video_feature
+
+
 def text_of(words: np.ndarray) -> TextEmbeddingSequence:
     mean = words.mean(axis=0)
     norm = np.linalg.norm(mean)
@@ -66,22 +84,22 @@ def text_of(words: np.ndarray) -> TextEmbeddingSequence:
 class TestProjection:
     def test_identity_passes_nonnegative_input_through(self):
         x = np.array([[0.5, 2.0], [0.0, 1.0]])
-        assert np.array_equal(project_words(x, np.eye(2)), x)
+        assert np.array_equal(project(x, np.eye(2)), x)
 
     def test_relu_clamps_negatives(self):
-        out = project_words(np.array([[-1.0, 2.0]]), np.eye(2))
+        out = project(np.array([[-1.0, 2.0]]), np.eye(2))
         assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_shapes_preserved_and_nonnegative(self):
         rng = np.random.default_rng(0)
         patches = rng.standard_normal((3, 4, 6))
-        out = project_patches(patches, rng.standard_normal((6, 6)))
+        out = project(patches, rng.standard_normal((6, 6)))
         assert out.shape == patches.shape
         assert np.all(out >= 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            project_words(np.ones((2, 3)), np.eye(4))
+            project(np.ones((2, 3)), np.eye(4))
 
     def test_gradient_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(1)
@@ -189,62 +207,65 @@ class TestTemporalSaliency:
     def test_identical_frames_give_uniform_weights(self):
         feats = np.tile(np.array([0.3, -0.7]), (4, 1))
         words = np.array([[1.0, 0.5]])
-        sal = temporal_saliency(feats, words, tau=0.07)
-        assert np.allclose(sal.weights, 0.25, atol=1e-15)
-        assert abs(sal.weights.sum() - 1.0) < 1e-12
+        sal = saliency(feats, words, tau=0.07)
+        assert np.allclose(sal, 0.25, atol=1e-15)
+        assert abs(sal.sum() - 1.0) < 1e-12
 
     def test_single_frame_gets_weight_one(self):
-        sal = temporal_saliency(np.array([[2.0, 1.0]]), np.array([[1.0, 0.0]]), tau=1.0)
-        assert sal.weights[0] == 1.0
+        sal = saliency(np.array([[2.0, 1.0]]), np.array([[1.0, 0.0]]), tau=1.0)
+        assert sal[0] == 1.0
 
     def test_two_frame_logits_match_direct_softmax(self):
         # logits (0, ln 3) at tau=1 -> softmax (0.25, 0.75) by direct evaluation
         feats = np.array([[0.0], [np.log(3.0)]])
         words = np.array([[1.0]])
-        sal = temporal_saliency(feats, words, tau=1.0)
+        sal = saliency(feats, words, tau=1.0)
         logits = feats @ words.T / 1.0
         oracle = np.exp(logits[:, 0]) / np.exp(logits[:, 0]).sum()
-        assert np.allclose(sal.weights, oracle, atol=1e-15)
-        assert np.allclose(sal.weights, [0.25, 0.75], atol=1e-15)
+        assert np.allclose(sal, oracle, atol=1e-15)
+        assert np.allclose(sal, [0.25, 0.75], atol=1e-15)
 
     def test_multi_word_average_matches_manual(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((3, 5))
         words = rng.standard_normal((4, 5))
         tau = 0.3
-        sal = temporal_saliency(feats, words, tau)
+        sal = saliency(feats, words, tau)
         logits = feats @ words.T / tau
         per_word = np.exp(logits - logits.max(axis=0)) / np.exp(logits - logits.max(axis=0)).sum(axis=0)
-        assert np.allclose(sal.weights, per_word.mean(axis=1), atol=1e-12)
+        assert np.allclose(sal, per_word.mean(axis=1), atol=1e-12)
 
     def test_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            temporal_saliency(np.ones((2, 2)), np.ones((1, 2)), tau=0.0)
+        # the saliency temperature reaches temporal_nodes only through
+        # STIParameters (or a checkpoint), both of which reject it
+        for tau in (0.0, -0.07):
+            with pytest.raises(ValueError):
+                STIParameters.identity_init(2, tau_saliency=tau)
 
     def test_large_temperature_approaches_uniform(self):
         rng = np.random.default_rng(5)
         feats = rng.standard_normal((5, 6))
         words = rng.standard_normal((3, 6))
-        sal = temporal_saliency(feats, words, tau=1e6)
-        assert np.all(np.abs(sal.weights - 0.2) < 1e-6)
+        sal = saliency(feats, words, tau=1e6)
+        assert np.all(np.abs(sal - 0.2) < 1e-6)
 
     def test_zero_projected_words_give_uniform(self):
         feats = np.random.default_rng(6).standard_normal((4, 3))
-        sal = temporal_saliency(feats, np.zeros((2, 3)), tau=0.07)
-        assert np.allclose(sal.weights, 0.25, atol=1e-15)
+        sal = saliency(feats, np.zeros((2, 3)), tau=0.07)
+        assert np.allclose(sal, 0.25, atol=1e-15)
 
 
 class TestAggregateVideo:
     def test_uniform_weights_give_mean(self):
         rng = np.random.default_rng(7)
         frames = rng.standard_normal((8, 5))
-        out = aggregate_video(frames, np.full(8, 1.0 / 8))
+        out = aggregate(frames, np.full(8, 1.0 / 8))
         assert np.allclose(out, frames.mean(axis=0), atol=1e-12)
 
     def test_one_hot_selects_a_frame(self):
         frames = np.arange(12.0).reshape(3, 4)
         weights = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(aggregate_video(frames, weights), frames[1])
+        assert np.array_equal(aggregate(frames, weights), frames[1])
 
     def test_matches_naive_loop_exactly(self):
         rng = np.random.default_rng(8)
@@ -255,28 +276,30 @@ class TestAggregateVideo:
             naive = frames[0] * weights[0]
             for i in range(1, t):
                 naive = naive + frames[i] * weights[i]
-            assert np.array_equal(aggregate_video(frames, weights), naive)
+            assert np.array_equal(aggregate(frames, weights), naive)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            aggregate_video(np.ones((3, 2)), np.ones(4))
+            aggregate(np.ones((3, 2)), np.ones(4))
 
 
 class TestMeanPoolBaseline:
     def test_single_frame(self):
         frames = FrameEmbeddingSet.from_raw(np.ones((1, 2, 3)))
-        assert np.array_equal(mean_pool_baseline(frames), frames.frame_class_embeddings[0])
+        text = text_of(np.ones((1, 3)))
+        assert np.array_equal(mean_pooled(frames, text), frames.frame_class_embeddings[0])
 
     def test_two_frames(self):
         fc = np.array([[1.0, 0.0], [0.0, 1.0]])
         frames = FrameEmbeddingSet(fc, fc[:, None, :])
-        assert np.array_equal(mean_pool_baseline(frames), [0.5, 0.5])
+        assert np.array_equal(mean_pooled(frames, text_of(np.ones((1, 2)))), [0.5, 0.5])
 
     def test_equals_uniform_aggregation(self):
         rng = np.random.default_rng(9)
         frames = FrameEmbeddingSet.from_raw(rng.standard_normal((6, 3, 4)))
-        uniform = aggregate_video(frames.frame_class_embeddings, np.full(6, 1.0 / 6))
-        assert np.allclose(mean_pool_baseline(frames), uniform, atol=1e-12)
+        uniform = aggregate(frames.frame_class_embeddings, np.full(6, 1.0 / 6))
+        pooled = mean_pooled(frames, text_of(rng.standard_normal((2, 4))))
+        assert np.allclose(pooled, uniform, atol=1e-12)
 
 
 def random_pair(rng, t=4, n_p=5, n_w=3, d=6):
@@ -295,7 +318,7 @@ class TestForwardPipeline:
         rng = np.random.default_rng(10)
         frames, text, params = random_pair(rng)
         out = sti_forward(frames, text, params, InteractionToggles(False, False))
-        assert np.array_equal(out.video_feature, mean_pool_baseline(frames))
+        assert np.array_equal(out.video_feature, np.mean(frames.frame_class_embeddings, axis=0))
         assert np.all(out.spatial.spatial_scores == 1.0)
         assert np.allclose(out.temporal.weights, 0.25, atol=1e-15)
 
@@ -311,7 +334,7 @@ class TestForwardPipeline:
         out = sti_forward(frames, text, params, InteractionToggles(True, False))
         scores = out.spatial.spatial_scores
         assert np.allclose(scores, scores[0], atol=1e-12)
-        assert np.array_equal(out.video_feature, mean_pool_baseline(frames))
+        assert np.array_equal(out.video_feature, np.mean(frames.frame_class_embeddings, axis=0))
 
     def test_full_pipeline_matches_straight_line_recomputation(self):
         # independent straight-line oracle composed of the four stages,

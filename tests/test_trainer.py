@@ -288,7 +288,7 @@ class TestCheckpointing:
     def test_wrong_version_rejected(self, small_training, tmp_path):
         _, data = small_training
         path = save_checkpoint(tmp_path / "v.stickpt", self.make_checkpoint(data))
-        raw = path.read_bytes().replace(b"version 1\n", b"version 9\n", 1)
+        raw = path.read_bytes().replace(b"version 2\n", b"version 9\n", 1)
         path.write_bytes(raw)
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
@@ -323,6 +323,69 @@ class TestCheckpointing:
             save_checkpoint(path, checkpoint)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
+
+
+def tiny_checkpoint(tau_saliency: float = 0.07) -> Checkpoint:
+    store = default_parameter_store(2)
+    return Checkpoint(
+        config=TrainConfig(epochs=2),
+        epoch=2,
+        store=store,
+        optimizer=OptimizerState.for_store(store),
+        loss_history=[1.5, 1.25],
+        tau_saliency=tau_saliency,
+    )
+
+
+def _nan_log_tau(raw: bytes) -> bytes:
+    start = raw.index(b"log_tau 0\n") + len(b"log_tau 0\n")
+    return raw[:start] + np.array(np.nan).astype("<f8").tobytes() + raw[start + 8 :]
+
+
+MALFORMED_CHECKPOINTS = {
+    "unknown-config-key": lambda raw: raw.replace(b'config {', b'config {"bogus": 1, ', 1),
+    "config-not-an-object": lambda raw: raw.replace(b'config {', b'config [{', 1),
+    "epoch-not-a-number": lambda raw: raw.replace(b"epoch 2\n", b"epoch x\n", 1),
+    "negative-history-count": lambda raw: raw.replace(b"history 2\n", b"history -1\n", 1),
+    "trailing-bytes": lambda raw: raw + b"\x00",
+    "nan-parameter-block": _nan_log_tau,
+    "non-positive-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency 0.0\n", 1),
+}
+
+
+class TestCheckpointFormat:
+    def test_tau_saliency_round_trips(self, tmp_path):
+        path = save_checkpoint(tmp_path / "hot.stickpt", tiny_checkpoint(tau_saliency=1.0))
+        assert b"\ntau_saliency 1.0\n" in path.read_bytes()
+        assert load_checkpoint(path).tau_saliency == 1.0
+
+    def test_version_1_file_loads_with_default_temperature(self, tmp_path):
+        path = save_checkpoint(tmp_path / "v2.stickpt", tiny_checkpoint(tau_saliency=1.0))
+        raw = path.read_bytes()
+        v1 = raw.replace(b"version 2\n", b"version 1\n", 1).replace(b"tau_saliency 1.0\n", b"", 1)
+        path.write_bytes(v1)
+        loaded = load_checkpoint(path)
+        assert loaded.tau_saliency == 0.07
+        assert loaded.epoch == 2 and loaded.loss_history == [1.5, 1.25]
+        assert loaded.store.fingerprint() == tiny_checkpoint().store.fingerprint()
+
+    def test_every_truncation_prefix_raises_format_error(self, tmp_path):
+        raw = save_checkpoint(tmp_path / "full.stickpt", tiny_checkpoint()).read_bytes()
+        path = tmp_path / "cut.stickpt"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+    def test_malformed_file_raises_format_error(self, tmp_path, corrupt):
+        path = save_checkpoint(tmp_path / "c.stickpt", tiny_checkpoint())
+        raw = path.read_bytes()
+        bad = corrupt(raw)
+        assert bad != raw
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
 
 
 class TestLossCsv:
