@@ -23,10 +23,12 @@ from .attributes import (
     save_attribute_records,
 )
 from .corpus import SyntheticCorpusSpec, generate_synthetic_corpus, load_corpus, save_corpus
-from .evaluation import MetricReport, SplitMetrics, export_saliency, write_metric_csv
+from .encoders import FrameEmbeddingSet
+from .evaluation import (
+    MetricReport, SplitMetrics, evaluate_split, export_saliency, write_metric_csv,
+)
 from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles
 from .trainer import (
-    Checkpoint,
     TrainConfig,
     few_shot_finetune,
     load_checkpoint,
@@ -36,6 +38,7 @@ from .trainer import (
 from .workflow import (
     eval_group_three_splits,
     params_from_store,
+    prepare_class_texts,
     train_on_corpus,
     training_data_for,
 )
@@ -98,7 +101,8 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="stilab",
         description="Descriptive attributes + spatial-temporal interaction, desk scale.",
@@ -136,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--learning-rate", type=float, default=5e-5)
     p_train.add_argument("--weight-decay", type=float, default=0.05)
     p_train.add_argument("--epochs", type=int, default=30)
-    p_train.add_argument("--batch-size", type=int, default=16)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p_train.add_argument("--num-attributes", type=int, default=8)
     p_train.add_argument("--spatial", action=argparse.BooleanOptionalAction, default=True)
     p_train.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=True)
@@ -165,32 +169,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sal.add_argument("--video-id", required=True)
     p_sal.add_argument("--class-name", required=True)
     p_sal.add_argument("--num-attributes", type=int, default=None)
-    return parser
+    commands = {"attrs": p_attrs, "synth": p_synth, "train": p_train, "eval": p_eval,
+                "saliency": p_sal}
+    return parser, commands
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    file_values = _load_config_file(args.config)
-    if file_values:
-        # command line wins over the config file, which wins over defaults
-        explicit = _explicit_flags(parser, argv or [])
-        for key, value in file_values.items():
-            dest = key.replace("-", "_")
-            if hasattr(args, dest) and dest not in explicit:
-                setattr(args, dest, value)
+    # The file's values become defaults of the command's own flags, so an
+    # explicit flag wins in any spelling argparse accepts and a file string
+    # gets the flag's type. Keys naming none of the command's flags are ignored.
+    defaults = {}
+    for key, value in _load_config_file(args.config).items():
+        dest = key.replace("-", "_")
+        if hasattr(args, dest) and dest != "command":
+            defaults[dest] = value
+    if defaults:
+        commands[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
     return args
-
-
-def _explicit_flags(parser: argparse.ArgumentParser, argv) -> set[str]:
-    explicit: set[str] = set()
-    for token in argv:
-        if token.startswith("--"):
-            name = token[2:].split("=", 1)[0]
-            explicit.add(name.replace("-", "_"))
-            if name.startswith("no-"):
-                explicit.add(name[3:].replace("-", "_"))
-    return explicit
 
 
 def cmd_attrs(args) -> tuple[list[Path], dict, str | None]:
@@ -241,18 +239,10 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
         num_attributes=args.num_attributes,
     )
     run = train_on_corpus(corpus, config, tau_saliency=args.tau_saliency)
-    checkpoint = Checkpoint(
-        config=config,
-        epoch=run.result.epochs_completed,
-        store=run.result.store,
-        optimizer=run.result.optimizer,
-        loss_history=run.result.loss_history,
-        tau_saliency=args.tau_saliency,
-    )
-    ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", checkpoint)
+    ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", run.result)
     loss_path = write_loss_csv(args.out_dir / "loss.csv", run.result.loss_history)
     results = {
-        "epochs": run.result.epochs_completed,
+        "epochs": run.result.epoch,
         "first_epoch_loss": run.result.loss_history[0],
         "final_epoch_loss": run.result.loss_history[-1],
     }
@@ -265,10 +255,11 @@ def _toggles_for_eval(args, config: TrainConfig) -> InteractionToggles:
     return InteractionToggles(spatial=spatial, temporal=temporal)
 
 
-def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
+def _load_model(args):
+    """Load the corpus and the checkpoint, and view the checkpoint's store as
+    model parameters; returns (corpus, checkpoint, num_attributes, enc, sti)."""
     corpus = load_corpus(args.corpus)
     checkpoint = load_checkpoint(args.checkpoint)
-    toggles = _toggles_for_eval(args, checkpoint.config)
     num_attributes = (
         checkpoint.config.num_attributes if args.num_attributes is None else args.num_attributes
     )
@@ -278,17 +269,21 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
         dim=corpus.spec.dim,
         tau_saliency=checkpoint.tau_saliency,
     )
+    return corpus, checkpoint, num_attributes, enc, sti
+
+
+def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
+    corpus, checkpoint, num_attributes, enc, sti = _load_model(args)
+    toggles = _toggles_for_eval(args, checkpoint.config)
     if args.mode == "few-shot":
         if not corpus.unseen_class_indices:
             raise CliError("corpus has no unseen classes for few-shot evaluation")
         data, _ = training_data_for(
             corpus, corpus.unseen_class_indices, num_attributes, enc
         )
-        config = TrainConfig.desk_scale(
+        config = TrainConfig(
             learning_rate=checkpoint.config.learning_rate,
             weight_decay=checkpoint.config.weight_decay,
-            epochs=args.finetune_epochs,
-            seed=args.seed,
             spatial=toggles.spatial,
             temporal=toggles.temporal,
             num_attributes=num_attributes,
@@ -303,12 +298,11 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
             dim=corpus.spec.dim,
             tau_saliency=checkpoint.tau_saliency,
         )
-        holdout = [i for i in range(len(data.videos)) if i not in set(tuned.sample.indices)]
+        tuned_on = set(tuned.sample.indices)
+        holdout = [i for i in range(len(data.videos)) if i not in tuned_on]
         if not holdout:
             raise CliError("few-shot sampling consumed every video; nothing left to evaluate")
         eval_data = data.subset(holdout)
-        from .evaluation import evaluate_split
-
         top1, top5 = evaluate_split(
             eval_data.videos, eval_data.labels,
             [ct.sequence for ct in data.class_texts], sti, enc, toggles,
@@ -343,17 +337,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
-    corpus = load_corpus(args.corpus)
-    checkpoint = load_checkpoint(args.checkpoint)
-    num_attributes = (
-        checkpoint.config.num_attributes if args.num_attributes is None else args.num_attributes
-    )
-    enc, sti = params_from_store(
-        checkpoint.store,
-        text_table_seed=corpus.spec.seed,
-        dim=corpus.spec.dim,
-        tau_saliency=checkpoint.tau_saliency,
-    )
+    corpus, checkpoint, num_attributes, enc, sti = _load_model(args)
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:
         raise CliError(f"unknown video id {args.video_id!r}")
@@ -361,13 +345,11 @@ def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     if args.class_name not in names:
         raise CliError(f"unknown class name {args.class_name!r}")
     class_index = names.index(args.class_name)
-    prepared = training_data_for(corpus, (class_index,), num_attributes, enc)[0]
-    from .encoders import FrameEmbeddingSet
-
+    text = prepare_class_texts(corpus, (class_index,), num_attributes, enc).texts[0]
     video = FrameEmbeddingSet.from_raw(by_id[args.video_id].features)
     out_path = args.out_dir / f"saliency_{args.video_id}_{args.class_name}.csv"
     export_saliency(
-        video, prepared.class_texts[0].sequence, sti, enc, out_path,
+        video, text.sequence, sti, enc, out_path,
         toggles=checkpoint.config.toggles,
     )
     results = {"video_id": args.video_id, "class_name": args.class_name}

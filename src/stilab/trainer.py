@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -57,14 +57,13 @@ class CheckpointFormatError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings. Library defaults mirror the reference recipe
-    (rate 5e-5, 30 epochs, batch 64, decay 0.05); ``desk_scale`` shrinks the
-    batch for laptop-sized corpora."""
+    """Optimization settings: rate 5e-5, decay 0.05, 30 epochs and a batch
+    of 16, sized for desk-scale corpora. The CLI reads the same defaults."""
 
     learning_rate: float = 5e-5
     weight_decay: float = 0.05
     epochs: int = 30
-    batch_size: int = 64
+    batch_size: int = 16
     seed: int = 0
     spatial: bool = True
     temporal: bool = True
@@ -90,20 +89,8 @@ class TrainConfig:
 
     @classmethod
     def desk_scale(cls, **overrides) -> "TrainConfig":
-        overrides.setdefault("batch_size", 16)
+        """Same as the constructor: the defaults are already desk scale."""
         return cls(**overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "spatial": self.spatial,
-            "temporal": self.temporal,
-            "num_attributes": self.num_attributes,
-        }
 
 
 @dataclass
@@ -224,12 +211,13 @@ def default_parameter_store(dim: int) -> ParameterStore:
 
 
 @dataclass
-class FitResult:
+class Checkpoint:
+    config: TrainConfig
+    epoch: int  # completed epochs
     store: ParameterStore
     optimizer: OptimizerState
     loss_history: list[float]  # one mean loss per completed epoch
-    config: TrainConfig
-    epochs_completed: int
+    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE  # trained with; eval reuses it
 
 
 def _epoch_order(seed: int, epoch: int, count: int) -> Array:
@@ -282,13 +270,16 @@ def fit(
     start_epoch: int = 0,
     loss_history: list[float] | None = None,
     tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
-) -> FitResult:
-    """Optimize the trainable parameters on a dataset.
+) -> Checkpoint:
+    """Optimize the trainable parameters on a dataset; returns the state
+    after ``config.epochs`` epochs as a checkpoint.
 
     Deterministic given (seed, config, data): the epoch shuffle derives from
     (seed, epoch) and every reduction runs in a fixed order. The frozen text
     side is fingerprinted before and after as a hard guarantee.
     """
+    if not (np.isfinite(tau_saliency) and tau_saliency > 0):
+        raise ValueError(f"tau_saliency must be finite and positive: {tau_saliency}")
     store = store if store is not None else default_parameter_store(data.dim)
     optimizer = optimizer if optimizer is not None else OptimizerState.for_store(store)
     history = loss_history if loss_history is not None else []
@@ -321,12 +312,13 @@ def fit(
     if frozen_after != frozen_before:
         raise RuntimeError("frozen text embeddings changed during training")
 
-    return FitResult(
+    return Checkpoint(
+        config=config,
+        epoch=config.epochs,
         store=store,
         optimizer=optimizer,
         loss_history=history,
-        config=config,
-        epochs_completed=config.epochs,
+        tau_saliency=tau_saliency,
     )
 
 
@@ -372,7 +364,7 @@ def few_shot_sample(data: TrainingData, k: int, seed: int) -> FewShotSample:
 
 @dataclass
 class FewShotResult:
-    fit: FitResult
+    fit: Checkpoint
     sample: FewShotSample
 
 
@@ -389,8 +381,7 @@ def few_shot_finetune(
     """Fine-tune existing parameters on a k-shot subset of the dataset."""
     sample = few_shot_sample(data, k, seed)
     subset = data.subset(sample.indices)
-    config = config or TrainConfig.desk_scale(epochs=epochs, seed=seed)
-    config = replace(config, epochs=epochs, seed=seed)
+    config = replace(config or TrainConfig(), epochs=epochs, seed=seed)
     result = fit(subset, config, store=store, tau_saliency=tau_saliency)
     return FewShotResult(fit=result, sample=sample)
 
@@ -398,16 +389,6 @@ def few_shot_finetune(
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Checkpoint:
-    config: TrainConfig
-    epoch: int  # completed epochs
-    store: ParameterStore
-    optimizer: OptimizerState
-    loss_history: list[float]
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE  # trained with; eval reuses it
-
 
 def _write_named_arrays(fh, arrays: dict[str, Array]) -> None:
     for name, value in arrays.items():
@@ -440,7 +421,7 @@ def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     fh.write(CHECKPOINT_MAGIC)
     fh.write(f"version {CHECKPOINT_VERSION}\n".encode("ascii"))
     fh.write(
-        ("config " + json.dumps(checkpoint.config.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+        ("config " + json.dumps(asdict(checkpoint.config), sort_keys=True) + "\n").encode("utf-8")
     )
     fh.write(f"tau_saliency {float(checkpoint.tau_saliency)!r}\n".encode("ascii"))
     fh.write(f"epoch {checkpoint.epoch}\n".encode("ascii"))
@@ -564,7 +545,7 @@ def _parse_checkpoint(fh) -> Checkpoint:
     )
 
 
-def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> FitResult:
+def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> Checkpoint:
     """Continue training from a checkpoint to the configured epoch count,
     at the checkpoint's saliency temperature; bitwise identical to the
     uninterrupted run."""

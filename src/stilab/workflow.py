@@ -8,23 +8,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .attributes import (
-    AttributeRecord,
-    ExtractionClientConfig,
-    build_attribute_set,
-    compose_attribute_sentence,
-)
+from .attributes import ExtractionClientConfig, build_attribute_set, compose_attribute_sentence
 from .autodiff import ParameterStore
 from .corpus import SyntheticCorpus
-from .encoders import EncoderParams, encode_sentence
+from .encoders import EncoderParams, FrameEmbeddingSet, encode_sentence
 from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles, STIParameters
 from .trainer import (
     PARAM_PATCH_WEIGHT,
     PARAM_VIDEO_BIAS,
     PARAM_VIDEO_WEIGHT,
     PARAM_WORD_WEIGHT,
+    Checkpoint,
     ClassText,
-    FitResult,
     TrainConfig,
     TrainingData,
     default_parameter_store,
@@ -43,9 +38,7 @@ def corpus_encoder_params(corpus: SyntheticCorpus) -> EncoderParams:
 
 @dataclass
 class PreparedClasses:
-    class_indices: tuple[int, ...]
     texts: list[ClassText]
-    records: list[AttributeRecord]
 
 
 def prepare_class_texts(
@@ -57,25 +50,13 @@ def prepare_class_texts(
 ) -> PreparedClasses:
     """Run the attribute pipeline for the given classes and encode the
     resulting prompt sentences."""
-    client = client or ExtractionClientConfig()
-    extractor = "mock" if client.resolved_endpoint() == "mock" else "endpoint"
     texts: list[ClassText] = []
-    records: list[AttributeRecord] = []
     for index in class_indices:
         cls = corpus.classes[index]
         selected = build_attribute_set(cls.description, num_attributes, client)
         sentence = compose_attribute_sentence(selected)
         texts.append(ClassText(name=cls.name, sequence=encode_sentence(sentence, enc_params)))
-        records.append(
-            AttributeRecord(
-                class_name=cls.name,
-                keywords=selected.keywords,
-                extractor=extractor,
-                prompt_sentence=sentence,
-                shortfall=selected.shortfall,
-            )
-        )
-    return PreparedClasses(class_indices=tuple(class_indices), texts=texts, records=records)
+    return PreparedClasses(texts=texts)
 
 
 def training_data_for(
@@ -89,8 +70,6 @@ def training_data_for(
 
     Labels are positions within ``class_indices``, not corpus-wide indices.
     """
-    from .encoders import FrameEmbeddingSet
-
     prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params, client)
     position = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
     videos = []
@@ -131,9 +110,7 @@ def params_from_store(
 
 @dataclass
 class TrainedRun:
-    corpus: SyntheticCorpus
-    config: TrainConfig
-    result: FitResult
+    result: Checkpoint
     data: TrainingData
     enc_params: EncoderParams
     sti_params: STIParameters
@@ -156,9 +133,21 @@ def train_on_corpus(
     enc, sti = params_from_store(
         store, text_table_seed=corpus.spec.seed, dim=corpus.spec.dim, tau_saliency=tau_saliency
     )
-    return TrainedRun(
-        corpus=corpus, config=config, result=result, data=data, enc_params=enc, sti_params=sti
-    )
+    return TrainedRun(result=result, data=data, enc_params=enc, sti_params=sti)
+
+
+def _group_data(
+    corpus: SyntheticCorpus,
+    seen: bool,
+    num_attributes: int,
+    enc_params: EncoderParams,
+    client: ExtractionClientConfig | None = None,
+) -> TrainingData:
+    """Evaluation data over the seen or the unseen class group."""
+    class_indices = corpus.seen_class_indices if seen else corpus.unseen_class_indices
+    if not class_indices:
+        raise ValueError("requested class group is empty")
+    return training_data_for(corpus, class_indices, num_attributes, enc_params, client)[0]
 
 
 def eval_group(
@@ -172,10 +161,7 @@ def eval_group(
     client: ExtractionClientConfig | None = None,
 ) -> tuple[float, float]:
     """Single-split (top1, top5) over the seen or unseen class group."""
-    class_indices = corpus.seen_class_indices if seen else corpus.unseen_class_indices
-    if not class_indices:
-        raise ValueError("requested class group is empty")
-    data, _ = training_data_for(corpus, class_indices, num_attributes, enc_params, client)
+    data = _group_data(corpus, seen, num_attributes, enc_params, client)
     return evaluate_split(
         data.videos, data.labels, [ct.sequence for ct in data.class_texts],
         sti_params, enc_params, toggles,
@@ -193,10 +179,7 @@ def eval_group_three_splits(
     subset_size: int | None = None,
     toggles: InteractionToggles | None = None,
 ) -> MetricReport:
-    class_indices = corpus.seen_class_indices if seen else corpus.unseen_class_indices
-    if not class_indices:
-        raise ValueError("requested class group is empty")
-    data, _ = training_data_for(corpus, class_indices, num_attributes, enc_params)
+    data = _group_data(corpus, seen, num_attributes, enc_params)
     return evaluate_three_splits(
         data.videos,
         data.labels,

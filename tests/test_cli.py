@@ -14,7 +14,7 @@ from stilab.corpus import load_corpus
 from stilab.encoders import FrameEmbeddingSet
 from stilab.evaluation import evaluate_split, export_saliency
 from stilab.sti import InteractionToggles
-from stilab.trainer import load_checkpoint
+from stilab.trainer import TrainConfig, load_checkpoint
 from stilab.workflow import params_from_store, training_data_for
 
 SMALL_SYNTH = [
@@ -22,6 +22,7 @@ SMALL_SYNTH = [
     "--videos-per-class", "4", "--frames", "4", "--patches-per-frame", "6",
     "--dim", "16",
 ]
+SYNTH_SHAPE = SMALL_SYNTH[:6] + SMALL_SYNTH[8:]  # without --videos-per-class
 
 
 def run_cli(*argv):
@@ -117,6 +118,23 @@ class TestTrain:
         a, b = outs
         assert (a / "checkpoint.stickpt").read_bytes() == (b / "checkpoint.stickpt").read_bytes()
         assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
+
+    def test_default_batch_size_is_the_library_default(self, synth_dir, tmp_path):
+        out = tmp_path / "default-batch"
+        assert run_cli("train", "--out-dir", out, "--corpus", synth_dir / "corpus",
+                       "--epochs", 1) == 0
+        config = load_checkpoint(out / "checkpoint.stickpt").config
+        assert config.batch_size == TrainConfig().batch_size
+
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_bad_saliency_temperature_fails_before_writing(self, synth_dir, tmp_path, tau,
+                                                         capsys):
+        out = tmp_path / "bad-tau"
+        code = run_cli("train", "--out-dir", out, "--corpus", synth_dir / "corpus",
+                       "--epochs", 1, f"--tau-saliency={tau}")
+        assert code == 1
+        assert "tau_saliency" in capsys.readouterr().err
+        assert not (out / "checkpoint.stickpt").exists()
 
 
 class TestEval:
@@ -247,6 +265,39 @@ class TestConfigFile:
         corpus = load_corpus(out / "corpus")
         assert corpus.spec.videos_per_class == 2  # CLI wins
         assert corpus.spec.dim == 16  # file value applies
+
+    def write_config(self, tmp_path, values):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        return path
+
+    def test_abbreviated_flag_beats_the_file(self, tmp_path):
+        config_path = self.write_config(tmp_path, {"videos_per_class": 5})
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out-dir", out, "--config", config_path,
+                       *SYNTH_SHAPE, "--videos-per", 2) == 0
+        assert load_corpus(out / "corpus").spec.videos_per_class == 2
+
+    def test_file_path_value_gets_the_flag_type(self, tmp_path):
+        out = tmp_path / "from-file"
+        config_path = self.write_config(tmp_path, {"out-dir": str(out)})
+        assert run_cli("synth", "--config", config_path, *SMALL_SYNTH) == 0
+        assert (out / "corpus" / "videos.bin").exists()
+
+    def test_file_string_number_gets_the_flag_type(self, tmp_path):
+        config_path = self.write_config(tmp_path, {"videos-per-class": "3"})
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out-dir", out, "--config", config_path, *SYNTH_SHAPE) == 0
+        assert load_corpus(out / "corpus").spec.videos_per_class == 3
+
+    def test_negated_flag_beats_a_file_true(self, synth_dir, tmp_path):
+        config_path = self.write_config(tmp_path, {"spatial": True, "epochs": 1})
+        out = tmp_path / "train"
+        assert run_cli("train", "--out-dir", out, "--corpus", synth_dir / "corpus",
+                       "--config", config_path, "--no-spatial") == 0
+        config = load_checkpoint(out / "checkpoint.stickpt").config
+        assert config.spatial is False
+        assert config.epochs == 1
 
     def test_manifest_records_effective_config(self, tmp_path):
         out = tmp_path / "out"

@@ -180,8 +180,25 @@ class TestFit:
         _, data = small_training
         result = fit(data, TrainConfig.desk_scale(epochs=4, seed=2, batch_size=8),
                      store=default_parameter_store(data.dim))
-        assert result.epochs_completed == 4
+        assert result.epoch == 4
         assert len(result.loss_history) == 4
+
+    def test_result_is_the_checkpoint_of_the_run(self, small_training):
+        _, data = small_training
+        result = fit(data, TrainConfig(epochs=1, seed=2, batch_size=8),
+                     store=default_parameter_store(data.dim), tau_saliency=0.5)
+        assert isinstance(result, Checkpoint)
+        assert result.tau_saliency == 0.5
+        assert result.epoch == 1
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_bad_saliency_temperature_rejected_before_training(self, small_training, tau):
+        _, data = small_training
+        store = default_parameter_store(data.dim)
+        before = store.fingerprint()
+        with pytest.raises(ValueError, match="tau_saliency"):
+            fit(data, TrainConfig(epochs=1, batch_size=8), store=store, tau_saliency=tau)
+        assert store.fingerprint() == before
 
 
 class TestFewShot:
@@ -217,7 +234,7 @@ class TestFewShot:
         _, data = small_training
         store = default_parameter_store(data.dim)
         result = few_shot_finetune(store, data, k=2, epochs=2, seed=5)
-        assert result.fit.epochs_completed == 2
+        assert result.fit.epoch == 2
         assert len(result.sample.indices) == 2 * data.num_classes
 
     def test_invalid_k_rejected(self, small_training):
@@ -233,7 +250,7 @@ class TestCheckpointing:
         result = fit(data, config, store=store)
         return Checkpoint(
             config=config,
-            epoch=result.epochs_completed,
+            epoch=result.epoch,
             store=result.store,
             optimizer=result.optimizer,
             loss_history=result.loss_history,
