@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from ._fileio import atomic_open
 from .attributes import (
     ExtractionClientConfig,
     load_description_corpus,
@@ -86,7 +87,7 @@ def _write_manifest(
         "results": results,
     }
     path = out_dir / MANIFEST_FILENAME
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return path
@@ -174,19 +175,43 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
+def _has_flag_type(action: argparse.Action, value) -> bool:
+    """Whether a --config value can stand for the flag. argparse converts a
+    string default with the flag's type, so other values must already have it;
+    a bool is not a number here."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return isinstance(value, bool)
+    if isinstance(value, str):
+        return True
+    if isinstance(value, bool):
+        return False
+    if action.type is int:
+        return isinstance(value, int)
+    if action.type is float:
+        return isinstance(value, (int, float))
+    return False
+
+
 def _parse_args(argv) -> argparse.Namespace:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     # The file's values become defaults of the command's own flags, so an
     # explicit flag wins in any spelling argparse accepts and a file string
     # gets the flag's type. Keys naming none of the command's flags are ignored.
+    command = commands[args.command]
+    actions = {action.dest: action for action in command._actions}
     defaults = {}
     for key, value in _load_config_file(args.config).items():
         dest = key.replace("-", "_")
         if hasattr(args, dest) and dest != "command":
+            action = actions[dest]
+            if not _has_flag_type(action, value):
+                command.error(f"--config value {value!r} for {key!r} has the wrong type")
+            if action.type is float and not isinstance(value, str):
+                value = float(value)  # as the flag would give it: an int becomes a float
             defaults[dest] = value
     if defaults:
-        commands[args.command].set_defaults(**defaults)
+        command.set_defaults(**defaults)
         args = parser.parse_args(argv)
     return args
 

@@ -3,12 +3,14 @@ cross-split aggregation, and numeric saliency export."""
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._fileio import atomic_open
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
 from .objective import BatchRecord, score_matrix
 from .sti import (
@@ -51,16 +53,22 @@ class MetricReport:
 
     @classmethod
     def from_splits(cls, splits: Sequence[SplitMetrics]) -> "MetricReport":
-        top1 = np.array([s.top1 for s in splits])
-        top5 = np.array([s.top5 for s in splits])
-        std = lambda v: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
+        top1_mean, top1_std = _mean_and_std([s.top1 for s in splits])
+        top5_mean, top5_std = _mean_and_std([s.top5 for s in splits])
         return cls(
             per_split=tuple(splits),
-            top1_mean=float(np.mean(top1)),
-            top1_std=std(top1),
-            top5_mean=float(np.mean(top5)),
-            top5_std=std(top5),
+            top1_mean=top1_mean,
+            top1_std=top1_std,
+            top5_mean=top5_mean,
+            top5_std=top5_std,
         )
+
+
+def _mean_and_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample (n-1) standard deviation, both from exact rational
+    sums, so equal values give exactly their value and 0; one value has std 0."""
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    return statistics.mean(values), std
 
 
 def _topk_hits(scores: Array, labels: Array, k: int) -> Array:
@@ -107,7 +115,7 @@ def aggregate_splits(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"expected exactly 3 split values, got shape {arr.shape}")
-    return float(arr.mean()), float(arr.std(ddof=1))
+    return _mean_and_std(arr.tolist())
 
 
 def sample_category_subset(categories: Sequence, subset_size: int, seed: int) -> list:
@@ -135,25 +143,33 @@ def evaluate_three_splits(
     toggles: InteractionToggles | None = None,
 ) -> MetricReport:
     """Three-split protocol: per split, sample a class subset, restrict the
-    videos to those classes, and score against the subset only."""
+    videos to those classes, and score against the subset only.
+
+    A split whose class set an earlier split already chose reuses that
+    split's accuracies instead of scoring the same pairs again; with the
+    default subset size (all classes) the three splits coincide.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     num_classes = len(class_texts)
     subset_size = num_classes if subset_size is None else subset_size
+    scored: dict[tuple[int, ...], tuple[float, float]] = {}
     splits = []
     for split_id in (1, 2, 3):
-        chosen = sorted(
+        chosen = tuple(sorted(
             sample_category_subset(list(range(num_classes)), subset_size, seed * 10 + split_id)
-        )
-        remap = {old: new for new, old in enumerate(chosen)}
-        keep = [i for i, label in enumerate(labels) if int(label) in remap]
-        if not keep:
-            raise ValueError(f"split {split_id} selected classes with no evaluation videos")
-        split_videos = [videos[i] for i in keep]
-        split_labels = np.array([remap[int(labels[i])] for i in keep])
-        split_texts = [class_texts[i] for i in chosen]
-        top1, top5 = evaluate_split(
-            split_videos, split_labels, split_texts, sti_params, enc_params, toggles
-        )
+        ))
+        if chosen not in scored:
+            remap = {old: new for new, old in enumerate(chosen)}
+            keep = [i for i, label in enumerate(labels) if int(label) in remap]
+            if not keep:
+                raise ValueError(f"split {split_id} selected classes with no evaluation videos")
+            split_videos = [videos[i] for i in keep]
+            split_labels = np.array([remap[int(labels[i])] for i in keep])
+            split_texts = [class_texts[i] for i in chosen]
+            scored[chosen] = evaluate_split(
+                split_videos, split_labels, split_texts, sti_params, enc_params, toggles
+            )
+        top1, top5 = scored[chosen]
         splits.append(SplitMetrics(split_id=split_id, top1=top1, top5=top5))
     return MetricReport.from_splits(splits)
 
@@ -161,7 +177,7 @@ def evaluate_three_splits(
 def write_metric_csv(path, report: MetricReport) -> Path:
     """(split_id, top1, top5) rows plus mean/std summary lines."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("split_id,top1,top5\n")
         for split in report.per_split:
             fh.write(f"{split.split_id},{split.top1:.17g},{split.top5:.17g}\n")
@@ -191,7 +207,7 @@ def export_saliency(
     if abs(total - 1.0) > SALIENCY_SUM_TOLERANCE:
         raise ValueError(f"saliency column sums to {total!r}, expected 1")
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("frame_index,s_sp,s_temp\n")
         for index, spatial, temporal in saliency_rows(output):
             fh.write(f"{index},{spatial:.17g},{temporal:.17g}\n")

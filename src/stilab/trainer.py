@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from ._fileio import atomic_open
 from .autodiff import ParameterStore, ShapeMismatchError, Tape
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, text_fingerprint
 from .objective import (
@@ -400,19 +400,12 @@ def _write_named_arrays(fh, arrays: dict[str, Array]) -> None:
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     """Serialize training state; round-trips bitwise.
 
-    The bytes go to a temporary file in the target's directory, which then
-    replaces the target in one ``os.replace``: a failed write leaves any
-    previous checkpoint untouched and removes the temporary file.
+    The write is atomic: a failed write leaves any previous checkpoint
+    untouched and no temporary file behind.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, checkpoint)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        _write_checkpoint(fh, checkpoint)
     return path
 
 
@@ -563,7 +556,7 @@ def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> Checkpoint:
 def write_loss_csv(path, loss_history: Sequence[float]) -> Path:
     """Mirror a loss trajectory as (epoch, mean_loss) rows."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, value in enumerate(loss_history):
             fh.write(f"{epoch},{value:.17g}\n")

@@ -171,6 +171,22 @@ class TestEval:
         )
         assert csv_top1 == top1
 
+    def test_default_subset_gives_equal_splits_and_zero_std(self, trained, tmp_path):
+        # 20 seen videos: a top-1 of 0.4, whose float mean over three splits is not exact
+        synth = tmp_path / "synth5"
+        assert run_cli("synth", "--seed", 3, "--out-dir", synth, *SYNTH_SHAPE,
+                       "--videos-per-class", 5) == 0
+        out = tmp_path / "eval-default"
+        assert run_cli(
+            "eval", "--seed", 3, "--out-dir", out, "--corpus", synth / "corpus",
+            "--checkpoint", trained / "checkpoint.stickpt", "--mode", "seen",
+        ) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        rows = [line.split(",", 1)[1] for line in lines[1:4]]
+        assert rows[0] == rows[1] == rows[2]
+        assert lines[4] == f"mean,{rows[0]}"
+        assert lines[5] == "std,0,0"
+
     def test_few_shot_mode(self, synth_dir, trained, tmp_path):
         out = tmp_path / "eval-few"
         code = run_cli(
@@ -298,6 +314,32 @@ class TestConfigFile:
         config = load_checkpoint(out / "checkpoint.stickpt").config
         assert config.spatial is False
         assert config.epochs == 1
+
+    @pytest.mark.parametrize("command, values", [
+        ("synth", {"dim": 16.5}),
+        ("synth", {"dim": True}),
+        ("synth", {"out-dir": 3}),
+        ("train", {"spatial": "no"}),
+        ("train", {"spatial": 1}),
+        ("train", {"learning-rate": False}),
+    ], ids=["float-for-int", "bool-for-int", "int-for-path", "string-for-bool",
+            "int-for-bool", "bool-for-float"])
+    def test_file_value_of_the_wrong_type_is_a_usage_error(
+        self, synth_dir, tmp_path, capsys, command, values
+    ):
+        config_path = self.write_config(tmp_path, {**values, "epochs": 1})
+        out = tmp_path / "out"
+        extra = SMALL_SYNTH if command == "synth" else ["--corpus", synth_dir / "corpus"]
+        assert run_cli(command, "--out-dir", out, "--config", config_path, *extra) == 2
+        assert "has the wrong type" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_int_for_a_float_flag_becomes_a_float(self, tmp_path):
+        config_path = self.write_config(tmp_path, {"noise-scale": 0})
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out-dir", out, "--config", config_path, *SMALL_SYNTH) == 0
+        noise_scale = json.loads((out / "manifest.json").read_text())["config"]["noise_scale"]
+        assert noise_scale == 0.0 and isinstance(noise_scale, float)
 
     def test_manifest_records_effective_config(self, tmp_path):
         out = tmp_path / "out"

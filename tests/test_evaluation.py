@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stilab import evaluation
 from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import (
@@ -148,6 +149,23 @@ class TestAggregateSplits:
         with pytest.raises(ValueError):
             aggregate_splits((1.0, 2.0))
 
+    def test_equal_values_are_exact(self):
+        # float summation would give 0.94999999999999984 and std 1.36e-16
+        assert aggregate_splits((0.95, 0.95, 0.95)) == (0.95, 0.0)
+        report = MetricReport.from_splits([SplitMetrics(i, 0.95, 0.95) for i in (1, 2, 3)])
+        assert (report.top1_mean, report.top1_std) == (0.95, 0.0)
+        assert (report.top5_mean, report.top5_std) == (0.95, 0.0)
+
+    def test_report_and_aggregate_agree(self):
+        values = (0.1, 0.7, 0.3)
+        report = MetricReport.from_splits([SplitMetrics(i, v, 1.0) for i, v in enumerate(values)])
+        assert (report.top1_mean, report.top1_std) == aggregate_splits(values)
+
+    def test_single_split_has_zero_std(self):
+        report = MetricReport.from_splits([SplitMetrics(1, 0.3, 0.6)])
+        assert (report.top1_mean, report.top1_std) == (0.3, 0.0)
+        assert (report.top5_mean, report.top5_std) == (0.6, 0.0)
+
 
 class TestCategorySampling:
     def test_paper_scale_protocol(self):
@@ -192,6 +210,54 @@ class TestThreeSplitProtocol:
             evaluate_three_splits(
                 data.videos, data.labels, texts, sti, enc, seed=0, subset_size=len(texts) + 1
             )
+
+    def test_default_subset_scores_one_split(self, clean_corpus_setup, monkeypatch):
+        _, data, sti, enc = clean_corpus_setup
+        texts = [ct.sequence for ct in data.class_texts]
+        videos = list(data.videos) * 5  # 80 videos: two 64-video batches per split
+        labels = np.tile(data.labels, 5)
+        calls = []
+
+        def counting_score_matrix(batch, *args):
+            calls.append(len(batch.videos))
+            return score_matrix(batch, *args)
+
+        monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
+        report = evaluate_three_splits(videos, labels, texts, sti, enc, seed=1)
+        assert calls == [64, 16]
+        assert report.per_split[0].top1 == report.per_split[1].top1 == report.per_split[2].top1
+        assert report.top1_std == 0.0 and report.top5_std == 0.0
+
+    @pytest.mark.parametrize("seed, scored", [(2, 2), (0, 3)])
+    def test_distinct_splits_are_scored_once_each(
+        self, clean_corpus_setup, monkeypatch, seed, scored
+    ):
+        corpus, data, _, _ = clean_corpus_setup
+        # random parameters, so the accuracies differ between class subsets
+        enc = EncoderParams.random(corpus.spec.seed, corpus.spec.dim, seed=100)
+        sti = STIParameters.random_init(corpus.spec.dim, seed=200)
+        texts = [ct.sequence for ct in data.class_texts]
+        assert len(texts) == 4
+        calls = []
+
+        def counting_evaluate_split(*args):
+            calls.append(args)
+            return evaluate_split(*args)
+
+        monkeypatch.setattr(evaluation, "evaluate_split", counting_evaluate_split)
+        report = evaluate_three_splits(
+            data.videos, data.labels, texts, sti, enc, seed=seed, subset_size=2
+        )
+        assert len(calls) == scored
+        for split in report.per_split:
+            chosen = sorted(sample_category_subset(list(range(4)), 2, seed * 10 + split.split_id))
+            keep = [i for i, label in enumerate(data.labels) if int(label) in chosen]
+            top1, top5 = evaluate_split(
+                [data.videos[i] for i in keep],
+                np.array([chosen.index(int(data.labels[i])) for i in keep]),
+                [texts[c] for c in chosen], sti, enc,
+            )
+            assert (split.top1, split.top5) == (top1, top5)
 
     def test_metric_report_invariants(self):
         with pytest.raises(ValueError):
