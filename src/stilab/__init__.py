@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .attributes import (
     ClassDescription,
     DescriptiveAttributeSet,
-    ExtractionClientConfig,
     KeywordCandidateList,
     compose_attribute_sentence,
     extract_keywords,

@@ -1,13 +1,15 @@
 """Descriptive-attribute pipeline: class descriptions in, keyword sets out.
 
-Stages: keyword extraction through a pluggable client (a deterministic mock
-or a live HTTP endpoint), stopword/duplicate filtering, top-N selection, and
-composition of the final prompt sentence. Everything except the live client
-is a pure function, so the mock pipeline is a deterministic test oracle.
+Stages: keyword extraction from an endpoint (the deterministic mock or a
+live HTTP endpoint, sent one fixed prompt), stopword/duplicate filtering,
+top-N selection, and composition of the final prompt sentence. Everything
+except the live endpoint is a pure function, so the mock pipeline is a
+deterministic test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -18,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ._fileio import atomic_open
 from .encoders import tokenize
 
 ENDPOINT_ENV_VAR = "STILAB_EXTRACTOR_ENDPOINT"
@@ -30,6 +33,9 @@ DEFAULT_EXTRACTION_PROMPT = (
     "contexts related to the action."
 )
 
+# Request settings sent to a live endpoint with every prompt.
+_SAMPLING_TEMPERATURE = 0.7
+_MAX_OUTPUT_TOKENS = 256
 _ENDPOINT_TIMEOUT_SECONDS = 10.0
 
 
@@ -118,35 +124,10 @@ class DescriptiveAttributeSet:
             raise ValueError("keyword count must equal the requested count unless shortfall is set")
 
 
-@dataclass
-class ExtractionClientConfig:
-    """How to reach the keyword extractor.
-
-    ``endpoint`` is either an HTTP URL or the literal ``"mock"``. The
-    STILAB_EXTRACTOR_ENDPOINT environment variable overrides it.
-    """
-
-    endpoint: str = MOCK_ENDPOINT
-    sampling_temperature: float = 0.7
-    max_output_tokens: int = 256
-    prompt_template: str = DEFAULT_EXTRACTION_PROMPT
-
-    def __post_init__(self):
-        if self.sampling_temperature < 0:
-            raise ValueError("sampling_temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
-
-    def resolved_endpoint(self) -> str:
-        return os.environ.get(ENDPOINT_ENV_VAR) or self.endpoint
-
-
-def load_stopwords(path=None) -> frozenset[str]:
-    """Load the stopword set; defaults to the versioned file shipped in the package."""
-    if path is None:
-        text = resources.files("stilab").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+@functools.cache
+def load_stopwords() -> frozenset[str]:
+    """The versioned stopword list shipped in the package, read once."""
+    text = resources.files("stilab").joinpath("data/stopwords.txt").read_text("utf-8")
     words = set()
     for line in text.splitlines():
         word = line.strip()
@@ -155,14 +136,8 @@ def load_stopwords(path=None) -> frozenset[str]:
     return frozenset(words)
 
 
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
-
-def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords()
-    return _DEFAULT_STOPWORDS
+def _resolved_endpoint(endpoint: str) -> str:
+    return os.environ.get(ENDPOINT_ENV_VAR) or endpoint
 
 
 def load_description_corpus(path) -> dict[str, ClassDescription]:
@@ -199,9 +174,10 @@ def load_description_corpus(path) -> dict[str, ClassDescription]:
     return corpus
 
 
-def _mock_keywords(description: str, stopwords: frozenset[str]) -> list[str]:
+def _mock_keywords(description: str) -> list[str]:
     """Deterministic extraction stand-in: content words of the description,
     ranked by descending frequency, ties broken by first occurrence."""
+    stopwords = load_stopwords()
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}
     for position, token in enumerate(tokenize(description)):
@@ -231,15 +207,13 @@ def _endpoint_lock(endpoint: str) -> threading.Lock:
         return _ENDPOINT_LOCKS.setdefault(endpoint, threading.Lock())
 
 
-def _endpoint_keywords(
-    class_name: str, description: str, config: ExtractionClientConfig, endpoint: str
-) -> list[str]:
-    prompt = config.prompt_template.format(description=description, action_name=class_name)
+def _endpoint_keywords(class_name: str, description: str, endpoint: str) -> list[str]:
+    prompt = DEFAULT_EXTRACTION_PROMPT.format(description=description, action_name=class_name)
     body = json.dumps(
         {
             "prompt": prompt,
-            "temperature": config.sampling_temperature,
-            "max_tokens": config.max_output_tokens,
+            "temperature": _SAMPLING_TEMPERATURE,
+            "max_tokens": _MAX_OUTPUT_TOKENS,
         }
     ).encode("utf-8")
     try:
@@ -262,23 +236,25 @@ def _endpoint_keywords(
 
 
 def extract_keywords(
-    class_name: str, description: str, client: ExtractionClientConfig
+    class_name: str, description: str, endpoint: str = MOCK_ENDPOINT
 ) -> list[str]:
-    """Raw (pre-filtering) keyword list from the configured client.
+    """Raw (pre-filtering) keyword list from the extractor at ``endpoint``.
 
-    Empty completions are an error, never a silent empty result.
+    ``endpoint`` is an HTTP URL or the literal ``"mock"``; the
+    STILAB_EXTRACTOR_ENDPOINT environment variable overrides it. Empty
+    completions are an error, never a silent empty result.
     """
     if not description:
         raise ValueError("description must be non-empty")
-    endpoint = client.resolved_endpoint()
+    endpoint = _resolved_endpoint(endpoint)
     if endpoint == MOCK_ENDPOINT:
-        keywords = _mock_keywords(description, default_stopwords())
+        keywords = _mock_keywords(description)
         if not keywords:
             raise ExtractionError(
                 f"mock extractor found no content words for class {class_name!r}"
             )
         return keywords
-    return _endpoint_keywords(class_name, description, client, endpoint)
+    return _endpoint_keywords(class_name, description, endpoint)
 
 
 def normalize_and_filter(
@@ -360,31 +336,24 @@ class AttributeRecord:
 
 
 def build_attribute_set(
-    entry: ClassDescription,
-    num_attributes: int,
-    client: ExtractionClientConfig | None = None,
-    stopwords: frozenset[str] | None = None,
+    entry: ClassDescription, num_attributes: int, endpoint: str = MOCK_ENDPOINT
 ) -> DescriptiveAttributeSet:
     """Run extraction + filtering + selection for one class."""
-    client = client or ExtractionClientConfig()
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    raw = extract_keywords(entry.class_name, entry.description, client)
-    candidates = normalize_and_filter(raw, stopwords)
+    raw = extract_keywords(entry.class_name, entry.description, endpoint)
+    candidates = normalize_and_filter(raw, load_stopwords())
     return select_descriptive_attributes(entry.class_name, candidates, num_attributes)
 
 
 def run_attribute_pipeline(
     corpus: Mapping[str, ClassDescription],
     num_attributes: int,
-    client: ExtractionClientConfig | None = None,
-    stopwords: frozenset[str] | None = None,
+    endpoint: str = MOCK_ENDPOINT,
 ) -> list[AttributeRecord]:
     """Produce one AttributeRecord per corpus entry, in corpus order."""
-    client = client or ExtractionClientConfig()
-    extractor = "mock" if client.resolved_endpoint() == MOCK_ENDPOINT else "endpoint"
+    extractor = "mock" if _resolved_endpoint(endpoint) == MOCK_ENDPOINT else "endpoint"
     records = []
     for entry in corpus.values():
-        selected = build_attribute_set(entry, num_attributes, client, stopwords)
+        selected = build_attribute_set(entry, num_attributes, endpoint)
         records.append(
             AttributeRecord(
                 class_name=entry.class_name,
@@ -399,7 +368,7 @@ def run_attribute_pipeline(
 
 def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(record.to_json() + "\n")
     return path

@@ -9,6 +9,7 @@ from the single seed; identical flags reproduce identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from ._fileio import atomic_open
 from .attributes import (
-    ExtractionClientConfig,
+    MOCK_ENDPOINT,
     load_description_corpus,
     run_attribute_pipeline,
     save_attribute_records,
@@ -102,6 +103,27 @@ def _load_config_file(path) -> dict:
     return payload
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, settings: type) -> None:
+    """One flag per field of a settings dataclass, ``--<field-with-dashes>``,
+    with the field's default and that default's type (which the tests hold
+    equal to the annotation); ``seed`` is left to --seed."""
+    for field in dataclasses.fields(settings):
+        if field.name == "seed":
+            continue
+        flag = "--" + field.name.replace("_", "-")
+        if type(field.default) is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction,
+                                default=field.default)
+        else:
+            parser.add_argument(flag, type=type(field.default), default=field.default)
+
+
+def _from_fields(settings: type, args: argparse.Namespace):
+    """Build a settings dataclass from the parsed flags of its fields."""
+    return settings(**{field.name: getattr(args, field.name)
+                       for field in dataclasses.fields(settings)})
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
@@ -121,30 +143,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_attrs.add_argument("--corpus", type=Path, required=True, help="descriptions JSONL file")
     p_attrs.add_argument("--num-attributes", type=int, default=8)
     p_attrs.add_argument(
-        "--extractor", default="mock", help='"mock" or an HTTP endpoint URL'
+        "--extractor", default=MOCK_ENDPOINT, help='"mock" or an HTTP endpoint URL'
     )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus directory")
     common(p_synth)
-    p_synth.add_argument("--num-concepts", type=int, default=12)
-    p_synth.add_argument("--seen-classes", type=int, default=8)
-    p_synth.add_argument("--unseen-classes", type=int, default=4)
-    p_synth.add_argument("--videos-per-class", type=int, default=20)
-    p_synth.add_argument("--frames", type=int, default=8)
-    p_synth.add_argument("--patches-per-frame", type=int, default=16)
-    p_synth.add_argument("--dim", type=int, default=32)
-    p_synth.add_argument("--noise-scale", type=float, default=0.1)
+    _add_field_flags(p_synth, SyntheticCorpusSpec)
 
     p_train = sub.add_parser("train", help="train on a corpus's seen classes")
     common(p_train)
     p_train.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p_train.add_argument("--learning-rate", type=float, default=5e-5)
-    p_train.add_argument("--weight-decay", type=float, default=0.05)
-    p_train.add_argument("--epochs", type=int, default=30)
-    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p_train.add_argument("--num-attributes", type=int, default=8)
-    p_train.add_argument("--spatial", action=argparse.BooleanOptionalAction, default=True)
-    p_train.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=True)
+    _add_field_flags(p_train, TrainConfig)
     p_train.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
@@ -207,6 +216,9 @@ def _parse_args(argv) -> argparse.Namespace:
             action = actions[dest]
             if not _has_flag_type(action, value):
                 command.error(f"--config value {value!r} for {key!r} has the wrong type")
+            if action.choices is not None and value not in action.choices:
+                command.error(f"--config value {value!r} for {key!r} is not one of "
+                              f"{', '.join(map(repr, action.choices))}")
             if action.type is float and not isinstance(value, str):
                 value = float(value)  # as the flag would give it: an int becomes a float
             defaults[dest] = value
@@ -218,8 +230,7 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def cmd_attrs(args) -> tuple[list[Path], dict, str | None]:
     corpus = load_description_corpus(args.corpus)
-    client = ExtractionClientConfig(endpoint=args.extractor)
-    records = run_attribute_pipeline(corpus, args.num_attributes, client)
+    records = run_attribute_pipeline(corpus, args.num_attributes, args.extractor)
     out = save_attribute_records(args.out_dir / "attributes.jsonl", records)
     results = {
         "classes": len(records),
@@ -229,18 +240,7 @@ def cmd_attrs(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
-    spec = SyntheticCorpusSpec(
-        num_concepts=args.num_concepts,
-        seen_classes=args.seen_classes,
-        unseen_classes=args.unseen_classes,
-        videos_per_class=args.videos_per_class,
-        frames=args.frames,
-        patches_per_frame=args.patches_per_frame,
-        dim=args.dim,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
-    corpus = generate_synthetic_corpus(spec)
+    corpus = generate_synthetic_corpus(_from_fields(SyntheticCorpusSpec, args))
     corpus_dir = args.out_dir / "corpus"
     artifacts = save_corpus(corpus, corpus_dir)
     results = {
@@ -253,16 +253,7 @@ def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
 
 def cmd_train(args) -> tuple[list[Path], dict, str | None]:
     corpus = load_corpus(args.corpus)
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        spatial=args.spatial,
-        temporal=args.temporal,
-        num_attributes=args.num_attributes,
-    )
+    config = _from_fields(TrainConfig, args)
     run = train_on_corpus(corpus, config, tau_saliency=args.tau_saliency)
     ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", run.result)
     loss_path = write_loss_csv(args.out_dir / "loss.csv", run.result.loss_history)

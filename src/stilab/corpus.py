@@ -13,12 +13,13 @@ pretrained joint embedding space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attributes import ClassDescription
+from ._fileio import atomic_open
+from .attributes import ClassDescription, load_description_corpus
 from .embed_io import load_embeddings, save_embeddings
 from .encoders import token_vector
 
@@ -44,7 +45,8 @@ DESCRIPTION_SOURCE_TAG = "synthetic-v1"
 
 @dataclass(frozen=True)
 class SyntheticCorpusSpec:
-    """Knobs for corpus generation; the seed fully determines the output."""
+    """Knobs for corpus generation; the seed fully determines the output.
+    ``stilab synth`` has one flag per field but ``seed``, with its default."""
 
     num_concepts: int = 12
     seen_classes: int = 8
@@ -269,7 +271,7 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     descriptions_path = out_dir / DESCRIPTIONS_FILENAME
-    with open(descriptions_path, "w", encoding="utf-8") as fh:
+    with atomic_open(descriptions_path, "w", encoding="utf-8") as fh:
         for cls in corpus.classes:
             fh.write(
                 json.dumps(
@@ -288,17 +290,7 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
 
     meta = {
         "format_version": 1,
-        "spec": {
-            "num_concepts": corpus.spec.num_concepts,
-            "seen_classes": corpus.spec.seen_classes,
-            "unseen_classes": corpus.spec.unseen_classes,
-            "videos_per_class": corpus.spec.videos_per_class,
-            "frames": corpus.spec.frames,
-            "patches_per_frame": corpus.spec.patches_per_frame,
-            "dim": corpus.spec.dim,
-            "noise_scale": corpus.spec.noise_scale,
-            "seed": corpus.spec.seed,
-        },
+        "spec": asdict(corpus.spec),
         "concept_words": list(corpus.concept_words),
         "classes": [
             {
@@ -320,16 +312,31 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
         ],
     }
     metadata_path = out_dir / METADATA_FILENAME
-    with open(metadata_path, "w", encoding="utf-8") as fh:
+    with atomic_open(metadata_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1)
         fh.write("\n")
     return [descriptions_path, videos_path, metadata_path]
 
 
 def load_corpus(corpus_dir) -> SyntheticCorpus:
-    """Load a corpus directory written by save_corpus."""
+    """Load a corpus directory written by save_corpus.
+
+    Malformed metadata, including a missing or mistyped entry, raises
+    ValueError; a malformed descriptions.jsonl or videos.bin raises its
+    reader's own errors.
+    """
     corpus_dir = Path(corpus_dir)
+    try:
+        return _parse_corpus(corpus_dir)
+    except (KeyError, TypeError) as exc:
+        metadata_path = corpus_dir / METADATA_FILENAME
+        raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
+
+
+def _parse_corpus(corpus_dir: Path) -> SyntheticCorpus:
     meta = json.loads((corpus_dir / METADATA_FILENAME).read_text("utf-8"))
+    if not isinstance(meta, dict):
+        raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
     if meta.get("format_version") != 1:
         raise ValueError(f"unsupported corpus format version {meta.get('format_version')!r}")
     spec = SyntheticCorpusSpec(**meta["spec"])
@@ -340,15 +347,7 @@ def load_corpus(corpus_dir) -> SyntheticCorpus:
         [token_vector(word, spec.seed, spec.dim) for word in concept_words]
     )
 
-    descriptions = {}
-    for line in (corpus_dir / DESCRIPTIONS_FILENAME).read_text("utf-8").splitlines():
-        if line.strip():
-            payload = json.loads(line)
-            descriptions[payload["class_name"]] = ClassDescription(
-                class_name=payload["class_name"],
-                description=payload["description"],
-                source_tag=payload.get("source_tag", ""),
-            )
+    descriptions = load_description_corpus(corpus_dir / DESCRIPTIONS_FILENAME)
 
     classes = []
     for entry in meta["classes"]:

@@ -15,6 +15,8 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from ._fileio import atomic_open
+
 MAGIC = b"STIEMB1\n"
 
 KIND_RAW_VIDEO = 2
@@ -59,7 +61,7 @@ def save_embeddings(path, videos: Sequence) -> Path:
             raise TypeError(f"expected a (T, N_p, D) array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("refusing to serialize non-finite values")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         for arr in arrays:
             t, n_p, d = arr.shape
@@ -94,7 +96,10 @@ def load_embeddings(path) -> list[np.ndarray]:
             line = fh.readline()
             if not line:
                 break
-            header = line.decode("utf-8").rstrip("\n")
+            try:
+                header = line.decode("ascii").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise HeaderFormatError(f"record header is not ASCII text: {line[:32]!r}") from exc
             if not header.strip():
                 raise HeaderFormatError("blank record header")
             kind, counts = _parse_header(header)

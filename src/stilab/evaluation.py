@@ -199,7 +199,9 @@ def export_saliency(
     Values render with 17 significant digits, which round-trips float64
     exactly. The saliency column is checked to sum to 1 before writing.
     """
-    from .encoders import encode_video  # local import to avoid a cycle at module load
+    # Looked up at call time, not bound at import, so that a wrapper installed
+    # on stilab.encoders.encode_video (the per-layer tracer's) sees this call.
+    from .encoders import encode_video
 
     encoded = encode_video(video.patch_embeddings, enc_params)
     output = sti_forward(encoded, class_text, sti_params, toggles)

@@ -58,7 +58,9 @@ class CheckpointFormatError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings: rate 5e-5, decay 0.05, 30 epochs and a batch
-    of 16, sized for desk-scale corpora. The CLI reads the same defaults."""
+    of 16, sized for desk-scale corpora. ``stilab train`` has one flag per
+    field but ``seed`` (which --seed sets), with the field's default and
+    type, so each default is stated only here."""
 
     learning_rate: float = 5e-5
     weight_decay: float = 0.05

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attributes import ExtractionClientConfig, build_attribute_set, compose_attribute_sentence
+from .attributes import build_attribute_set, compose_attribute_sentence
 from .autodiff import ParameterStore
 from .corpus import SyntheticCorpus
 from .encoders import EncoderParams, FrameEmbeddingSet, encode_sentence
@@ -46,14 +46,13 @@ def prepare_class_texts(
     class_indices: Sequence[int],
     num_attributes: int,
     enc_params: EncoderParams,
-    client: ExtractionClientConfig | None = None,
 ) -> PreparedClasses:
     """Run the attribute pipeline for the given classes and encode the
     resulting prompt sentences."""
     texts: list[ClassText] = []
     for index in class_indices:
         cls = corpus.classes[index]
-        selected = build_attribute_set(cls.description, num_attributes, client)
+        selected = build_attribute_set(cls.description, num_attributes)
         sentence = compose_attribute_sentence(selected)
         texts.append(ClassText(name=cls.name, sequence=encode_sentence(sentence, enc_params)))
     return PreparedClasses(texts=texts)
@@ -64,13 +63,12 @@ def training_data_for(
     class_indices: Sequence[int],
     num_attributes: int,
     enc_params: EncoderParams,
-    client: ExtractionClientConfig | None = None,
 ) -> tuple[TrainingData, PreparedClasses]:
     """Assemble raw-feature training data over a class subset.
 
     Labels are positions within ``class_indices``, not corpus-wide indices.
     """
-    prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params, client)
+    prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params)
     position = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
     videos = []
     labels = []
@@ -121,14 +119,13 @@ def train_on_corpus(
     config: TrainConfig,
     *,
     tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
-    store: ParameterStore | None = None,
 ) -> TrainedRun:
     """Train on the corpus's seen classes with the configured attributes."""
     base_enc = corpus_encoder_params(corpus)
     data, _ = training_data_for(
         corpus, corpus.seen_class_indices, config.num_attributes, base_enc
     )
-    store = store if store is not None else default_parameter_store(corpus.spec.dim)
+    store = default_parameter_store(corpus.spec.dim)
     result = fit(data, config, store=store, tau_saliency=tau_saliency)
     enc, sti = params_from_store(
         store, text_table_seed=corpus.spec.seed, dim=corpus.spec.dim, tau_saliency=tau_saliency
@@ -141,13 +138,12 @@ def _group_data(
     seen: bool,
     num_attributes: int,
     enc_params: EncoderParams,
-    client: ExtractionClientConfig | None = None,
 ) -> TrainingData:
     """Evaluation data over the seen or the unseen class group."""
     class_indices = corpus.seen_class_indices if seen else corpus.unseen_class_indices
     if not class_indices:
         raise ValueError("requested class group is empty")
-    return training_data_for(corpus, class_indices, num_attributes, enc_params, client)[0]
+    return training_data_for(corpus, class_indices, num_attributes, enc_params)[0]
 
 
 def eval_group(
@@ -158,10 +154,9 @@ def eval_group(
     seen: bool,
     num_attributes: int,
     toggles: InteractionToggles | None = None,
-    client: ExtractionClientConfig | None = None,
 ) -> tuple[float, float]:
     """Single-split (top1, top5) over the seen or unseen class group."""
-    data = _group_data(corpus, seen, num_attributes, enc_params, client)
+    data = _group_data(corpus, seen, num_attributes, enc_params)
     return evaluate_split(
         data.videos, data.labels, [ct.sequence for ct in data.class_texts],
         sti_params, enc_params, toggles,

@@ -2,6 +2,7 @@ import http.client
 import json
 import urllib.error
 import urllib.request
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +12,12 @@ from stilab.attributes import (
     ClassDescription,
     CorpusFormatError,
     DescriptiveAttributeSet,
+    DEFAULT_EXTRACTION_PROMPT,
     DuplicateClassError,
-    ExtractionClientConfig,
     ExtractionError,
     KeywordCandidateList,
     build_attribute_set,
     compose_attribute_sentence,
-    default_stopwords,
     extract_keywords,
     load_attribute_records,
     load_description_corpus,
@@ -28,7 +28,7 @@ from stilab.attributes import (
     select_descriptive_attributes,
 )
 
-MOCK = ExtractionClientConfig()
+MOCK = "mock"
 
 
 def write_corpus(path, records):
@@ -111,10 +111,10 @@ class TestExtractKeywords:
 
     def test_unreachable_endpoint(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
-        config = ExtractionClientConfig(endpoint="http://unreachable.invalid/extract")
+        endpoint = "http://unreachable.invalid/extract"
         with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("swing", "a dance", config)
-        assert [call["request"].full_url for call in calls] == [config.endpoint]
+            extract_keywords("swing", "a dance", endpoint)
+        assert [call["request"].full_url for call in calls] == [endpoint]
 
     def test_env_var_overrides_endpoint(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
@@ -123,18 +123,12 @@ class TestExtractKeywords:
             extract_keywords("swing", "a dance", MOCK)
         assert [call["request"].full_url for call in calls] == ["http://unreachable.invalid/x"]
         monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "mock")
-        config = ExtractionClientConfig(endpoint="http://unreachable.invalid/x")
-        assert extract_keywords("swing", "a partner dance", config) == ["partner", "dance"]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExtractionClientConfig(sampling_temperature=-0.1)
-        with pytest.raises(ValueError):
-            ExtractionClientConfig(max_output_tokens=0)
+        endpoint = "http://unreachable.invalid/x"
+        assert extract_keywords("swing", "a partner dance", endpoint) == ["partner", "dance"]
 
     def test_prompt_template_has_both_slots(self):
-        assert "{description}" in MOCK.prompt_template
-        assert "{action_name}" in MOCK.prompt_template
+        assert "{description}" in DEFAULT_EXTRACTION_PROMPT
+        assert "{action_name}" in DEFAULT_EXTRACTION_PROMPT
 
 
 class FakeResponse:
@@ -173,18 +167,15 @@ class TestEndpointClient:
 
     def test_newline_separated_completion(self, monkeypatch):
         fake_urlopen(monkeypatch, b"dance\npartner\nturns\n")
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
-        assert extract_keywords("salsa", "a dance", config) == ["dance", "partner", "turns"]
+        assert extract_keywords("salsa", "a dance", self.ENDPOINT) == ["dance", "partner", "turns"]
 
     def test_comma_separated_completion(self, monkeypatch):
         fake_urlopen(monkeypatch, b"dance, partner , turns")
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
-        assert extract_keywords("salsa", "a dance", config) == ["dance", "partner", "turns"]
+        assert extract_keywords("salsa", "a dance", self.ENDPOINT) == ["dance", "partner", "turns"]
 
     def test_request_carries_prompt_and_sampling_settings(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, b"dance")
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
-        extract_keywords("salsa spin", "a dance with turns", config)
+        extract_keywords("salsa spin", "a dance with turns", self.ENDPOINT)
         (call,) = calls
         request = call["request"]
         assert request.full_url == self.ENDPOINT
@@ -196,19 +187,22 @@ class TestEndpointClient:
         assert "salsa spin" in payload["prompt"]
         assert payload["temperature"] == 0.7
         assert payload["max_tokens"] == 256
+        assert request.data == (
+            b'{"prompt": "Extract 5-10 essential keywords from a dance with turns that best '
+            b'describe the action salsa spin in the paragraph. Focus on objects, motions, and '
+            b'contexts related to the action.", "temperature": 0.7, "max_tokens": 256}'
+        )
 
     def test_empty_completion_is_an_error(self, monkeypatch):
         fake_urlopen(monkeypatch, b"   \n  ")
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         with pytest.raises(ExtractionError, match="empty"):
-            extract_keywords("salsa", "a dance", config)
+            extract_keywords("salsa", "a dance", self.ENDPOINT)
 
     def test_http_error_is_reported(self, monkeypatch):
         error = urllib.error.HTTPError(self.ENDPOINT, 500, "Internal Server Error", None, None)
         fake_urlopen(monkeypatch, error)
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("salsa", "a dance", config)
+            extract_keywords("salsa", "a dance", self.ENDPOINT)
 
     @pytest.mark.parametrize(
         "outcome",
@@ -222,13 +216,12 @@ class TestEndpointClient:
     )
     def test_transport_failures_are_extraction_errors(self, monkeypatch, outcome):
         fake_urlopen(monkeypatch, outcome)
-        config = ExtractionClientConfig(endpoint=self.ENDPOINT)
         with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("salsa", "a dance", config)
+            extract_keywords("salsa", "a dance", self.ENDPOINT)
 
 
 class TestNormalizeAndFilter:
-    STOPS = default_stopwords()
+    STOPS = load_stopwords()
 
     def test_lowercase_stopword_and_duplicate_rules(self):
         result = normalize_and_filter(["The", "dance", "dance", "Partner"], self.STOPS)
@@ -327,7 +320,7 @@ class TestPipeline:
         assert load_attribute_records(path) == records
 
     def test_attribute_sets_never_contain_stopwords_or_repeats(self):
-        stops = default_stopwords()
+        stops = load_stopwords()
         entry = ClassDescription(
             "kite", "the kite and the wind with a string, the kite in the wind"
         )
@@ -341,8 +334,12 @@ class TestStopwordFile:
         stops = load_stopwords()
         assert {"the", "and", "a", "with", "has"} <= stops
         assert "dance" not in stops
+        assert load_stopwords() is stops  # read once per process
 
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "stops.txt"
-        path.write_text("# header\n\nfoo\n bar \n")
-        assert load_stopwords(path) == frozenset({"foo", "bar"})
+    def test_packaged_comments_and_blanks_are_not_words(self):
+        text = resources.files("stilab").joinpath("data/stopwords.txt").read_text("utf-8")
+        lines = [line.strip() for line in text.splitlines()]
+        assert any(line.startswith("#") for line in lines)
+        stops = load_stopwords()
+        assert "" not in stops and not any(word.startswith("#") for word in stops)
+        assert stops == {line for line in lines if line and not line.startswith("#")}

@@ -1,16 +1,20 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stilab
+from stilab import cli
 from stilab.attributes import load_attribute_records
 from stilab.cli import main
-from stilab.corpus import load_corpus
+from stilab.corpus import SyntheticCorpusSpec, load_corpus
 from stilab.encoders import FrameEmbeddingSet
 from stilab.evaluation import evaluate_split, export_saliency
 from stilab.sti import InteractionToggles
@@ -334,6 +338,20 @@ class TestConfigFile:
         assert "has the wrong type" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_file_value_outside_the_choices_is_a_usage_error(
+        self, synth_dir, trained, tmp_path, capsys
+    ):
+        config_path = self.write_config(tmp_path, {"mode": "bogus"})
+        flags = ["eval", "--corpus", synth_dir / "corpus",
+                 "--checkpoint", trained / "checkpoint.stickpt", "--config", config_path]
+        with pytest.raises(SystemExit) as excinfo:
+            cli._parse_args([str(flag) for flag in flags])
+        assert excinfo.value.code == 2
+        out = tmp_path / "out"
+        assert run_cli(*flags, "--out-dir", out) == 2
+        assert "is not one of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_int_for_a_float_flag_becomes_a_float(self, tmp_path):
         config_path = self.write_config(tmp_path, {"noise-scale": 0})
         out = tmp_path / "out"
@@ -347,6 +365,34 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["dim"] == 16
         assert manifest["config"]["seed"] == 2
+
+
+@pytest.mark.parametrize("command, settings, other_flags", [
+    ("synth", SyntheticCorpusSpec, set()),
+    ("train", TrainConfig, {"corpus", "tau_saliency"}),
+])
+def test_flags_mirror_the_settings_fields(command, settings, other_flags):
+    argv = [command] + (["--corpus", "c"] if command == "train" else [])
+    args = cli._parse_args(argv)
+    fields = dataclasses.fields(settings)
+    assert {f.name: getattr(args, f.name) for f in fields} == dataclasses.asdict(settings())
+
+    _, commands = cli._build_parser()
+    actions = commands[command]._actions
+    common = {"help", "seed", "config", "out_dir"}
+    assert {a.dest for a in actions} == common | other_flags | {f.name for f in fields}
+    types = typing.get_type_hints(settings)
+    for field in fields:
+        if field.name == "seed":
+            continue
+        (action,) = [a for a in actions if a.dest == field.name]
+        assert f"--{field.name.replace('_', '-')}" in action.option_strings
+        assert action.default == field.default
+        assert type(action.default) is type(field.default)
+        if types[field.name] is bool:
+            assert isinstance(action, argparse.BooleanOptionalAction)
+        else:
+            assert action.type is types[field.name]
 
 
 def test_cli_import_does_not_load_requests():

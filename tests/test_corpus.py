@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stilab.attributes import build_attribute_set, default_stopwords
+from stilab.attributes import CorpusFormatError, build_attribute_set, load_stopwords
 from stilab.corpus import (
     SyntheticCorpusSpec,
     generate_synthetic_corpus,
@@ -12,6 +12,11 @@ from stilab.corpus import (
 )
 from stilab.embed_io import save_embeddings
 from stilab.encoders import tokenize
+
+
+def without(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
 
 SMALL = SyntheticCorpusSpec(
     num_concepts=8,
@@ -109,7 +114,7 @@ class TestStructure:
             assert selected.keywords == concepts
 
     def test_scaffold_words_are_stopwords(self):
-        stops = default_stopwords()
+        stops = load_stopwords()
         corpus = generate_synthetic_corpus(SMALL)
         for cls in corpus.classes:
             content = [t for t in tokenize(cls.description.description) if t not in stops]
@@ -174,4 +179,29 @@ class TestPersistence:
         meta["videos"][2]["class_index"] = len(corpus.classes)
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=corpus.videos[2].video_id):
+            load_corpus(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {**meta, "spec": {**meta["spec"], "frames_per_second": 30}},
+        lambda meta: {**meta, "spec": {**meta["spec"], "dim": "8"}},
+        lambda meta: without(meta, "spec"),
+        lambda meta: {**meta, "videos": [without(v, "class_index") for v in meta["videos"]]},
+        lambda meta: {**meta, "classes": [{**c, "name": c["name"] + "x"} for c in meta["classes"]]},
+        lambda meta: [meta],
+    ], ids=["unknown-spec-key", "string-dim", "missing-spec", "video-without-class-index",
+            "class-without-description", "not-an-object"])
+    def test_malformed_metadata_is_a_value_error_naming_the_file(self, tmp_path, edit):
+        save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")
+        meta_path = tmp_path / "corpus" / "corpus.json"
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        with pytest.raises(ValueError, match="corpus.json"):
+            load_corpus(tmp_path / "corpus")
+
+    def test_malformed_description_record_reports_its_index(self, tmp_path):
+        save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")
+        path = tmp_path / "corpus" / "descriptions.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({"description": "a class without a name"})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match="record 2"):
             load_corpus(tmp_path / "corpus")

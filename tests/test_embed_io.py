@@ -58,6 +58,19 @@ class TestErrors:
         with pytest.raises(HeaderFormatError, match="non-decimal"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("header", [
+        b"\xff 3 4 5\n",
+        b"2 3 4 \xc3\n",
+        b"\xfe\xff\n",
+        "\uff12 1 1 1\n".encode("utf-8"),
+    ], ids=["first-byte-0xff", "truncated-utf8", "utf16-bom", "fullwidth-digit"])
+    def test_non_ascii_header(self, tmp_path, header):
+        path = tmp_path / "h5.bin"
+        record = b"2 1 1 1\n" + np.zeros(1).astype("<f8").tobytes()
+        path.write_bytes(MAGIC + record + header + np.zeros(1).astype("<f8").tobytes())
+        with pytest.raises(HeaderFormatError, match="not ASCII text"):
+            load_embeddings(path)
+
     @pytest.mark.parametrize("kind", [0, 1, 9])
     def test_unknown_kind(self, tmp_path, kind):
         path = tmp_path / "h3.bin"

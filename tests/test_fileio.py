@@ -1,13 +1,18 @@
 """Every artifact writer is failure-atomic: a write that raises midway leaves
 the previous file byte-identical and no temporary file behind."""
 
+import builtins
+import errno
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stilab import cli, evaluation
 from stilab._fileio import atomic_open
+from stilab.attributes import ClassDescription, run_attribute_pipeline, save_attribute_records
+from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus, save_corpus
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import MetricReport, SplitMetrics, export_saliency, write_metric_csv
 from stilab.sti import STIParameters
@@ -88,4 +93,74 @@ def test_manifest(tmp_path):
 
     assert_failed_write_keeps_old_file(
         path, lambda: write({"classes": 2}), lambda: write({"classes": object()})
+    )
+
+
+class _FullDisk:
+    """A file opened for writing whose second write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._fh.__exit__(*exc_info)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def fill_disk_while_writing(monkeypatch, name, write):
+    """Run ``write`` with every file whose name contains ``name`` failing
+    on its second write, wherever the writer opens it."""
+    real_open = builtins.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode and name in Path(file).name else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", open_)
+        write()
+
+
+SMALL_CORPUS = SyntheticCorpusSpec(num_concepts=8, seen_classes=4, unseen_classes=2,
+                                   videos_per_class=2, frames=2, patches_per_frame=3, dim=8)
+
+
+@pytest.mark.parametrize("name", ["descriptions.jsonl", "videos.bin", "corpus.json"])
+def test_corpus_files(tmp_path, monkeypatch, name):
+    corpus = generate_synthetic_corpus(SMALL_CORPUS)
+    out = tmp_path / "corpus"
+    save_corpus(corpus, out)
+    fingerprint = cli.corpus_fingerprint(out)
+    assert_failed_write_keeps_old_file(
+        out / name,
+        lambda: save_corpus(corpus, out),
+        lambda: fill_disk_while_writing(monkeypatch, name, lambda: save_corpus(corpus, out)),
+    )
+    assert cli.corpus_fingerprint(out) == fingerprint
+
+
+def test_attribute_records(tmp_path, monkeypatch):
+    path = tmp_path / "attributes.jsonl"
+    records = run_attribute_pipeline({
+        "salsa": ClassDescription("salsa", "a dance with a partner, the dance has turns"),
+        "archery": ClassDescription("archery", "shooting a bow at a target"),
+    }, 8)
+    assert_failed_write_keeps_old_file(
+        path,
+        lambda: save_attribute_records(path, records),
+        lambda: fill_disk_while_writing(
+            monkeypatch, path.name, lambda: save_attribute_records(path, records[::-1])
+        ),
     )
