@@ -144,7 +144,7 @@ def load_description_corpus(path) -> dict[str, ClassDescription]:
     """Read a line-delimited JSON corpus of {class_name, description, source_tag}.
 
     Blank lines are skipped. Malformed records and duplicate class names are
-    reported with their 1-based record index.
+    reported with the file's path and their 1-based record index.
     """
     path = Path(path)
     corpus: dict[str, ClassDescription] = {}
@@ -152,12 +152,13 @@ def load_description_corpus(path) -> dict[str, ClassDescription]:
         for index, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: record {index}"
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"record {index}: invalid JSON: {exc}", index) from exc
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc}", index) from exc
             if not isinstance(payload, dict):
-                raise CorpusFormatError(f"record {index}: expected an object", index)
+                raise CorpusFormatError(f"{where}: expected an object", index)
             try:
                 entry = ClassDescription(
                     class_name=payload.get("class_name", ""),
@@ -165,11 +166,9 @@ def load_description_corpus(path) -> dict[str, ClassDescription]:
                     source_tag=payload.get("source_tag", ""),
                 )
             except ValueError as exc:
-                raise CorpusFormatError(f"record {index}: {exc}", index) from exc
+                raise CorpusFormatError(f"{where}: {exc}", index) from exc
             if entry.class_name in corpus:
-                raise DuplicateClassError(
-                    f"record {index}: duplicate class {entry.class_name!r}", index
-                )
+                raise DuplicateClassError(f"{where}: duplicate class {entry.class_name!r}", index)
             corpus[entry.class_name] = entry
     return corpus
 

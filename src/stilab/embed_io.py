@@ -1,9 +1,10 @@
 """Bit-exact container for raw video features.
 
-File layout: the magic line ``STIEMB1\\n`` followed by one or more records.
-Each record is a decimal text header line ``2 T N_p D`` (record kind 2, raw
-per-patch video features) followed by T*N_p*D row-major little-endian
-float64 values. Any other record kind is rejected.
+File layout: the magic line ``STIEMB1\\n``, then one binary record (see
+``stilab._fileio``) per video, with header ``2 T N_p D`` (record kind 2,
+raw per-patch video features) and T*N_p*D values. Other record kinds and
+malformed headers raise ``HeaderFormatError``; a header promising more
+values than the file holds raises ``TruncatedPayloadError``.
 
 Round-trips are bitwise lossless.
 """
@@ -11,11 +12,11 @@ Round-trips are bitwise lossless.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open
+from ._fileio import atomic_open, bytes_left, read_floats, read_header, write_array
 
 MAGIC = b"STIEMB1\n"
 
@@ -38,17 +39,6 @@ class HeaderFormatError(EmbeddingIOError):
     pass
 
 
-def _read_array(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    nbytes = count * 8
-    payload = fh.read(nbytes)
-    if len(payload) != nbytes:
-        raise TruncatedPayloadError(
-            f"{what}: header promises {count} values ({nbytes} bytes), file holds {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def save_embeddings(path, videos: Sequence) -> Path:
     """Write (T, N_p, D) raw video feature arrays to a container file.
 
@@ -65,23 +55,23 @@ def save_embeddings(path, videos: Sequence) -> Path:
         fh.write(MAGIC)
         for arr in arrays:
             t, n_p, d = arr.shape
-            fh.write(f"{KIND_RAW_VIDEO} {t} {n_p} {d}\n".encode("ascii"))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            write_array(fh, f"{KIND_RAW_VIDEO} {t} {n_p} {d}", arr)
     return path
 
 
-def _parse_header(line: str) -> tuple[int, tuple[int, ...]]:
-    parts = line.split()
-    if not parts:
-        raise HeaderFormatError("empty record header")
+def _parse_header(line: str) -> tuple[int, ...]:
+    """The (T, N_p, D) of a raw-video record header ``2 T N_p D``."""
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [int(p) for p in line.split()]
     except ValueError as exc:
         raise HeaderFormatError(f"non-decimal record header {line!r}") from exc
-    kind, counts = numbers[0], tuple(numbers[1:])
-    if any(c < 1 for c in counts):
+    if numbers[:1] != [KIND_RAW_VIDEO]:
+        raise HeaderFormatError(f"unknown record kind in header {line!r}")
+    if len(numbers) != 4:
+        raise HeaderFormatError(f"raw-video header needs T N_p D, got {line!r}")
+    if min(numbers[1:]) < 1:
         raise HeaderFormatError(f"non-positive count in record header {line!r}")
-    return kind, counts
+    return tuple(numbers[1:])
 
 
 def load_embeddings(path) -> list[np.ndarray]:
@@ -92,20 +82,7 @@ def load_embeddings(path) -> list[np.ndarray]:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            try:
-                header = line.decode("ascii").rstrip("\n")
-            except UnicodeDecodeError as exc:
-                raise HeaderFormatError(f"record header is not ASCII text: {line[:32]!r}") from exc
-            if not header.strip():
-                raise HeaderFormatError("blank record header")
-            kind, counts = _parse_header(header)
-            if kind != KIND_RAW_VIDEO:
-                raise HeaderFormatError(f"unknown record kind {kind}")
-            if len(counts) != 3:
-                raise HeaderFormatError(f"raw-video header needs T N_p D, got {header!r}")
-            out.append(_read_array(fh, counts, "raw video features"))
+        while bytes_left(fh):
+            counts = _parse_header(read_header(fh, HeaderFormatError, "record header"))
+            out.append(read_floats(fh, counts, TruncatedPayloadError, "raw video features"))
     return out

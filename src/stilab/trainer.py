@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from ._fileio import atomic_open
+from ._fileio import atomic_open, read_floats, read_header, write_array
 from .autodiff import ParameterStore, ShapeMismatchError, Tape
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, text_fingerprint
 from .objective import (
@@ -41,6 +41,7 @@ _FEWSHOT_STREAM = 9001  # distinguishes the sampling stream from epoch shuffles
 
 CHECKPOINT_MAGIC = b"STICKPT1\n"
 CHECKPOINT_VERSION = 2  # version 1 predates the tau_saliency line
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # optimizer settings; the betas line records them
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -102,9 +103,6 @@ class OptimizerState:
     first_moment: dict[str, Array]
     second_moment: dict[str, Array]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_store(cls, store: ParameterStore) -> "OptimizerState":
@@ -140,13 +138,13 @@ def optimizer_step(
 
     t = state.step + 1
     lr, wd = config.learning_rate, config.weight_decay
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, g in checked.items():
-        m = state.first_moment[name] = state.beta1 * state.first_moment[name] + (1 - state.beta1) * g
-        v = state.second_moment[name] = state.beta2 * state.second_moment[name] + (1 - state.beta2) * (g * g)
+        m = state.first_moment[name] = BETA1 * state.first_moment[name] + (1 - BETA1) * g
+        v = state.second_moment[name] = BETA2 * state.second_moment[name] + (1 - BETA2) * (g * g)
         value = store.value(name)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        update = (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
         store.set_value(name, value - lr * wd * value - lr * update)
     state.step = t
 
@@ -392,13 +390,6 @@ def few_shot_finetune(
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def _write_named_arrays(fh, arrays: dict[str, Array]) -> None:
-    for name, value in arrays.items():
-        dims = " ".join(str(d) for d in value.shape)
-        fh.write(f"{name} {value.ndim}{' ' if dims else ''}{dims}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     """Serialize training state; round-trips bitwise.
 
@@ -413,35 +404,29 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
 
 def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     store, opt = checkpoint.store, checkpoint.optimizer
-    fh.write(CHECKPOINT_MAGIC)
-    fh.write(f"version {CHECKPOINT_VERSION}\n".encode("ascii"))
-    fh.write(
-        ("config " + json.dumps(asdict(checkpoint.config), sort_keys=True) + "\n").encode("utf-8")
-    )
-    fh.write(f"tau_saliency {float(checkpoint.tau_saliency)!r}\n".encode("ascii"))
-    fh.write(f"epoch {checkpoint.epoch}\n".encode("ascii"))
-    fh.write(f"step {opt.step}\n".encode("ascii"))
-    fh.write(f"betas {opt.beta1!r} {opt.beta2!r} {opt.epsilon!r}\n".encode("ascii"))
-    fh.write(f"params {len(store.names())}\n".encode("ascii"))
+    lines = [
+        f"version {CHECKPOINT_VERSION}",
+        "config " + json.dumps(asdict(checkpoint.config), sort_keys=True),
+        f"tau_saliency {float(checkpoint.tau_saliency)!r}",
+        f"epoch {checkpoint.epoch}",
+        f"step {opt.step}",
+        f"betas {BETA1!r} {BETA2!r} {EPSILON!r}",
+        f"params {len(store.names())}",
+    ]
+    fh.write(CHECKPOINT_MAGIC + "".join(f"{line}\n" for line in lines).encode("ascii"))
     for name in store.names():
-        _write_named_arrays(
-            fh,
-            {
-                name: store.value(name),
-                f"{name}.m": opt.first_moment[name],
-                f"{name}.v": opt.second_moment[name],
-            },
-        )
-    history = np.asarray(checkpoint.loss_history, dtype=np.float64)
-    fh.write(f"history {history.size}\n".encode("ascii"))
-    fh.write(np.ascontiguousarray(history, dtype="<f8").tobytes())
+        for block, value in (
+            (name, store.value(name)),
+            (f"{name}.m", opt.first_moment[name]),
+            (f"{name}.v", opt.second_moment[name]),
+        ):
+            write_array(fh, " ".join(map(str, (block, value.ndim, *value.shape))), value)
+    write_array(fh, f"history {len(checkpoint.loss_history)}", checkpoint.loss_history)
 
 
 def _read_text_line(fh, expected_key: str) -> str:
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise CheckpointFormatError(f"truncated checkpoint: missing {expected_key!r} line")
-    key, _, value = line[:-1].decode("utf-8").partition(" ")
+    line = read_header(fh, CheckpointFormatError, f"checkpoint {expected_key!r} line")
+    key, _, value = line.partition(" ")
     if key != expected_key:
         raise CheckpointFormatError(f"expected {expected_key!r} line, got {key!r}")
     return value
@@ -454,11 +439,8 @@ def _read_count(fh, key: str) -> int:
     return count
 
 
-def _read_values(fh, count: int, what: str) -> Array:
-    payload = fh.read(count * 8)
-    if len(payload) != count * 8:
-        raise CheckpointFormatError(f"truncated payload for {what}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+def _read_finite(fh, shape: tuple[int, ...], what: str) -> Array:
+    values = read_floats(fh, shape, CheckpointFormatError, what)
     if not np.isfinite(values).all():
         raise CheckpointFormatError(f"non-finite values in {what}")
     return values
@@ -466,16 +448,12 @@ def _read_values(fh, count: int, what: str) -> Array:
 
 def _read_array_block(fh, expected_name: str | None) -> tuple[str, Array]:
     """One named block; ``expected_name=None`` accepts any name."""
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise CheckpointFormatError(f"truncated checkpoint: missing array {expected_name!r}")
-    fields = line.decode("ascii").split()
+    fields = read_header(fh, CheckpointFormatError, f"checkpoint array {expected_name!r}").split()
     name, ndim, dims = fields[0], int(fields[1]), tuple(int(d) for d in fields[2:])
     wrong_name = expected_name is not None and name != expected_name
     if wrong_name or len(dims) != ndim or min(dims, default=0) < 0:
         raise CheckpointFormatError(f"corrupt array header for {expected_name!r}: {fields}")
-    count = int(np.prod(dims)) if dims else 1
-    return name, _read_values(fh, count, f"array {name!r}").reshape(dims)
+    return name, _read_finite(fh, dims, f"array {name!r}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -508,7 +486,9 @@ def _parse_checkpoint(fh) -> Checkpoint:
             raise CheckpointFormatError(f"tau_saliency must be finite and positive: {tau_saliency}")
     epoch = _read_count(fh, "epoch")
     step = _read_count(fh, "step")
-    beta1, beta2, epsilon = (float(x) for x in _read_text_line(fh, "betas").split())
+    betas = _read_text_line(fh, "betas")
+    if tuple(float(x) for x in betas.split()) != (BETA1, BETA2, EPSILON):
+        raise CheckpointFormatError(f"unsupported optimizer settings {betas!r}")
     store = ParameterStore()
     first: dict[str, Array] = {}
     second: dict[str, Array] = {}
@@ -519,17 +499,10 @@ def _parse_checkpoint(fh) -> Checkpoint:
         second[name] = _read_array_block(fh, f"{name}.v")[1]
         if not first[name].shape == second[name].shape == value.shape:
             raise CheckpointFormatError(f"moment shapes for {name!r} differ from its value")
-    history = _read_values(fh, _read_count(fh, "history"), "loss history").tolist()
+    history = _read_finite(fh, (_read_count(fh, "history"),), "loss history").tolist()
     if fh.read(1):
         raise CheckpointFormatError("trailing bytes after the loss history")
-    optimizer = OptimizerState(
-        first_moment=first,
-        second_moment=second,
-        step=step,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+    optimizer = OptimizerState(first_moment=first, second_moment=second, step=step)
     return Checkpoint(
         config=config,
         epoch=epoch,

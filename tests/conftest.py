@@ -68,3 +68,9 @@ def tiny_corpus() -> SyntheticCorpus:
 
 def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory that property-based tests reuse across their examples."""
+    return tmp_path_factory.mktemp("fuzz")

@@ -66,20 +66,20 @@ class TestLoadDescriptionCorpus:
                 {"class_name": "swing", "description": "a seat on ropes"},
             ],
         )
-        with pytest.raises(DuplicateClassError, match="swing") as excinfo:
+        with pytest.raises(DuplicateClassError, match=r"dup\.jsonl: record 2: .*'swing'") as excinfo:
             load_description_corpus(path)
         assert excinfo.value.record_index == 2
 
     def test_malformed_json_reports_record_index(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"class_name": "a", "description": "b"}\nnot json\n')
-        with pytest.raises(CorpusFormatError, match="record 2"):
+        with pytest.raises(CorpusFormatError, match=r"bad\.jsonl: record 2: invalid JSON"):
             load_description_corpus(path)
 
     def test_empty_description_reports_record_index(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_corpus(path, [{"class_name": "swing", "description": ""}])
-        with pytest.raises(CorpusFormatError, match="record 1"):
+        with pytest.raises(CorpusFormatError, match=r"bad\.jsonl: record 1: "):
             load_description_corpus(path)
 
     def test_missing_file(self, tmp_path):

@@ -203,5 +203,5 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         lines[1] = json.dumps({"description": "a class without a name"})
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match="record 2"):
+        with pytest.raises(CorpusFormatError, match=r"descriptions\.jsonl: record 2: class_name"):
             load_corpus(tmp_path / "corpus")

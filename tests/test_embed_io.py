@@ -1,14 +1,37 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stilab.embed_io import (
     MAGIC,
     BadMagicError,
+    EmbeddingIOError,
     HeaderFormatError,
     TruncatedPayloadError,
     load_embeddings,
     save_embeddings,
 )
+
+
+def mutants(raw: bytes):
+    """Strategy: ``raw`` with one byte replaced, one run of decimal digits
+    replaced by another number (up to far beyond int64), or a prefix of
+    ``raw``."""
+    def splice(start: int, end: int, middle: bytes) -> bytes:
+        return raw[:start] + middle + raw[end:]
+
+    byte = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)).map(
+        lambda change: splice(change[0], change[0] + 1, bytes([change[1]]))
+    )
+    number = st.tuples(
+        st.sampled_from([m.span() for m in re.finditer(rb"[0-9]+", raw)]),
+        st.integers(0, 10**30),
+    ).map(lambda change: splice(*change[0], str(change[1]).encode()))
+    prefix = st.integers(0, len(raw)).map(lambda cut: raw[:cut])
+    return st.one_of(byte, number, prefix)
 
 
 class TestRoundTrips:
@@ -43,6 +66,16 @@ class TestErrors:
         # header promises 3 frames, payload holds only 2 frames of patches
         payload = rng.standard_normal((2, 4, 5)).tobytes()
         path.write_bytes(MAGIC + b"2 3 4 5\n" + payload)
+        with pytest.raises(TruncatedPayloadError, match="promises"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("header", [
+        b"2 " + b"9" * 20 + b" 1 1\n",
+        b"2 4294967296 4294967296 2\n",
+    ], ids=["beyond-int64", "int64-product-wraps-to-zero"])
+    def test_header_promising_more_than_the_file_holds(self, tmp_path, header):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + header + np.zeros(2).astype("<f8").tobytes())
         with pytest.raises(TruncatedPayloadError, match="promises"):
             load_embeddings(path)
 
@@ -92,3 +125,15 @@ class TestErrors:
     def test_save_rejects_unknown_type(self, tmp_path):
         with pytest.raises(TypeError):
             save_embeddings(tmp_path / "x.bin", [np.zeros((2, 2))])
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_corrupted_container_loads_or_raises_its_typed_error(fuzz_dir, data):
+    rng = np.random.default_rng(5)
+    path = save_embeddings(fuzz_dir / "two.bin", [rng.standard_normal((2, 3, 2)) for _ in range(2)])
+    path.write_bytes(data.draw(mutants(path.read_bytes())))
+    try:
+        load_embeddings(path)
+    except EmbeddingIOError:
+        pass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stilab import trainer
 from stilab.autodiff import ParameterStore, ShapeMismatchError
@@ -22,6 +24,7 @@ from stilab.trainer import (
     write_loss_csv,
 )
 from stilab.workflow import corpus_encoder_params, train_on_corpus, training_data_for
+from test_embed_io import mutants
 
 
 def scalar_store(value: float) -> ParameterStore:
@@ -331,11 +334,11 @@ class TestCheckpointing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
         before = path.read_bytes()
 
-        def fail_midway(fh, arrays):
+        def fail_midway(fh, header, array):
             fh.write(b"partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(trainer, "_write_named_arrays", fail_midway)
+        monkeypatch.setattr(trainer, "write_array", fail_midway)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, checkpoint)
         assert path.read_bytes() == before
@@ -359,6 +362,8 @@ def _nan_log_tau(raw: bytes) -> bytes:
     return raw[:start] + np.array(np.nan).astype("<f8").tobytes() + raw[start + 8 :]
 
 
+HUGE = b"9" * 20  # beyond int64
+
 MALFORMED_CHECKPOINTS = {
     "unknown-config-key": lambda raw: raw.replace(b'config {', b'config {"bogus": 1, ', 1),
     "config-not-an-object": lambda raw: raw.replace(b'config {', b'config [{', 1),
@@ -367,7 +372,17 @@ MALFORMED_CHECKPOINTS = {
     "trailing-bytes": lambda raw: raw + b"\x00",
     "nan-parameter-block": _nan_log_tau,
     "non-positive-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency 0.0\n", 1),
+    "other-optimizer-betas": lambda raw: raw.replace(b"betas 0.9 ", b"betas 0.5 ", 1),
+    # headers promising far more values than the file holds
+    "huge-array-header": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau 1 " + HUGE + b"\n", 1),
+    "huge-history-count": lambda raw: raw.replace(b"history 2\n", b"history " + HUGE + b"\n", 1),
 }
+
+
+TINY_CHECKPOINT_CONFIG = (
+    b'{"batch_size": 16, "epochs": 2, "learning_rate": 5e-05, "num_attributes": 8, '
+    b'"seed": 0, "spatial": true, "temporal": true, "weight_decay": 0.05}'
+)
 
 
 class TestCheckpointFormat:
@@ -403,6 +418,49 @@ class TestCheckpointFormat:
         path.write_bytes(bad)
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+    def test_byte_layout(self, tmp_path):
+        def block(header: bytes, values) -> bytes:
+            return header + b"\n" + np.asarray(values, dtype="<f8").tobytes()
+
+        params = [
+            (b"video_weight 2 2 2", np.eye(2)),
+            (b"video_bias 1 2", np.zeros(2)),
+            (b"patch_weight 2 2 2", np.eye(2)),
+            (b"word_weight 2 2 2", np.eye(2)),
+            (b"log_tau 0", np.log(0.07)),
+        ]
+        expected = b"".join([
+            b"STICKPT1\n",
+            b"version 2\n",
+            b"config " + TINY_CHECKPOINT_CONFIG + b"\n",
+            b"tau_saliency 0.07\n",
+            b"epoch 2\n",
+            b"step 0\n",
+            b"betas 0.9 0.999 1e-08\n",
+            b"params 5\n",
+            *(
+                block(header.replace(b" ", suffix + b" ", 1), values)
+                for header, value in params
+                for suffix, values in (
+                    (b"", value), (b".m", np.zeros_like(value)), (b".v", np.zeros_like(value))
+                )
+            ),
+            block(b"history 2", [1.5, 1.25]),
+        ])
+        path = save_checkpoint(tmp_path / "tiny.stickpt", tiny_checkpoint())
+        assert path.read_bytes() == expected
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_corrupted_file_loads_or_raises_format_error(self, fuzz_dir, data):
+        path = save_checkpoint(fuzz_dir / "tiny.stickpt", tiny_checkpoint())
+        path.write_bytes(data.draw(mutants(path.read_bytes())))
+        try:
+            load_checkpoint(path)
+        except CheckpointFormatError:
+            pass
 
 
 class TestLossCsv:
