@@ -1,20 +1,23 @@
-"""Shared file plumbing: failure-atomic writes, and the one codec of the
-binary records in ``videos.bin`` and checkpoints. A record is an ASCII
-header line ended by ``\\n``, then row-major little-endian float64 values.
-The readers raise the ``error`` class their caller passes, so each format
-keeps its own typed errors and its own header grammar."""
+"""Shared file plumbing: failure-atomic writes, the one codec of the
+binary records in ``videos.bin`` and checkpoints, and the rules for values
+read back from files. A record is an ASCII header line ended by ``\\n``,
+then row-major little-endian float64 values. The readers raise the
+``error`` class their caller passes, so each format keeps its own typed
+errors and its own header grammar."""
 
 from __future__ import annotations
 
 import io
 import math
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 PAYLOAD_DTYPE = "<f8"
+_COUNT = re.compile(r"0|[1-9][0-9]*")  # the decimal form ``str(int)`` gives a count
 
 
 @contextmanager
@@ -73,3 +76,29 @@ def read_floats(fh, shape: tuple[int, ...], error: type[Exception], what: str) -
     values = np.empty(count, dtype=PAYLOAD_DTYPE)
     fh.readinto(values)
     return values.astype(np.float64, copy=False).reshape(shape)
+
+
+def parse_counts(text: str, error: type[Exception], what: str) -> list[int]:
+    """The counts in ``text``, written as the binary formats' writers write
+    them: unsigned decimals without leading zeros, separated by single
+    spaces. Any other form (a sign, ``_``, a tab, a leading, trailing or
+    doubled space) raises ``error``."""
+    fields = text.split(" ")
+    if not all(_COUNT.fullmatch(field) for field in fields):
+        raise error(f"{what}: non-decimal count in {text!r}")
+    return [int(field) for field in fields]
+
+
+def json_value_fits(value, kind: type) -> bool:
+    """Whether a JSON value can stand for a setting of type ``kind``: a bool
+    setting takes a JSON bool, an int one a non-bool integer, and a float one
+    any non-bool number."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    if kind is float:
+        return isinstance(value, (int, float))
+    return False

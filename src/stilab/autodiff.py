@@ -6,13 +6,28 @@ no explicit graph sort is needed. Values and gradients are dense float64
 numpy arrays; reductions use a fixed, input-independent order, which makes
 identical tapes produce bitwise-identical gradients.
 
+Backward closures save arrays and flags, never tensors, and a tape indexes
+its named leaves by id, so no reference cycle runs through a tape: it is
+freed as soon as its last tensor is dropped, not when the cycle collector
+next runs. A training loop therefore holds one step's tape at a time.
+
 The primitive set is intentionally small: it is the closure of the encoder,
 interaction and loss computations under differentiation, nothing more. One
 primitive is fused rather than elementary: ``maxsim``, the late-interaction
 score ``max over (patch, word) of patch . word``, whose backward touches only
-the winning pair instead of a dense similarity gradient. ``max_reduce`` has
-no pipeline caller; it is the dense reference the ``maxsim`` tests compare
-against.
+the winning pair instead of a dense similarity gradient.
+
+``maxsim`` scores segments: the words of K classes are concatenated into one
+(N_w, D) matrix, and K+1 offsets (``segment_offsets``) mark where each class's
+words start and end, so one record scores every class. Without offsets all
+words are one segment and the segment axis is dropped. ``weighted_sum``
+likewise contracts against K weight columns at once.
+
+``stack`` and ``max_reduce`` have no pipeline caller. They stay only because
+the per-layer tracer (``perfbench/tracing.py``) names them in its op list;
+they go once that list drops them (ROADMAP open item 5). Until then the
+tests use ``max_reduce`` as the dense MaxSim reference and ``stack`` to
+assemble the per-class reference score matrix.
 """
 
 from __future__ import annotations
@@ -87,7 +102,7 @@ class TapeTensor:
 @dataclass
 class TapeRecord:
     """One primitive application: op kind, operand ids, output id, and the
-    vector-Jacobian closure holding whatever forward values it saved."""
+    vector-Jacobian closure holding whatever forward arrays it saved."""
 
     op: str
     input_ids: tuple[int, ...]
@@ -102,15 +117,16 @@ class Tape:
     def __init__(self):
         self._records: list[TapeRecord] = []
         self._next_id = 0
-        self._param_leaves: dict[str, TapeTensor] = {}
+        self._param_ids: dict[str, int] = {}
 
     @property
     def records(self) -> Sequence[TapeRecord]:
         return tuple(self._records)
 
     @property
-    def param_leaves(self) -> Mapping[str, "TapeTensor"]:
-        return dict(self._param_leaves)
+    def param_ids(self) -> Mapping[str, int]:
+        """Tensor id of each named leaf."""
+        return dict(self._param_ids)
 
     def _new_tensor(self, data, requires_grad: bool) -> TapeTensor:
         t = TapeTensor(self, self._next_id, _as_f64(data), requires_grad)
@@ -124,9 +140,9 @@ class Tape:
         """A differentiable input. Named leaves are indexed for gradient maps."""
         t = self._new_tensor(data, requires_grad=True)
         if name is not None:
-            if name in self._param_leaves:
+            if name in self._param_ids:
                 raise AutodiffError(f"parameter leaf {name!r} registered twice on one tape")
-            self._param_leaves[name] = t
+            self._param_ids[name] = t.tid
         return t
 
     def backward(self, output: TapeTensor) -> dict[int, Array]:
@@ -204,20 +220,22 @@ def _record(op: str, inputs: Sequence[TapeTensor], out_data, backward_fn) -> Tap
 def add(a: TapeTensor, b) -> TapeTensor:
     b = _coerce(a.tape, b)
     out = a.data + b.data
+    shape_a, shape_b = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, shape_a), _unbroadcast(g, shape_b)
 
     return _record("add", (a, b), out, bw)
 
 
 def mul(a: TapeTensor, b) -> TapeTensor:
     b = _coerce(a.tape, b)
-    out = a.data * b.data
+    A, B, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
+    out = A * B
 
     def bw(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * B, A.shape) if need_a else None
+        gb = _unbroadcast(g * A, B.shape) if need_b else None
         return ga, gb
 
     return _record("mul", (a, b), out, bw)
@@ -225,15 +243,12 @@ def mul(a: TapeTensor, b) -> TapeTensor:
 
 def div(a: TapeTensor, b) -> TapeTensor:
     b = _coerce(a.tape, b)
-    out = a.data / b.data
+    A, B, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
+    out = A / B
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = (
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad
-            else None
-        )
+        ga = _unbroadcast(g / B, A.shape) if need_a else None
+        gb = _unbroadcast(-g * A / (B * B), B.shape) if need_b else None
         return ga, gb
 
     return _record("div", (a, b), out, bw)
@@ -275,7 +290,7 @@ def matmul(a: TapeTensor, b: TapeTensor) -> TapeTensor:
     Supports the pipeline shapes: (..., m, k) @ (k, n), (..., k) @ (k, n),
     (..., k) @ (k,) and (k,) @ (k,).
     """
-    A, B = a.data, b.data
+    A, B, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
     if B.ndim not in (1, 2):
         raise ShapeMismatchError(f"matmul right operand must be 1-d or 2-d, got {B.ndim}-d")
     if A.ndim == 0:
@@ -288,18 +303,18 @@ def matmul(a: TapeTensor, b: TapeTensor) -> TapeTensor:
     def bw(g):
         ga = gb = None
         if B.ndim == 2:
-            if a.requires_grad:
+            if need_a:
                 ga = np.matmul(g, B.T)
-            if b.requires_grad:
+            if need_b:
                 n = B.shape[1]
                 if A.ndim == 1:
                     gb = np.outer(A, g)
                 else:
                     gb = A.reshape(-1, k).T @ g.reshape(-1, n)
         else:  # B.ndim == 1
-            if a.requires_grad:
+            if need_a:
                 ga = g[..., None] * B if A.ndim > 1 else g * B
-            if b.requires_grad:
+            if need_b:
                 if A.ndim == 1:
                     gb = g * A
                 else:
@@ -315,17 +330,48 @@ def transpose(x: TapeTensor, axes: tuple[int, ...] | None = None) -> TapeTensor:
     return _record("transpose", (x,), out, lambda g: (np.transpose(g, inverse),))
 
 
-def maxsim(patches: TapeTensor, words: TapeTensor) -> TapeTensor:
-    """Late-interaction MaxSim: max over (patch, word) of patch . word.
+def segment_offsets(segments, count: int) -> Array:
+    """Validated segment offsets for ``count`` rows.
 
-    patches is (..., N_p, D) and words (N_w, D); the result is (...). One
-    argmax over the row-major flattened (N_p, N_w) similarities resolves ties
-    to the smallest patch, then the smallest word. The backward routes the
-    gradient to that winning pair only: g * words[w*] into patch row p*, and
-    g * patches[p*] scatter-added into word row w* in a fixed sequential
+    ``segments`` holds K+1 strictly increasing integer offsets from 0 to
+    ``count``: segment k is rows ``offsets[k]:offsets[k+1]``, so every
+    segment has at least one row. ``None`` is one segment over every row.
+    """
+    if segments is None:
+        return np.array([0, count], dtype=np.intp)
+    offsets = np.asarray(segments)
+    if (
+        offsets.ndim != 1
+        or offsets.size < 2
+        or offsets.dtype.kind not in "iu"
+        or offsets[0] != 0
+        or offsets[-1] != count
+        or np.any(np.diff(offsets) < 1)
+    ):
+        raise ShapeMismatchError(
+            f"segments must rise strictly from 0 to {count}, got {segments!r}"
+        )
+    return offsets.astype(np.intp)
+
+
+def maxsim(patches: TapeTensor, words: TapeTensor, segments=None) -> TapeTensor:
+    """Late-interaction MaxSim of patches against each segment of the words.
+
+    patches is (..., N_p, D) and words (N_w, D). ``segments`` splits the
+    words into K segments (see ``segment_offsets``), one per class, and the
+    result is (..., K): per segment, the max over (patch, word of that
+    segment) of patch . word. With ``segments=None`` every word is in one
+    segment and the segment axis is dropped, so the result is (...).
+
+    Each segment takes one argmax over the row-major flattened (N_p, n_k)
+    similarities of its own ``P @ W_kᵀ``, which resolves ties to the
+    smallest patch, then the smallest word of that segment. The backward
+    routes each score's gradient to its winning pair only: g * words[w*]
+    reaches patch row p* through a one-hot matmul over the segments, and
+    g * patches[p*] is scatter-added into word row w* in a fixed sequential
     order.
     """
-    P, W = patches.data, words.data
+    P, W, need_p, need_w = patches.data, words.data, patches.requires_grad, words.requires_grad
     if W.ndim != 2 or P.ndim < 2:
         raise ShapeMismatchError(
             f"maxsim expects patches (..., N_p, D) and words (N_w, D); got {P.shape} and {W.shape}"
@@ -334,21 +380,31 @@ def maxsim(patches: TapeTensor, words: TapeTensor) -> TapeTensor:
         raise ShapeMismatchError(f"maxsim embedding dimensions differ: {P.shape} and {W.shape}")
     if P.shape[-2] < 1 or W.shape[0] < 1:
         raise ShapeMismatchError("maxsim needs at least one patch and one word")
-    sims = np.matmul(P, W.T)
-    flat = sims.reshape(sims.shape[:-2] + (-1,))
-    best = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, best[..., None], axis=-1)[..., 0]
-    p_star, w_star = np.divmod(best, W.shape[0])
+    offsets = segment_offsets(segments, W.shape[0])
+    lead, n_p = P.shape[:-2], P.shape[-2]
+    count = offsets.size - 1
+    best_sim = np.empty(lead + (count,))
+    p_star = np.empty(lead + (count,), dtype=np.intp)
+    w_star = np.empty(lead + (count,), dtype=np.intp)
+    for k in range(count):
+        lo, hi = offsets[k], offsets[k + 1]
+        flat = np.matmul(P, W[lo:hi].T).reshape(lead + (-1,))
+        best = np.argmax(flat, axis=-1)
+        best_sim[..., k] = np.take_along_axis(flat, best[..., None], axis=-1)[..., 0]
+        p_star[..., k], w_star[..., k] = np.divmod(best, hi - lo)
+    w_star += offsets[:-1]
+    out = best_sim if segments is not None else best_sim[..., 0]
 
     def bw(g):
+        g = g.reshape(best_sim.shape)
         gp = gw = None
-        if patches.requires_grad:
-            gp = np.zeros_like(P)
-            rows = (g[..., None] * W[w_star])[..., None, :]
-            np.put_along_axis(gp, p_star[..., None, None], rows, axis=-2)
-        if words.requires_grad:
+        if need_p:
+            one_hot = np.zeros(lead + (n_p, count))
+            np.put_along_axis(one_hot, p_star[..., None, :], 1.0, axis=-2)
+            gp = np.matmul(one_hot, g[..., None] * W[w_star])
+        if need_w:
             gw = np.zeros_like(W)
-            winners = np.take_along_axis(P, p_star[..., None, None], axis=-2)[..., 0, :]
+            winners = np.take_along_axis(P, p_star[..., None], axis=-2)
             np.add.at(gw, w_star.ravel(), (g[..., None] * winners).reshape(-1, W.shape[1]))
         return gp, gw
 
@@ -376,11 +432,12 @@ def max_reduce(x: TapeTensor, axis: int) -> TapeTensor:
     """Max along one axis. Ties route the entire gradient to the smallest
     index attaining the max, matching the forward tie-break."""
     ax = _normalize_axis(axis, x.ndim)
+    shape = x.shape
     out = np.max(x.data, axis=ax)
     argmax = np.argmax(x.data, axis=ax)
 
     def bw(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape)
         np.put_along_axis(z, np.expand_dims(argmax, ax), np.expand_dims(g, ax), axis=ax)
         return (z,)
 
@@ -388,37 +445,39 @@ def max_reduce(x: TapeTensor, axis: int) -> TapeTensor:
 
 
 def mean_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
+    shape = x.shape
     if axis is None:
         out = np.mean(x.data)
         size = x.data.size
 
         def bw_all(g):
-            return (np.full(x.data.shape, g / size),)
+            return (np.full(shape, g / size),)
 
         return _record("mean_reduce", (x,), out, bw_all)
     ax = _normalize_axis(axis, x.ndim)
     out = np.mean(x.data, axis=ax)
-    count = x.data.shape[ax]
+    count = shape[ax]
 
     def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), x.data.shape) / count,)
+        return (np.broadcast_to(np.expand_dims(g, ax), shape) / count,)
 
     return _record("mean_reduce", (x,), out, bw)
 
 
 def sum_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
+    shape = x.shape
     if axis is None:
         out = np.sum(x.data)
 
         def bw_all(g):
-            return (np.full(x.data.shape, g),)
+            return (np.full(shape, g),)
 
         return _record("sum_reduce", (x,), out, bw_all)
     ax = _normalize_axis(axis, x.ndim)
     out = np.sum(x.data, axis=ax)
 
     def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
 
     return _record("sum_reduce", (x,), out, bw)
 
@@ -447,24 +506,34 @@ def log_softmax(x: TapeTensor, axis: int = -1) -> TapeTensor:
 
 
 def weighted_sum(values: TapeTensor, weights: TapeTensor) -> TapeTensor:
-    """Contract values (..., T, D) against weights (..., T) into (..., D).
+    """Contract values (..., T, D) against weights (..., T) into (..., D), or
+    against each column of weights (..., T, K) into (..., K, D).
 
-    Accumulates strictly left-to-right over T, so the result is bitwise
+    Accumulates strictly left-to-right over T, so each result row is bitwise
     identical to a naive per-step summation loop.
     """
-    if values.ndim != weights.ndim + 1 or values.shape[:-1] != weights.shape:
+    V, need_v, need_w = values.data, values.requires_grad, weights.requires_grad
+    columns = weights.ndim == values.ndim
+    w = weights.data if columns else weights.data[..., None]  # (..., T, K)
+    if values.ndim < 2 or values.shape[:-1] != w.shape[:-1]:
         raise ShapeMismatchError(
-            f"weighted_sum expects values (..., T, D) with weights (..., T); "
+            f"weighted_sum expects values (..., T, D) with weights (..., T) or (..., T, K); "
             f"got {values.shape} and {weights.shape}"
         )
-    steps = values.shape[-2]
-    out = values.data[..., 0, :] * weights.data[..., 0, None]
-    for t in range(1, steps):
-        out = out + values.data[..., t, :] * weights.data[..., t, None]
+    v = V[..., None, :]  # (..., T, 1, D)
+    out = v[..., 0, :, :] * w[..., 0, :, None]
+    for t in range(1, values.shape[-2]):
+        out = out + v[..., t, :, :] * w[..., t, :, None]
+    if not columns:
+        out = out[..., 0, :]
 
     def bw(g):
-        gv = weights.data[..., :, None] * g[..., None, :] if values.requires_grad else None
-        gw = np.einsum("...td,...d->...t", values.data, g) if weights.requires_grad else None
+        g = g if columns else g[..., None, :]  # (..., K, D)
+        gv = np.matmul(w, g) if need_v else None
+        gw = None
+        if need_w:
+            gw = np.matmul(V, np.swapaxes(g, -1, -2))
+            gw = gw if columns else gw[..., 0]
         return gv, gw
 
     return _record("weighted_sum", (values, weights), out, bw)
@@ -475,8 +544,9 @@ def weighted_sum(values: TapeTensor, weights: TapeTensor) -> TapeTensor:
 # ---------------------------------------------------------------------------
 
 def expand_dims(x: TapeTensor, axis: int) -> TapeTensor:
+    shape = x.shape
     out = np.expand_dims(x.data, axis)
-    return _record("expand_dims", (x,), out, lambda g: (g.reshape(x.data.shape),))
+    return _record("expand_dims", (x,), out, lambda g: (g.reshape(shape),))
 
 
 def stack(tensors: Sequence[TapeTensor], axis: int = 0) -> TapeTensor:
@@ -490,9 +560,7 @@ def stack(tensors: Sequence[TapeTensor], axis: int = 0) -> TapeTensor:
     needed = tuple(t.requires_grad for t in tensors)
 
     def bw(g):
-        return tuple(
-            np.take(g, i, axis=axis) if needed[i] else None for i in range(len(tensors))
-        )
+        return tuple(np.take(g, i, axis=axis) if need else None for i, need in enumerate(needed))
 
     return _record("stack", tuple(tensors), out, bw)
 
@@ -503,10 +571,11 @@ def index_select(x: TapeTensor, indices, axis: int) -> TapeTensor:
     if idx.ndim != 1:
         raise ShapeMismatchError("index_select expects a 1-d index list")
     ax = _normalize_axis(axis, x.ndim)
+    shape = x.shape
     out = np.take(x.data, idx, axis=ax)
 
     def bw(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape)
         key = (slice(None),) * ax + (idx,)
         np.add.at(z, key, g)
         return (z,)
@@ -583,11 +652,10 @@ def parameter_gradients(loss: TapeTensor, store: ParameterStore) -> GradientMap:
     Parameters the forward pass never touched get explicit zero tensors.
     """
     raw = loss.tape.backward(loss)
-    leaves = loss.tape.param_leaves
+    ids = loss.tape.param_ids
     grads: GradientMap = {}
     for name in store.names():
-        leaf = leaves.get(name)
-        g = raw.get(leaf.tid) if leaf is not None else None
+        g = raw.get(ids[name]) if name in ids else None
         grads[name] = np.asarray(g) if g is not None else np.zeros_like(store.value(name))
     return grads
 

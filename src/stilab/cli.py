@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._fileio import atomic_open
+from ._fileio import atomic_open, json_value_fits
 from .attributes import (
     MOCK_ENDPOINT,
     load_description_corpus,
@@ -53,10 +53,14 @@ class CliError(Exception):
 
 
 def _hash_paths(paths) -> str:
+    """sha256 over each file's name and bytes, in name order. Files are read
+    in 1 MiB pieces, so hashing a large corpus allocates no file-sized buffer."""
     digest = hashlib.sha256()
     for path in sorted(Path(p) for p in paths):
         digest.update(path.name.encode("utf-8"))
-        digest.update(path.read_bytes())
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -186,19 +190,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _has_flag_type(action: argparse.Action, value) -> bool:
     """Whether a --config value can stand for the flag. argparse converts a
-    string default with the flag's type, so other values must already have it;
-    a bool is not a number here."""
+    string default with the flag's type, so other values must already have
+    it, by the rule checkpoint configs also follow."""
     if isinstance(action, argparse.BooleanOptionalAction):
-        return isinstance(value, bool)
-    if isinstance(value, str):
-        return True
-    if isinstance(value, bool):
-        return False
-    if action.type is int:
-        return isinstance(value, int)
-    if action.type is float:
-        return isinstance(value, (int, float))
-    return False
+        return json_value_fits(value, bool)
+    return isinstance(value, str) or json_value_fits(value, action.type)
 
 
 def _parse_args(argv) -> argparse.Namespace:

@@ -2,7 +2,8 @@
 
 File layout: the magic line ``STIEMB1\\n``, then one binary record (see
 ``stilab._fileio``) per video, with header ``2 T N_p D`` (record kind 2,
-raw per-patch video features) and T*N_p*D values. Other record kinds and
+raw per-patch video features) and T*N_p*D values, the counts written as
+canonical decimals separated by single spaces. Other record kinds and
 malformed headers raise ``HeaderFormatError``; a header promising more
 values than the file holds raises ``TruncatedPayloadError``.
 
@@ -16,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open, bytes_left, read_floats, read_header, write_array
+from ._fileio import (
+    atomic_open, bytes_left, parse_counts, read_floats, read_header, write_array,
+)
 
 MAGIC = b"STIEMB1\n"
 
@@ -61,10 +64,7 @@ def save_embeddings(path, videos: Sequence) -> Path:
 
 def _parse_header(line: str) -> tuple[int, ...]:
     """The (T, N_p, D) of a raw-video record header ``2 T N_p D``."""
-    try:
-        numbers = [int(p) for p in line.split()]
-    except ValueError as exc:
-        raise HeaderFormatError(f"non-decimal record header {line!r}") from exc
+    numbers = parse_counts(line, HeaderFormatError, "record header")
     if numbers[:1] != [KIND_RAW_VIDEO]:
         raise HeaderFormatError(f"unknown record kind in header {line!r}")
     if len(numbers) != 4:

@@ -1,9 +1,11 @@
 """Class-conditional score matrix and the symmetric contrastive objective.
 
 Scores are cosine similarities between class embeddings and the
-interaction-refined video feature computed *for that class* (saliency
-depends on the class's attribute words, so each (video, class) pair gets
-its own forward pass). The two directional losses average, over each
+interaction-refined video feature computed *for that class*: saliency
+depends on the class's attribute words, so every (video, class) pair gets
+its own feature. All K classes share one pass, though: their words are
+concatenated into one segmented matrix, and the interaction yields a
+(B, K, D) feature per batch. The two directional losses average, over each
 anchor's positive set, the negative log-softmax of the matched score along
 the opposing axis; the total is their mean.
 """
@@ -109,27 +111,30 @@ def score_matrix_nodes(
     """Build the (B, K) cosine score matrix on a tape.
 
     ``raw_videos`` is the stacked (B, T, N_p, D) raw feature tensor; class
-    text inputs are frozen constants. The patch projection is computed once
-    and shared across classes.
+    text inputs are frozen constants. The K classes' word embeddings are
+    concatenated into one (ΣN_w, D) matrix with one segment per class, so a
+    single interaction pass yields every class's (B, K, D) feature; its
+    row-wise cosine with the K unit class embeddings gives the scores.
     """
+    if len(class_word_embeddings) != len(class_embeddings):
+        raise ValueError("need one word-embedding matrix per class embedding")
     patches, frames = encode_video_nodes(raw_videos, video_weight, video_bias)
-    shared_proj = project_nodes(patches, patch_weight) if toggles.spatial else None
-    columns: list[TapeTensor] = []
-    for words, class_embedding in zip(class_word_embeddings, class_embeddings):
-        nodes = sti_pipeline_nodes(
-            patches=patches,
-            frames=frames,
-            words=tape.constant(words),
-            patch_weight=patch_weight,
-            word_weight=word_weight,
-            tau_saliency=tau_saliency,
-            toggles=toggles,
-            proj_patches=shared_proj,
-        )
-        normalized = ad.l2_normalize(nodes["feature"], axis=-1)  # (B, D)
-        column = ad.matmul(normalized, tape.constant(_unit(np.asarray(class_embedding))))
-        columns.append(ad.clip(column, -1.0, 1.0))
-    return ad.stack(columns, axis=1)
+    segments = np.cumsum([0] + [len(words) for words in class_word_embeddings])
+    nodes = sti_pipeline_nodes(
+        patches=patches,
+        frames=frames,
+        words=tape.constant(np.concatenate(class_word_embeddings)),
+        patch_weight=patch_weight,
+        word_weight=word_weight,
+        tau_saliency=tau_saliency,
+        toggles=toggles,
+        segments=segments,
+        proj_patches=project_nodes(patches, patch_weight) if toggles.spatial else None,
+    )
+    units = np.stack([_unit(np.asarray(embedding)) for embedding in class_embeddings])
+    normalized = ad.l2_normalize(nodes["feature"], axis=-1)  # (B, K, D) or (B, 1, D)
+    cosines = ad.sum_reduce(ad.mul(normalized, tape.constant(units)), axis=-1)
+    return ad.clip(cosines, -1.0, 1.0)
 
 
 def score_matrix(

@@ -7,6 +7,10 @@ word-to-frame similarities into a softmax saliency over frames (averaged
 across words) and aggregates frame embeddings with those weights into one
 class-conditional video feature. Both stages can be toggled off; with both
 off the result is exactly the mean-pool baseline.
+
+The words may be segmented: K classes' words concatenated into one matrix
+with K+1 offsets, so that one pass scores every class (see the tape graph
+builders below). A single class is the one-segment case of the same code.
 """
 
 from __future__ import annotations
@@ -113,6 +117,13 @@ class STIOutput:
 # ---------------------------------------------------------------------------
 # tape graph builders (shared by the numpy wrappers, the objective and the
 # trainer, so there is exactly one implementation of the math)
+#
+# Words may come as K segments, one per class, concatenated into one
+# (N_w, D) matrix and split by ``segments`` offsets (see
+# ``ad.segment_offsets``). Every class is then scored in one pass: spatial
+# scores and saliency gain a trailing K axis, (..., T, K), and the feature a
+# K axis before D, (..., K, D). With ``segments=None`` all words form one
+# segment and no K axis is added.
 # ---------------------------------------------------------------------------
 
 def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
@@ -120,32 +131,64 @@ def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
     return ad.relu(ad.matmul(x, weight))
 
 
-def spatial_nodes(
-    proj_patches: TapeTensor, proj_words: TapeTensor, frames: TapeTensor
-) -> tuple[TapeTensor, TapeTensor]:
-    """Per-frame MaxSim scores and score-rescaled frame features.
+def spatial_nodes(proj_patches: TapeTensor, proj_words: TapeTensor, segments=None) -> TapeTensor:
+    """Per-frame MaxSim score of each segment of words.
 
-    proj_patches is (..., T, N_p, D), proj_words (N_w, D), frames (..., T, D).
-    The scores come from the fused ``ad.maxsim`` primitive: ties resolve to
-    the lexicographically smallest (patch, word) pair, and the backward
-    reaches only each frame's winning patch and word rows.
+    proj_patches is (..., T, N_p, D) and proj_words (N_w, D); the scores are
+    (..., T, K), or (..., T) without segments. They come from the fused
+    ``ad.maxsim`` primitive: within a segment, ties resolve to the
+    lexicographically smallest (patch, word) pair, and the backward reaches
+    only each score's winning patch and word rows.
     """
-    scores = ad.maxsim(proj_patches, proj_words)  # (..., T)
-    feats = ad.mul(ad.expand_dims(scores, -1), frames)
-    return scores, feats
+    return ad.maxsim(proj_patches, proj_words, segments)
+
+
+def _segment_maps(num_words: int, segments) -> tuple[Array | None, Array]:
+    """(spread, pool) constants for the segments of ``num_words`` words.
+
+    spread (K, N_w) copies each segment's value to its words; pool (N_w, K)
+    averages each segment's words. Without segments there is nothing to
+    spread, and pool is the (N_w,) mean over all words.
+    """
+    if segments is None:
+        return None, np.full(num_words, 1.0 / num_words)
+    offsets = ad.segment_offsets(segments, num_words)
+    lengths = np.diff(offsets)
+    spread = np.repeat(np.eye(lengths.size), lengths, axis=1)
+    return spread, spread.T / lengths
 
 
 def temporal_nodes(
-    spatial_feats: TapeTensor, proj_words: TapeTensor, tau: float
+    frames: TapeTensor,
+    proj_words: TapeTensor,
+    tau: float,
+    scores: TapeTensor | None = None,
+    segments=None,
 ) -> TapeTensor:
-    """Frame saliency: per-word softmax over frames, averaged across words."""
-    logits = ad.mul(ad.matmul(spatial_feats, ad.transpose(proj_words)), 1.0 / tau)
-    per_word = ad.softmax(logits, axis=-2)  # softmax over the frame axis
-    return ad.mean_reduce(per_word, axis=-1)  # (..., T)
+    """Frame saliency of each segment: a softmax over frames of each word's
+    logits, averaged over the segment's words.
+
+    Word w of segment k has logit ``s[..., t, k] * (frames[..., t] . w) / tau``
+    at frame t, where s are the spatial ``scores`` ((..., T, K), or (..., T)
+    without segments); with the spatial stage off (``scores=None``) s reads
+    1. One ``frames @ proj_wordsᵀ`` serves every segment. frames is
+    (..., T, D); the saliency is (..., T, K), or (..., T) without segments.
+    """
+    spread, pool = _segment_maps(proj_words.shape[0], segments)
+    tape = frames.tape
+    logits = ad.matmul(frames, ad.transpose(proj_words))  # (..., T, N_w)
+    if scores is not None:
+        scale = (
+            ad.expand_dims(scores, -1) if spread is None else ad.matmul(scores, tape.constant(spread))
+        )
+        logits = ad.mul(logits, scale)
+    per_word = ad.softmax(ad.mul(logits, 1.0 / tau), axis=-2)  # softmax over the frame axis
+    return ad.matmul(per_word, tape.constant(pool))
 
 
 def aggregate_nodes(frames: TapeTensor, weights: TapeTensor) -> TapeTensor:
-    """Saliency-weighted sum of frame embeddings."""
+    """Saliency-weighted sum of frame embeddings: (..., T, D) frames against
+    (..., T) weights give (..., D); against (..., T, K) weights, (..., K, D)."""
     return ad.weighted_sum(frames, weights)
 
 
@@ -158,46 +201,50 @@ def sti_pipeline_nodes(
     word_weight: TapeTensor,
     tau_saliency: float,
     toggles: InteractionToggles,
+    segments=None,
     proj_patches: TapeTensor | None = None,
 ) -> dict[str, TapeTensor | None]:
-    """Full interaction pipeline on a tape.
+    """Full interaction pipeline on a tape, for every segment of words at once.
 
-    With the spatial stage off, frame features pass through unscaled (scores
-    read as 1). With the temporal stage off the aggregation is the exact
-    arithmetic frame mean, so disabling both reproduces the mean-pool
-    baseline bitwise. ``proj_patches`` may be passed in to share one patch
-    projection across many classes.
+    Patches and words are each projected once. With the spatial stage off,
+    frames enter the saliency unscaled (scores read as 1). With the temporal
+    stage off the aggregation is the exact arithmetic frame mean, so
+    disabling both reproduces the mean-pool baseline bitwise; that feature is
+    the same for every segment, so with segments it is (..., 1, D).
+    ``proj_patches`` may be passed in when the caller has projected the
+    patches already.
     """
     if words.shape[0] < 1:
         raise ShapeMismatchError("need at least one attribute word embedding")
     needs_words = toggles.spatial or toggles.temporal
     proj_words = project_nodes(words, word_weight) if needs_words else None
 
+    scores = None
     if toggles.spatial:
         if proj_patches is None:
             proj_patches = project_nodes(patches, patch_weight)
-        scores, spatial_feats = spatial_nodes(proj_patches, proj_words, frames)
-    else:
-        scores, spatial_feats = None, frames
+        scores = spatial_nodes(proj_patches, proj_words, segments)
 
     if toggles.temporal:
-        saliency = temporal_nodes(spatial_feats, proj_words, tau_saliency)
+        saliency = temporal_nodes(frames, proj_words, tau_saliency, scores, segments)
         feature = aggregate_nodes(frames, saliency)
     else:
         saliency = None
         feature = ad.mean_reduce(frames, axis=-2)
+        if segments is not None:
+            feature = ad.expand_dims(feature, -2)
 
-    return {
-        "feature": feature,
-        "spatial_scores": scores,
-        "spatial_features": spatial_feats,
-        "saliency": saliency,
-    }
+    return {"feature": feature, "spatial_scores": scores, "saliency": saliency}
 
 
 # ---------------------------------------------------------------------------
 # array-facing operations
 # ---------------------------------------------------------------------------
+
+def _spatial_result(scores: Array, frames: Array) -> SpatialResult:
+    """Scores with the frames they rescale: frame t times its score."""
+    return SpatialResult(spatial_scores=scores, spatial_features=scores[:, None] * frames)
+
 
 def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialResult:
     """MaxSim spatial scoring of already-projected patches against words.
@@ -219,10 +266,8 @@ def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialRe
     if frame_embeddings.shape[0] != proj_patches.shape[0]:
         raise ShapeMismatchError("frame count mismatch between patches and frame embeddings")
     tape = Tape()
-    scores, feats = spatial_nodes(
-        tape.constant(proj_patches), tape.constant(proj_words), tape.constant(frame_embeddings)
-    )
-    return SpatialResult(spatial_scores=scores.data, spatial_features=feats.data)
+    scores = spatial_nodes(tape.constant(proj_patches), tape.constant(proj_words))
+    return _spatial_result(scores.data, frame_embeddings)
 
 
 def sti_forward(
@@ -253,9 +298,8 @@ def sti_forward(
     t = frames.num_frames
     scores = nodes["spatial_scores"]
     saliency = nodes["saliency"]
-    spatial = SpatialResult(
-        spatial_scores=scores.data if scores is not None else np.ones(t),
-        spatial_features=nodes["spatial_features"].data,
+    spatial = _spatial_result(
+        scores.data if scores is not None else np.ones(t), frames.frame_class_embeddings
     )
     temporal = TemporalSaliency(
         weights=saliency.data if saliency is not None else np.full(t, 1.0 / t)

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from ._fileio import atomic_open, read_floats, read_header, write_array
+from ._fileio import (
+    atomic_open, json_value_fits, parse_counts, read_floats, read_header, write_array,
+)
 from .autodiff import ParameterStore, ShapeMismatchError, Tape
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, text_fingerprint
 from .objective import (
@@ -433,9 +435,7 @@ def _read_text_line(fh, expected_key: str) -> str:
 
 
 def _read_count(fh, key: str) -> int:
-    count = int(_read_text_line(fh, key))
-    if count < 0:
-        raise CheckpointFormatError(f"negative {key} count {count}")
+    (count,) = parse_counts(_read_text_line(fh, key), CheckpointFormatError, f"checkpoint {key!r}")
     return count
 
 
@@ -448,12 +448,26 @@ def _read_finite(fh, shape: tuple[int, ...], what: str) -> Array:
 
 def _read_array_block(fh, expected_name: str | None) -> tuple[str, Array]:
     """One named block; ``expected_name=None`` accepts any name."""
-    fields = read_header(fh, CheckpointFormatError, f"checkpoint array {expected_name!r}").split()
-    name, ndim, dims = fields[0], int(fields[1]), tuple(int(d) for d in fields[2:])
-    wrong_name = expected_name is not None and name != expected_name
-    if wrong_name or len(dims) != ndim or min(dims, default=0) < 0:
-        raise CheckpointFormatError(f"corrupt array header for {expected_name!r}: {fields}")
-    return name, _read_finite(fh, dims, f"array {name!r}")
+    header = read_header(fh, CheckpointFormatError, f"checkpoint array {expected_name!r}")
+    name, _, counts = header.partition(" ")
+    ndim, *dims = parse_counts(counts, CheckpointFormatError, f"checkpoint array {name!r}")
+    if (expected_name is not None and name != expected_name) or len(dims) != ndim:
+        raise CheckpointFormatError(f"corrupt array header for {expected_name!r}: {header!r}")
+    return name, _read_finite(fh, tuple(dims), f"array {name!r}")
+
+
+def _config_from_json(values) -> TrainConfig:
+    """A TrainConfig from the checkpoint's config object, each value checked
+    against its field's type by the rule ``--config`` files follow."""
+    if not isinstance(values, dict):
+        raise CheckpointFormatError(f"checkpoint config is not a JSON object: {values!r}")
+    for setting in fields(TrainConfig):
+        value = values.get(setting.name, setting.default)
+        if not json_value_fits(value, type(setting.default)):
+            raise CheckpointFormatError(
+                f"checkpoint config value {value!r} for {setting.name!r} has the wrong type"
+            )
+    return TrainConfig(**values)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -475,10 +489,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _parse_checkpoint(fh) -> Checkpoint:
-    version = int(_read_text_line(fh, "version"))
+    version = _read_count(fh, "version")
     if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    config = TrainConfig(**json.loads(_read_text_line(fh, "config")))
+    config = _config_from_json(json.loads(_read_text_line(fh, "config")))
     tau_saliency = DEFAULT_SALIENCY_TEMPERATURE
     if version >= 2:
         tau_saliency = float(_read_text_line(fh, "tau_saliency"))

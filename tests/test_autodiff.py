@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,131 @@ class TestMaxSim:
             ad.maxsim(tape.constant(np.ones(p_shape)), tape.constant(np.ones(w_shape)))
 
 
+def random_segments(rng, count):
+    """K+1 offsets splitting ``count`` rows into K >= 1 non-empty segments."""
+    cuts = np.sort(rng.choice(np.arange(1, count), size=int(rng.integers(0, count)), replace=False))
+    return np.concatenate([[0], cuts, [count]])
+
+
+class TestSegmentedMaxSim:
+    LEADING = TestMaxSim.LEADING
+
+    def instances(self, integer, seed):
+        rng = np.random.default_rng(seed)
+        for lead in self.LEADING:
+            for _ in range(10):
+                n_w = int(rng.integers(1, 9))
+                if integer:  # small integers make exact ties within a segment common
+                    patches = rng.integers(0, 3, size=lead + (4, 3)).astype(float)
+                    words = rng.integers(0, 3, size=(n_w, 3)).astype(float)
+                else:
+                    patches = rng.standard_normal(lead + (4, 3))
+                    words = rng.standard_normal((n_w, 3))
+                segments = random_segments(rng, n_w)
+                upstream = rng.standard_normal(lead + (segments.size - 1,))
+                yield patches, words, segments, upstream
+
+    def test_forward_equals_one_call_per_segment(self):
+        for patches, words, segments, _ in self.instances(True, 40):
+            tape = Tape()
+            scores = ad.maxsim(tape.constant(patches), tape.constant(words), segments)
+            assert scores.shape == patches.shape[:-2] + (segments.size - 1,)
+            for k, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
+                one = ad.maxsim(tape.constant(patches), tape.constant(words[lo:hi]))
+                assert np.array_equal(scores.data[..., k], one.data)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_gradients_equal_per_segment_reference(self, integer):
+        for patches, words, segments, upstream in self.instances(integer, 41):
+            build = lambda p, w: ad.maxsim(p, w, segments)  # noqa: E731
+            _, gp, gw = maxsim_grads(build, patches, words, upstream)
+            want_gp = np.zeros_like(patches)
+            want_gw = []
+            for k, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
+                _, gp_k, gw_k = maxsim_grads(ad.maxsim, patches, words[lo:hi], upstream[..., k])
+                want_gp += gp_k
+                want_gw.append(gw_k)
+            assert np.allclose(gp, want_gp, rtol=0.0, atol=1e-12)
+            assert np.allclose(gw, np.concatenate(want_gw), rtol=0.0, atol=1e-12)
+
+    def test_each_segment_routes_ties_to_smallest_patch_then_word(self):
+        # every patch-word product is 1 except patch 0 against word 2 (0):
+        # segment [0, 2) ties everywhere and picks (patch 0, word 0); segment
+        # [2, 4) loses patch 0 to word 3's tie and picks (patch 0, word 3)
+        patches = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        patches[0] = [0.0, 1.0]
+        words = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        scores, gp, gw = maxsim_grads(
+            lambda p, w: ad.maxsim(p, w, [0, 2, 4]), patches, words, np.array([1.0, 10.0])
+        )
+        assert np.array_equal(scores, [1.0, 1.0])
+        assert np.array_equal(gp, [[0.0, 11.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(gw, [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 10.0]])
+
+    def test_one_segment_equals_no_segments_bitwise(self):
+        for patches, words, _, upstream in self.instances(False, 42):
+            one = [0, words.shape[0]]
+            seg = maxsim_grads(lambda p, w: ad.maxsim(p, w, one), patches, words, upstream[..., :1])
+            plain = maxsim_grads(ad.maxsim, patches, words, upstream[..., 0])
+            assert np.array_equal(seg[0][..., 0], plain[0])
+            assert np.array_equal(seg[1], plain[1]) and np.array_equal(seg[2], plain[2])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(43)
+        store = ParameterStore()
+        store.register("p", rng.standard_normal((2, 3, 4, 3)))
+        store.register("w", rng.standard_normal((7, 3)))
+        upstream = rng.standard_normal((2, 3, 3))
+
+        def loss_fn(params):
+            tape = Tape()
+            leaves = params.leaves(tape)
+            scores = ad.maxsim(leaves["p"], leaves["w"], [0, 1, 4, 7])
+            return ad.sum_reduce(ad.mul(scores, tape.constant(upstream)))
+
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-6
+
+    @pytest.mark.parametrize("segments", [
+        [0, 2, 2, 3], [1, 3], [0, 2], [0, 4], [3], [[0, 3]], [0.0, 3.0], [0, 2, 1, 3],
+    ])
+    def test_malformed_segments_rejected(self, segments):
+        tape = Tape()
+        with pytest.raises(ShapeMismatchError):
+            ad.maxsim(tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 3))), segments)
+
+
+class TestWeightedSumColumns:
+    def test_each_column_matches_naive_loop_exactly(self):
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            t, d, k = (int(n) for n in rng.integers(1, 7, size=3))
+            values = rng.standard_normal((2, t, d))
+            weights = rng.standard_normal((2, t, k))
+            tape = Tape()
+            out = ad.weighted_sum(tape.constant(values), tape.constant(weights)).data
+            assert out.shape == (2, k, d)
+            for column in range(k):
+                naive = values[:, 0] * weights[:, 0, column, None]
+                for step in range(1, t):
+                    naive = naive + values[:, step] * weights[:, step, column, None]
+                assert np.array_equal(out[:, column], naive)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(45)
+        store = ParameterStore()
+        store.register("v", rng.standard_normal((2, 4, 3)))
+        store.register("w", rng.standard_normal((2, 4, 5)))
+        upstream = rng.standard_normal((2, 5, 3))
+
+        def loss_fn(params):
+            tape = Tape()
+            leaves = params.leaves(tape)
+            out = ad.weighted_sum(leaves["v"], leaves["w"])
+            return ad.sum_reduce(ad.mul(out, tape.constant(upstream)))
+
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-8
+
+
 def out_of_place_backward(tape, output):
     """Reference gradient loop that always sums into a fresh array."""
     grads = {output.tid: np.ones((), dtype=np.float64)}
@@ -301,6 +429,38 @@ def fan_out_graph():
     for branch in branches[1:]:
         total = ad.add(total, ad.mul(branch, tape.constant(rng.standard_normal((4, 3)))))
     return tape, ad.sum_reduce(total), (x, s)
+
+
+def every_primitive_loss(store, tape):
+    """A scalar loss on ``tape`` whose graph applies every tape primitive."""
+    leaves = store.leaves(tape)
+    x, w = leaves["x"], leaves["w"]
+    nodes = [
+        ad.add(x, x), ad.mul(x, 2.0), ad.div(x, 3.0), ad.neg(x), ad.exp(x), ad.relu(x),
+        ad.clip(x, 0.0, 1.0), ad.matmul(x, w), ad.transpose(x), ad.maxsim(x, w, [0, 1, 3]),
+        ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1), ad.softmax(x),
+        ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
+        ad.expand_dims(x, 0), ad.stack([x, x]), ad.matmul(ad.sum_reduce(x, 0), ad.mean_reduce(w, 0)),
+    ]
+    return ad.sum_reduce(ad.stack([ad.sum_reduce(node) for node in nodes]))
+
+
+class TestTapeLifetime:
+    def test_reference_counting_frees_a_used_tape(self):
+        # no tape object takes part in a reference cycle, so dropping the
+        # loss frees its tape and every saved array without the cycle collector
+        store = ParameterStore()
+        store.register("x", np.random.default_rng(46).random((2, 3, 3)))
+        store.register("w", np.eye(3))
+        gc.disable()
+        try:
+            loss = every_primitive_loss(store, Tape())
+            parameter_gradients(loss, store)
+            tape = weakref.ref(loss.tape)
+            del loss
+            assert tape() is None
+        finally:
+            gc.enable()
 
 
 class TestInPlaceAccumulation:
@@ -352,6 +512,12 @@ class TestShapeErrors:
         tape = Tape()
         with pytest.raises(ShapeMismatchError):
             ad.weighted_sum(tape.constant(np.ones((3, 4))), tape.constant(np.ones(2)))
+
+    @pytest.mark.parametrize("weights_shape", [(2, 1), (4,), (3, 4, 1), (1, 3, 4)])
+    def test_weighted_sum_column_shape_check(self, weights_shape):
+        tape = Tape()
+        with pytest.raises(ShapeMismatchError):
+            ad.weighted_sum(tape.constant(np.ones((3, 4))), tape.constant(np.ones(weights_shape)))
 
     def test_stack_shape_check(self):
         tape = Tape()

@@ -153,6 +153,19 @@ class TestEval:
         assert lines[0] == "split_id,top1,top5"
         assert len(lines) == 6
 
+    def test_checkpoint_config_of_the_wrong_type_fails(self, synth_dir, trained, tmp_path, capsys):
+        checkpoint = tmp_path / "bad.stickpt"
+        raw = (trained / "checkpoint.stickpt").read_bytes()
+        checkpoint.write_bytes(raw.replace(b'"num_attributes": 8', b'"num_attributes": 2.5', 1))
+        code = run_cli(
+            "eval", "--seed", 3, "--out-dir", tmp_path / "eval", "--corpus", synth_dir / "corpus",
+            "--checkpoint", checkpoint,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint config value 2.5 for 'num_attributes' has the wrong type" in err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_mean_pool_toggles_reproduce_library_baseline(self, synth_dir, trained, tmp_path):
         out = tmp_path / "eval-off"
         run_cli(

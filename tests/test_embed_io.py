@@ -92,6 +92,20 @@ class TestErrors:
             load_embeddings(path)
 
     @pytest.mark.parametrize("header", [
+        b"2 +1 10 1", b"2 1 1_0 1", b"2 1 010 1", b" 2 1 10 1", b"2 1 10 1 ", b"2 1  10 1",
+        b"2\t1 10 1", b"2 -1 10 1",
+    ], ids=["plus-sign", "underscore", "leading-zero", "leading-space", "trailing-space",
+            "double-space", "tab", "minus-sign"])
+    def test_non_canonical_count(self, tmp_path, header):
+        # each header reads as (1, 10, 1) under int(); only "2 1 10 1" is valid
+        path = tmp_path / "h6.bin"
+        path.write_bytes(MAGIC + header + b"\n" + np.zeros(10).astype("<f8").tobytes())
+        with pytest.raises(HeaderFormatError, match="non-decimal"):
+            load_embeddings(path)
+        path.write_bytes(MAGIC + b"2 1 10 1\n" + np.zeros(10).astype("<f8").tobytes())
+        assert load_embeddings(path)[0].shape == (1, 10, 1)
+
+    @pytest.mark.parametrize("header", [
         b"\xff 3 4 5\n",
         b"2 3 4 \xc3\n",
         b"\xfe\xff\n",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from stilab.autodiff import ParameterStore, Tape, finite_difference_check
-from stilab.encoders import EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence, encode_video
+from stilab import autodiff as ad
+from stilab.autodiff import ParameterStore, Tape, finite_difference_check, parameter_gradients
+from stilab.encoders import (
+    EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence, encode_video, encode_video_nodes,
+)
 from stilab.objective import (
     BatchRecord,
     PositiveSet,
@@ -21,6 +24,7 @@ from stilab.trainer import (
     PARAM_VIDEO_BIAS,
     PARAM_VIDEO_WEIGHT,
     PARAM_WORD_WEIGHT,
+    default_parameter_store,
 )
 from test_sti import text_of
 
@@ -332,3 +336,94 @@ class TestEndToEndGradients:
 
         err = finite_difference_check(loss_fn, store, eps=1e-5, coords_per_param=4, seed=7)
         assert err < 1e-5
+
+
+def per_class_score_matrix(tape, raw, word_sets, class_embeddings, leaves, tau_saliency, toggles):
+    """Reference (B, K) score matrix built one class at a time from tape
+    primitives: each class rescales the frames by its own MaxSim scores, takes
+    its own saliency and feature, and adds one column."""
+    patches, frames = encode_video_nodes(
+        tape.constant(raw), leaves[PARAM_VIDEO_WEIGHT], leaves[PARAM_VIDEO_BIAS]
+    )
+    columns = []
+    for words, class_embedding in zip(word_sets, class_embeddings):
+        proj_words = ad.relu(ad.matmul(tape.constant(words), leaves[PARAM_WORD_WEIGHT]))
+        feats = frames
+        if toggles.spatial:
+            proj_patches = ad.relu(ad.matmul(patches, leaves[PARAM_PATCH_WEIGHT]))
+            feats = ad.mul(ad.expand_dims(ad.maxsim(proj_patches, proj_words), -1), frames)
+        if toggles.temporal:
+            logits = ad.mul(ad.matmul(feats, ad.transpose(proj_words)), 1.0 / tau_saliency)
+            saliency = ad.mean_reduce(ad.softmax(logits, axis=-2), axis=-1)
+            feature = ad.weighted_sum(frames, saliency)
+        else:
+            feature = ad.mean_reduce(frames, axis=-2)
+        unit = class_embedding / np.linalg.norm(class_embedding)
+        column = ad.matmul(ad.l2_normalize(feature, axis=-1), tape.constant(unit))
+        columns.append(ad.clip(column, -1.0, 1.0))
+    return ad.stack(columns, axis=1)
+
+
+def segmented_score_matrix(tape, raw, word_sets, class_embeddings, leaves, tau_saliency, toggles):
+    return score_matrix_nodes(
+        tape,
+        raw_videos=tape.constant(raw),
+        class_word_embeddings=word_sets,
+        class_embeddings=class_embeddings,
+        video_weight=leaves[PARAM_VIDEO_WEIGHT],
+        video_bias=leaves[PARAM_VIDEO_BIAS],
+        patch_weight=leaves[PARAM_PATCH_WEIGHT],
+        word_weight=leaves[PARAM_WORD_WEIGHT],
+        tau_saliency=tau_saliency,
+        toggles=toggles,
+    )
+
+
+class TestSegmentedScoreMatrix:
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_matches_per_class_reference(self, spatial, temporal):
+        # scores and every parameter gradient of the in-batch loss, over
+        # random batches with 1 to 4 classes of 1 to 6 words each
+        toggles = InteractionToggles(spatial, temporal)
+        rng = np.random.default_rng(300 + 2 * spatial + temporal)
+        for trial in range(12):
+            b, k = int(rng.integers(1, 6)), 1 if trial < 3 else int(rng.integers(2, 5))
+            t, n_p, d = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            raw = rng.standard_normal((b, t, n_p, d))
+            word_sets = [rng.standard_normal((int(rng.integers(1, 7)), d)) for _ in range(k)]
+            class_embeddings = [rng.standard_normal(d) for _ in range(k)]
+            labels = rng.integers(0, k, size=b)
+            store = ParameterStore()
+            store.register(PARAM_VIDEO_WEIGHT, np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+            store.register(PARAM_VIDEO_BIAS, 0.1 * rng.standard_normal(d))
+            store.register(PARAM_PATCH_WEIGHT, np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+            store.register(PARAM_WORD_WEIGHT, np.eye(d) + 0.1 * rng.standard_normal((d, d)))
+            store.register(PARAM_LOG_TAU, np.log(0.3))
+
+            def run(build):
+                tape = Tape()
+                leaves = store.leaves(tape)
+                scores = build(tape, raw, word_sets, class_embeddings, leaves, 0.3, toggles)
+                in_batch = ad.index_select(scores, labels, axis=1)
+                tau = temperature_node(tape, leaves[PARAM_LOG_TAU])
+                *_, total = loss_nodes(in_batch, PositiveSet.from_labels(labels), tau)
+                return scores.data, parameter_gradients(total, store)
+
+            scores, grads = run(segmented_score_matrix)
+            want_scores, want_grads = run(per_class_score_matrix)
+            assert scores.shape == (b, k)
+            assert np.allclose(scores, want_scores, rtol=0.0, atol=1e-12)
+            assert set(grads) == set(want_grads) and len(grads) == 5
+            for name, grad in grads.items():
+                assert np.allclose(grad, want_grads[name], rtol=0.0, atol=1e-12), name
+
+    def test_class_lists_must_pair_up(self):
+        rng = np.random.default_rng(310)
+        tape = Tape()
+        leaves = default_parameter_store(3).leaves(tape)
+        with pytest.raises(ValueError):
+            segmented_score_matrix(
+                tape, rng.standard_normal((1, 2, 2, 3)), [np.ones((2, 3))] * 2, [np.ones(3)],
+                leaves, 0.07, InteractionToggles(),
+            )

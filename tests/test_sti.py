@@ -13,6 +13,7 @@ from stilab.sti import (
     saliency_rows,
     spatial_interaction,
     sti_forward,
+    sti_pipeline_nodes,
     temporal_nodes,
 )
 from stilab import autodiff as ad
@@ -165,7 +166,7 @@ class TestSpatialInteraction:
         words = tape.leaf(np.array([[1.0, 1.0], [1.0, 1.0]]))
         from stilab.sti import spatial_nodes
 
-        scores, _ = spatial_nodes(patches, ad.relu(words), tape.constant(np.ones((1, 2))))
+        scores = spatial_nodes(patches, ad.relu(words))
         grads = tape.backward(ad.sum_reduce(scores, axis=0))
         assert np.array_equal(grads[words.tid], [[1.0, 1.0], [0.0, 0.0]])
 
@@ -176,7 +177,7 @@ class TestSpatialInteraction:
         words = tape.constant(np.array([[1.0, 2.0]]))
         from stilab.sti import spatial_nodes
 
-        scores, _ = spatial_nodes(patches, words, tape.constant(np.ones((1, 2))))
+        scores = spatial_nodes(patches, words)
         grads = tape.backward(ad.sum_reduce(scores, axis=0))
         assert np.array_equal(grads[patches.tid], [[[1.0, 2.0], [0.0, 0.0]]])
 
@@ -190,13 +191,14 @@ class TestSpatialInteraction:
         frames = np.stack([b[2] for b in batch])
         tape = Tape()
         p = tape.leaf(patches)
-        scores, feats = spatial_nodes(p, tape.constant(words), tape.constant(frames))
-        assert [rec.op for rec in tape.records] == ["maxsim", "expand_dims", "mul"]
+        scores = spatial_nodes(p, tape.constant(words))
+        assert [rec.op for rec in tape.records] == ["maxsim"]
         grad = tape.backward(ad.sum_reduce(scores))[p.tid]
         for i in range(3):
             want_scores, want_feats, argpairs = maxsim_enumeration(patches[i], words, frames[i])
             assert np.array_equal(scores.data[i], want_scores)
-            assert np.array_equal(feats.data[i], want_feats)
+            result = spatial_interaction(patches[i], words, frames[i])
+            assert np.array_equal(result.spatial_features, want_feats)
             for t, (k, l) in enumerate(argpairs):
                 want = np.zeros_like(patches[i, t])
                 want[k] = words[l]
@@ -409,3 +411,45 @@ class TestForwardPipeline:
         frames, text, params = random_pair(rng, t=8)
         rows = saliency_rows(sti_forward(frames, text, params))
         assert [r[0] for r in rows] == list(range(8))
+
+
+class TestSegmentedPipeline:
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_each_segment_matches_its_own_pass(self, spatial, temporal):
+        # one pass over K segments against one unsegmented pass per segment
+        toggles = InteractionToggles(spatial, temporal)
+        rng = np.random.default_rng(17 + 2 * spatial + temporal)
+        for _ in range(10):
+            b, t, n_p, d = (int(n) for n in rng.integers(1, 5, size=4))
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            segments = np.concatenate([[0], np.cumsum(lengths)])
+            words = rng.standard_normal((int(segments[-1]), d + 1))
+            patches = rng.standard_normal((b, t, n_p, d + 1))
+            frames = rng.standard_normal((b, t, d + 1))
+            weights = [np.eye(d + 1) + 0.1 * rng.standard_normal((d + 1, d + 1)) for _ in range(2)]
+
+            def run(word_rows, segments=None):
+                tape = Tape()
+                return sti_pipeline_nodes(
+                    patches=tape.constant(patches), frames=tape.constant(frames),
+                    words=tape.constant(word_rows), patch_weight=tape.constant(weights[0]),
+                    word_weight=tape.constant(weights[1]), tau_saliency=0.3, toggles=toggles,
+                    segments=segments,
+                )
+
+            together = run(words, segments)
+            want_feature_shape = (b, lengths.size if temporal else 1, d + 1)
+            assert together["feature"].shape == want_feature_shape
+            for k, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
+                alone = run(words[lo:hi])
+                feature = together["feature"].data[:, k if temporal else 0]
+                assert np.allclose(feature, alone["feature"].data, rtol=0.0, atol=1e-12)
+                for key in ("spatial_scores", "saliency"):
+                    if alone[key] is None:
+                        assert together[key] is None
+                        continue
+                    got = together[key].data[..., k]
+                    assert np.allclose(got, alone[key].data, rtol=0.0, atol=1e-12), key
+            if temporal:
+                assert np.allclose(together["saliency"].data.sum(axis=-2), 1.0, atol=1e-12)

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stilab import trainer
-from stilab.autodiff import ParameterStore, ShapeMismatchError
+from stilab.autodiff import ParameterStore, ShapeMismatchError, parameter_gradients
 from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from stilab.encoders import text_fingerprint
 from stilab.trainer import (
@@ -21,8 +24,10 @@ from stilab.trainer import (
     optimizer_step,
     resume_fit,
     save_checkpoint,
+    training_step_loss,
     write_loss_csv,
 )
+from stilab.sti import InteractionToggles
 from stilab.workflow import corpus_encoder_params, train_on_corpus, training_data_for
 from test_embed_io import mutants
 
@@ -246,6 +251,53 @@ class TestFewShot:
             few_shot_sample(data, 0, seed=0)
 
 
+class TestTrainingStepTape:
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_record_count_does_not_grow_with_the_class_count(
+        self, default_corpora, spatial, temporal
+    ):
+        # a batch of 16 videos from 1 class and one of 2 videos from each of 8
+        # classes: all classes share one segmented pass, so the tapes match
+        corpus = default_corpora[0]
+        data, _ = training_data_for(
+            corpus, corpus.seen_class_indices, 8, corpus_encoder_params(corpus)
+        )
+        stacked = np.stack([video.patch_embeddings for video in data.videos])
+        store = default_parameter_store(data.dim)
+        counts = []
+        for distinct in (1, 8):
+            per_class = 16 // distinct
+            batch = np.concatenate(
+                [np.nonzero(data.labels == c)[0][:per_class] for c in range(distinct)]
+            )
+            loss = training_step_loss(
+                store, stacked[batch], data.labels[batch], data,
+                InteractionToggles(spatial, temporal), 0.07,
+            )
+            counts.append(len(loss.tape.records))
+        assert counts[0] == counts[1] <= 40
+
+    def test_step_tape_is_freed_with_its_loss(self, small_training):
+        # the fit loop holds each step's tape only through its loss, so the
+        # tape goes as soon as the next step replaces the loss, not whenever
+        # the cycle collector next runs
+        _, data = small_training
+        stacked = np.stack([video.patch_embeddings for video in data.videos[:8]])
+        store = default_parameter_store(data.dim)
+        gc.disable()
+        try:
+            loss = training_step_loss(
+                store, stacked, data.labels[:8], data, InteractionToggles(), 0.07
+            )
+            parameter_gradients(loss, store)
+            tape = weakref.ref(loss.tape)
+            del loss
+            assert tape() is None
+        finally:
+            gc.enable()
+
+
 class TestCheckpointing:
     def make_checkpoint(self, data, epochs=3, seed=6):
         config = TrainConfig.desk_scale(epochs=epochs, seed=seed, batch_size=8)
@@ -376,6 +428,25 @@ MALFORMED_CHECKPOINTS = {
     # headers promising far more values than the file holds
     "huge-array-header": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau 1 " + HUGE + b"\n", 1),
     "huge-history-count": lambda raw: raw.replace(b"history 2\n", b"history " + HUGE + b"\n", 1),
+    # counts in a form other than the canonical decimal the writer emits
+    "plus-sign-version": lambda raw: raw.replace(b"version 2\n", b"version +2\n", 1),
+    "underscore-epoch": lambda raw: raw.replace(b"epoch 2\n", b"epoch 0_2\n", 1),
+    "leading-zero-step": lambda raw: raw.replace(b"step 0\n", b"step 00\n", 1),
+    "leading-space-params": lambda raw: raw.replace(b"params 5\n", b"params  5\n", 1),
+    "trailing-space-history": lambda raw: raw.replace(b"history 2\n", b"history 2 \n", 1),
+    "plus-sign-array-ndim": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau +0\n", 1),
+    "double-space-array-dims": lambda raw: raw.replace(
+        b"video_weight 2 2 2\n", b"video_weight 2  2 2\n", 1),
+    "tab-in-array-dims": lambda raw: raw.replace(
+        b"video_weight 2 2 2\n", b"video_weight 2 2\t2\n", 1),
+    "underscore-array-dim": lambda raw: raw.replace(b"video_bias 1 2\n", b"video_bias 1 0_2\n", 1),
+    # config values of a type their TrainConfig field does not take
+    "float-for-int-config": lambda raw: raw.replace(
+        b'"num_attributes": 8', b'"num_attributes": 2.5', 1),
+    "bool-for-int-config": lambda raw: raw.replace(b'"epochs": 2', b'"epochs": true', 1),
+    "int-for-bool-config": lambda raw: raw.replace(b'"spatial": true', b'"spatial": 1', 1),
+    "string-for-float-config": lambda raw: raw.replace(
+        b'"learning_rate": 5e-05', b'"learning_rate": "5e-05"', 1),
 }
 
 
