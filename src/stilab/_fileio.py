@@ -1,12 +1,14 @@
-"""Shared file plumbing: failure-atomic writes, the one codec of the
-binary records in ``videos.bin`` and checkpoints, and the rules for values
-read back from files. A record is an ASCII header line ended by ``\\n``,
-then row-major little-endian float64 values. The readers raise the
-``error`` class their caller passes, so each format keeps its own typed
-errors and its own header grammar."""
+"""Shared file plumbing: failure-atomic writes, the content fingerprint of
+a set of files, the one codec of the binary records in ``videos.bin`` and
+checkpoints, and the rules for values read back from files. A record is an
+ASCII header line ended by ``\\n``, then row-major little-endian float64
+values. The readers raise the ``error`` class their caller passes, so each
+format keeps its own typed errors and its own header grammar."""
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import io
 import math
 import os
@@ -39,6 +41,51 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
+class Fingerprint:
+    """sha256 over each file's name and then its bytes, in path order: the
+    one fingerprint rule of run manifests.
+
+    A reader that parses some of the files takes them in path order, with
+    ``read_bytes`` or with ``take`` and then feeding every byte it reads to
+    ``update``; so the fingerprint costs no second read of what it parses.
+    The files it passes over are hashed in 1 MiB pieces, so hashing
+    allocates no file-sized buffer.
+    """
+
+    def __init__(self, paths):
+        self._pending = sorted(Path(p) for p in paths)
+        self._digest = hashlib.sha256()
+        self.update = self._digest.update
+
+    def _hash_up_to(self, path: Path | None) -> None:
+        while self._pending and self._pending[0] != path:
+            self.update(self._pending[0].name.encode("utf-8"))
+            with open(self._pending.pop(0), "rb") as fh:
+                while chunk := fh.read(1 << 20):
+                    self.update(chunk)
+
+    def take(self, path) -> Path:
+        """Hash the files before ``path`` and then its name; the caller
+        reads ``path`` and feeds its bytes to ``update``."""
+        path = Path(path)
+        if path not in self._pending:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        self._hash_up_to(path)
+        self.update(self._pending.pop(0).name.encode("utf-8"))
+        return path
+
+    def read_bytes(self, path) -> bytes:
+        """Read ``path`` whole, hashing it as it is returned."""
+        data = self.take(path).read_bytes()
+        self.update(data)
+        return data
+
+    def hexdigest(self) -> str:
+        """Hash the files not yet taken and return the fingerprint."""
+        self._hash_up_to(None)
+        return self._digest.hexdigest()
+
+
 def write_array(fh, header: str, array) -> None:
     """Write one record: ``header`` as an ASCII line, then the values."""
     fh.write(f"{header}\n".encode("ascii"))
@@ -56,7 +103,11 @@ def bytes_left(fh) -> int:
 def read_header(fh, error: type[Exception], what: str) -> str:
     """Read one newline-terminated ASCII line and return it without the
     newline; a missing newline or a non-ASCII byte raises ``error``."""
-    line = fh.readline()
+    return header_text(fh.readline(), error, what)
+
+
+def header_text(line: bytes, error: type[Exception], what: str) -> str:
+    """A header ``line`` as read, ``\\n`` included, without its newline."""
     if not line.endswith(b"\n"):
         raise error(f"{what}: truncated header line {line[:32]!r}")
     try:
@@ -65,16 +116,26 @@ def read_header(fh, error: type[Exception], what: str) -> str:
         raise error(f"{what}: header is not ASCII text: {line[:32]!r}") from exc
 
 
-def read_floats(fh, shape: tuple[int, ...], error: type[Exception], what: str) -> np.ndarray:
+def read_floats(
+    fh, shape: tuple[int, ...], error: type[Exception], what: str,
+    left: int | None = None, digest=None,
+) -> np.ndarray:
     """Read a float64 array of ``shape``; a header promising more values
-    than ``fh`` holds raises ``error`` before anything is read."""
+    than ``fh`` holds raises ``error`` before anything is read. A caller
+    that tracks its position passes the bytes ``left`` after it, which
+    spares the seeks that measure it; the bytes read also go to
+    ``digest.update`` when a digest is given."""
     count = math.prod(shape)
     nbytes = 8 * count
-    left = bytes_left(fh)
+    if left is None:
+        left = bytes_left(fh)
     if not 0 <= nbytes <= left:
         raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
     values = np.empty(count, dtype=PAYLOAD_DTYPE)
-    fh.readinto(values)
+    if fh.readinto(values) != nbytes:
+        raise error(f"{what}: file ended inside its {count} values")
+    if digest is not None:
+        digest.update(values)
     return values.astype(np.float64, copy=False).reshape(shape)
 
 
@@ -92,7 +153,9 @@ def parse_counts(text: str, error: type[Exception], what: str) -> list[int]:
 def json_value_fits(value, kind: type) -> bool:
     """Whether a JSON value can stand for a setting of type ``kind``: a bool
     setting takes a JSON bool, an int one a non-bool integer, and a float one
-    any non-bool number."""
+    any non-bool number; a str one takes a JSON string."""
+    if kind is str:
+        return isinstance(value, str)
     if kind is bool:
         return isinstance(value, bool)
     if isinstance(value, bool):

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._fileio import atomic_open
+from ._fileio import atomic_open, json_value_fits
 from .encoders import tokenize
 
 ENDPOINT_ENV_VAR = "STILAB_EXTRACTOR_ENDPOINT"
@@ -141,35 +141,45 @@ def _resolved_endpoint(endpoint: str) -> str:
 
 
 def load_description_corpus(path) -> dict[str, ClassDescription]:
-    """Read a line-delimited JSON corpus of {class_name, description, source_tag}.
+    """Read a line-delimited JSON corpus of {class_name, description, source_tag}."""
+    return parse_description_corpus(Path(path).read_bytes(), path)
 
-    Blank lines are skipped. Malformed records and duplicate class names are
-    reported with the file's path and their 1-based record index.
+
+def parse_description_corpus(data: bytes, path) -> dict[str, ClassDescription]:
+    """Parse the bytes of a description corpus read from ``path``.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and blank lines are
+    skipped. A record that is not UTF-8 JSON text, not an object of string
+    fields, or that repeats a class name raises CorpusFormatError with the
+    file's path and the record's 1-based index.
     """
-    path = Path(path)
     corpus: dict[str, ClassDescription] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: record {index}"
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc}", index) from exc
-            if not isinstance(payload, dict):
-                raise CorpusFormatError(f"{where}: expected an object", index)
-            try:
-                entry = ClassDescription(
-                    class_name=payload.get("class_name", ""),
-                    description=payload.get("description", ""),
-                    source_tag=payload.get("source_tag", ""),
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{where}: {exc}", index) from exc
-            if entry.class_name in corpus:
-                raise DuplicateClassError(f"{where}: duplicate class {entry.class_name!r}", index)
-            corpus[entry.class_name] = entry
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for index, raw in enumerate(lines, start=1):
+        where = f"{path}: record {index}"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{where}: not UTF-8 text: {exc}", index) from exc
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{where}: invalid JSON: {exc}", index) from exc
+        if not isinstance(payload, dict):
+            raise CorpusFormatError(f"{where}: expected an object", index)
+        fields = {key: payload.get(key, "") for key in ("class_name", "description", "source_tag")}
+        for key, value in fields.items():
+            if not json_value_fits(value, str):
+                raise CorpusFormatError(f"{where}: {key} must be a string, got {value!r}", index)
+        try:
+            entry = ClassDescription(**fields)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{where}: {exc}", index) from exc
+        if entry.class_name in corpus:
+            raise DuplicateClassError(f"{where}: duplicate class {entry.class_name!r}", index)
+        corpus[entry.class_name] = entry
     return corpus
 
 

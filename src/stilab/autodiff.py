@@ -264,8 +264,9 @@ def exp(x: TapeTensor) -> TapeTensor:
 
 
 def relu(x: TapeTensor) -> TapeTensor:
+    """max(x, 0): -0.0 becomes +0.0 and a NaN passes through."""
     mask = x.data > 0.0
-    out = np.where(mask, x.data, 0.0)
+    out = np.maximum(x.data, 0.0)
     return _record("relu", (x,), out, lambda g: (g * mask,))
 
 

@@ -10,21 +10,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from ._fileio import atomic_open, json_value_fits
+from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import (
     MOCK_ENDPOINT,
-    load_description_corpus,
+    parse_description_corpus,
     run_attribute_pipeline,
     save_attribute_records,
 )
-from .corpus import SyntheticCorpusSpec, generate_synthetic_corpus, load_corpus, save_corpus
+from .corpus import (
+    SyntheticCorpusSpec,
+    corpus_fingerprint,
+    generate_synthetic_corpus,
+    load_corpus,
+    save_corpus,
+)
 from .encoders import FrameEmbeddingSet
 from .evaluation import (
     MetricReport, SplitMetrics, evaluate_split, export_saliency, write_metric_csv,
@@ -50,25 +55,6 @@ MANIFEST_FILENAME = "manifest.json"
 
 class CliError(Exception):
     pass
-
-
-def _hash_paths(paths) -> str:
-    """sha256 over each file's name and bytes, in name order. Files are read
-    in 1 MiB pieces, so hashing a large corpus allocates no file-sized buffer."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(p) for p in paths):
-        digest.update(path.name.encode("utf-8"))
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-    return digest.hexdigest()
-
-
-def corpus_fingerprint(corpus_dir) -> str:
-    """Content hash over every file in a corpus directory."""
-    corpus_dir = Path(corpus_dir)
-    files = [p for p in sorted(corpus_dir.iterdir()) if p.is_file()]
-    return _hash_paths(files)
 
 
 def _write_manifest(
@@ -128,63 +114,78 @@ def _from_fields(settings: type, args: argparse.Namespace):
                        for field in dataclasses.fields(settings)})
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by command name."""
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    p.add_argument("--config", type=Path, default=None, help="JSON file of flag defaults")
+    p.add_argument("--out-dir", type=Path, default=Path("stilab-out"))
+
+
+def _attrs_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", type=Path, required=True, help="descriptions JSONL file")
+    p.add_argument("--num-attributes", type=int, default=8)
+    p.add_argument("--extractor", default=MOCK_ENDPOINT, help='"mock" or an HTTP endpoint URL')
+
+
+def _synth_flags(p: argparse.ArgumentParser) -> None:
+    _add_field_flags(p, SyntheticCorpusSpec)
+
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
+    _add_field_flags(p, TrainConfig)
+    p.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
+
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--checkpoint", type=Path, required=True)
+    p.add_argument("--mode", choices=("zero-shot", "seen", "few-shot"), default="zero-shot")
+    p.add_argument("--shots", type=int, default=4, help="K for few-shot mode")
+    p.add_argument("--finetune-epochs", type=int, default=50)
+    p.add_argument("--subset-size", type=int, default=None,
+                   help="classes sampled per split (default: all)")
+    p.add_argument("--num-attributes", type=int, default=None,
+                   help="override the checkpoint's attribute count")
+    p.add_argument("--spatial", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=None)
+
+
+def _saliency_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--checkpoint", type=Path, required=True)
+    p.add_argument("--video-id", required=True)
+    p.add_argument("--class-name", required=True)
+    p.add_argument("--num-attributes", type=int, default=None)
+
+
+# Each command's help line and the function that adds its own flags.
+_COMMAND_FLAGS = {
+    "attrs": ("build descriptive attributes from a description corpus", _attrs_flags),
+    "synth": ("generate a synthetic corpus directory", _synth_flags),
+    "train": ("train on a corpus's seen classes", _train_flags),
+    "eval": ("evaluate a checkpoint on a corpus", _eval_flags),
+    "saliency": ("export per-frame saliency for a (video, class) pair", _saliency_flags),
+}
+
+
+def _build_parser(
+    flagged=tuple(_COMMAND_FLAGS),
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name.
+    Every command is registered, but only those in ``flagged`` get their
+    flags: a command line names one, and building the rest costs time."""
     parser = argparse.ArgumentParser(
         prog="stilab",
         description="Descriptive attributes + spatial-temporal interaction, desk scale.",
     )
     parser.add_argument("--version", action="version", version=f"stilab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-        p.add_argument("--config", type=Path, default=None, help="JSON file of flag defaults")
-        p.add_argument("--out-dir", type=Path, default=Path("stilab-out"))
-
-    p_attrs = sub.add_parser("attrs", help="build descriptive attributes from a description corpus")
-    common(p_attrs)
-    p_attrs.add_argument("--corpus", type=Path, required=True, help="descriptions JSONL file")
-    p_attrs.add_argument("--num-attributes", type=int, default=8)
-    p_attrs.add_argument(
-        "--extractor", default=MOCK_ENDPOINT, help='"mock" or an HTTP endpoint URL'
-    )
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus directory")
-    common(p_synth)
-    _add_field_flags(p_synth, SyntheticCorpusSpec)
-
-    p_train = sub.add_parser("train", help="train on a corpus's seen classes")
-    common(p_train)
-    p_train.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    _add_field_flags(p_train, TrainConfig)
-    p_train.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    common(p_eval)
-    p_eval.add_argument("--corpus", type=Path, required=True)
-    p_eval.add_argument("--checkpoint", type=Path, required=True)
-    p_eval.add_argument(
-        "--mode", choices=("zero-shot", "seen", "few-shot"), default="zero-shot"
-    )
-    p_eval.add_argument("--shots", type=int, default=4, help="K for few-shot mode")
-    p_eval.add_argument("--finetune-epochs", type=int, default=50)
-    p_eval.add_argument("--subset-size", type=int, default=None,
-                        help="classes sampled per split (default: all)")
-    p_eval.add_argument("--num-attributes", type=int, default=None,
-                        help="override the checkpoint's attribute count")
-    p_eval.add_argument("--spatial", action=argparse.BooleanOptionalAction, default=None)
-    p_eval.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=None)
-
-    p_sal = sub.add_parser("saliency", help="export per-frame saliency for a (video, class) pair")
-    common(p_sal)
-    p_sal.add_argument("--corpus", type=Path, required=True)
-    p_sal.add_argument("--checkpoint", type=Path, required=True)
-    p_sal.add_argument("--video-id", required=True)
-    p_sal.add_argument("--class-name", required=True)
-    p_sal.add_argument("--num-attributes", type=int, default=None)
-    commands = {"attrs": p_attrs, "synth": p_synth, "train": p_train, "eval": p_eval,
-                "saliency": p_sal}
+    commands = {}
+    for name, (help_line, add_flags) in _COMMAND_FLAGS.items():
+        commands[name] = sub.add_parser(name, help=help_line)
+        if name in flagged:
+            _common_flags(commands[name])
+            add_flags(commands[name])
     return parser, commands
 
 
@@ -198,7 +199,7 @@ def _has_flag_type(action: argparse.Action, value) -> bool:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    parser, commands = _build_parser()
+    parser, commands = _build_parser(argv[:1])
     args = parser.parse_args(argv)
     # The file's values become defaults of the command's own flags, so an
     # explicit flag wins in any spelling argparse accepts and a file string
@@ -225,14 +226,15 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def cmd_attrs(args) -> tuple[list[Path], dict, str | None]:
-    corpus = load_description_corpus(args.corpus)
+    files = Fingerprint([args.corpus])
+    corpus = parse_description_corpus(files.read_bytes(args.corpus), args.corpus)
     records = run_attribute_pipeline(corpus, args.num_attributes, args.extractor)
     out = save_attribute_records(args.out_dir / "attributes.jsonl", records)
     results = {
         "classes": len(records),
         "shortfall_classes": sum(1 for r in records if r.shortfall),
     }
-    return [out], results, _hash_paths([args.corpus])
+    return [out], results, files.hexdigest()
 
 
 def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
@@ -258,7 +260,7 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
         "first_epoch_loss": run.result.loss_history[0],
         "final_epoch_loss": run.result.loss_history[-1],
     }
-    return [ckpt_path, loss_path], results, corpus_fingerprint(args.corpus)
+    return [ckpt_path, loss_path], results, corpus.fingerprint
 
 
 def _toggles_for_eval(args, config: TrainConfig) -> InteractionToggles:
@@ -345,7 +347,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
             "top5_std": report.top5_std,
         }
     metrics_path = write_metric_csv(args.out_dir / "metrics.csv", report)
-    return [metrics_path], results, corpus_fingerprint(args.corpus)
+    return [metrics_path], results, corpus.fingerprint
 
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
@@ -365,7 +367,7 @@ def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
         toggles=checkpoint.config.toggles,
     )
     results = {"video_id": args.video_id, "class_name": args.class_name}
-    return [out_path], results, corpus_fingerprint(args.corpus)
+    return [out_path], results, corpus.fingerprint
 
 
 _COMMANDS = {

@@ -12,14 +12,15 @@ pretrained joint embedding space.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._fileio import atomic_open
-from .attributes import ClassDescription, load_description_corpus
+from ._fileio import Fingerprint, atomic_open, json_value_fits
+from .attributes import ClassDescription, parse_description_corpus
 from .embed_io import load_embeddings, save_embeddings
 from .encoders import token_vector
 
@@ -107,6 +108,7 @@ class SyntheticCorpus:
     concept_vectors: Array  # (num_concepts, D)
     classes: list[CorpusClass]
     videos: list[VideoSample]
+    fingerprint: str | None = None  # of the directory it was loaded from
 
     @property
     def seen_class_indices(self) -> tuple[int, ...]:
@@ -318,76 +320,143 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
     return [descriptions_path, videos_path, metadata_path]
 
 
-def load_corpus(corpus_dir) -> SyntheticCorpus:
-    """Load a corpus directory written by save_corpus.
+def corpus_fingerprint(corpus_dir) -> str:
+    """Content hash over every regular file in a corpus directory; a corpus
+    that ``load_corpus`` read carries the same value, from the bytes it
+    parsed."""
+    return Fingerprint(_corpus_files(corpus_dir)).hexdigest()
 
-    Malformed metadata, including a missing or mistyped entry, raises
-    ValueError; a malformed descriptions.jsonl or videos.bin raises its
-    reader's own errors.
+
+def _corpus_files(corpus_dir) -> list[Path]:
+    return [path for path in Path(corpus_dir).iterdir() if path.is_file()]
+
+
+def load_corpus(corpus_dir) -> SyntheticCorpus:
+    """Load a corpus directory written by save_corpus, reading each file once.
+
+    Malformed metadata, including a missing or mistyped entry and one that
+    disagrees with the other two files, raises ValueError naming corpus.json;
+    a malformed descriptions.jsonl or videos.bin raises its reader's own
+    typed errors. The corpus's ``fingerprint`` is
+    ``corpus_fingerprint(corpus_dir)``, computed from the bytes read here.
     """
     corpus_dir = Path(corpus_dir)
     try:
-        return _parse_corpus(corpus_dir)
-    except (KeyError, TypeError) as exc:
+        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         metadata_path = corpus_dir / METADATA_FILENAME
         raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
 
 
-def _parse_corpus(corpus_dir: Path) -> SyntheticCorpus:
-    meta = json.loads((corpus_dir / METADATA_FILENAME).read_text("utf-8"))
+def _typed(entry: dict, key: str, kind: type):
+    """``entry[key]``, which must be a JSON value of type ``kind``."""
+    value = entry[key]
+    if not json_value_fits(value, kind):
+        raise TypeError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _typed_tuple(entry: dict, key: str, kind: type) -> tuple:
+    """``entry[key]``, which must be a list of JSON values of type ``kind``."""
+    values = entry[key]
+    if not (isinstance(values, list) and all(json_value_fits(v, kind) for v in values)):
+        raise TypeError(f"{key!r} must be a list of {kind.__name__}, got {values!r}")
+    return tuple(values)
+
+
+def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) -> Array:
+    """Every video's (T, N_p) concept indices as one (videos, T, N_p) array,
+    checked for type, shape and range in one pass over all videos."""
+    rows = [entry["patch_concepts"] for entry in entries]
+    chain = itertools.chain.from_iterable
+    if set(map(type, chain(chain(rows)))) - {int}:
+        raise TypeError("'patch_concepts' must be lists of lists of int")
+    patch_concepts = np.array(rows, dtype=np.int64)
+    if rows and patch_concepts.shape != (len(rows), *shape):
+        raise ValueError(
+            f"patch_concepts have shape {patch_concepts.shape[1:]}, spec expects {shape}"
+        )
+    if patch_concepts.size and not (
+        0 <= patch_concepts.min() and patch_concepts.max() < num_concepts
+    ):
+        raise ValueError(f"patch_concepts must lie in [0, {num_concepts})")
+    return patch_concepts
+
+
+def _parse_corpus(corpus_dir: Path, files: Fingerprint) -> SyntheticCorpus:
+    # The files are read in name order, as the fingerprint hashes them.
+    meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
         raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
     if meta.get("format_version") != 1:
         raise ValueError(f"unsupported corpus format version {meta.get('format_version')!r}")
-    spec = SyntheticCorpusSpec(**meta["spec"])
+    spec_values = meta["spec"]
+    if not isinstance(spec_values, dict):
+        raise TypeError(f"'spec' must be an object, got {spec_values!r}")
+    for setting in fields(SyntheticCorpusSpec):
+        if setting.name in spec_values:
+            _typed(spec_values, setting.name, type(setting.default))
+    spec = SyntheticCorpusSpec(**spec_values)
     spec.validate()
 
-    concept_words = tuple(meta["concept_words"])
+    concept_words = _typed_tuple(meta, "concept_words", str)
+    if len(concept_words) != spec.num_concepts:
+        raise ValueError(f"{len(concept_words)} concept words for {spec.num_concepts} concepts")
     concept_vectors = np.stack(
         [token_vector(word, spec.seed, spec.dim) for word in concept_words]
     )
 
-    descriptions = load_description_corpus(corpus_dir / DESCRIPTIONS_FILENAME)
+    descriptions_path = corpus_dir / DESCRIPTIONS_FILENAME
+    descriptions = parse_description_corpus(files.read_bytes(descriptions_path), descriptions_path)
 
     classes = []
-    for entry in meta["classes"]:
+    for position, entry in enumerate(meta["classes"]):
+        if _typed(entry, "index", int) != position:
+            raise ValueError(f"class {position} has index {entry['index']}")
+        concept_indices = _typed_tuple(entry, "concept_indices", int)
+        if not all(0 <= i < spec.num_concepts for i in concept_indices):
+            raise ValueError(f"class {position} has concept_indices {concept_indices}, "
+                             f"corpus has {spec.num_concepts} concepts")
         classes.append(
             CorpusClass(
-                index=entry["index"],
-                name=entry["name"],
-                concept_indices=tuple(entry["concept_indices"]),
-                filler_words=tuple(entry["filler_words"]),
+                index=position,
+                name=_typed(entry, "name", str),
+                concept_indices=concept_indices,
+                filler_words=_typed_tuple(entry, "filler_words", str),
                 description=descriptions[entry["name"]],
-                seen=entry["seen"],
+                seen=_typed(entry, "seen", bool),
             )
         )
 
-    features_list = load_embeddings(corpus_dir / VIDEOS_FILENAME)
+    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files)
+    fingerprint = files.hexdigest()
     if len(features_list) != len(meta["videos"]):
         raise ValueError(
             f"corpus metadata lists {len(meta['videos'])} videos, "
             f"container holds {len(features_list)}"
         )
     expected_shape = (spec.frames, spec.patches_per_frame, spec.dim)
+    patch_concepts = _patch_concepts(meta["videos"], expected_shape[:2], spec.num_concepts)
     videos = []
-    for entry, features in zip(meta["videos"], features_list):
-        video_id = entry["video_id"]
+    for entry, features, concepts in zip(meta["videos"], features_list, patch_concepts):
+        video_id = _typed(entry, "video_id", str)
         if features.shape != expected_shape:
             raise ValueError(
                 f"video {video_id!r} has features of shape {features.shape}, "
                 f"corpus spec expects {expected_shape}"
             )
-        if not 0 <= entry["class_index"] < len(classes):
+        class_index = _typed(entry, "class_index", int)
+        if not 0 <= class_index < len(classes):
             raise ValueError(
-                f"video {video_id!r} has class_index {entry['class_index']}, "
+                f"video {video_id!r} has class_index {class_index}, "
                 f"corpus has {len(classes)} classes"
             )
         videos.append(
             VideoSample(
                 video_id=video_id,
-                class_index=entry["class_index"],
+                class_index=class_index,
                 features=features,
-                patch_concepts=np.asarray(entry["patch_concepts"], dtype=np.int64),
+                patch_concepts=concepts,
             )
         )
 
@@ -397,4 +466,5 @@ def _parse_corpus(corpus_dir: Path) -> SyntheticCorpus:
         concept_vectors=concept_vectors,
         classes=classes,
         videos=videos,
+        fingerprint=fingerprint,
     )

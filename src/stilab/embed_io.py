@@ -12,14 +12,13 @@ Round-trips are bitwise lossless.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._fileio import (
-    atomic_open, bytes_left, parse_counts, read_floats, read_header, write_array,
-)
+from ._fileio import atomic_open, header_text, parse_counts, read_floats, write_array
 
 MAGIC = b"STIEMB1\n"
 
@@ -74,15 +73,32 @@ def _parse_header(line: str) -> tuple[int, ...]:
     return tuple(numbers[1:])
 
 
-def load_embeddings(path) -> list[np.ndarray]:
-    """Read every record from a container file, in order."""
+def load_embeddings(path, digest=None) -> list[np.ndarray]:
+    """Read every record from a container file, in order, as writeable
+    C-contiguous float64 arrays. The file is streamed once, front to back;
+    every byte read also goes to ``digest.update`` when a digest is given."""
     path = Path(path)
     out: list[np.ndarray] = []
+    shapes: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        while bytes_left(fh):
-            counts = _parse_header(read_header(fh, HeaderFormatError, "record header"))
-            out.append(read_floats(fh, counts, TruncatedPayloadError, "raw video features"))
+        left = os.fstat(fh.fileno()).st_size - len(MAGIC)
+        if digest is not None:
+            digest.update(magic)
+        while left:
+            line = fh.readline()
+            shape = shapes.get(line)
+            if shape is None:
+                shape = _parse_header(header_text(line, HeaderFormatError, "record header"))
+                shapes[line] = shape
+            if digest is not None:
+                digest.update(line)
+            left -= len(line)
+            features = read_floats(
+                fh, shape, TruncatedPayloadError, "raw video features", left, digest
+            )
+            left -= features.nbytes
+            out.append(features)
     return out

@@ -86,6 +86,36 @@ class TestLoadDescriptionCorpus:
         with pytest.raises(FileNotFoundError):
             load_description_corpus(tmp_path / "nope.jsonl")
 
+    def test_non_utf8_byte_reports_file_and_record(self, tmp_path):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b'{"class_name": "a", "description": "b"}\n'
+                         b'{"class_name": "caf\xe9", "description": "c"}\n')
+        with pytest.raises(CorpusFormatError, match=r"latin\.jsonl: record 2: not UTF-8") as exc:
+            load_description_corpus(path)
+        assert exc.value.record_index == 2
+
+    @pytest.mark.parametrize("record", [
+        {"class_name": 5, "description": "a dance"},
+        {"class_name": "swing", "description": ["a", "dance"]},
+        {"class_name": "swing", "description": "a dance", "source_tag": None},
+    ], ids=["int-name", "list-description", "null-tag"])
+    def test_non_string_field_reports_file_and_record(self, tmp_path, record):
+        path = tmp_path / "typed.jsonl"
+        write_corpus(path, [record])
+        with pytest.raises(CorpusFormatError, match=r"typed\.jsonl: record 1: .* must be a string"):
+            load_description_corpus(path)
+
+    def test_every_line_ending_splits_records(self, tmp_path):
+        records = [json.dumps({"class_name": name, "description": "d   e"})
+                   for name in ("a", "b", "c", "d")]
+        path = tmp_path / "endings.jsonl"
+        path.write_bytes("\r\n".join(records[:2]).encode() + b"\r" + records[2].encode()
+                         + b"\n\n" + records[3].encode())
+        assert list(load_description_corpus(path)) == ["a", "b", "c", "d"]
+        path.write_bytes(b"\n".join(r.encode() for r in records[:2]) + b"\nnot json\n")
+        with pytest.raises(CorpusFormatError, match="record 3"):
+            load_description_corpus(path)
+
 
 class TestExtractKeywords:
     def test_mock_ranks_by_frequency_then_first_occurrence(self):

@@ -31,6 +31,16 @@ class TestPrimitiveBackwardRules:
         (only,) = [g for tid, g in grads.items()]
         assert np.array_equal(only, [1.0, 0.0])
 
+    def test_relu_turns_negative_zero_positive_and_passes_nan(self):
+        tape = Tape()
+        x = tape.leaf(np.array([-0.0, 0.0, -1.0, 2.0, np.nan]))
+        y = ad.relu(x)
+        assert np.array_equal(y.data[:4], [0.0, 0.0, 0.0, 2.0])
+        assert not np.signbit(y.data[:4]).any()
+        assert np.isnan(y.data[4])
+        grad = tape.backward(ad.sum_reduce(ad.mul(y, tape.constant(np.ones(5)))))[x.tid]
+        assert np.array_equal(grad, [0.0, 0.0, 0.0, 1.0, 0.0])
+
     def test_softmax_backward_analytic_jacobian(self):
         # oracle: ds_i = s_i (delta_ij - s_j) contracted with upstream (1, 0)
         tape = Tape()

@@ -1,5 +1,9 @@
 import argparse
+import builtins
+import collections
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -417,3 +421,113 @@ def test_cli_import_does_not_load_requests():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.strip() == "False"
+
+
+# Each command's parsed flags with only its required flags given: the keys in
+# the order the manifest's ``config`` lists them, and every default.
+COMMON_DEFAULTS = [("seed", 0), ("config", None), ("out_dir", Path("stilab-out"))]
+PARSED = {
+    "attrs": (["--corpus", "c"], [
+        ("corpus", Path("c")), ("num_attributes", 8), ("extractor", "mock"),
+    ]),
+    "synth": ([], [
+        ("num_concepts", 12), ("seen_classes", 8), ("unseen_classes", 4),
+        ("videos_per_class", 20), ("frames", 8), ("patches_per_frame", 16), ("dim", 32),
+        ("noise_scale", 0.1),
+    ]),
+    "train": (["--corpus", "c"], [
+        ("corpus", Path("c")), ("learning_rate", 5e-05), ("weight_decay", 0.05),
+        ("epochs", 30), ("batch_size", 16), ("spatial", True), ("temporal", True),
+        ("num_attributes", 8), ("tau_saliency", 0.07),
+    ]),
+    "eval": (["--corpus", "c", "--checkpoint", "k"], [
+        ("corpus", Path("c")), ("checkpoint", Path("k")), ("mode", "zero-shot"),
+        ("shots", 4), ("finetune_epochs", 50), ("subset_size", None),
+        ("num_attributes", None), ("spatial", None), ("temporal", None),
+    ]),
+    "saliency": (["--corpus", "c", "--checkpoint", "k", "--video-id", "v",
+                  "--class-name", "n"], [
+        ("corpus", Path("c")), ("checkpoint", Path("k")), ("video_id", "v"),
+        ("class_name", "n"), ("num_attributes", None),
+    ]),
+}
+# One file value per command, and the flag it sets.
+CONFIG_VALUES = {
+    "attrs": ("num_attributes", 3),
+    "synth": ("dim", 8),
+    "train": ("epochs", 2),
+    "eval": ("mode", "seen"),
+    "saliency": ("num_attributes", 2),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_each_command_parses_to_its_pinned_keys_and_defaults(command):
+    required, flags = PARSED[command]
+    args = cli._parse_args([command, *required])
+    assert list(vars(args).items()) == [("command", command), *COMMON_DEFAULTS, *flags]
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_each_command_still_takes_config_values(command, tmp_path):
+    required, _ = PARSED[command]
+    dest, value = CONFIG_VALUES[command]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 7, dest.replace("_", "-"): value}))
+    args = cli._parse_args([command, *required, "--config", str(config_path)])
+    assert (args.seed, getattr(args, dest)) == (7, value)
+
+
+def test_a_command_line_builds_only_its_own_flags():
+    _, commands = cli._build_parser(["eval"])
+    assert {a.dest for a in commands["eval"]._actions} >= {"corpus", "checkpoint", "mode"}
+    for name, command in commands.items():
+        if name != "eval":
+            assert [a.dest for a in command._actions] == ["help"]
+
+
+class TestCorpusReads:
+    """train, eval and saliency read each corpus file once: the manifest's
+    fingerprint comes from the bytes the command parsed."""
+
+    def count_opens(self, monkeypatch, corpus):
+        opened = collections.Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == corpus:
+                opened[Path(file).name] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return opened
+
+    @pytest.mark.parametrize("command", ["train", "eval", "saliency"])
+    def test_each_corpus_file_is_opened_once(self, synth_dir, trained, tmp_path, monkeypatch,
+                                             command):
+        corpus = synth_dir / "corpus"
+        extra = {
+            "train": ["--epochs", 1, "--batch-size", 8],
+            "eval": ["--checkpoint", trained / "checkpoint.stickpt"],
+            "saliency": ["--checkpoint", trained / "checkpoint.stickpt",
+                         "--video-id", "vid04_000", "--class-name", "activity05"],
+        }[command]
+        opened = self.count_opens(monkeypatch, corpus)
+        out = tmp_path / command
+        assert run_cli(command, "--corpus", corpus, "--out-dir", out, *extra) == 0
+        monkeypatch.undo()
+        assert opened == {"corpus.json": 1, "descriptions.jsonl": 1, "videos.bin": 1}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["corpus_fingerprint"] == cli.corpus_fingerprint(corpus)
+
+    def test_attrs_opens_its_descriptions_once(self, synth_dir, tmp_path, monkeypatch):
+        corpus = synth_dir / "corpus"
+        opened = self.count_opens(monkeypatch, corpus)
+        out = tmp_path / "attrs"
+        assert run_cli("attrs", "--corpus", corpus / "descriptions.jsonl", "--out-dir", out) == 0
+        monkeypatch.undo()
+        assert opened == {"descriptions.jsonl": 1}
+        path = corpus / "descriptions.jsonl"
+        digest = hashlib.sha256(path.name.encode() + path.read_bytes()).hexdigest()
+        assert json.loads((out / "manifest.json").read_text())["corpus_fingerprint"] == digest

@@ -1,21 +1,30 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stilab.attributes import CorpusFormatError, build_attribute_set, load_stopwords
 from stilab.corpus import (
     SyntheticCorpusSpec,
+    corpus_fingerprint,
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
 )
-from stilab.embed_io import save_embeddings
+from stilab.embed_io import EmbeddingIOError, load_embeddings, save_embeddings
 from stilab.encoders import tokenize
 
 
 def without(entry: dict, key: str) -> dict:
     return {k: v for k, v in entry.items() if k != key}
+
+
+def mutated(change):
+    """An edit that changes the metadata in place and returns it."""
+    return lambda meta: (change(meta), meta)[1]
 
 
 SMALL = SyntheticCorpusSpec(
@@ -188,8 +197,35 @@ class TestPersistence:
         lambda meta: {**meta, "videos": [without(v, "class_index") for v in meta["videos"]]},
         lambda meta: {**meta, "classes": [{**c, "name": c["name"] + "x"} for c in meta["classes"]]},
         lambda meta: [meta],
+        mutated(lambda meta: meta["videos"][0].update(class_index=0.5)),
+        mutated(lambda meta: meta["videos"][0].update(class_index=True)),
+        mutated(lambda meta: meta["videos"][0].update(video_id=7)),
+        mutated(lambda meta: meta["classes"][0].update(index="zero")),
+        mutated(lambda meta: meta["classes"][1].update(index=0)),
+        mutated(lambda meta: meta["classes"][0].update(seen=1)),
+        mutated(lambda meta: meta["classes"][0].update(concept_indices=[0, 99])),
+        mutated(lambda meta: meta["classes"][0].update(filler_words="scene")),
+        mutated(lambda meta: meta.update(concept_words=list(range(len(meta["concept_words"]))))),
+        mutated(lambda meta: meta.update(concept_words=meta["concept_words"][:-1])),
+        mutated(lambda meta: meta["spec"].update(dim=16.0)),
+        mutated(lambda meta: meta["spec"].update(noise_scale="0.1")),
+        mutated(lambda meta: meta["videos"][0].update(patch_concepts="x")),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][1].pop()),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"].pop()),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 0.5)),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, True)),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 8)),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, -1)),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 10**30)),
+        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, [1])),
     ], ids=["unknown-spec-key", "string-dim", "missing-spec", "video-without-class-index",
-            "class-without-description", "not-an-object"])
+            "class-without-description", "not-an-object", "float-class-index",
+            "bool-class-index", "int-video-id", "string-index", "index-out-of-place",
+            "int-seen", "concept-out-of-range", "string-fillers", "int-concept-words",
+            "too-few-concept-words", "float-dim", "string-noise", "string-patch-concepts",
+            "ragged-patch-concepts", "too-few-frames", "float-patch-concept",
+            "bool-patch-concept", "patch-concept-out-of-range", "negative-patch-concept",
+            "patch-concept-beyond-int64", "nested-patch-concept"])
     def test_malformed_metadata_is_a_value_error_naming_the_file(self, tmp_path, edit):
         save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")
         meta_path = tmp_path / "corpus" / "corpus.json"
@@ -205,3 +241,127 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError, match=r"descriptions\.jsonl: record 2: class_name"):
             load_corpus(tmp_path / "corpus")
+
+
+def corpus_bytes(spec: SyntheticCorpusSpec, directory) -> dict[str, bytes]:
+    save_corpus(generate_synthetic_corpus(spec), directory)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestFingerprint:
+    """``load_corpus`` hashes the bytes it parses; the value must equal
+    ``corpus_fingerprint`` of the directory, so manifests keep their bytes."""
+
+    def test_default_corpus_matches_the_rule(self, tmp_path):
+        files = corpus_bytes(SyntheticCorpusSpec(), tmp_path)
+        rule = hashlib.sha256()
+        for name, data in sorted(files.items()):
+            rule.update(name.encode("utf-8") + data)
+        assert corpus_fingerprint(tmp_path) == rule.hexdigest()
+        assert load_corpus(tmp_path).fingerprint == rule.hexdigest()
+
+    @pytest.mark.parametrize("extra", ["a-notes.txt", "data.bin", "zz.log"],
+                             ids=["before", "between", "after"])
+    def test_extra_files_are_hashed_in_their_place(self, tmp_path, extra):
+        corpus_bytes(SMALL, tmp_path)
+        without_extra = corpus_fingerprint(tmp_path)
+        (tmp_path / extra).write_bytes(bytes(range(256)) * 6000)  # more than one 1 MiB piece
+        (tmp_path / "subdir").mkdir()  # directories are not hashed
+        loaded = load_corpus(tmp_path)
+        assert loaded.fingerprint == corpus_fingerprint(tmp_path) != without_extra
+
+    def test_one_changed_payload_byte_changes_both(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        before = corpus_fingerprint(tmp_path)
+        path = tmp_path / "videos.bin"
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01  # the last byte of the last value
+        path.write_bytes(bytes(data))
+        loaded = load_corpus(tmp_path)
+        assert loaded.fingerprint == corpus_fingerprint(tmp_path) != before
+
+    @pytest.mark.parametrize("name", ["corpus.json", "descriptions.jsonl", "videos.bin"])
+    def test_missing_corpus_file_is_not_found(self, tmp_path, name):
+        corpus_bytes(SMALL, tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(FileNotFoundError, match=name):
+            load_corpus(tmp_path)
+
+    def test_generated_corpus_has_no_fingerprint(self):
+        assert generate_synthetic_corpus(SMALL).fingerprint is None
+
+
+class TestLoadedFeatures:
+    def test_features_are_writeable_contiguous_float64(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        for video in load_corpus(tmp_path).videos:
+            assert video.features.dtype == np.float64
+            assert video.features.flags.c_contiguous and video.features.flags.writeable
+            assert video.patch_concepts.dtype == np.int64
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:-5],
+        lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 99\n", 1),
+        lambda data: data.replace(b"\n2 4 6 16\n", b"\n3 4 6 16\n", 1),
+        lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 16 \n", 1),
+        lambda data: b"STIEMB2" + data[7:],
+    ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic"])
+    def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt):
+        corpus_bytes(SMALL, tmp_path)
+        path = tmp_path / "videos.bin"
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(EmbeddingIOError) as direct:
+            load_embeddings(path)
+        with pytest.raises(EmbeddingIOError) as through_corpus:
+            load_corpus(tmp_path)
+        assert type(through_corpus.value) is type(direct.value)
+        assert str(through_corpus.value) == str(direct.value)
+
+
+class TestNonUtf8Bytes:
+    def test_non_utf8_metadata_is_a_value_error_naming_the_file(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        path = tmp_path / "corpus.json"
+        path.write_bytes(path.read_bytes().replace(b"activity00", b"activit\xff00", 1))
+        with pytest.raises(ValueError, match="corpus.json: malformed corpus metadata"):
+            load_corpus(tmp_path)
+
+    def test_non_utf8_description_is_a_format_error_naming_the_file(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        path = tmp_path / "descriptions.jsonl"
+        path.write_bytes(path.read_bytes().replace(b"The ", b"Th\xe9 ", 1))
+        with pytest.raises(CorpusFormatError, match=r"descriptions\.jsonl: record 1: not UTF-8"):
+            load_corpus(tmp_path)
+
+
+def one_byte_or_prefix(raw: bytes):
+    """Strategy: ``raw`` with one byte replaced, or a prefix of ``raw``."""
+    replaced = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)).map(
+        lambda change: raw[:change[0]] + bytes([change[1]]) + raw[change[0] + 1:]
+    )
+    return st.one_of(replaced, st.integers(0, len(raw)).map(lambda cut: raw[:cut]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz-corpus")
+    spec = SyntheticCorpusSpec(num_concepts=6, seen_classes=2, unseen_classes=1,
+                               videos_per_class=2, frames=2, patches_per_frame=3, dim=4)
+    return directory, corpus_bytes(spec, directory)
+
+
+@pytest.mark.parametrize("name", ["corpus.json", "descriptions.jsonl"])
+@given(data=st.data())
+@settings(max_examples=250)
+def test_corrupted_text_file_loads_or_raises_a_typed_error_naming_it(fuzz_corpus, name, data):
+    directory, original = fuzz_corpus
+    path = directory / name
+    path.write_bytes(data.draw(one_byte_or_prefix(original[name])))
+    try:
+        load_corpus(directory)
+    except CorpusFormatError as exc:
+        assert "descriptions.jsonl" in str(exc)
+    except ValueError as exc:
+        assert "corpus.json" in str(exc)
+    finally:
+        path.write_bytes(original[name])
