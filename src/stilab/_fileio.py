@@ -118,20 +118,22 @@ def header_text(line: bytes, error: type[Exception], what: str) -> str:
 
 def read_floats(
     fh, shape: tuple[int, ...], error: type[Exception], what: str,
-    left: int | None = None, digest=None,
+    left: int | None = None, digest=None, into: np.ndarray | None = None,
 ) -> np.ndarray:
     """Read a float64 array of ``shape``; a header promising more values
     than ``fh`` holds raises ``error`` before anything is read. A caller
     that tracks its position passes the bytes ``left`` after it, which
     spares the seeks that measure it; the bytes read also go to
-    ``digest.update`` when a digest is given."""
+    ``digest.update`` when a digest is given. A caller that does not keep
+    the values passes a reused ``into`` buffer of at least that many
+    values, and gets back a view of its front instead of a fresh array."""
     count = math.prod(shape)
     nbytes = 8 * count
     if left is None:
         left = bytes_left(fh)
     if not 0 <= nbytes <= left:
         raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
-    values = np.empty(count, dtype=PAYLOAD_DTYPE)
+    values = np.empty(count, dtype=PAYLOAD_DTYPE) if into is None else into[:count]
     if fh.readinto(values) != nbytes:
         raise error(f"{what}: file ended inside its {count} values")
     if digest is not None:

@@ -269,10 +269,11 @@ def _toggles_for_eval(args, config: TrainConfig) -> InteractionToggles:
     return InteractionToggles(spatial=spatial, temporal=temporal)
 
 
-def _load_model(args):
-    """Load the corpus and the checkpoint, and view the checkpoint's store as
-    model parameters; returns (corpus, checkpoint, num_attributes, enc, sti)."""
-    corpus = load_corpus(args.corpus)
+def _load_model(args, video_ids=None):
+    """Load the corpus (keeping only ``video_ids``' videos, when given) and the
+    checkpoint, and view the checkpoint's store as model parameters; returns
+    (corpus, checkpoint, num_attributes, enc, sti)."""
+    corpus = load_corpus(args.corpus, video_ids)
     checkpoint = load_checkpoint(args.checkpoint)
     num_attributes = (
         checkpoint.config.num_attributes if args.num_attributes is None else args.num_attributes
@@ -351,7 +352,8 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
-    corpus, checkpoint, num_attributes, enc, sti = _load_model(args)
+    # one video is scored, so the other videos' features are hashed, not kept
+    corpus, checkpoint, num_attributes, enc, sti = _load_model(args, {args.video_id})
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:
         raise CliError(f"unknown video id {args.video_id!r}")

@@ -331,7 +331,7 @@ def _corpus_files(corpus_dir) -> list[Path]:
     return [path for path in Path(corpus_dir).iterdir() if path.is_file()]
 
 
-def load_corpus(corpus_dir) -> SyntheticCorpus:
+def load_corpus(corpus_dir, video_ids=None) -> SyntheticCorpus:
     """Load a corpus directory written by save_corpus, reading each file once.
 
     Malformed metadata, including a missing or mistyped entry and one that
@@ -339,10 +339,15 @@ def load_corpus(corpus_dir) -> SyntheticCorpus:
     a malformed descriptions.jsonl or videos.bin raises its reader's own
     typed errors. The corpus's ``fingerprint`` is
     ``corpus_fingerprint(corpus_dir)``, computed from the bytes read here.
+
+    With ``video_ids``, a set, ``videos`` holds only the videos named in it,
+    in file order. The other videos' features are still read, checked
+    against their record headers and hashed, but through one reused buffer,
+    so they take no memory and are not compared with the spec's shape.
     """
     corpus_dir = Path(corpus_dir)
     try:
-        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)))
+        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)), video_ids)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         metadata_path = corpus_dir / METADATA_FILENAME
         raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
@@ -383,7 +388,7 @@ def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) ->
     return patch_concepts
 
 
-def _parse_corpus(corpus_dir: Path, files: Fingerprint) -> SyntheticCorpus:
+def _parse_corpus(corpus_dir: Path, files: Fingerprint, video_ids) -> SyntheticCorpus:
     # The files are read in name order, as the fingerprint hashes them.
     meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
@@ -428,7 +433,11 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint) -> SyntheticCorpus:
             )
         )
 
-    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files)
+    keep = None if video_ids is None else {
+        position for position, entry in enumerate(meta["videos"])
+        if entry["video_id"] in video_ids
+    }
+    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files, keep)
     fingerprint = files.hexdigest()
     if len(features_list) != len(meta["videos"]):
         raise ValueError(
@@ -440,7 +449,7 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint) -> SyntheticCorpus:
     videos = []
     for entry, features, concepts in zip(meta["videos"], features_list, patch_concepts):
         video_id = _typed(entry, "video_id", str)
-        if features.shape != expected_shape:
+        if features is not None and features.shape != expected_shape:
             raise ValueError(
                 f"video {video_id!r} has features of shape {features.shape}, "
                 f"corpus spec expects {expected_shape}"
@@ -451,6 +460,8 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint) -> SyntheticCorpus:
                 f"video {video_id!r} has class_index {class_index}, "
                 f"corpus has {len(classes)} classes"
             )
+        if features is None:
+            continue
         videos.append(
             VideoSample(
                 video_id=video_id,

@@ -12,13 +12,16 @@ Round-trips are bitwise lossless.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._fileio import atomic_open, header_text, parse_counts, read_floats, write_array
+from ._fileio import (
+    PAYLOAD_DTYPE, atomic_open, header_text, parse_counts, read_floats, write_array,
+)
 
 MAGIC = b"STIEMB1\n"
 
@@ -73,13 +76,19 @@ def _parse_header(line: str) -> tuple[int, ...]:
     return tuple(numbers[1:])
 
 
-def load_embeddings(path, digest=None) -> list[np.ndarray]:
+def load_embeddings(path, digest=None, keep=None) -> list[np.ndarray | None]:
     """Read every record from a container file, in order, as writeable
     C-contiguous float64 arrays. The file is streamed once, front to back;
-    every byte read also goes to ``digest.update`` when a digest is given."""
+    every byte read also goes to ``digest.update`` when a digest is given.
+
+    With ``keep``, a set of record indices, the other records are still
+    read, checked and hashed, but through one reused buffer, and stand as
+    ``None`` in the list: their values take no memory of their own.
+    """
     path = Path(path)
-    out: list[np.ndarray] = []
+    out: list[np.ndarray | None] = []
     shapes: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
+    scratch = np.empty(0, dtype=PAYLOAD_DTYPE)  # the values of records not kept
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -96,9 +105,15 @@ def load_embeddings(path, digest=None) -> list[np.ndarray]:
             if digest is not None:
                 digest.update(line)
             left -= len(line)
+            kept = keep is None or len(out) in keep
+            count = math.prod(shape)
+            # a count past the end of the file raises in read_floats, unallocated
+            if not kept and scratch.size < count <= left // 8:
+                scratch = np.empty(count, dtype=PAYLOAD_DTYPE)
             features = read_floats(
-                fh, shape, TruncatedPayloadError, "raw video features", left, digest
+                fh, shape, TruncatedPayloadError, "raw video features", left, digest,
+                into=None if kept else scratch,
             )
             left -= features.nbytes
-            out.append(features)
+            out.append(features if kept else None)
     return out

@@ -279,6 +279,24 @@ class TestSaliency:
             "--checkpoint", checkpoint_path, *pair, "--tau-saliency", 1.0,
         ) == 2
 
+    def test_only_the_scored_video_is_kept(self, synth_dir, trained, tmp_path, monkeypatch):
+        loaded = []
+        real_load = cli.load_corpus
+
+        def recording_load(*args, **kwargs):
+            loaded.append(real_load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_corpus", recording_load)
+        assert run_cli(
+            "saliency", "--out-dir", tmp_path / "sal", "--corpus", synth_dir / "corpus",
+            "--checkpoint", trained / "checkpoint.stickpt",
+            "--video-id", "vid04_002", "--class-name", "activity05",
+        ) == 0
+        assert [[video.video_id for video in corpus.videos] for corpus in loaded] == [
+            ["vid04_002"]
+        ]
+
     def test_unknown_video_id_fails(self, synth_dir, trained, tmp_path, capsys):
         code = run_cli(
             "saliency", "--out-dir", tmp_path / "x", "--corpus", synth_dir / "corpus",

@@ -306,16 +306,56 @@ class TestLoadedFeatures:
         lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 16 \n", 1),
         lambda data: b"STIEMB2" + data[7:],
     ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic"])
-    def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt):
+    # the corruptions hit the first or the last record, neither of them kept
+    @pytest.mark.parametrize("video_ids", [None, {"vid00_001"}], ids=["all", "one-kept"])
+    def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt, video_ids):
         corpus_bytes(SMALL, tmp_path)
         path = tmp_path / "videos.bin"
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(EmbeddingIOError) as direct:
             load_embeddings(path)
         with pytest.raises(EmbeddingIOError) as through_corpus:
-            load_corpus(tmp_path)
+            load_corpus(tmp_path, video_ids)
         assert type(through_corpus.value) is type(direct.value)
         assert str(through_corpus.value) == str(direct.value)
+
+
+class TestSelectedVideos:
+    """``load_corpus(dir, video_ids)`` keeps only the named videos but reads,
+    checks and hashes all of ``videos.bin``."""
+
+    def test_named_videos_keep_their_values_and_the_fingerprint(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        full = load_corpus(tmp_path)
+        wanted = [full.videos[4], full.videos[1]]
+        picked = load_corpus(tmp_path, {video.video_id for video in wanted})
+        assert [video.video_id for video in picked.videos] == [
+            full.videos[1].video_id, full.videos[4].video_id
+        ]
+        for got in picked.videos:
+            want = next(v for v in full.videos if v.video_id == got.video_id)
+            assert got.class_index == want.class_index
+            assert np.array_equal(got.features, want.features)
+            assert got.features.flags.c_contiguous and got.features.flags.writeable
+            assert np.array_equal(got.patch_concepts, want.patch_concepts)
+        assert picked.classes == full.classes
+        assert picked.fingerprint == full.fingerprint == corpus_fingerprint(tmp_path)
+
+    def test_an_unknown_id_keeps_no_video(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        picked = load_corpus(tmp_path, {"no-such-video"})
+        assert picked.videos == []
+        assert picked.fingerprint == corpus_fingerprint(tmp_path)
+
+    def test_only_kept_videos_are_checked_against_the_spec(self, tmp_path):
+        corpus = generate_synthetic_corpus(SMALL)
+        save_corpus(corpus, tmp_path)
+        features = [video.features for video in corpus.videos]
+        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
+        save_embeddings(tmp_path / "videos.bin", features)
+        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
+            load_corpus(tmp_path, {corpus.videos[1].video_id})
+        assert len(load_corpus(tmp_path, {corpus.videos[0].video_id}).videos) == 1
 
 
 class TestNonUtf8Bytes:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -51,6 +52,33 @@ class TestRoundTrips:
     def test_empty_container(self, tmp_path):
         path = save_embeddings(tmp_path / "e.bin", [])
         assert load_embeddings(path) == []
+
+
+class TestKeep:
+    """With ``keep``, the records not kept stand as None, read and hashed
+    through one reused buffer."""
+
+    VIDEOS = [np.full((1, 2, 3), 1.0), np.full((2, 5, 4), 2.0), np.full((1, 2, 3), 3.0),
+              np.full((3, 3, 5), 4.0)]
+
+    @pytest.mark.parametrize("keep", [set(), {0}, {2}, {1, 3}, {0, 1, 2, 3}])
+    def test_kept_records_and_the_digest_are_unchanged(self, tmp_path, keep):
+        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS)
+        digest = hashlib.sha256()
+        loaded = load_embeddings(path, digest, keep)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert len(loaded) == len(self.VIDEOS)
+        for index, (got, want) in enumerate(zip(loaded, self.VIDEOS)):
+            if index in keep:
+                assert np.array_equal(got, want) and got.flags.writeable
+            else:
+                assert got is None
+
+    def test_a_skipped_record_promising_too_much_raises(self, tmp_path):
+        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(TruncatedPayloadError, match="file holds 352"):
+            load_embeddings(path, keep={0})
 
 
 class TestErrors:
