@@ -44,7 +44,8 @@ class AttributePipelineError(Exception):
 
 
 class CorpusFormatError(AttributePipelineError):
-    """A description-corpus record is malformed; carries the record index."""
+    """A record of a description corpus or of an attribute-records file is
+    malformed; carries the record's 1-based index."""
 
     def __init__(self, message: str, record_index: int | None = None):
         super().__init__(message)
@@ -145,15 +146,12 @@ def load_description_corpus(path) -> dict[str, ClassDescription]:
     return parse_description_corpus(Path(path).read_bytes(), path)
 
 
-def parse_description_corpus(data: bytes, path) -> dict[str, ClassDescription]:
-    """Parse the bytes of a description corpus read from ``path``.
-
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and blank lines are
-    skipped. A record that is not UTF-8 JSON text, not an object of string
-    fields, or that repeats a class name raises CorpusFormatError with the
-    file's path and the record's 1-based index.
-    """
-    corpus: dict[str, ClassDescription] = {}
+def _json_objects(data: bytes, path):
+    """Yield (index, where, object) for each non-blank line of the JSON-lines
+    bytes read from ``path``: the line's 1-based index, the error prefix
+    naming it, and its parsed object. Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``; a line that is not UTF-8 JSON text of an object raises
+    CorpusFormatError."""
     lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
     for index, raw in enumerate(lines, start=1):
         where = f"{path}: record {index}"
@@ -169,6 +167,19 @@ def parse_description_corpus(data: bytes, path) -> dict[str, ClassDescription]:
             raise CorpusFormatError(f"{where}: invalid JSON: {exc}", index) from exc
         if not isinstance(payload, dict):
             raise CorpusFormatError(f"{where}: expected an object", index)
+        yield index, where, payload
+
+
+def parse_description_corpus(data: bytes, path) -> dict[str, ClassDescription]:
+    """Parse the bytes of a description corpus read from ``path``.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and blank lines are
+    skipped. A record that is not UTF-8 JSON text, not an object of string
+    fields, or that repeats a class name raises CorpusFormatError with the
+    file's path and the record's 1-based index.
+    """
+    corpus: dict[str, ClassDescription] = {}
+    for index, where, payload in _json_objects(data, path):
         fields = {key: payload.get(key, "") for key in ("class_name", "description", "source_tag")}
         for key, value in fields.items():
             if not json_value_fits(value, str):
@@ -332,17 +343,6 @@ class AttributeRecord:
             ensure_ascii=False,
         )
 
-    @classmethod
-    def from_json(cls, line: str) -> "AttributeRecord":
-        payload = json.loads(line)
-        return cls(
-            class_name=payload["class"],
-            keywords=tuple(payload["keywords"]),
-            extractor=payload["extractor"],
-            prompt_sentence=payload["prompt_sentence"],
-            shortfall=payload["shortfall"],
-        )
-
 
 def build_attribute_set(
     entry: ClassDescription, num_attributes: int, endpoint: str = MOCK_ENDPOINT
@@ -384,5 +384,26 @@ def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:
 
 
 def load_attribute_records(path) -> list[AttributeRecord]:
-    lines = Path(path).read_text("utf-8").splitlines()
-    return [AttributeRecord.from_json(line) for line in lines if line.strip()]
+    """Read the records ``save_attribute_records`` wrote. A record that is not
+    UTF-8 JSON text, or not an object holding each field with its written
+    type, raises CorpusFormatError with the file's path and the record's
+    1-based index."""
+    records = []
+    for index, where, payload in _json_objects(Path(path).read_bytes(), path):
+        for key, kind in (("class", str), ("extractor", str), ("prompt_sentence", str),
+                          ("shortfall", bool)):
+            if not json_value_fits(payload.get(key), kind):
+                raise CorpusFormatError(
+                    f"{where}: {key} must be a {kind.__name__}, got {payload.get(key)!r}", index)
+        keywords = payload.get("keywords")
+        if not (isinstance(keywords, list) and all(json_value_fits(k, str) for k in keywords)):
+            raise CorpusFormatError(
+                f"{where}: keywords must be a list of strings, got {keywords!r}", index)
+        records.append(AttributeRecord(
+            class_name=payload["class"],
+            keywords=tuple(keywords),
+            extractor=payload["extractor"],
+            prompt_sentence=payload["prompt_sentence"],
+            shortfall=payload["shortfall"],
+        ))
+    return records

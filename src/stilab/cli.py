@@ -34,7 +34,6 @@ from .encoders import FrameEmbeddingSet
 from .evaluation import (
     MetricReport, SplitMetrics, evaluate_split, export_saliency, write_metric_csv,
 )
-from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles
 from .trainer import (
     TrainConfig,
     few_shot_finetune,
@@ -133,7 +132,6 @@ def _synth_flags(p: argparse.ArgumentParser) -> None:
 def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
     _add_field_flags(p, TrainConfig)
-    p.add_argument("--tau-saliency", type=float, default=DEFAULT_SALIENCY_TEMPERATURE)
 
 
 def _eval_flags(p: argparse.ArgumentParser) -> None:
@@ -252,7 +250,7 @@ def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
 def cmd_train(args) -> tuple[list[Path], dict, str | None]:
     corpus = load_corpus(args.corpus)
     config = _from_fields(TrainConfig, args)
-    run = train_on_corpus(corpus, config, tau_saliency=args.tau_saliency)
+    run = train_on_corpus(corpus, config)
     ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", run.result)
     loss_path = write_loss_csv(args.out_dir / "loss.csv", run.result.loss_history)
     results = {
@@ -263,56 +261,37 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
     return [ckpt_path, loss_path], results, corpus.fingerprint
 
 
-def _toggles_for_eval(args, config: TrainConfig) -> InteractionToggles:
-    spatial = config.spatial if args.spatial is None else args.spatial
-    temporal = config.temporal if args.temporal is None else args.temporal
-    return InteractionToggles(spatial=spatial, temporal=temporal)
-
-
 def _load_model(args, video_ids=None):
     """Load the corpus (keeping only ``video_ids``' videos, when given) and the
     checkpoint, and view the checkpoint's store as model parameters; returns
-    (corpus, checkpoint, num_attributes, enc, sti)."""
+    (corpus, checkpoint, config, enc, sti). ``config``, the one effective
+    config, is the checkpoint's with each of the command's --num-attributes,
+    --spatial and --temporal values that is given."""
     corpus = load_corpus(args.corpus, video_ids)
     checkpoint = load_checkpoint(args.checkpoint)
-    num_attributes = (
-        checkpoint.config.num_attributes if args.num_attributes is None else args.num_attributes
-    )
-    enc, sti = params_from_store(
-        checkpoint.store,
-        text_table_seed=corpus.spec.seed,
-        dim=corpus.spec.dim,
-        tau_saliency=checkpoint.tau_saliency,
-    )
-    return corpus, checkpoint, num_attributes, enc, sti
+    overrides = {name: getattr(args, name) for name in ("num_attributes", "spatial", "temporal")
+                 if getattr(args, name, None) is not None}
+    config = dataclasses.replace(checkpoint.config, **overrides)
+    enc, sti = params_from_store(checkpoint.store, text_table_seed=corpus.spec.seed,
+                                 dim=corpus.spec.dim, tau_saliency=config.tau_saliency)
+    return corpus, checkpoint, config, enc, sti
 
 
 def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
-    corpus, checkpoint, num_attributes, enc, sti = _load_model(args)
-    toggles = _toggles_for_eval(args, checkpoint.config)
+    corpus, checkpoint, config, enc, sti = _load_model(args)
     if args.mode == "few-shot":
         if not corpus.unseen_class_indices:
             raise CliError("corpus has no unseen classes for few-shot evaluation")
         data, _ = training_data_for(
-            corpus, corpus.unseen_class_indices, num_attributes, enc
+            corpus, corpus.unseen_class_indices, config.num_attributes, enc
         )
-        config = TrainConfig(
-            learning_rate=checkpoint.config.learning_rate,
-            weight_decay=checkpoint.config.weight_decay,
-            spatial=toggles.spatial,
-            temporal=toggles.temporal,
-            num_attributes=num_attributes,
-        )
+        # fine-tuning keeps the default batch size, whatever the checkpoint's was
         tuned = few_shot_finetune(
             checkpoint.store.copy(), data, args.shots, args.finetune_epochs, args.seed,
-            config=config, tau_saliency=checkpoint.tau_saliency,
+            config=dataclasses.replace(config, batch_size=TrainConfig().batch_size),
         )
-        enc, sti = params_from_store(
-            tuned.fit.store,
-            text_table_seed=corpus.spec.seed,
-            dim=corpus.spec.dim,
-            tau_saliency=checkpoint.tau_saliency,
-        )
+        enc, sti = params_from_store(tuned.fit.store, text_table_seed=corpus.spec.seed,
+                                     dim=corpus.spec.dim, tau_saliency=config.tau_saliency)
         tuned_on = set(tuned.sample.indices)
         holdout = [i for i in range(len(data.videos)) if i not in tuned_on]
         if not holdout:
@@ -320,7 +299,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
         eval_data = data.subset(holdout)
         top1, top5 = evaluate_split(
             eval_data.videos, eval_data.labels,
-            [ct.sequence for ct in data.class_texts], sti, enc, toggles,
+            [ct.sequence for ct in data.class_texts], sti, enc, config.toggles,
         )
         report = MetricReport.from_splits([SplitMetrics(split_id=1, top1=top1, top5=top5)])
         results = {
@@ -335,10 +314,10 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
         report = eval_group_three_splits(
             corpus, enc, sti,
             seen=seen,
-            num_attributes=num_attributes,
+            num_attributes=config.num_attributes,
             seed=args.seed,
             subset_size=args.subset_size,
-            toggles=toggles,
+            toggles=config.toggles,
         )
         results = {
             "mode": args.mode,
@@ -353,7 +332,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     # one video is scored, so the other videos' features are hashed, not kept
-    corpus, checkpoint, num_attributes, enc, sti = _load_model(args, {args.video_id})
+    corpus, _, config, enc, sti = _load_model(args, {args.video_id})
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:
         raise CliError(f"unknown video id {args.video_id!r}")
@@ -361,13 +340,10 @@ def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     if args.class_name not in names:
         raise CliError(f"unknown class name {args.class_name!r}")
     class_index = names.index(args.class_name)
-    text = prepare_class_texts(corpus, (class_index,), num_attributes, enc).texts[0]
+    text = prepare_class_texts(corpus, (class_index,), config.num_attributes, enc).texts[0]
     video = FrameEmbeddingSet.from_raw(by_id[args.video_id].features)
     out_path = args.out_dir / f"saliency_{args.video_id}_{args.class_name}.csv"
-    export_saliency(
-        video, text.sequence, sti, enc, out_path,
-        toggles=checkpoint.config.toggles,
-    )
+    export_saliency(video, text.sequence, sti, enc, out_path, toggles=config.toggles)
     results = {"video_id": args.video_id, "class_name": args.class_name}
     return [out_path], results, corpus.fingerprint
 

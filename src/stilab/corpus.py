@@ -73,8 +73,8 @@ class SyntheticCorpusSpec:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.unseen_classes < 0:
             raise ValueError("unseen_classes must be >= 0")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
         if self.num_concepts > len(CONCEPT_VOCABULARY):
             raise ValueError(
                 f"num_concepts must be <= {len(CONCEPT_VOCABULARY)} (vocabulary size)"

@@ -29,6 +29,12 @@ DEFAULT_SALIENCY_TEMPERATURE = 0.07
 SALIENCY_SUM_TOLERANCE = 1e-9
 
 
+def check_saliency_temperature(tau_saliency: float) -> None:
+    """The one rule for a saliency temperature: finite and positive."""
+    if not (np.isfinite(tau_saliency) and tau_saliency > 0):
+        raise ValueError(f"tau_saliency must be finite and positive: {tau_saliency!r}")
+
+
 @dataclass
 class STIParameters:
     """The two projection matrices and the fixed saliency temperature."""
@@ -46,8 +52,7 @@ class STIParameters:
             raise ValueError("word_weight must match patch_weight's shape")
         if not (np.isfinite(self.patch_weight).all() and np.isfinite(self.word_weight).all()):
             raise ValueError("projection weights must be finite")
-        if not self.tau_saliency > 0:
-            raise ValueError("tau_saliency must be positive")
+        check_saliency_temperature(self.tau_saliency)
 
     @property
     def dim(self) -> int:

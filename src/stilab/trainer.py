@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +30,7 @@ from .objective import (
     score_matrix_nodes,
     temperature_node,
 )
-from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles
+from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles, check_saliency_temperature
 
 Array = np.ndarray
 
@@ -60,10 +61,12 @@ class CheckpointFormatError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings: rate 5e-5, decay 0.05, 30 epochs and a batch
-    of 16, sized for desk-scale corpora. ``stilab train`` has one flag per
-    field but ``seed`` (which --seed sets), with the field's default and
-    type, so each default is stated only here."""
+    """Training settings: rate 5e-5, decay 0.05, 30 epochs and a batch of
+    16, sized for desk-scale corpora, plus the interaction toggles, the
+    attribute count and the fixed saliency temperature that evaluation
+    reuses. ``stilab train`` has one flag per field but ``seed`` (which
+    --seed sets), with the field's default and type, so each default is
+    stated only here."""
 
     learning_rate: float = 5e-5
     weight_decay: float = 0.05
@@ -73,18 +76,20 @@ class TrainConfig:
     spatial: bool = True
     temporal: bool = True
     num_attributes: int = 8
+    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            # zero is allowed: it freezes the dynamics, which is useful for
-            # determinism checks
-            raise ValueError("learning_rate must be >= 0")
+        # a zero rate is allowed: it freezes the dynamics, which is useful
+        # for determinism checks
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        check_saliency_temperature(self.tau_saliency)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.num_attributes < 0:
             raise ValueError("num_attributes must be >= 0")
 
@@ -168,7 +173,6 @@ class TrainingData:
     videos: list[FrameEmbeddingSet]
     labels: Array
     class_texts: list[ClassText]
-    video_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -178,8 +182,6 @@ class TrainingData:
             raise ValueError("need one label per video")
         if np.any(self.labels < 0) or np.any(self.labels >= len(self.class_texts)):
             raise ValueError("labels must index into class_texts")
-        if not self.video_ids:
-            self.video_ids = [f"video{i:04d}" for i in range(len(self.videos))]
 
     @property
     def num_classes(self) -> int:
@@ -195,7 +197,6 @@ class TrainingData:
             videos=[self.videos[i] for i in indices],
             labels=self.labels[indices],
             class_texts=self.class_texts,
-            video_ids=[self.video_ids[i] for i in indices],
         )
 
 
@@ -219,7 +220,6 @@ class Checkpoint:
     store: ParameterStore
     optimizer: OptimizerState
     loss_history: list[float]  # one mean loss per completed epoch
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE  # trained with; eval reuses it
 
 
 def _epoch_order(seed: int, epoch: int, count: int) -> Array:
@@ -231,8 +231,7 @@ def training_step_loss(
     raw_batch: Array,
     batch_labels: Array,
     data: TrainingData,
-    toggles: InteractionToggles,
-    tau_saliency: float,
+    config: TrainConfig,
 ):
     """Build one training step's loss graph; returns the scalar tensor.
 
@@ -254,8 +253,8 @@ def training_step_loss(
         video_bias=leaves[PARAM_VIDEO_BIAS],
         patch_weight=leaves[PARAM_PATCH_WEIGHT],
         word_weight=leaves[PARAM_WORD_WEIGHT],
-        tau_saliency=tau_saliency,
-        toggles=toggles,
+        tau_saliency=config.tau_saliency,
+        toggles=config.toggles,
     )
     scores = ad.index_select(unique_scores, column_of, axis=1)  # (B, B)
     tau = temperature_node(tape, leaves[PARAM_LOG_TAU])
@@ -271,7 +270,6 @@ def fit(
     optimizer: OptimizerState | None = None,
     start_epoch: int = 0,
     loss_history: list[float] | None = None,
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
 ) -> Checkpoint:
     """Optimize the trainable parameters on a dataset; returns the state
     after ``config.epochs`` epochs as a checkpoint.
@@ -280,12 +278,9 @@ def fit(
     (seed, epoch) and every reduction runs in a fixed order. The frozen text
     side is fingerprinted before and after as a hard guarantee.
     """
-    if not (np.isfinite(tau_saliency) and tau_saliency > 0):
-        raise ValueError(f"tau_saliency must be finite and positive: {tau_saliency}")
     store = store if store is not None else default_parameter_store(data.dim)
     optimizer = optimizer if optimizer is not None else OptimizerState.for_store(store)
     history = loss_history if loss_history is not None else []
-    toggles = config.toggles
 
     frozen_before = text_fingerprint(ct.sequence for ct in data.class_texts)
     stacked = np.stack([video.patch_embeddings for video in data.videos])
@@ -297,9 +292,7 @@ def fit(
         epoch_losses: list[float] = []
         for start in range(0, count, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            total = training_step_loss(
-                store, stacked[batch_idx], labels[batch_idx], data, toggles, tau_saliency
-            )
+            total = training_step_loss(store, stacked[batch_idx], labels[batch_idx], data, config)
             value = float(total.data)
             if not np.isfinite(value):
                 raise NonFiniteLossError(
@@ -320,7 +313,6 @@ def fit(
         store=store,
         optimizer=optimizer,
         loss_history=history,
-        tau_saliency=tau_saliency,
     )
 
 
@@ -378,13 +370,12 @@ def few_shot_finetune(
     seed: int,
     *,
     config: TrainConfig | None = None,
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
 ) -> FewShotResult:
     """Fine-tune existing parameters on a k-shot subset of the dataset."""
     sample = few_shot_sample(data, k, seed)
     subset = data.subset(sample.indices)
     config = replace(config or TrainConfig(), epochs=epochs, seed=seed)
-    result = fit(subset, config, store=store, tau_saliency=tau_saliency)
+    result = fit(subset, config, store=store)
     return FewShotResult(fit=result, sample=sample)
 
 
@@ -406,10 +397,12 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
 
 def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     store, opt = checkpoint.store, checkpoint.optimizer
+    config = asdict(checkpoint.config)
+    tau_saliency = config.pop("tau_saliency")  # version 2 gives it a line of its own
     lines = [
         f"version {CHECKPOINT_VERSION}",
-        "config " + json.dumps(asdict(checkpoint.config), sort_keys=True),
-        f"tau_saliency {float(checkpoint.tau_saliency)!r}",
+        "config " + json.dumps(config, sort_keys=True),
+        f"tau_saliency {float(tau_saliency)!r}",
         f"epoch {checkpoint.epoch}",
         f"step {opt.step}",
         f"betas {BETA1!r} {BETA2!r} {EPSILON!r}",
@@ -456,11 +449,9 @@ def _read_array_block(fh, expected_name: str | None) -> tuple[str, Array]:
     return name, _read_finite(fh, tuple(dims), f"array {name!r}")
 
 
-def _config_from_json(values) -> TrainConfig:
-    """A TrainConfig from the checkpoint's config object, each value checked
+def _config_from_json(values: dict) -> TrainConfig:
+    """A TrainConfig from the checkpoint's config values, each checked
     against its field's type by the rule ``--config`` files follow."""
-    if not isinstance(values, dict):
-        raise CheckpointFormatError(f"checkpoint config is not a JSON object: {values!r}")
     for setting in fields(TrainConfig):
         value = values.get(setting.name, setting.default)
         if not json_value_fits(value, type(setting.default)):
@@ -475,7 +466,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     Every malformed file, including a truncated one, one with trailing
     bytes and one holding non-finite values, raises CheckpointFormatError.
-    Version 1 files carry no saliency temperature and load with the default.
+    Version 1 files carry no saliency temperature and load with the default;
+    a config that breaks TrainConfig's rules is malformed too.
     """
     path = Path(path)
     fh = io.BytesIO(path.read_bytes())
@@ -492,12 +484,14 @@ def _parse_checkpoint(fh) -> Checkpoint:
     version = _read_count(fh, "version")
     if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    config = _config_from_json(json.loads(_read_text_line(fh, "config")))
-    tau_saliency = DEFAULT_SALIENCY_TEMPERATURE
+    values = json.loads(_read_text_line(fh, "config"))
+    if not isinstance(values, dict):
+        raise CheckpointFormatError(f"checkpoint config is not a JSON object: {values!r}")
+    if "tau_saliency" in values:
+        raise CheckpointFormatError("checkpoint config names tau_saliency, which has its own line")
     if version >= 2:
-        tau_saliency = float(_read_text_line(fh, "tau_saliency"))
-        if not (np.isfinite(tau_saliency) and tau_saliency > 0):
-            raise CheckpointFormatError(f"tau_saliency must be finite and positive: {tau_saliency}")
+        values["tau_saliency"] = float(_read_text_line(fh, "tau_saliency"))
+    config = _config_from_json(values)
     epoch = _read_count(fh, "epoch")
     step = _read_count(fh, "step")
     betas = _read_text_line(fh, "betas")
@@ -523,14 +517,12 @@ def _parse_checkpoint(fh) -> Checkpoint:
         store=store,
         optimizer=optimizer,
         loss_history=history,
-        tau_saliency=tau_saliency,
     )
 
 
 def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> Checkpoint:
-    """Continue training from a checkpoint to the configured epoch count,
-    at the checkpoint's saliency temperature; bitwise identical to the
-    uninterrupted run."""
+    """Continue training from a checkpoint to the configured epoch count;
+    bitwise identical to the uninterrupted run."""
     return fit(
         data,
         checkpoint.config,
@@ -538,7 +530,6 @@ def resume_fit(data: TrainingData, checkpoint: Checkpoint) -> Checkpoint:
         optimizer=checkpoint.optimizer,
         start_epoch=checkpoint.epoch,
         loss_history=list(checkpoint.loss_history),
-        tau_saliency=checkpoint.tau_saliency,
     )
 
 

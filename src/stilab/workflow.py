@@ -72,15 +72,11 @@ def training_data_for(
     position = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
     videos = []
     labels = []
-    ids = []
     for video in corpus.videos:
         if video.class_index in position:
             videos.append(FrameEmbeddingSet.from_raw(video.features))
             labels.append(position[video.class_index])
-            ids.append(video.video_id)
-    data = TrainingData(
-        videos=videos, labels=np.array(labels), class_texts=prepared.texts, video_ids=ids
-    )
+    data = TrainingData(videos=videos, labels=np.array(labels), class_texts=prepared.texts)
     return data, prepared
 
 
@@ -114,22 +110,16 @@ class TrainedRun:
     sti_params: STIParameters
 
 
-def train_on_corpus(
-    corpus: SyntheticCorpus,
-    config: TrainConfig,
-    *,
-    tau_saliency: float = DEFAULT_SALIENCY_TEMPERATURE,
-) -> TrainedRun:
+def train_on_corpus(corpus: SyntheticCorpus, config: TrainConfig) -> TrainedRun:
     """Train on the corpus's seen classes with the configured attributes."""
     base_enc = corpus_encoder_params(corpus)
     data, _ = training_data_for(
         corpus, corpus.seen_class_indices, config.num_attributes, base_enc
     )
     store = default_parameter_store(corpus.spec.dim)
-    result = fit(data, config, store=store, tau_saliency=tau_saliency)
-    enc, sti = params_from_store(
-        store, text_table_seed=corpus.spec.seed, dim=corpus.spec.dim, tau_saliency=tau_saliency
-    )
+    result = fit(data, config, store=store)
+    enc, sti = params_from_store(store, text_table_seed=corpus.spec.seed, dim=corpus.spec.dim,
+                                 tau_saliency=config.tau_saliency)
     return TrainedRun(result=result, data=data, enc_params=enc, sti_params=sti)
 
 

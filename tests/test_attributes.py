@@ -359,6 +359,52 @@ class TestPipeline:
         assert len(set(selected.keywords)) == len(selected.keywords)
 
 
+
+GOOD_RECORD = {"class": "salsa", "keywords": ["dance", "partner"], "extractor": "mock",
+               "prompt_sentence": "This is a video about salsa dance partner.",
+               "shortfall": False}
+GOOD_LINE = json.dumps(GOOD_RECORD).encode()
+_MISSING = object()
+
+
+def _record_line(**changes) -> bytes:
+    """GOOD_RECORD with ``changes``; a field changed to _MISSING is left out."""
+    return json.dumps({key: value for key, value in {**GOOD_RECORD, **changes}.items()
+                       if value is not _MISSING}).encode()
+
+MALFORMED_ATTRIBUTE_LINES = {
+    "invalid-json": b'{"class": "salsa",',
+    "not-an-object": b'["salsa"]',
+    "not-utf8": GOOD_LINE.replace(b"salsa", b"caf\xe9", 1),
+    "missing-class": _record_line(**{"class": _MISSING}),
+    "missing-keywords": _record_line(keywords=_MISSING),
+    "int-class": _record_line(**{"class": 5}),
+    "string-keywords": _record_line(keywords="ball"),
+    "int-keyword": _record_line(keywords=["ball", 3]),
+    "null-extractor": _record_line(extractor=None),
+    "list-prompt": _record_line(prompt_sentence=["This", "is"]),
+    "string-shortfall": _record_line(shortfall="false"),
+    "int-shortfall": _record_line(shortfall=0),
+}
+
+
+class TestLoadAttributeRecords:
+    def test_good_records_load(self, tmp_path):
+        path = tmp_path / "attributes.jsonl"
+        path.write_bytes(GOOD_LINE + b"\n\n" + GOOD_LINE + b"\n")
+        first, second = load_attribute_records(path)
+        assert first == second
+        assert first.keywords == ("dance", "partner") and first.shortfall is False
+
+    @pytest.mark.parametrize("line", MALFORMED_ATTRIBUTE_LINES.values(),
+                             ids=MALFORMED_ATTRIBUTE_LINES)
+    def test_malformed_record_names_file_and_record(self, tmp_path, line):
+        path = tmp_path / "attributes.jsonl"
+        path.write_bytes(GOOD_LINE + b"\n\n" + line + b"\n")
+        with pytest.raises(CorpusFormatError, match=r"attributes\.jsonl: record 3: ") as exc:
+            load_attribute_records(path)
+        assert exc.value.record_index == 3
+
 class TestStopwordFile:
     def test_default_file_loads_and_contains_basics(self):
         stops = load_stopwords()

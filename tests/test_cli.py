@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import stilab
-from stilab import cli
+from stilab import cli, trainer
 from stilab.attributes import load_attribute_records
 from stilab.cli import main
 from stilab.corpus import SyntheticCorpusSpec, load_corpus
@@ -72,6 +72,13 @@ class TestSynth:
         run_cli("synth", "--seed", 9, "--out-dir", b, *SMALL_SYNTH)
         for name in ("descriptions.jsonl", "videos.bin", "corpus.json"):
             assert (a / "corpus" / name).read_bytes() == (b / "corpus" / name).read_bytes()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_scale_fails(self, tmp_path, noise, capsys):
+        out = tmp_path / "noisy"
+        assert run_cli("synth", "--out-dir", out, *SMALL_SYNTH, "--noise-scale", noise) == 1
+        assert "noise_scale must be finite" in capsys.readouterr().err
+        assert not (out / "corpus").exists()
 
 
 class TestAttrs:
@@ -134,7 +141,7 @@ class TestTrain:
         config = load_checkpoint(out / "checkpoint.stickpt").config
         assert config.batch_size == TrainConfig().batch_size
 
-    @pytest.mark.parametrize("tau", ["0", "-1"])
+    @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
     def test_bad_saliency_temperature_fails_before_writing(self, synth_dir, tmp_path, tau,
                                                          capsys):
         out = tmp_path / "bad-tau"
@@ -142,6 +149,19 @@ class TestTrain:
                        "--epochs", 1, f"--tau-saliency={tau}")
         assert code == 1
         assert "tau_saliency" in capsys.readouterr().err
+        assert not (out / "checkpoint.stickpt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--weight-decay"])
+    def test_non_finite_rate_or_decay_fails_before_training(self, synth_dir, tmp_path, flag,
+                                                           value, capsys):
+        out = tmp_path / "bad-rate"
+        code = run_cli("train", "--out-dir", out, "--corpus", synth_dir / "corpus",
+                       "--epochs", 1, flag, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
+        assert "loss became non-finite" not in err
         assert not (out / "checkpoint.stickpt").exists()
 
 
@@ -219,6 +239,34 @@ class TestEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["mode"] == "few-shot"
         assert manifest["results"]["shots"] == 2
+
+    def test_few_shot_keeps_the_checkpoint_settings_and_the_default_batch_size(
+        self, synth_dir, tmp_path, monkeypatch
+    ):
+        train = tmp_path / "train-b8"
+        assert run_cli(
+            "train", "--seed", 3, "--out-dir", train, "--corpus", synth_dir / "corpus",
+            "--epochs", 1, "--batch-size", 8, "--learning-rate", 1e-3, "--weight-decay", 0.01,
+            "--tau-saliency", 0.2, "--num-attributes", 5,
+        ) == 0
+        configs = []
+        real_fit = trainer.fit
+
+        def recording_fit(data, config, **kwargs):
+            configs.append(config)
+            return real_fit(data, config, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
+        assert run_cli(
+            "eval", "--seed", 4, "--out-dir", tmp_path / "eval-few", "--corpus",
+            synth_dir / "corpus", "--checkpoint", train / "checkpoint.stickpt",
+            "--mode", "few-shot", "--shots", 2, "--finetune-epochs", 2,
+            "--no-temporal", "--num-attributes", 3,
+        ) == 0
+        assert configs == [TrainConfig(
+            learning_rate=1e-3, weight_decay=0.01, epochs=2, batch_size=16, seed=4,
+            spatial=True, temporal=False, num_attributes=3, tau_saliency=0.2,
+        )]
 
     def test_identical_eval_runs_are_byte_identical(self, synth_dir, trained, tmp_path):
         outs = []
@@ -404,7 +452,7 @@ class TestConfigFile:
 
 @pytest.mark.parametrize("command, settings, other_flags", [
     ("synth", SyntheticCorpusSpec, set()),
-    ("train", TrainConfig, {"corpus", "tau_saliency"}),
+    ("train", TrainConfig, {"corpus"}),
 ])
 def test_flags_mirror_the_settings_fields(command, settings, other_flags):
     argv = [command] + (["--corpus", "c"] if command == "train" else [])

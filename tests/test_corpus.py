@@ -142,6 +142,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SyntheticCorpusSpec(num_concepts=999).validate()
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise_scale(self, noise):
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            SyntheticCorpusSpec(noise_scale=noise).validate()
+
     def test_generate_validates(self):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(SyntheticCorpusSpec(videos_per_class=0))
@@ -209,6 +214,8 @@ class TestPersistence:
         mutated(lambda meta: meta.update(concept_words=meta["concept_words"][:-1])),
         mutated(lambda meta: meta["spec"].update(dim=16.0)),
         mutated(lambda meta: meta["spec"].update(noise_scale="0.1")),
+        mutated(lambda meta: meta["spec"].update(noise_scale=float("nan"))),
+        mutated(lambda meta: meta["spec"].update(noise_scale=float("inf"))),
         mutated(lambda meta: meta["videos"][0].update(patch_concepts="x")),
         mutated(lambda meta: meta["videos"][0]["patch_concepts"][1].pop()),
         mutated(lambda meta: meta["videos"][0]["patch_concepts"].pop()),
@@ -222,7 +229,8 @@ class TestPersistence:
             "class-without-description", "not-an-object", "float-class-index",
             "bool-class-index", "int-video-id", "string-index", "index-out-of-place",
             "int-seen", "concept-out-of-range", "string-fillers", "int-concept-words",
-            "too-few-concept-words", "float-dim", "string-noise", "string-patch-concepts",
+            "too-few-concept-words", "float-dim", "string-noise", "nan-noise", "infinite-noise",
+            "string-patch-concepts",
             "ragged-patch-concepts", "too-few-frames", "float-patch-concept",
             "bool-patch-concept", "patch-concept-out-of-range", "negative-patch-concept",
             "patch-concept-beyond-int64", "nested-patch-concept"])

@@ -239,8 +239,8 @@ class TestTemporalSaliency:
 
     def test_invalid_temperature(self):
         # the saliency temperature reaches temporal_nodes only through
-        # STIParameters (or a checkpoint), both of which reject it
-        for tau in (0.0, -0.07):
+        # STIParameters (or a TrainConfig), both of which reject it
+        for tau in (0.0, -0.07, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 STIParameters.identity_init(2, tau_saliency=tau)
 

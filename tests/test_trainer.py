@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -27,7 +29,7 @@ from stilab.trainer import (
     training_step_loss,
     write_loss_csv,
 )
-from stilab.sti import InteractionToggles
+from stilab.sti import DEFAULT_SALIENCY_TEMPERATURE
 from stilab.workflow import corpus_encoder_params, train_on_corpus, training_data_for
 from test_embed_io import mutants
 
@@ -193,20 +195,25 @@ class TestFit:
 
     def test_result_is_the_checkpoint_of_the_run(self, small_training):
         _, data = small_training
-        result = fit(data, TrainConfig(epochs=1, seed=2, batch_size=8),
-                     store=default_parameter_store(data.dim), tau_saliency=0.5)
+        config = TrainConfig(epochs=1, seed=2, batch_size=8, tau_saliency=0.5)
+        result = fit(data, config, store=default_parameter_store(data.dim))
         assert isinstance(result, Checkpoint)
-        assert result.tau_saliency == 0.5
+        assert result.config == config
         assert result.epoch == 1
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
-    def test_bad_saliency_temperature_rejected_before_training(self, small_training, tau):
-        _, data = small_training
-        store = default_parameter_store(data.dim)
-        before = store.fingerprint()
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_saliency_temperature_rejected_before_training(self, tau):
+        # the config refuses the temperature, so no step can run with it
         with pytest.raises(ValueError, match="tau_saliency"):
-            fit(data, TrainConfig(epochs=1, batch_size=8), store=store, tau_saliency=tau)
-        assert store.fingerprint() == before
+            TrainConfig(epochs=1, batch_size=8, tau_saliency=tau)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    def test_rate_and_decay_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestFewShot:
@@ -273,7 +280,7 @@ class TestTrainingStepTape:
             )
             loss = training_step_loss(
                 store, stacked[batch], data.labels[batch], data,
-                InteractionToggles(spatial, temporal), 0.07,
+                TrainConfig(spatial=spatial, temporal=temporal),
             )
             counts.append(len(loss.tape.records))
         assert counts[0] == counts[1] <= 40
@@ -287,9 +294,7 @@ class TestTrainingStepTape:
         store = default_parameter_store(data.dim)
         gc.disable()
         try:
-            loss = training_step_loss(
-                store, stacked, data.labels[:8], data, InteractionToggles(), 0.07
-            )
+            loss = training_step_loss(store, stacked, data.labels[:8], data, TrainConfig())
             parameter_gradients(loss, store)
             tape = weakref.ref(loss.tape)
             del loss
@@ -397,15 +402,14 @@ class TestCheckpointing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
 
 
-def tiny_checkpoint(tau_saliency: float = 0.07) -> Checkpoint:
+def tiny_checkpoint(tau_saliency: float = 0.07, **config) -> Checkpoint:
     store = default_parameter_store(2)
     return Checkpoint(
-        config=TrainConfig(epochs=2),
+        config=TrainConfig(epochs=2, tau_saliency=tau_saliency, **config),
         epoch=2,
         store=store,
         optimizer=OptimizerState.for_store(store),
         loss_history=[1.5, 1.25],
-        tau_saliency=tau_saliency,
     )
 
 
@@ -424,6 +428,15 @@ MALFORMED_CHECKPOINTS = {
     "trailing-bytes": lambda raw: raw + b"\x00",
     "nan-parameter-block": _nan_log_tau,
     "non-positive-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency 0.0\n", 1),
+    "infinite-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency inf\n", 1),
+    "nan-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency nan\n", 1),
+    # the temperature has its own line; the config object may not name it too
+    "config-names-tau": lambda raw: raw.replace(b'config {', b'config {"tau_saliency": 0.07, ', 1),
+    # config values TrainConfig refuses
+    "nan-learning-rate-config": lambda raw: raw.replace(
+        b'"learning_rate": 5e-05', b'"learning_rate": NaN', 1),
+    "infinite-weight-decay-config": lambda raw: raw.replace(
+        b'"weight_decay": 0.05', b'"weight_decay": Infinity', 1),
     "other-optimizer-betas": lambda raw: raw.replace(b"betas 0.9 ", b"betas 0.5 ", 1),
     # headers promising far more values than the file holds
     "huge-array-header": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau 1 " + HUGE + b"\n", 1),
@@ -460,7 +473,67 @@ class TestCheckpointFormat:
     def test_tau_saliency_round_trips(self, tmp_path):
         path = save_checkpoint(tmp_path / "hot.stickpt", tiny_checkpoint(tau_saliency=1.0))
         assert b"\ntau_saliency 1.0\n" in path.read_bytes()
-        assert load_checkpoint(path).tau_saliency == 1.0
+        assert load_checkpoint(path).config.tau_saliency == 1.0
+
+    def test_temperature_has_its_own_line_after_the_config(self, tmp_path):
+        path = save_checkpoint(tmp_path / "hot.stickpt", tiny_checkpoint(tau_saliency=0.2))
+        lines = path.read_bytes().split(b"\n")[:4]
+        assert lines == [
+            b"STICKPT1", b"version 2", b"config " + TINY_CHECKPOINT_CONFIG, b"tau_saliency 0.2",
+        ]
+        assert "tau_saliency" not in json.loads(lines[2][len(b"config "):])
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        config = TrainConfig(
+            learning_rate=1e-3, weight_decay=0.0, epochs=7, batch_size=5, seed=11,
+            spatial=False, temporal=False, num_attributes=3, tau_saliency=0.25,
+        )
+        at_default = [f.name for f in dataclasses.fields(TrainConfig)
+                      if getattr(config, f.name) == f.default]
+        assert at_default == []
+        checkpoint = tiny_checkpoint()
+        checkpoint.config = config
+        path = save_checkpoint(tmp_path / "all.stickpt", checkpoint)
+        assert load_checkpoint(path).config == config
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_files_of_the_earlier_layout_load_as_before(self, tmp_path, version):
+        # bytes as the writer laid them out before the temperature became a
+        # config field, with every config value other than its default
+        config = (b'{"batch_size": 5, "epochs": 7, "learning_rate": 0.001, "num_attributes": 3, '
+                  b'"seed": 11, "spatial": false, "temporal": false, "weight_decay": 0.0}')
+        store = default_parameter_store(2)
+
+        def blocks(name: str, value) -> list[bytes]:
+            dims = " ".join(map(str, (value.ndim, *value.shape)))
+            return [
+                f"{name}{suffix} {dims}\n".encode() + np.asarray(v, dtype="<f8").tobytes()
+                for suffix, v in (("", value), (".m", value * 0.5), (".v", value * 0.25))
+            ]
+
+        raw = b"".join([
+            b"STICKPT1\nversion %d\nconfig %s\n" % (version, config),
+            b"tau_saliency 0.25\n" if version == 2 else b"",
+            b"epoch 3\nstep 9\nbetas 0.9 0.999 1e-08\nparams 5\n",
+            *(block for name in store.names() for block in blocks(name, store.value(name))),
+            b"history 3\n" + np.array([2.0, 1.5, 1.25], dtype="<f8").tobytes(),
+        ])
+        path = tmp_path / "earlier.stickpt"
+        path.write_bytes(raw)
+        loaded = load_checkpoint(path)
+        assert loaded.config == TrainConfig(
+            learning_rate=1e-3, weight_decay=0.0, epochs=7, batch_size=5, seed=11,
+            spatial=False, temporal=False, num_attributes=3,
+            tau_saliency=0.25 if version == 2 else DEFAULT_SALIENCY_TEMPERATURE,
+        )
+        assert (loaded.epoch, loaded.optimizer.step) == (3, 9)
+        assert loaded.loss_history == [2.0, 1.5, 1.25]
+        assert loaded.store.fingerprint() == store.fingerprint()
+        for name in store.names():
+            assert np.array_equal(loaded.optimizer.first_moment[name], store.value(name) * 0.5)
+            assert np.array_equal(loaded.optimizer.second_moment[name], store.value(name) * 0.25)
+        if version == 2:  # a version 2 file is written back byte for byte
+            assert save_checkpoint(tmp_path / "again.stickpt", loaded).read_bytes() == raw
 
     def test_version_1_file_loads_with_default_temperature(self, tmp_path):
         path = save_checkpoint(tmp_path / "v2.stickpt", tiny_checkpoint(tau_saliency=1.0))
@@ -468,7 +541,7 @@ class TestCheckpointFormat:
         v1 = raw.replace(b"version 2\n", b"version 1\n", 1).replace(b"tau_saliency 1.0\n", b"", 1)
         path.write_bytes(v1)
         loaded = load_checkpoint(path)
-        assert loaded.tau_saliency == 0.07
+        assert loaded.config.tau_saliency == 0.07
         assert loaded.epoch == 2 and loaded.loss_history == [1.5, 1.25]
         assert loaded.store.fingerprint() == tiny_checkpoint().store.fingerprint()
 
