@@ -25,9 +25,9 @@ likewise contracts against K weight columns at once.
 
 ``stack`` and ``max_reduce`` have no pipeline caller. They stay only because
 the per-layer tracer (``perfbench/tracing.py``) names them in its op list;
-they go once that list drops them (ROADMAP open item 5). Until then the
-tests use ``max_reduce`` as the dense MaxSim reference and ``stack`` to
-assemble the per-class reference score matrix.
+they go once that list drops them (the benchmark-upkeep item in ROADMAP.md).
+Until then the tests use ``max_reduce`` as the dense MaxSim reference and
+``stack`` to assemble the per-class reference score matrix.
 """
 
 from __future__ import annotations

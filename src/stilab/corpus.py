@@ -12,7 +12,6 @@ pretrained joint embedding space.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -265,6 +264,9 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 DESCRIPTIONS_FILENAME = "descriptions.jsonl"
 VIDEOS_FILENAME = "videos.bin"
 METADATA_FILENAME = "corpus.json"
+# Version 2 writes each video's patch_concepts as one hex string; version 1
+# wrote nested lists of integers and is not read.
+CORPUS_FORMAT_VERSION = 2
 
 
 def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
@@ -291,7 +293,7 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
     save_embeddings(videos_path, [video.features for video in corpus.videos])
 
     meta = {
-        "format_version": 1,
+        "format_version": CORPUS_FORMAT_VERSION,
         "spec": asdict(corpus.spec),
         "concept_words": list(corpus.concept_words),
         "classes": [
@@ -308,7 +310,9 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
             {
                 "video_id": video.video_id,
                 "class_index": video.class_index,
-                "patch_concepts": video.patch_concepts.tolist(),
+                # One byte per index is enough: validate() caps num_concepts
+                # at the 40-word vocabulary.
+                "patch_concepts": video.patch_concepts.astype(np.uint8).tobytes().hex(),
             }
             for video in corpus.videos
         ],
@@ -370,22 +374,29 @@ def _typed_tuple(entry: dict, key: str, kind: type) -> tuple:
 
 
 def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) -> Array:
-    """Every video's (T, N_p) concept indices as one (videos, T, N_p) array,
-    checked for type, shape and range in one pass over all videos."""
-    rows = [entry["patch_concepts"] for entry in entries]
-    chain = itertools.chain.from_iterable
-    if set(map(type, chain(chain(rows)))) - {int}:
-        raise TypeError("'patch_concepts' must be lists of lists of int")
-    patch_concepts = np.array(rows, dtype=np.int64)
-    if rows and patch_concepts.shape != (len(rows), *shape):
-        raise ValueError(
-            f"patch_concepts have shape {patch_concepts.shape[1:]}, spec expects {shape}"
-        )
-    if patch_concepts.size and not (
-        0 <= patch_concepts.min() and patch_concepts.max() < num_concepts
-    ):
+    """Every video's (T, N_p) concept indices as one (videos, T, N_p) int64
+    array, decoded and checked in one pass over all videos.
+
+    Each entry is one string: the video's indices in row-major order, one
+    byte each, as the lowercase hex that ``bytes.hex`` writes. Only that
+    exact text is accepted, so every file that loads re-saves byte for byte.
+    """
+    texts = [entry["patch_concepts"] for entry in entries]
+    width = 2 * shape[0] * shape[1]
+    for position, text in enumerate(texts):
+        if not (isinstance(text, str) and len(text) == width):
+            raise ValueError(
+                f"video {position}: 'patch_concepts' must be a string of {width} hex digits, "
+                f"two per patch of a {shape[0]} x {shape[1]} video, got {text!r:.60}"
+            )
+    joined = "".join(texts)
+    data = bytes.fromhex(joined)
+    if data.hex() != joined:  # fromhex also takes uppercase digits and whitespace
+        raise ValueError("'patch_concepts' must be lowercase hex digits only")
+    values = np.frombuffer(data, dtype=np.uint8)
+    if values.size and values.max() >= num_concepts:
         raise ValueError(f"patch_concepts must lie in [0, {num_concepts})")
-    return patch_concepts
+    return values.astype(np.int64).reshape(len(texts), *shape)
 
 
 def _parse_corpus(corpus_dir: Path, files: Fingerprint, video_ids) -> SyntheticCorpus:
@@ -393,8 +404,12 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, video_ids) -> SyntheticC
     meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
         raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
-    if meta.get("format_version") != 1:
-        raise ValueError(f"unsupported corpus format version {meta.get('format_version')!r}")
+    if meta.get("format_version") != CORPUS_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported corpus format version {meta.get('format_version')!r}, expected "
+            f"{CORPUS_FORMAT_VERSION}; re-run `stilab synth` with the same settings to rewrite "
+            "the corpus (videos.bin and descriptions.jsonl come out byte for byte the same)"
+        )
     spec_values = meta["spec"]
     if not isinstance(spec_values, dict):
         raise TypeError(f"'spec' must be an object, got {spec_values!r}")

@@ -1,12 +1,15 @@
 """Spatial-Temporal Interaction between patch embeddings and attribute words.
 
 Spatial interaction projects patches and words through ReLU linear maps and
-scores each frame by the maximum dot product over all (patch, word) pairs;
-the score rescales that frame's embedding. Temporal interaction turns
-word-to-frame similarities into a softmax saliency over frames (averaged
-across words) and aggregates frame embeddings with those weights into one
-class-conditional video feature. Both stages can be toggled off; with both
-off the result is exactly the mean-pool baseline.
+scores each frame by the maximum dot product over all (patch, word) pairs.
+Temporal interaction turns word-to-frame similarities into a softmax
+saliency over frames (averaged across words) and aggregates frame embeddings
+with those weights into one class-conditional video feature. The spatial
+score reaches the feature only through the saliency: it scales that frame's
+temporal logits, and the aggregation sums the unscaled frame embeddings.
+Both stages can be toggled off; with the temporal stage off the feature is
+the frame mean whatever the spatial stage does, so with both off the result
+is exactly the mean-pool baseline.
 
 The words may be segmented: K classes' words concatenated into one matrix
 with K+1 offsets, so that one pass scores every class (see the tape graph

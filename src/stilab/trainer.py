@@ -45,6 +45,7 @@ _FEWSHOT_STREAM = 9001  # distinguishes the sampling stream from epoch shuffles
 CHECKPOINT_MAGIC = b"STICKPT1\n"
 CHECKPOINT_VERSION = 2  # version 1 predates the tau_saliency line
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # optimizer settings; the betas line records them
+BETAS_TEXT = f"{BETA1!r} {BETA2!r} {EPSILON!r}"  # the only betas line a checkpoint may hold
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -405,7 +406,7 @@ def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
         f"tau_saliency {float(tau_saliency)!r}",
         f"epoch {checkpoint.epoch}",
         f"step {opt.step}",
-        f"betas {BETA1!r} {BETA2!r} {EPSILON!r}",
+        f"betas {BETAS_TEXT}",
         f"params {len(store.names())}",
     ]
     fh.write(CHECKPOINT_MAGIC + "".join(f"{line}\n" for line in lines).encode("ascii"))
@@ -490,12 +491,15 @@ def _parse_checkpoint(fh) -> Checkpoint:
     if "tau_saliency" in values:
         raise CheckpointFormatError("checkpoint config names tau_saliency, which has its own line")
     if version >= 2:
-        values["tau_saliency"] = float(_read_text_line(fh, "tau_saliency"))
+        text = _read_text_line(fh, "tau_saliency")
+        values["tau_saliency"] = float(text)
+        if repr(values["tau_saliency"]) != text:  # as for counts, only the written form loads
+            raise CheckpointFormatError(f"tau_saliency {text!r} is not written as repr() writes it")
     config = _config_from_json(values)
     epoch = _read_count(fh, "epoch")
     step = _read_count(fh, "step")
     betas = _read_text_line(fh, "betas")
-    if tuple(float(x) for x in betas.split()) != (BETA1, BETA2, EPSILON):
+    if betas != BETAS_TEXT:
         raise CheckpointFormatError(f"unsupported optimizer settings {betas!r}")
     store = ParameterStore()
     first: dict[str, Array] = {}

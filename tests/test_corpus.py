@@ -27,6 +27,12 @@ def mutated(change):
     return lambda meta: (change(meta), meta)[1]
 
 
+def edit_patch_concepts(change):
+    """An edit of the first video's ``patch_concepts`` text."""
+    return mutated(lambda meta: meta["videos"][0].update(
+        patch_concepts=change(meta["videos"][0]["patch_concepts"])))
+
+
 SMALL = SyntheticCorpusSpec(
     num_concepts=8,
     seen_classes=4,
@@ -172,7 +178,7 @@ class TestPersistence:
         corpus = generate_synthetic_corpus(SMALL)
         save_corpus(corpus, tmp_path / "corpus")
         meta_path = tmp_path / "corpus" / "corpus.json"
-        meta_path.write_text(meta_path.read_text().replace('"format_version": 1', '"format_version": 9'))
+        meta_path.write_text(meta_path.read_text().replace('"format_version": 2', '"format_version": 9'))
         with pytest.raises(ValueError, match="format version"):
             load_corpus(tmp_path / "corpus")
 
@@ -217,29 +223,72 @@ class TestPersistence:
         mutated(lambda meta: meta["spec"].update(noise_scale=float("nan"))),
         mutated(lambda meta: meta["spec"].update(noise_scale=float("inf"))),
         mutated(lambda meta: meta["videos"][0].update(patch_concepts="x")),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][1].pop()),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"].pop()),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 0.5)),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, True)),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 8)),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, -1)),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, 10**30)),
-        mutated(lambda meta: meta["videos"][0]["patch_concepts"][0].__setitem__(0, [1])),
+        # SMALL has 8 concepts and 4 x 6 patches: 48 hex digits per video
+        edit_patch_concepts(lambda text: 7),
+        edit_patch_concepts(lambda text: text[:-2]),
+        edit_patch_concepts(lambda text: text + "00"),
+        edit_patch_concepts(lambda text: "0A" + text[2:]),
+        edit_patch_concepts(lambda text: text[:2] + "  " + text[2:-2]),
+        edit_patch_concepts(lambda text: "0g" + text[2:]),
+        edit_patch_concepts(lambda text: "08" + text[2:]),
+        edit_patch_concepts(lambda text: "ff" + text[2:]),
     ], ids=["unknown-spec-key", "string-dim", "missing-spec", "video-without-class-index",
             "class-without-description", "not-an-object", "float-class-index",
             "bool-class-index", "int-video-id", "string-index", "index-out-of-place",
             "int-seen", "concept-out-of-range", "string-fillers", "int-concept-words",
             "too-few-concept-words", "float-dim", "string-noise", "nan-noise", "infinite-noise",
             "string-patch-concepts",
-            "ragged-patch-concepts", "too-few-frames", "float-patch-concept",
-            "bool-patch-concept", "patch-concept-out-of-range", "negative-patch-concept",
-            "patch-concept-beyond-int64", "nested-patch-concept"])
+            "int-patch-concepts", "one-patch-short", "one-patch-extra",
+            "uppercase-patch-concepts", "whitespace-in-patch-concepts", "non-hex-patch-concepts",
+            "patch-concept-out-of-range", "ff-patch-concept"])
     def test_malformed_metadata_is_a_value_error_naming_the_file(self, tmp_path, edit):
         save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")
         meta_path = tmp_path / "corpus" / "corpus.json"
         meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
         with pytest.raises(ValueError, match="corpus.json"):
             load_corpus(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("edit", [str.upper, lambda text: text[:2] + "  " + text[2:-2]],
+                             ids=["uppercase", "whitespace"])
+    def test_patch_concepts_must_be_the_written_hex(self, tmp_path, edit):
+        # 16 concepts, so indices 10-15 are written with the digits a-f
+        corpus = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__,
+                                                                  "num_concepts": 16}))
+        save_corpus(corpus, tmp_path)
+        meta_path = tmp_path / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        video = next(v for v in meta["videos"] if set(v["patch_concepts"]) & set("abcdef"))
+        video["patch_concepts"] = edit(video["patch_concepts"])
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="corpus.json.*lowercase hex digits only"):
+            load_corpus(tmp_path)
+
+    def test_version_1_corpus_is_rejected_with_a_hint(self, tmp_path):
+        corpus = generate_synthetic_corpus(SMALL)
+        save_corpus(corpus, tmp_path)
+        meta_path = tmp_path / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        for entry, video in zip(meta["videos"], corpus.videos):
+            entry["patch_concepts"] = video.patch_concepts.tolist()
+        meta_path.write_text(json.dumps(meta, indent=1) + "\n")
+        with pytest.raises(ValueError, match="corpus.json.*version 1.*stilab synth"):
+            load_corpus(tmp_path)
+
+    def test_top_concept_index_round_trips(self, tmp_path):
+        corpus = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__,
+                                                                  "num_concepts": 40}))
+        assert any((video.patch_concepts == 39).any() for video in corpus.videos)
+        save_corpus(corpus, tmp_path)
+        for got, want in zip(load_corpus(tmp_path).videos, corpus.videos, strict=True):
+            assert got.patch_concepts.dtype == np.int64
+            assert np.array_equal(got.patch_concepts, want.patch_concepts)
+
+    def test_resaving_a_loaded_corpus_reproduces_its_bytes(self, tmp_path):
+        written = corpus_bytes(SMALL, tmp_path / "first")
+        save_corpus(load_corpus(tmp_path / "first"), tmp_path / "again")
+        assert written == {path.name: path.read_bytes()
+                           for path in sorted((tmp_path / "again").iterdir())}
 
     def test_malformed_description_record_reports_its_index(self, tmp_path):
         save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")

@@ -545,6 +545,23 @@ class TestCheckpointFormat:
         assert loaded.epoch == 2 and loaded.loss_history == [1.5, 1.25]
         assert loaded.store.fingerprint() == tiny_checkpoint().store.fingerprint()
 
+    @pytest.mark.parametrize("old, new", [
+        (b"tau_saliency 0.5\n", b"tau_saliency 1_0\n"),
+        (b"tau_saliency 0.5\n", b"tau_saliency  0.5\n"),
+        (b"tau_saliency 0.5\n", b"tau_saliency +0.5\n"),
+        (b"tau_saliency 0.5\n", b"tau_saliency 0.50\n"),
+        (b"betas 0.9 0.999 1e-08\n", b"betas 0.90  0.999 1e-8\n"),
+    ], ids=["underscore-tau", "leading-space-tau", "plus-sign-tau", "trailing-zero-tau",
+            "respelled-betas"])
+    def test_number_lines_load_only_in_their_written_form(self, tmp_path, old, new):
+        # each spelling reads as a valid number but would not be re-saved byte for byte
+        path = save_checkpoint(tmp_path / "c.stickpt", tiny_checkpoint(tau_saliency=0.5))
+        raw = path.read_bytes()
+        assert old in raw
+        path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
     def test_every_truncation_prefix_raises_format_error(self, tmp_path):
         raw = save_checkpoint(tmp_path / "full.stickpt", tiny_checkpoint()).read_bytes()
         path = tmp_path / "cut.stickpt"
