@@ -367,10 +367,11 @@ def maxsim(patches: TapeTensor, words: TapeTensor, segments=None) -> TapeTensor:
     Each segment takes one argmax over the row-major flattened (N_p, n_k)
     similarities of its own ``P @ W_kᵀ``, which resolves ties to the
     smallest patch, then the smallest word of that segment. The backward
-    routes each score's gradient to its winning pair only: g * words[w*]
-    reaches patch row p* through a one-hot matmul over the segments, and
-    g * patches[p*] is scatter-added into word row w* in a fixed sequential
-    order.
+    touches the winners only. Score (i, k) adds g * words[w*] to its
+    winning patch row p*, segment by segment, in increasing k; and
+    g * patches[p*] to its winning word row w*, in the row-major order of
+    the scores. These are the sums of a plain sequential loop over the
+    scores, bit for bit; no dense (N_p, K) one-hot is built.
     """
     P, W, need_p, need_w = patches.data, words.data, patches.requires_grad, words.requires_grad
     if W.ndim != 2 or P.ndim < 2:
@@ -382,34 +383,46 @@ def maxsim(patches: TapeTensor, words: TapeTensor, segments=None) -> TapeTensor:
     if P.shape[-2] < 1 or W.shape[0] < 1:
         raise ShapeMismatchError("maxsim needs at least one patch and one word")
     offsets = segment_offsets(segments, W.shape[0])
-    lead, n_p = P.shape[:-2], P.shape[-2]
+    lead, (n_p, dim) = P.shape[:-2], P.shape[-2:]
     count = offsets.size - 1
     best_sim = np.empty(lead + (count,))
-    p_star = np.empty(lead + (count,), dtype=np.intp)
-    w_star = np.empty(lead + (count,), dtype=np.intp)
+    best = np.empty(lead + (count,), dtype=np.intp)  # flat (patch, word) index per segment
     for k in range(count):
-        lo, hi = offsets[k], offsets[k + 1]
-        flat = np.matmul(P, W[lo:hi].T).reshape(lead + (-1,))
-        best = np.argmax(flat, axis=-1)
-        best_sim[..., k] = np.take_along_axis(flat, best[..., None], axis=-1)[..., 0]
-        p_star[..., k], w_star[..., k] = np.divmod(best, hi - lo)
+        flat = np.matmul(P, W[offsets[k]:offsets[k + 1]].T).reshape(lead + (-1,))
+        flat.argmax(axis=-1, out=best[..., k])
+        flat.max(axis=-1, out=best_sim[..., k])
+    p_star, w_star = np.divmod(best, np.diff(offsets))
     w_star += offsets[:-1]
     out = best_sim if segments is not None else best_sim[..., 0]
 
     def bw(g):
-        g = g.reshape(best_sim.shape)
+        g = g.reshape(-1, count)
+        words_won = w_star.reshape(-1, count)
+        # row of the (-1, D) patch matrix that wins each score
+        rows = p_star.reshape(-1, count) + n_p * np.arange(g.shape[0])[:, None]
         gp = gw = None
         if need_p:
-            one_hot = np.zeros(lead + (n_p, count))
-            np.put_along_axis(one_hot, p_star[..., None, :], 1.0, axis=-2)
-            gp = np.matmul(one_hot, g[..., None] * W[w_star])
+            gp = np.zeros((g.shape[0] * n_p, dim))
+            for k in range(count):  # one winner per patch matrix: no row repeats
+                gp[rows[:, k]] += g[:, k, None] * W[words_won[:, k]]
+            gp = gp.reshape(P.shape)
         if need_w:
-            gw = np.zeros_like(W)
-            winners = np.take_along_axis(P, p_star[..., None], axis=-2)
-            np.add.at(gw, w_star.ravel(), (g[..., None] * winners).reshape(-1, W.shape[1]))
+            contributions = g[..., None] * P.reshape(-1, dim)[rows]
+            gw = _scatter_add(words_won.ravel(), contributions.reshape(-1, dim), W.shape[0])
         return gp, gw
 
     return _record("maxsim", (patches, words), out, bw)
+
+
+def _scatter_add(index: Array, rows: Array, size: int) -> Array:
+    """A zero (size, ...) array with each ``rows[i]`` added into row
+    ``index[i]``, in increasing i: the sums of a sequential ``np.add.at``,
+    bit for bit, from one ``np.bincount`` over the flattened entries."""
+    tail = rows.shape[1:]
+    width = int(np.prod(tail))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=size * width)
+    return sums.reshape((size,) + tail)
 
 
 def l2_normalize(x: TapeTensor, axis: int = -1) -> TapeTensor:
@@ -576,10 +589,8 @@ def index_select(x: TapeTensor, indices, axis: int) -> TapeTensor:
     out = np.take(x.data, idx, axis=ax)
 
     def bw(g):
-        z = np.zeros(shape)
-        key = (slice(None),) * ax + (idx,)
-        np.add.at(z, key, g)
-        return (z,)
+        z = _scatter_add(idx, np.moveaxis(g, ax, 0), shape[ax])
+        return (np.ascontiguousarray(np.moveaxis(z, 0, ax)),)
 
     return _record("index_select", (x,), out, bw)
 

@@ -248,7 +248,8 @@ def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_train(args) -> tuple[list[Path], dict, str | None]:
-    corpus = load_corpus(args.corpus)
+    # training scores the seen classes only; the other videos are hashed, not kept
+    corpus = load_corpus(args.corpus, lambda _, cls: cls.seen)
     config = _from_fields(TrainConfig, args)
     run = train_on_corpus(corpus, config)
     ckpt_path = save_checkpoint(args.out_dir / "checkpoint.stickpt", run.result)
@@ -261,13 +262,13 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
     return [ckpt_path, loss_path], results, corpus.fingerprint
 
 
-def _load_model(args, video_ids=None):
-    """Load the corpus (keeping only ``video_ids``' videos, when given) and the
-    checkpoint, and view the checkpoint's store as model parameters; returns
-    (corpus, checkpoint, config, enc, sti). ``config``, the one effective
-    config, is the checkpoint's with each of the command's --num-attributes,
-    --spatial and --temporal values that is given."""
-    corpus = load_corpus(args.corpus, video_ids)
+def _load_model(args, keep):
+    """Load the corpus, keeping the videos ``keep`` selects (as
+    ``load_corpus`` takes it), and the checkpoint, and view the checkpoint's
+    store as model parameters; returns (corpus, checkpoint, config, enc, sti).
+    ``config``, the one effective config, is the checkpoint's with each of the
+    command's --num-attributes, --spatial and --temporal values that is given."""
+    corpus = load_corpus(args.corpus, keep)
     checkpoint = load_checkpoint(args.checkpoint)
     overrides = {name: getattr(args, name) for name in ("num_attributes", "spatial", "temporal")
                  if getattr(args, name, None) is not None}
@@ -278,7 +279,9 @@ def _load_model(args, video_ids=None):
 
 
 def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
-    corpus, checkpoint, config, enc, sti = _load_model(args)
+    # each mode scores one class group: seen for --mode seen, unseen otherwise
+    seen = args.mode == "seen"
+    corpus, checkpoint, config, enc, sti = _load_model(args, lambda _, cls: cls.seen == seen)
     if args.mode == "few-shot":
         if not corpus.unseen_class_indices:
             raise CliError("corpus has no unseen classes for few-shot evaluation")
@@ -310,7 +313,6 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
             "top5": top5,
         }
     else:
-        seen = args.mode == "seen"
         report = eval_group_three_splits(
             corpus, enc, sti,
             seen=seen,

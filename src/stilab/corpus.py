@@ -335,7 +335,7 @@ def _corpus_files(corpus_dir) -> list[Path]:
     return [path for path in Path(corpus_dir).iterdir() if path.is_file()]
 
 
-def load_corpus(corpus_dir, video_ids=None) -> SyntheticCorpus:
+def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
     """Load a corpus directory written by save_corpus, reading each file once.
 
     Malformed metadata, including a missing or mistyped entry and one that
@@ -344,14 +344,21 @@ def load_corpus(corpus_dir, video_ids=None) -> SyntheticCorpus:
     typed errors. The corpus's ``fingerprint`` is
     ``corpus_fingerprint(corpus_dir)``, computed from the bytes read here.
 
-    With ``video_ids``, a set, ``videos`` holds only the videos named in it,
-    in file order. The other videos' features are still read, checked
-    against their record headers and hashed, but through one reused buffer,
-    so they take no memory and are not compared with the spec's shape.
+    ``keep`` selects the videos whose features are kept: ``None`` keeps
+    them all; a set of video ids keeps the videos it names; a callable
+    ``keep(video_id, cls)``, given each video's id and CorpusClass, keeps
+    those it returns true for (``lambda _, cls: cls.seen`` keeps the seen
+    group). ``videos`` holds the kept videos, in file order. The other
+    videos' features are still read, checked and hashed, but through one
+    reused buffer, so they take no memory; every video, kept or not, must
+    have the spec's (T, N_p, D).
     """
     corpus_dir = Path(corpus_dir)
+    if keep is not None and not callable(keep):
+        video_ids = keep
+        keep = lambda video_id, _: video_id in video_ids  # noqa: E731
     try:
-        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)), video_ids)
+        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)), keep)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         metadata_path = corpus_dir / METADATA_FILENAME
         raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
@@ -399,7 +406,7 @@ def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) ->
     return values.astype(np.int64).reshape(len(texts), *shape)
 
 
-def _parse_corpus(corpus_dir: Path, files: Fingerprint, video_ids) -> SyntheticCorpus:
+def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus:
     # The files are read in name order, as the fingerprint hashes them.
     meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
@@ -448,43 +455,46 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, video_ids) -> SyntheticC
             )
         )
 
-    keep = None if video_ids is None else {
-        position for position, entry in enumerate(meta["videos"])
-        if entry["video_id"] in video_ids
-    }
-    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files, keep)
-    fingerprint = files.hexdigest()
-    if len(features_list) != len(meta["videos"]):
-        raise ValueError(
-            f"corpus metadata lists {len(meta['videos'])} videos, "
-            f"container holds {len(features_list)}"
-        )
-    expected_shape = (spec.frames, spec.patches_per_frame, spec.dim)
-    patch_concepts = _patch_concepts(meta["videos"], expected_shape[:2], spec.num_concepts)
-    videos = []
-    for entry, features, concepts in zip(meta["videos"], features_list, patch_concepts):
-        video_id = _typed(entry, "video_id", str)
-        if features is not None and features.shape != expected_shape:
-            raise ValueError(
-                f"video {video_id!r} has features of shape {features.shape}, "
-                f"corpus spec expects {expected_shape}"
-            )
-        class_index = _typed(entry, "class_index", int)
+    entries = meta["videos"]
+    video_ids = [_typed(entry, "video_id", str) for entry in entries]
+    labels = [_typed(entry, "class_index", int) for entry in entries]
+    for video_id, class_index in zip(video_ids, labels):
         if not 0 <= class_index < len(classes):
             raise ValueError(
                 f"video {video_id!r} has class_index {class_index}, "
                 f"corpus has {len(classes)} classes"
             )
-        if features is None:
-            continue
-        videos.append(
-            VideoSample(
-                video_id=video_id,
-                class_index=class_index,
-                features=features,
-                patch_concepts=concepts,
-            )
+    kept = None if keep is None else {
+        position for position, (video_id, class_index) in enumerate(zip(video_ids, labels))
+        if keep(video_id, classes[class_index])
+    }
+    shapes: list[tuple[int, ...]] = []
+    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files, kept, shapes)
+    fingerprint = files.hexdigest()
+    if len(features_list) != len(entries):
+        raise ValueError(
+            f"corpus metadata lists {len(entries)} videos, "
+            f"container holds {len(features_list)}"
         )
+    expected_shape = (spec.frames, spec.patches_per_frame, spec.dim)
+    for video_id, shape in zip(video_ids, shapes):
+        if shape != expected_shape:
+            raise ValueError(
+                f"video {video_id!r} has features of shape {shape}, "
+                f"corpus spec expects {expected_shape}"
+            )
+    patch_concepts = _patch_concepts(entries, expected_shape[:2], spec.num_concepts)
+    videos = [
+        VideoSample(
+            video_id=video_id,
+            class_index=class_index,
+            features=features,
+            patch_concepts=concepts,
+        )
+        for video_id, class_index, features, concepts
+        in zip(video_ids, labels, features_list, patch_concepts)
+        if features is not None
+    ]
 
     return SyntheticCorpus(
         spec=spec,

@@ -76,18 +76,19 @@ def _parse_header(line: str) -> tuple[int, ...]:
     return tuple(numbers[1:])
 
 
-def load_embeddings(path, digest=None, keep=None) -> list[np.ndarray | None]:
+def load_embeddings(path, digest=None, keep=None, shapes=None) -> list[np.ndarray | None]:
     """Read every record from a container file, in order, as writeable
     C-contiguous float64 arrays. The file is streamed once, front to back;
     every byte read also goes to ``digest.update`` when a digest is given.
 
     With ``keep``, a set of record indices, the other records are still
     read, checked and hashed, but through one reused buffer, and stand as
-    ``None`` in the list: their values take no memory of their own.
+    ``None`` in the list: their values take no memory of their own. A
+    ``shapes`` list gets every record's (T, N_p, D) appended, kept or not.
     """
     path = Path(path)
     out: list[np.ndarray | None] = []
-    shapes: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
+    parsed: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
     scratch = np.empty(0, dtype=PAYLOAD_DTYPE)  # the values of records not kept
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -98,10 +99,10 @@ def load_embeddings(path, digest=None, keep=None) -> list[np.ndarray | None]:
             digest.update(magic)
         while left:
             line = fh.readline()
-            shape = shapes.get(line)
+            shape = parsed.get(line)
             if shape is None:
                 shape = _parse_header(header_text(line, HeaderFormatError, "record header"))
-                shapes[line] = shape
+                parsed[line] = shape
             if digest is not None:
                 digest.update(line)
             left -= len(line)
@@ -116,4 +117,6 @@ def load_embeddings(path, digest=None, keep=None) -> list[np.ndarray | None]:
             )
             left -= features.nbytes
             out.append(features if kept else None)
+            if shapes is not None:
+                shapes.append(shape)
     return out

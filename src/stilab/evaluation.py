@@ -24,7 +24,11 @@ from .sti import (
 Array = np.ndarray
 
 TOP_K = 5
+# A scoring chunk holds at most 64 videos and at most 2**18 raw patch values:
+# 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. Every dense (chunk, T, N_p, D)
+# intermediate is then at most 2 MiB of float64.
 _EVAL_BATCH = 64
+_EVAL_CHUNK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,18 +93,21 @@ def evaluate_split(
     enc_params,
     toggles: InteractionToggles | None = None,
 ) -> tuple[float, float]:
-    """(top-1, top-k) accuracy over a split; k clamps to the class count."""
+    """(top-1, top-k) accuracy over a split; k clamps to the class count.
+    The videos are scored in chunks of at most ``_EVAL_BATCH`` videos and at
+    most ``_EVAL_CHUNK_VALUES`` raw patch values, one video at the least."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(videos) == 0:
         raise ValueError("cannot evaluate an empty split")
     if labels.shape != (len(videos),):
         raise ValueError("need one label per video")
     k = min(TOP_K, len(class_texts))
+    size = max(1, min(_EVAL_BATCH, _EVAL_CHUNK_VALUES // videos[0].patch_embeddings.size))
     hits1 = []
     hitsk = []
-    for start in range(0, len(videos), _EVAL_BATCH):
-        chunk = list(videos[start : start + _EVAL_BATCH])
-        chunk_labels = labels[start : start + _EVAL_BATCH]
+    for start in range(0, len(videos), size):
+        chunk = list(videos[start : start + size])
+        chunk_labels = labels[start : start + size]
         batch = BatchRecord(videos=tuple(chunk), labels=np.zeros(len(chunk), dtype=np.int64))
         scores = score_matrix(batch, class_texts, sti_params, enc_params, toggles)
         hits1.append(_topk_hits(scores, chunk_labels, 1))

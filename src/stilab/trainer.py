@@ -284,7 +284,6 @@ def fit(
     history = loss_history if loss_history is not None else []
 
     frozen_before = text_fingerprint(ct.sequence for ct in data.class_texts)
-    stacked = np.stack([video.patch_embeddings for video in data.videos])
     labels = data.labels
     count = len(data.videos)
 
@@ -293,7 +292,9 @@ def fit(
         epoch_losses: list[float] = []
         for start in range(0, count, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            total = training_step_loss(store, stacked[batch_idx], labels[batch_idx], data, config)
+            # one batch is gathered at a time; the training set is never copied whole
+            raw_batch = np.stack([data.videos[i].patch_embeddings for i in batch_idx])
+            total = training_step_loss(store, raw_batch, labels[batch_idx], data, config)
             value = float(total.data)
             if not np.isfinite(value):
                 raise NonFiniteLossError(

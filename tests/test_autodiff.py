@@ -286,6 +286,20 @@ def random_segments(rng, count):
     return np.concatenate([[0], cuts, [count]])
 
 
+def sequential_maxsim_grads(patches, words, segments, upstream):
+    """MaxSim gradients from a plain loop over the scores in row-major
+    order, each adding its upstream gradient into its winning pair."""
+    gp, gw = np.zeros_like(patches), np.zeros_like(words)
+    for slot in np.ndindex(patches.shape[:-2]):
+        for k, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
+            sims = np.matmul(patches[slot], words[lo:hi].T)
+            p, w = np.unravel_index(np.argmax(sims), sims.shape)
+            g = upstream[slot + (k,)]
+            gp[slot + (p,)] += g * words[lo + w]
+            gw[lo + w] += g * patches[slot + (p,)]
+    return gp, gw
+
+
 class TestSegmentedMaxSim:
     LEADING = TestMaxSim.LEADING
 
@@ -348,6 +362,26 @@ class TestSegmentedMaxSim:
             plain = maxsim_grads(ad.maxsim, patches, words, upstream[..., 0])
             assert np.array_equal(seg[0][..., 0], plain[0])
             assert np.array_equal(seg[1], plain[1]) and np.array_equal(seg[2], plain[2])
+
+    @pytest.mark.parametrize("dim", [4, 32, 64])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_gradients_equal_a_sequential_loop_over_the_scores_bitwise(self, dim, integer):
+        rng = np.random.default_rng(45 + dim)
+        for lead in self.LEADING:
+            for _ in range(4):
+                n_w = int(rng.integers(1, 12))
+                if integer:  # small integers make exact ties within a segment common
+                    patches = rng.integers(-1, 2, size=lead + (6, dim)).astype(float)
+                    words = rng.integers(-1, 2, size=(n_w, dim)).astype(float)
+                else:
+                    patches = rng.standard_normal(lead + (6, dim))
+                    words = rng.standard_normal((n_w, dim))
+                segments = random_segments(rng, n_w)
+                upstream = rng.standard_normal(lead + (segments.size - 1,))
+                build = lambda p, w: ad.maxsim(p, w, segments)  # noqa: E731
+                _, gp, gw = maxsim_grads(build, patches, words, upstream)
+                want_gp, want_gw = sequential_maxsim_grads(patches, words, segments, upstream)
+                assert np.array_equal(gp, want_gp) and np.array_equal(gw, want_gw)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(43)
@@ -559,6 +593,23 @@ class TestCompositePlumbingGradients:
 
         err = finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=5, seed=0)
         assert err < 1e-6
+
+
+class TestIndexSelectBackward:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_scatter_equals_sequential_add_at_bitwise(self, axis):
+        rng = np.random.default_rng(46 + axis)
+        x = rng.standard_normal((4, 5, 3))
+        indices = rng.integers(0, x.shape[axis], size=9)  # repeats are likely
+        tape = Tape()
+        leaf = tape.leaf(x)
+        picked = ad.index_select(leaf, indices, axis)
+        upstream = rng.standard_normal(picked.shape)
+        grads = tape.backward(ad.sum_reduce(ad.mul(picked, tape.constant(upstream))))
+        want = np.zeros_like(x)
+        np.add.at(want, (slice(None),) * axis + (indices,), upstream)
+        assert np.array_equal(grads[leaf.tid], want)
+        assert grads[leaf.tid].flags.c_contiguous
 
 
 class TestFiniteDifferenceCheck:

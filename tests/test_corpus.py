@@ -16,6 +16,8 @@ from stilab.corpus import (
 )
 from stilab.embed_io import EmbeddingIOError, load_embeddings, save_embeddings
 from stilab.encoders import tokenize
+from stilab.trainer import TrainConfig, save_checkpoint
+from stilab.workflow import train_on_corpus
 
 
 def without(entry: dict, key: str) -> dict:
@@ -412,7 +414,32 @@ class TestSelectedVideos:
         save_embeddings(tmp_path / "videos.bin", features)
         with pytest.raises(ValueError, match=corpus.videos[1].video_id):
             load_corpus(tmp_path, {corpus.videos[1].video_id})
-        assert len(load_corpus(tmp_path, {corpus.videos[0].video_id}).videos) == 1
+        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
+            load_corpus(tmp_path, {corpus.videos[0].video_id})
+
+
+class TestClassGroupSelection:
+    """``load_corpus(dir, keep)`` with a predicate on each video's class."""
+
+    @pytest.mark.parametrize("seen", [True, False])
+    def test_a_group_keeps_its_videos_and_the_fingerprint(self, tmp_path, seen):
+        corpus_bytes(SMALL, tmp_path)
+        full = load_corpus(tmp_path)
+        group = load_corpus(tmp_path, lambda _, cls: cls.seen == seen)
+        want = [v for v in full.videos if full.classes[v.class_index].seen == seen]
+        assert [v.video_id for v in group.videos] == [v.video_id for v in want]
+        assert all(np.array_equal(g.features, w.features) for g, w in zip(group.videos, want))
+        assert group.classes == full.classes
+        assert group.fingerprint == full.fingerprint
+
+    def test_a_group_loaded_corpus_trains_a_byte_equal_checkpoint(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path / "corpus")
+        config = TrainConfig.desk_scale(epochs=2, seed=3, batch_size=4)
+        written = []
+        for name, keep in (("whole", None), ("seen", lambda _, cls: cls.seen)):
+            run = train_on_corpus(load_corpus(tmp_path / "corpus", keep), config)
+            written.append(save_checkpoint(tmp_path / f"{name}.stickpt", run.result).read_bytes())
+        assert written[0] == written[1]
 
 
 class TestNonUtf8Bytes:

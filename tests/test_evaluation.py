@@ -228,6 +228,30 @@ class TestThreeSplitProtocol:
         assert report.per_split[0].top1 == report.per_split[1].top1 == report.per_split[2].top1
         assert report.top1_std == 0.0 and report.top5_std == 0.0
 
+    def test_large_videos_are_scored_in_chunks_of_at_most_eight(self, monkeypatch):
+        # 16 x 32 x 64 videos hold 2**15 values each: eight make one 2**18 chunk
+        rng = np.random.default_rng(7)
+        videos = [FrameEmbeddingSet.from_raw(rng.standard_normal((16, 32, 64)))
+                  for _ in range(18)]
+        labels = np.arange(len(videos)) % 6
+        texts = [text_of(rng.standard_normal((3, 64))) for _ in range(6)]
+        enc = EncoderParams.random(0, 64, seed=8)
+        sti = STIParameters.random_init(64, seed=9)
+        whole = BatchRecord(videos=tuple(videos), labels=np.zeros(len(videos), dtype=np.int64))
+        scores = score_matrix(whole, texts, sti, enc)
+        want = (float(_topk_hits(scores, labels, 1).mean()),
+                float(_topk_hits(scores, labels, 5).mean()))
+        calls = []
+
+        def counting_score_matrix(batch, *args):
+            calls.append(len(batch.videos))
+            return score_matrix(batch, *args)
+
+        monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
+        assert evaluate_split(videos, labels, texts, sti, enc) == want
+        assert calls == [8, 8, 2]
+        assert 0.0 < want[0] < want[1] < 1.0  # a split that tells chunkings apart
+
     @pytest.mark.parametrize("seed, scored", [(2, 2), (0, 3)])
     def test_distinct_splits_are_scored_once_each(
         self, clean_corpus_setup, monkeypatch, seed, scored

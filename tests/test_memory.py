@@ -1,0 +1,55 @@
+"""Peak-memory guards, measured with tracemalloc (which sees numpy's array
+buffers): training gathers one batch at a time, and evaluation scores
+byte-bounded chunks, so neither holds a dense copy of its whole video set."""
+
+import tracemalloc
+
+import numpy as np
+
+from stilab.encoders import EncoderParams, FrameEmbeddingSet
+from stilab.evaluation import evaluate_split
+from stilab.sti import STIParameters
+from stilab.trainer import ClassText, TrainConfig, TrainingData, fit
+from test_sti import text_of
+
+
+def peak_bytes(run) -> int:
+    """The most memory traced while ``run()`` ran, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_videos(rng, count, shape):
+    return [FrameEmbeddingSet.from_raw(rng.standard_normal(shape)) for _ in range(count)]
+
+
+def random_texts(rng, count, dim):
+    return [text_of(rng.standard_normal((3, dim))) for _ in range(count)]
+
+
+def test_fit_peaks_below_its_training_set():
+    rng = np.random.default_rng(0)
+    videos = random_videos(rng, 512, (4, 8, 16))  # 2 MiB of features, 128 batches
+    data = TrainingData(
+        videos=videos,
+        labels=np.arange(len(videos)) % 4,
+        class_texts=[ClassText(f"c{i}", text) for i, text in enumerate(random_texts(rng, 4, 16))],
+    )
+    feature_bytes = sum(video.patch_embeddings.nbytes for video in videos)
+    config = TrainConfig.desk_scale(epochs=1, seed=0, batch_size=4)
+    assert peak_bytes(lambda: fit(data, config)) < feature_bytes
+
+
+def test_evaluate_split_peaks_below_64_large_videos():
+    rng = np.random.default_rng(1)
+    videos = random_videos(rng, 64, (16, 32, 64))
+    labels = np.arange(len(videos)) % 6
+    enc = EncoderParams.pretrained(0, 64)
+    sti = STIParameters.random_init(64, seed=2)
+    feature_bytes = sum(video.patch_embeddings.nbytes for video in videos)
+    texts = random_texts(rng, 6, 64)
+    assert peak_bytes(lambda: evaluate_split(videos, labels, texts, sti, enc)) < feature_bytes
