@@ -41,10 +41,8 @@ from .objective import (
 )
 from .sti import (
     InteractionToggles,
-    STIOutput,
     STIParameters,
     SpatialResult,
-    TemporalSaliency,
     spatial_interaction,
     sti_forward,
 )

@@ -334,7 +334,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     # one video is scored, so the other videos' features are hashed, not kept
-    corpus, _, config, enc, sti = _load_model(args, {args.video_id})
+    corpus, _, config, enc, sti = _load_model(args, lambda video_id, _: video_id == args.video_id)
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:
         raise CliError(f"unknown video id {args.video_id!r}")

@@ -344,19 +344,16 @@ def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
     typed errors. The corpus's ``fingerprint`` is
     ``corpus_fingerprint(corpus_dir)``, computed from the bytes read here.
 
-    ``keep`` selects the videos whose features are kept: ``None`` keeps
-    them all; a set of video ids keeps the videos it names; a callable
-    ``keep(video_id, cls)``, given each video's id and CorpusClass, keeps
-    those it returns true for (``lambda _, cls: cls.seen`` keeps the seen
-    group). ``videos`` holds the kept videos, in file order. The other
-    videos' features are still read, checked and hashed, but through one
-    reused buffer, so they take no memory; every video, kept or not, must
-    have the spec's (T, N_p, D).
+    ``keep(video_id, cls)``, given each video's id and CorpusClass,
+    selects the videos whose features are kept: those it returns true for
+    (``lambda _, cls: cls.seen`` keeps the seen group), or all of them when
+    ``keep`` is None. ``videos`` holds the kept videos, in file order, each
+    with its own int64 copy of its patch concepts. The other videos'
+    features are still read, checked and hashed, but through one reused
+    buffer, so they take no memory; every video, kept or not, must have the
+    spec's (T, N_p, D) and valid patch concepts.
     """
     corpus_dir = Path(corpus_dir)
-    if keep is not None and not callable(keep):
-        video_ids = keep
-        keep = lambda video_id, _: video_id in video_ids  # noqa: E731
     try:
         return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)), keep)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -381,7 +378,7 @@ def _typed_tuple(entry: dict, key: str, kind: type) -> tuple:
 
 
 def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) -> Array:
-    """Every video's (T, N_p) concept indices as one (videos, T, N_p) int64
+    """Every video's (T, N_p) concept indices as one (videos, T, N_p) uint8
     array, decoded and checked in one pass over all videos.
 
     Each entry is one string: the video's indices in row-major order, one
@@ -403,7 +400,7 @@ def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) ->
     values = np.frombuffer(data, dtype=np.uint8)
     if values.size and values.max() >= num_concepts:
         raise ValueError(f"patch_concepts must lie in [0, {num_concepts})")
-    return values.astype(np.int64).reshape(len(texts), *shape)
+    return values.reshape(len(texts), *shape)
 
 
 def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus:
@@ -489,7 +486,7 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus
             video_id=video_id,
             class_index=class_index,
             features=features,
-            patch_concepts=concepts,
+            patch_concepts=concepts.astype(np.int64),
         )
         for video_id, class_index, features, concepts
         in zip(video_ids, labels, features_list, patch_concepts)

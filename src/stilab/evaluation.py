@@ -13,17 +13,12 @@ import numpy as np
 from ._fileio import atomic_open
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
 from .objective import BatchRecord, score_matrix
-from .sti import (
-    SALIENCY_SUM_TOLERANCE,
-    InteractionToggles,
-    STIParameters,
-    saliency_rows,
-    sti_forward,
-)
+from .sti import InteractionToggles, STIParameters, sti_forward
 
 Array = np.ndarray
 
 TOP_K = 5
+SALIENCY_SUM_TOLERANCE = 1e-9
 # A scoring chunk holds at most 64 videos and at most 2**18 raw patch values:
 # 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. Every dense (chunk, T, N_p, D)
 # intermediate is then at most 2 MiB of float64.
@@ -204,7 +199,8 @@ def export_saliency(
     """Write per-frame (index, spatial score, temporal weight) rows.
 
     Values render with 17 significant digits, which round-trips float64
-    exactly. The saliency column is checked to sum to 1 before writing.
+    exactly. The saliency column is checked to sum to 1 before writing, so
+    a saliency that overflowed to NaN raises ValueError and writes nothing.
     """
     # Looked up at call time, not bound at import, so that a wrapper installed
     # on stilab.encoders.encode_video (the per-layer tracer's) sees this call.
@@ -212,12 +208,13 @@ def export_saliency(
 
     encoded = encode_video(video.patch_embeddings, enc_params)
     output = sti_forward(encoded, class_text, sti_params, toggles)
-    total = float(output.temporal.weights.sum())
-    if abs(total - 1.0) > SALIENCY_SUM_TOLERANCE:
+    scores, saliency = output["spatial_scores"], output["saliency"]
+    total = float(saliency.sum())
+    if not abs(total - 1.0) <= SALIENCY_SUM_TOLERANCE:  # a NaN sum fails too
         raise ValueError(f"saliency column sums to {total!r}, expected 1")
     path = Path(path)
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("frame_index,s_sp,s_temp\n")
-        for index, spatial, temporal in saliency_rows(output):
+        for index, (spatial, temporal) in enumerate(zip(scores, saliency)):
             fh.write(f"{index},{spatial:.17g},{temporal:.17g}\n")
     return path

@@ -29,7 +29,6 @@ from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
 Array = np.ndarray
 
 DEFAULT_SALIENCY_TEMPERATURE = 0.07
-SALIENCY_SUM_TOLERANCE = 1e-9
 
 
 def check_saliency_temperature(tau_saliency: float) -> None:
@@ -96,30 +95,6 @@ class SpatialResult:
             raise ValueError("spatial scores and features disagree on frame count")
         if np.any(self.spatial_scores < 0):
             raise ValueError("spatial scores must be non-negative")
-
-
-@dataclass(frozen=True)
-class TemporalSaliency:
-    weights: Array  # (T,)
-
-    def __post_init__(self):
-        if self.weights.ndim != 1:
-            raise ValueError("saliency weights must be a vector")
-        if np.any(self.weights < 0):
-            raise ValueError("saliency weights must be non-negative")
-        if abs(float(self.weights.sum()) - 1.0) > SALIENCY_SUM_TOLERANCE:
-            raise ValueError("saliency weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class STIOutput:
-    video_feature: Array  # (D,)
-    spatial: SpatialResult
-    temporal: TemporalSaliency
-
-    def __post_init__(self):
-        if not np.isfinite(self.video_feature).all():
-            raise ValueError("video feature must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +224,6 @@ def sti_pipeline_nodes(
 # array-facing operations
 # ---------------------------------------------------------------------------
 
-def _spatial_result(scores: Array, frames: Array) -> SpatialResult:
-    """Scores with the frames they rescale: frame t times its score."""
-    return SpatialResult(spatial_scores=scores, spatial_features=scores[:, None] * frames)
-
-
 def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialResult:
     """MaxSim spatial scoring of already-projected patches against words.
 
@@ -274,8 +244,8 @@ def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialRe
     if frame_embeddings.shape[0] != proj_patches.shape[0]:
         raise ShapeMismatchError("frame count mismatch between patches and frame embeddings")
     tape = Tape()
-    scores = spatial_nodes(tape.constant(proj_patches), tape.constant(proj_words))
-    return _spatial_result(scores.data, frame_embeddings)
+    scores = spatial_nodes(tape.constant(proj_patches), tape.constant(proj_words)).data
+    return SpatialResult(spatial_scores=scores, spatial_features=scores[:, None] * frame_embeddings)
 
 
 def sti_forward(
@@ -283,12 +253,13 @@ def sti_forward(
     text: TextEmbeddingSequence,
     params: STIParameters,
     toggles: InteractionToggles | None = None,
-) -> STIOutput:
+) -> dict[str, Array]:
     """Run the full interaction for one (video, class) pair.
 
-    The output keeps the spatial scores and temporal saliency so they can be
-    exported for inspection. Disabled stages report neutral intermediates
-    (unit scores, uniform saliency).
+    Returns ``sti_pipeline_nodes``' arrays under its keys: the (D,)
+    ``"feature"``, and the (T,) ``"spatial_scores"`` and ``"saliency"``,
+    which a disabled stage reports as neutral values (unit scores, uniform
+    saliency).
     """
     toggles = toggles or InteractionToggles()
     if frames.dim != params.dim or text.dim != params.dim:
@@ -304,20 +275,5 @@ def sti_forward(
         toggles=toggles,
     )
     t = frames.num_frames
-    scores = nodes["spatial_scores"]
-    saliency = nodes["saliency"]
-    spatial = _spatial_result(
-        scores.data if scores is not None else np.ones(t), frames.frame_class_embeddings
-    )
-    temporal = TemporalSaliency(
-        weights=saliency.data if saliency is not None else np.full(t, 1.0 / t)
-    )
-    return STIOutput(video_feature=nodes["feature"].data, spatial=spatial, temporal=temporal)
-
-
-def saliency_rows(output: STIOutput) -> list[tuple[int, float, float]]:
-    """(frame index, spatial score, temporal weight) rows for export."""
-    return [
-        (t, float(output.spatial.spatial_scores[t]), float(output.temporal.weights[t]))
-        for t in range(output.spatial.spatial_scores.shape[0])
-    ]
+    neutral = {"spatial_scores": np.ones(t), "saliency": np.full(t, 1.0 / t)}
+    return {key: neutral[key] if node is None else node.data for key, node in nodes.items()}

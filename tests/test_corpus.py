@@ -366,28 +366,34 @@ class TestLoadedFeatures:
         lambda data: b"STIEMB2" + data[7:],
     ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic"])
     # the corruptions hit the first or the last record, neither of them kept
-    @pytest.mark.parametrize("video_ids", [None, {"vid00_001"}], ids=["all", "one-kept"])
-    def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt, video_ids):
+    @pytest.mark.parametrize("keep", [None, lambda video_id, _: video_id == "vid00_001"],
+                             ids=["all", "one-kept"])
+    def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt, keep):
         corpus_bytes(SMALL, tmp_path)
         path = tmp_path / "videos.bin"
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(EmbeddingIOError) as direct:
             load_embeddings(path)
         with pytest.raises(EmbeddingIOError) as through_corpus:
-            load_corpus(tmp_path, video_ids)
+            load_corpus(tmp_path, keep)
         assert type(through_corpus.value) is type(direct.value)
         assert str(through_corpus.value) == str(direct.value)
 
 
+def named(*video_ids):
+    """A ``load_corpus`` keep predicate that selects the given video ids."""
+    return lambda video_id, _: video_id in video_ids
+
+
 class TestSelectedVideos:
-    """``load_corpus(dir, video_ids)`` keeps only the named videos but reads,
-    checks and hashes all of ``videos.bin``."""
+    """``load_corpus(dir, keep)`` keeps only the videos ``keep`` names but
+    reads, checks and hashes all of ``videos.bin``."""
 
     def test_named_videos_keep_their_values_and_the_fingerprint(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
         full = load_corpus(tmp_path)
         wanted = [full.videos[4], full.videos[1]]
-        picked = load_corpus(tmp_path, {video.video_id for video in wanted})
+        picked = load_corpus(tmp_path, named(*(video.video_id for video in wanted)))
         assert [video.video_id for video in picked.videos] == [
             full.videos[1].video_id, full.videos[4].video_id
         ]
@@ -400,9 +406,18 @@ class TestSelectedVideos:
         assert picked.classes == full.classes
         assert picked.fingerprint == full.fingerprint == corpus_fingerprint(tmp_path)
 
+    def test_a_kept_video_owns_its_patch_concepts(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        full = load_corpus(tmp_path)
+        (picked,) = load_corpus(tmp_path, named(full.videos[3].video_id)).videos
+        # a view would keep every video's indices alive with this one
+        assert picked.patch_concepts.flags.owndata
+        assert picked.patch_concepts.dtype == np.int64
+        assert np.array_equal(picked.patch_concepts, full.videos[3].patch_concepts)
+
     def test_an_unknown_id_keeps_no_video(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
-        picked = load_corpus(tmp_path, {"no-such-video"})
+        picked = load_corpus(tmp_path, named("no-such-video"))
         assert picked.videos == []
         assert picked.fingerprint == corpus_fingerprint(tmp_path)
 
@@ -413,9 +428,9 @@ class TestSelectedVideos:
         features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
         save_embeddings(tmp_path / "videos.bin", features)
         with pytest.raises(ValueError, match=corpus.videos[1].video_id):
-            load_corpus(tmp_path, {corpus.videos[1].video_id})
+            load_corpus(tmp_path, named(corpus.videos[1].video_id))
         with pytest.raises(ValueError, match=corpus.videos[1].video_id):
-            load_corpus(tmp_path, {corpus.videos[0].video_id})
+            load_corpus(tmp_path, named(corpus.videos[0].video_id))
 
 
 class TestClassGroupSelection:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from stilab.evaluation import (
     write_metric_csv,
 )
 from stilab.objective import BatchRecord, score_matrix
-from stilab.sti import STIParameters
+from stilab.sti import InteractionToggles, STIParameters
 from stilab.workflow import corpus_encoder_params, params_from_store, training_data_for
 from stilab.trainer import default_parameter_store
 from test_sti import text_of
@@ -361,5 +362,49 @@ class TestSaliencyExport:
         output = sti_forward(encode_video(video.patch_embeddings, enc), text, sti)
         for line, t in zip(path.read_text().splitlines()[1:], range(5)):
             _, s_sp, s_temp = line.split(",")
-            assert float(s_sp) == output.spatial.spatial_scores[t]
-            assert float(s_temp) == output.temporal.weights[t]
+            assert float(s_sp) == output["spatial_scores"][t]
+            assert float(s_temp) == output["saliency"][t]
+
+    def test_overflowing_saliency_raises_and_writes_nothing(self, tmp_path):
+        # finite inputs whose frame-word logits overflow to inf: the saliency
+        # softmax is NaN, which the sum-to-1 check must not let through
+        raw = np.full((3, 2, 4), 1e300)
+        raw[1] *= -1
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            export_saliency(
+                FrameEmbeddingSet.from_raw(raw), text_of(np.full((2, 4), 1e300)),
+                STIParameters.identity_init(4), EncoderParams.pretrained(0, 4),
+                tmp_path / "sal.csv",
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    # sha256 of each CSV below, as the export wrote it when sti_forward still
+    # wrapped its arrays in validated result classes
+    PINNED_CSV_SHA256 = {
+        (True, True): "5a73f8a49d941662cf0a14b873fa5af8a9049d52c800c13485ac36769441f717",
+        (True, False): "fc29b931829dbbde48e5ac34c829c61ed32bceaea92aa3de47a62e2e1f8fa1c3",
+        (False, True): "74fa262c1359a54fd9d200fd7db1cd46b258e0f302c5dc5111efd77850ff97b0",
+        (False, False): "89b106477f2fc93f9b521cc47f1b122ad4e1afcac8bb3751ef4032d2191d593b",
+    }
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_csv_bytes_are_pinned_for_each_toggle(self, tmp_path, spatial, temporal):
+        # a disabled stage exports its neutral value: unit spatial scores,
+        # uniform 1/T saliency
+        t = 5
+        rng = np.random.default_rng(5)
+        video = FrameEmbeddingSet.from_raw(rng.standard_normal((t, 4, 6)))
+        text = text_of(rng.standard_normal((3, 6)))
+        path = export_saliency(
+            video, text, STIParameters.random_init(6, 1, 0.3), EncoderParams.pretrained(0, 6),
+            tmp_path / "sal.csv", toggles=InteractionToggles(spatial, temporal),
+        )
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [int(index) for index, _, _ in rows] == list(range(t))
+        if not spatial:
+            assert all(s_sp == "1" for _, s_sp, _ in rows)
+        if not temporal:
+            assert all(s_temp == f"{1 / t:.17g}" for _, _, s_temp in rows)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_CSV_SHA256[(spatial, temporal)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stilab import cli, evaluation
+from stilab import cli
 from stilab._fileio import atomic_open
 from stilab.attributes import ClassDescription, run_attribute_pipeline, save_attribute_records
 from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus, save_corpus
@@ -21,14 +21,16 @@ from test_sti import text_of
 
 
 def assert_failed_write_keeps_old_file(path, write_ok, write_failing):
-    """``write_ok`` writes ``path``; ``write_failing`` must raise while writing it."""
+    """``write_ok`` writes ``path``; ``write_failing`` must raise while writing it.
+    Returns what ``write_failing`` raised."""
     write_ok()
     before = path.read_bytes()
     listing = sorted(p.name for p in path.parent.iterdir())
-    with pytest.raises(Exception):
+    with pytest.raises(Exception) as raised:
         write_failing()
     assert path.read_bytes() == before
     assert sorted(p.name for p in path.parent.iterdir()) == listing
+    return raised.value
 
 
 def test_atomic_open_replaces_only_on_success(tmp_path):
@@ -73,16 +75,15 @@ def test_saliency_export(tmp_path, monkeypatch):
     text = text_of(rng.standard_normal((2, 6)))
     args = (video, text, STIParameters.identity_init(6), EncoderParams.pretrained(0, 6))
     path = tmp_path / "sal.csv"
+    # the header is the first write, so the disk fills on the first row
 
-    def fail_after_one_row(output):
-        yield 0, 0.5, 0.25
-        raise OSError("disk full")
-
-    def write_failing():
-        monkeypatch.setattr(evaluation, "saliency_rows", fail_after_one_row)
+    def write():
         export_saliency(*args, path)
 
-    assert_failed_write_keeps_old_file(path, lambda: export_saliency(*args, path), write_failing)
+    raised = assert_failed_write_keeps_old_file(
+        path, write, lambda: fill_disk_while_writing(monkeypatch, path.name, write)
+    )
+    assert isinstance(raised, OSError) and raised.errno == errno.ENOSPC
 
 
 def test_manifest(tmp_path):

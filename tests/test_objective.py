@@ -142,7 +142,7 @@ class TestScoreMatrix:
         for i, video in enumerate(batch.videos):
             encoded = encode_video(video.patch_embeddings, enc)
             for j, text in enumerate(texts):
-                feature = sti_forward(encoded, text, sti).video_feature
+                feature = sti_forward(encoded, text, sti)["feature"]
                 expected = cosine(text.class_embedding, feature)
                 assert abs(scores[i, j] - expected) < 1e-12
 

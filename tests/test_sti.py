@@ -7,10 +7,8 @@ from stilab.sti import (
     InteractionToggles,
     STIParameters,
     SpatialResult,
-    TemporalSaliency,
     aggregate_nodes,
     project_nodes,
-    saliency_rows,
     spatial_interaction,
     sti_forward,
     sti_pipeline_nodes,
@@ -68,7 +66,7 @@ def aggregate(frames, weights) -> np.ndarray:
 def mean_pooled(frames: FrameEmbeddingSet, text: TextEmbeddingSequence) -> np.ndarray:
     """The video feature with both interaction stages off."""
     params = STIParameters.identity_init(frames.dim)
-    return sti_forward(frames, text, params, InteractionToggles(False, False)).video_feature
+    return sti_forward(frames, text, params, InteractionToggles(False, False))["feature"]
 
 
 def text_of(words: np.ndarray) -> TextEmbeddingSequence:
@@ -320,9 +318,7 @@ class TestForwardPipeline:
         rng = np.random.default_rng(10)
         frames, text, params = random_pair(rng)
         out = sti_forward(frames, text, params, InteractionToggles(False, False))
-        assert np.array_equal(out.video_feature, np.mean(frames.frame_class_embeddings, axis=0))
-        assert np.all(out.spatial.spatial_scores == 1.0)
-        assert np.allclose(out.temporal.weights, 0.25, atol=1e-15)
+        assert np.array_equal(out["feature"], np.mean(frames.frame_class_embeddings, axis=0))
 
     def test_temporal_off_spatial_on_means_frames_when_scores_equal(self):
         rng = np.random.default_rng(11)
@@ -334,9 +330,9 @@ class TestForwardPipeline:
         text = text_of(np.abs(rng.standard_normal((3, d))))
         params = STIParameters.identity_init(d)
         out = sti_forward(frames, text, params, InteractionToggles(True, False))
-        scores = out.spatial.spatial_scores
+        scores = out["spatial_scores"]
         assert np.allclose(scores, scores[0], atol=1e-12)
-        assert np.array_equal(out.video_feature, np.mean(frames.frame_class_embeddings, axis=0))
+        assert np.array_equal(out["feature"], np.mean(frames.frame_class_embeddings, axis=0))
 
     def test_full_pipeline_matches_straight_line_recomputation(self):
         # independent straight-line oracle composed of the four stages,
@@ -356,20 +352,20 @@ class TestForwardPipeline:
         for t in range(frames.num_frames):
             feature = feature + frames.frame_class_embeddings[t] * weights[t]
 
-        assert np.allclose(out.spatial.spatial_scores, scores, rtol=1e-12, atol=1e-12)
-        assert np.allclose(out.temporal.weights, weights, rtol=1e-12, atol=1e-12)
-        assert np.allclose(out.video_feature, feature, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out["spatial_scores"], scores, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out["saliency"], weights, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out["feature"], feature, rtol=1e-12, atol=1e-12)
 
     def test_frame_permutation_leaves_feature_unchanged(self):
         rng = np.random.default_rng(13)
         frames, text, params = random_pair(rng)
-        base = sti_forward(frames, text, params).video_feature
+        base = sti_forward(frames, text, params)["feature"]
         for _ in range(20):
             perm = rng.permutation(frames.num_frames)
             permuted = FrameEmbeddingSet(
                 frames.frame_class_embeddings[perm], frames.patch_embeddings[perm]
             )
-            moved = sti_forward(permuted, text, params).video_feature
+            moved = sti_forward(permuted, text, params)["feature"]
             rel = np.abs(moved - base) / np.maximum(1.0, np.abs(base))
             assert np.max(rel) < 1e-9
 
@@ -385,8 +381,8 @@ class TestForwardPipeline:
                 token_texts=tuple(text.token_texts[i] for i in perm),
             )
             moved = sti_forward(frames, permuted, params)
-            assert np.array_equal(moved.spatial.spatial_scores, base.spatial.spatial_scores)
-            assert np.allclose(moved.temporal.weights, base.temporal.weights, atol=1e-12)
+            assert np.array_equal(moved["spatial_scores"], base["spatial_scores"])
+            assert np.allclose(moved["saliency"], base["saliency"], atol=1e-12)
 
     def test_saliency_always_sums_to_one(self):
         rng = np.random.default_rng(15)
@@ -395,22 +391,14 @@ class TestForwardPipeline:
                 rng, t=int(rng.integers(1, 6)), n_w=int(rng.integers(1, 5))
             )
             out = sti_forward(frames, text, params)
-            assert abs(out.temporal.weights.sum() - 1.0) < 1e-9
-            assert np.all(out.spatial.spatial_scores >= 0.0)
+            assert abs(out["saliency"].sum() - 1.0) < 1e-9
+            assert np.all(out["spatial_scores"] >= 0.0)
 
     def test_parameter_and_result_validation(self):
         with pytest.raises(ValueError):
             STIParameters(np.eye(2), np.eye(2), tau_saliency=0.0)
         with pytest.raises(ValueError):
             SpatialResult(np.array([-0.1]), np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            TemporalSaliency(np.array([0.6, 0.6]))
-
-    def test_saliency_rows_cover_every_frame(self):
-        rng = np.random.default_rng(16)
-        frames, text, params = random_pair(rng, t=8)
-        rows = saliency_rows(sti_forward(frames, text, params))
-        assert [r[0] for r in rows] == list(range(8))
 
 
 class TestSegmentedPipeline:
