@@ -9,7 +9,9 @@ identical tapes produce bitwise-identical gradients.
 Backward closures save arrays and flags, never tensors, and a tape indexes
 its named leaves by id, so no reference cycle runs through a tape: it is
 freed as soon as its last tensor is dropped, not when the cycle collector
-next runs. A training loop therefore holds one step's tape at a time.
+next runs. A training loop therefore holds one step's tape at a time, and
+``Tape.backward`` frees each record's saved arrays as it goes: a tape is
+single-use.
 
 The primitive set is intentionally small: it is the closure of the encoder,
 interaction and loss computations under differentiation, nothing more. One
@@ -118,9 +120,11 @@ class Tape:
         self._records: list[TapeRecord] = []
         self._next_id = 0
         self._param_ids: dict[str, int] = {}
+        self._spent = False
 
     @property
     def records(self) -> Sequence[TapeRecord]:
+        """The records not yet consumed: empty once ``backward`` has run."""
         return tuple(self._records)
 
     @property
@@ -157,6 +161,10 @@ class Tape:
         and later ones are added into that buffer in place. Only buffers
         allocated here are ever mutated, never arrays a backward closure
         returned, and the summation order is the same either way.
+
+        Backward consumes the tape, leaving ``records`` empty: each record, with
+        the arrays it saved, is dropped before the next one's VJP runs. A tape
+        is single-use; a second call raises ``AutodiffError``.
         """
         if output.tape is not self:
             raise AutodiffError("output tensor belongs to a different tape")
@@ -164,9 +172,14 @@ class Tape:
             raise NonScalarOutputError(
                 f"backward requires a scalar output, got shape {output.data.shape}"
             )
+        if self._spent:
+            raise AutodiffError("tape was already differentiated; a tape is single-use")
+        self._spent = True
+        records, self._records = self._records, []
         grads: dict[int, Array] = {output.tid: np.ones((), dtype=np.float64)}
         owned: set[int] = set()  # ids whose gradient buffer was allocated here
-        for rec in reversed(self._records):
+        while records:
+            rec = records.pop()  # rebinding drops the previous record
             g = grads.pop(rec.output_id, None)
             if g is None:
                 continue
@@ -661,7 +674,8 @@ GradientMap = dict  # name -> gradient array, same shape as the parameter
 def parameter_gradients(loss: TapeTensor, store: ParameterStore) -> GradientMap:
     """Gradients of a scalar loss for every parameter in the store.
 
-    Parameters the forward pass never touched get explicit zero tensors.
+    Parameters the forward pass never touched get explicit zero tensors. The
+    call consumes ``loss.tape``, so each loss is differentiated once.
     """
     raw = loss.tape.backward(loss)
     ids = loss.tape.param_ids

@@ -506,6 +506,52 @@ class TestTapeLifetime:
         finally:
             gc.enable()
 
+    def test_backward_consumes_the_tape(self):
+        tape, loss, leaves = fan_out_graph()
+        assert tape.records
+        grads = tape.backward(loss)
+        assert all(leaf.tid in grads for leaf in leaves)
+        assert tape.records == ()
+        with pytest.raises(AutodiffError, match="single-use"):
+            tape.backward(loss)
+
+    def test_each_record_is_freed_before_the_next_vjp_runs(self):
+        # every closure is wrapped in a VJP that checks, by weak reference,
+        # that the wrapper which ran just before it is gone: backward must drop
+        # each record, and so the arrays its closure saved, once it has run
+        store = ParameterStore()
+        store.register("x", np.random.default_rng(47).random((2, 3, 3)))
+        store.register("w", np.eye(3))
+        ran: list[weakref.ref] = []
+        stale: list[str] = []
+
+        class CheckedVJP:
+            def __init__(self, op, fn):
+                self.op, self.fn = op, fn
+
+            def __call__(self, g):
+                previous = ran[-1]() if ran else None
+                if previous is not None:
+                    stale.append(f"{previous.op} still alive when {self.op} ran")
+                ran.append(weakref.ref(self))
+                return self.fn(g)
+
+        def checked_loss():
+            loss = every_primitive_loss(store, Tape())
+            for rec in loss.tape.records:
+                rec.backward_fn = CheckedVJP(rec.op, rec.backward_fn)
+            return loss
+
+        gc.disable()
+        try:
+            loss = checked_loss()
+            count = len(loss.tape.records)
+            parameter_gradients(loss, store)
+        finally:
+            gc.enable()
+        assert len(ran) == count > 20
+        assert stale == []
+
 
 class TestInPlaceAccumulation:
     def test_fan_out_gradients_bitwise_equal_out_of_place_loop(self):
