@@ -16,8 +16,12 @@ single-use.
 The primitive set is intentionally small: it is the closure of the encoder,
 interaction and loss computations under differentiation, nothing more. One
 primitive is fused rather than elementary: ``maxsim``, the late-interaction
-score ``max over (patch, word) of patch . word``, whose backward touches only
-the winning pair instead of a dense similarity gradient.
+score ``max over (patch, word) of z . word``, whose backward touches only
+the winning pair instead of a dense similarity gradient. It also projects
+the patches, z = ReLU(patches @ W_p), when given the weight, a chunk of
+patch matrices at a time: its record then keeps only the winning rows of the
+patches and of z, and the gradients of the patches and of W_p flow through
+those rows alone, never through a dense z or gradient of z.
 
 ``maxsim`` scores segments: the words of K classes are concatenated into one
 (N_w, D) matrix, and K+1 offsets (``segment_offsets``) mark where each class's
@@ -368,63 +372,113 @@ def segment_offsets(segments, count: int) -> Array:
     return offsets.astype(np.intp)
 
 
-def maxsim(patches: TapeTensor, words: TapeTensor, segments=None) -> TapeTensor:
+# Patch matrices are projected and scored at most this many projected values
+# at a time, so each chunk stays in cache across its K segment products.
+MAXSIM_CHUNK_VALUES = 1 << 16
+
+
+def maxsim(
+    patches: TapeTensor, words: TapeTensor, segments=None, weight: TapeTensor | None = None
+) -> TapeTensor:
     """Late-interaction MaxSim of patches against each segment of the words.
 
-    patches is (..., N_p, D) and words (N_w, D). ``segments`` splits the
-    words into K segments (see ``segment_offsets``), one per class, and the
-    result is (..., K): per segment, the max over (patch, word of that
-    segment) of patch . word. With ``segments=None`` every word is in one
-    segment and the segment axis is dropped, so the result is (...).
+    patches is (..., N_p, D_in) and words (N_w, D). With a (D_in, D)
+    ``weight`` the patches are projected first, z = ReLU(patches @ weight),
+    by the same arithmetic as ``relu(matmul(patches, weight))``; without one
+    z is the (..., N_p, D) patches themselves. ``segments`` splits the words
+    into K segments (see ``segment_offsets``), one per class, and the result
+    is (..., K): per segment, the max over (patch, word of that segment) of
+    z[patch] . word. With ``segments=None`` every word is in one segment and
+    the segment axis is dropped, so the result is (...).
 
-    Each segment takes one argmax over the row-major flattened (N_p, n_k)
-    similarities of its own ``P @ W_kᵀ``, which resolves ties to the
-    smallest patch, then the smallest word of that segment. The backward
-    touches the winners only. Score (i, k) adds g * words[w*] to its
-    winning patch row p*, segment by segment, in increasing k; and
-    g * patches[p*] to its winning word row w*, in the row-major order of
-    the scores. These are the sums of a plain sequential loop over the
-    scores, bit for bit; no dense (N_p, K) one-hot is built.
+    The (N_p, D_in) patch matrices are taken in chunks of at most
+    ``MAXSIM_CHUNK_VALUES`` projected values (or one matrix, if larger), and
+    no full z is built. numpy
+    multiplies a stack of matrices one matrix at a time, so every product is
+    the one an unchunked ``np.matmul`` computes, bit for bit. Each segment
+    takes one argmax over the row-major flattened (N_p, n_k) similarities of
+    its own ``z @ W_kᵀ``, which resolves ties to the smallest patch, then the
+    smallest word of that segment.
+
+    The record keeps only the winning rows of z (and of the patches, if the
+    weight needs a gradient), and the backward touches those rows only.
+    Score (i, k) has gz = g * words[w*], gated by z[p*] > 0 under a weight.
+    It adds gz (or gz @ weightᵀ) to its winning patch row p*, segment by
+    segment, in increasing k; g * z[p*] to its winning word row w*, in the
+    row-major order of the scores; and patches[p*]ᵀ gz to the weight.
+    Without a weight these are the sums of a plain sequential loop over the
+    scores, bit for bit; no dense (N_p, K) one-hot and no dense gradient of
+    z is built.
     """
-    P, W, need_p, need_w = patches.data, words.data, patches.requires_grad, words.requires_grad
+    inputs = (patches, words) if weight is None else (patches, words, weight)
+    P, W = patches.data, words.data
+    need_p, need_w = patches.requires_grad, words.requires_grad
+    need_weight = weight is not None and weight.requires_grad
     if W.ndim != 2 or P.ndim < 2:
         raise ShapeMismatchError(
             f"maxsim expects patches (..., N_p, D) and words (N_w, D); got {P.shape} and {W.shape}"
         )
-    if P.shape[-1] != W.shape[-1]:
+    if weight is not None and (weight.ndim != 2 or weight.shape[0] != P.shape[-1]):
+        raise ShapeMismatchError(f"maxsim weight {weight.shape} cannot project {P.shape}")
+    shape, n_p, d_in = P.shape, P.shape[-2], P.shape[-1]
+    dim = d_in if weight is None else weight.shape[1]
+    if dim != W.shape[-1]:
         raise ShapeMismatchError(f"maxsim embedding dimensions differ: {P.shape} and {W.shape}")
-    if P.shape[-2] < 1 or W.shape[0] < 1:
+    if n_p < 1 or W.shape[0] < 1:
         raise ShapeMismatchError("maxsim needs at least one patch and one word")
     offsets = segment_offsets(segments, W.shape[0])
-    lead, (n_p, dim) = P.shape[:-2], P.shape[-2:]
-    count = offsets.size - 1
-    best_sim = np.empty(lead + (count,))
-    best = np.empty(lead + (count,), dtype=np.intp)  # flat (patch, word) index per segment
-    for k in range(count):
-        flat = np.matmul(P, W[offsets[k]:offsets[k + 1]].T).reshape(lead + (-1,))
-        flat.argmax(axis=-1, out=best[..., k])
-        flat.max(axis=-1, out=best_sim[..., k])
-    p_star, w_star = np.divmod(best, np.diff(offsets))
-    w_star += offsets[:-1]
-    out = best_sim if segments is not None else best_sim[..., 0]
+    lengths = np.diff(offsets)
+    count = lengths.size
+    matrices = P.reshape(-1, n_p, d_in)
+    recorded = any(t.requires_grad for t in inputs)  # an unrecorded op gathers nothing
+    best_sim = np.empty((matrices.shape[0], count))
+    best = np.empty((matrices.shape[0], count), dtype=np.intp)  # flat (patch, word) per segment
+    z_won = np.empty((matrices.shape[0], count, dim)) if recorded else None
+    step = max(1, MAXSIM_CHUNK_VALUES // (n_p * dim))  # whole patch matrices per chunk
+    for start in range(0, matrices.shape[0], step):
+        chunk = slice(start, start + step)
+        z = matrices[chunk]
+        if weight is not None:
+            z = np.matmul(z, weight.data)
+            np.maximum(z, 0.0, out=z)  # ReLU in place: -0.0 becomes +0.0, a NaN passes
+        for k in range(count):
+            flat = np.matmul(z, W[offsets[k]:offsets[k + 1]].T).reshape(z.shape[0], -1)
+            flat.argmax(axis=-1, out=best[chunk, k])
+            flat.max(axis=-1, out=best_sim[chunk, k])
+        if recorded:
+            z_won[chunk] = np.take_along_axis(z, (best[chunk] // lengths)[..., None], axis=1)
+    out = best_sim.reshape(shape[:-2] + (count,))
+    if segments is None:
+        out = out[..., 0]
+    if not recorded:
+        return _record("maxsim", inputs, out, None)
+
+    p_star, words_won = np.divmod(best, lengths)  # (M, K)
+    words_won += offsets[:-1]
+    rows = p_star + n_p * np.arange(p_star.shape[0])[:, None]  # rows of the (-1, D_in) patches
+    p_won = P.reshape(-1, d_in)[rows] if need_weight else None
+    Wp = None if weight is None else weight.data
 
     def bw(g):
-        g = g.reshape(-1, count)
-        words_won = w_star.reshape(-1, count)
-        # row of the (-1, D) patch matrix that wins each score
-        rows = p_star.reshape(-1, count) + n_p * np.arange(g.shape[0])[:, None]
-        gp = gw = None
-        if need_p:
-            gp = np.zeros((g.shape[0] * n_p, dim))
-            for k in range(count):  # one winner per patch matrix: no row repeats
-                gp[rows[:, k]] += g[:, k, None] * W[words_won[:, k]]
-            gp = gp.reshape(P.shape)
+        g = g.reshape(-1, count, 1)
+        gp = gw = g_weight = None
         if need_w:
-            contributions = g[..., None] * P.reshape(-1, dim)[rows]
-            gw = _scatter_add(words_won.ravel(), contributions.reshape(-1, dim), W.shape[0])
-        return gp, gw
+            gw = _scatter_add(words_won.ravel(), (g * z_won).reshape(-1, dim), W.shape[0])
+        if need_p or need_weight:
+            gz = g * W[words_won]  # (M, K, D)
+            if Wp is not None:
+                gz *= z_won > 0.0
+        if need_weight:
+            g_weight = p_won.reshape(-1, d_in).T @ gz.reshape(-1, dim)
+        if need_p:
+            g_rows = gz if Wp is None else np.matmul(gz, Wp.T)
+            gp = np.zeros((rows.shape[0] * n_p, d_in))
+            for k in range(count):  # one winner per patch matrix: no row repeats
+                gp[rows[:, k]] += g_rows[:, k]
+            gp = gp.reshape(shape)
+        return gp, gw, g_weight
 
-    return _record("maxsim", (patches, words), out, bw)
+    return _record("maxsim", inputs, out, bw)
 
 
 def _scatter_add(index: Array, rows: Array, size: int) -> Array:
@@ -485,8 +539,8 @@ def mean_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
     out = np.mean(x.data, axis=ax)
     count = shape[ax]
 
-    def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), shape) / count,)
+    def bw(g):  # a read-only view: the tape never mutates a gradient it did not allocate
+        return (np.broadcast_to(np.expand_dims(g / count, ax), shape),)
 
     return _record("mean_reduce", (x,), out, bw)
 

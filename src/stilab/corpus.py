@@ -221,6 +221,10 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     # temporal saliency has a real signal to latch onto.
     fg_low = max(1, (n_p + 3) // 4)
     fg_high = max(fg_low, n_p - 1)
+    # every video's features are rows of one block, which is returned to the
+    # system whole when the corpus is dropped, so one video's temporaries
+    # reuse the same heap space instead of fragmenting it
+    block = np.empty((len(classes) * spec.videos_per_class, t, n_p, d))
     videos: list[VideoSample] = []
     for cls in classes:
         class_set = np.array(cls.concept_indices)
@@ -240,14 +244,14 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
                 patch_concepts[frame, slots] = class_set[
                     rng.integers(0, class_set.size, size=n_fg)
                 ]
-            features = concept_vectors[patch_concepts]
+            features = np.take(concept_vectors, patch_concepts, axis=0, out=block[len(videos)])
             if spec.noise_scale > 0:
-                features = features + rng.standard_normal((t, n_p, d)) * spec.noise_scale
+                features += rng.standard_normal((t, n_p, d)) * spec.noise_scale
             videos.append(
                 VideoSample(
                     video_id=f"vid{cls.index:02d}_{v:03d}",
                     class_index=cls.index,
-                    features=np.ascontiguousarray(features),
+                    features=features,
                     patch_concepts=patch_concepts,
                 )
             )

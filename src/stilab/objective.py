@@ -18,11 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import sti
 from .autodiff import Tape, TapeTensor
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, encode_video_nodes
-from .sti import InteractionToggles, STIParameters, project_nodes, sti_pipeline_nodes
+from .sti import InteractionToggles, STIParameters, sti_pipeline_nodes
 
 Array = np.ndarray
+project_nodes = sti.project_nodes  # a re-export: perfbench/tracing.py wraps it under this name
 
 TEMPERATURE_FLOOR = 1e-3
 INITIAL_TEMPERATURE = 0.07
@@ -129,7 +131,6 @@ def score_matrix_nodes(
         tau_saliency=tau_saliency,
         toggles=toggles,
         segments=segments,
-        proj_patches=project_nodes(patches, patch_weight) if toggles.spatial else None,
     )
     units = np.stack([_unit(np.asarray(embedding)) for embedding in class_embeddings])
     normalized = ad.l2_normalize(nodes["feature"], axis=-1)  # (B, K, D) or (B, 1, D)

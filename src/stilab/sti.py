@@ -2,6 +2,9 @@
 
 Spatial interaction projects patches and words through ReLU linear maps and
 scores each frame by the maximum dot product over all (patch, word) pairs.
+The patch projection runs inside the fused MaxSim primitive
+(``ad.maxsim(..., weight=W_p)``), so a training step's backward reaches the
+projection only through each score's winning patch row.
 Temporal interaction turns word-to-frame similarities into a softmax
 saliency over frames (averaged across words) and aggregates frame embeddings
 with those weights into one class-conditional video feature. The spatial
@@ -110,20 +113,25 @@ class SpatialResult:
 # ---------------------------------------------------------------------------
 
 def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
-    """ReLU(x . W): the shared projection for patches and words."""
+    """ReLU(x . W): the word projection (``spatial_nodes`` projects the
+    patches inside the fused MaxSim, by the same arithmetic)."""
     return ad.relu(ad.matmul(x, weight))
 
 
-def spatial_nodes(proj_patches: TapeTensor, proj_words: TapeTensor, segments=None) -> TapeTensor:
+def spatial_nodes(
+    patches: TapeTensor, proj_words: TapeTensor, segments=None, patch_weight: TapeTensor | None = None
+) -> TapeTensor:
     """Per-frame MaxSim score of each segment of words.
 
-    proj_patches is (..., T, N_p, D) and proj_words (N_w, D); the scores are
-    (..., T, K), or (..., T) without segments. They come from the fused
-    ``ad.maxsim`` primitive: within a segment, ties resolve to the
-    lexicographically smallest (patch, word) pair, and the backward reaches
-    only each score's winning patch and word rows.
+    patches is (..., T, N_p, D) and proj_words (N_w, D); the scores are
+    (..., T, K), or (..., T) without segments. With ``patch_weight`` the
+    patches are projected, ReLU(patches . W_p), inside the fused
+    ``ad.maxsim`` primitive; without it they are scored as given. Within a
+    segment, ties resolve to the lexicographically smallest (patch, word)
+    pair, and the backward reaches only each score's winning patch and word
+    rows, and the projection through those rows alone.
     """
-    return ad.maxsim(proj_patches, proj_words, segments)
+    return ad.maxsim(patches, proj_words, segments, weight=patch_weight)
 
 
 def _segment_maps(num_words: int, segments) -> tuple[Array | None, Array]:
@@ -185,17 +193,16 @@ def sti_pipeline_nodes(
     tau_saliency: float,
     toggles: InteractionToggles,
     segments=None,
-    proj_patches: TapeTensor | None = None,
 ) -> dict[str, TapeTensor | None]:
     """Full interaction pipeline on a tape, for every segment of words at once.
 
-    Patches and words are each projected once. With the spatial stage off,
-    frames enter the saliency unscaled (scores read as 1). With the temporal
-    stage off the aggregation is the exact arithmetic frame mean, so
-    disabling both reproduces the mean-pool baseline bitwise; that feature is
-    the same for every segment, so with segments it is (..., 1, D).
-    ``proj_patches`` may be passed in when the caller has projected the
-    patches already.
+    Words are projected once, by ``project_nodes``; the patches are
+    projected inside the spatial stage's fused MaxSim, and not at all with
+    that stage off. With the spatial stage off, frames enter the saliency
+    unscaled (scores read as 1). With the temporal stage off the aggregation
+    is the exact arithmetic frame mean, so disabling both reproduces the
+    mean-pool baseline bitwise; that feature is the same for every segment,
+    so with segments it is (..., 1, D).
     """
     if words.shape[0] < 1:
         raise ShapeMismatchError("need at least one attribute word embedding")
@@ -204,9 +211,7 @@ def sti_pipeline_nodes(
 
     scores = None
     if toggles.spatial:
-        if proj_patches is None:
-            proj_patches = project_nodes(patches, patch_weight)
-        scores = spatial_nodes(proj_patches, proj_words, segments)
+        scores = spatial_nodes(patches, proj_words, segments, patch_weight)
 
     if toggles.temporal:
         saliency = temporal_nodes(frames, proj_words, tau_saliency, scores, segments)

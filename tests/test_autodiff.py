@@ -407,6 +407,150 @@ class TestSegmentedMaxSim:
             ad.maxsim(tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 3))), segments)
 
 
+def projected_maxsim_grads(build, patches, words, weight, segments, upstream, leaves):
+    """Scores and (patch, word, weight) gradients of sum(upstream * scores),
+    with each input a leaf or a constant as ``leaves`` says. ``build`` is the
+    fused primitive or the relu(matmul) composition it replaces."""
+    tape = Tape()
+    p, w, wp = (
+        tape.leaf(value) if leaf else tape.constant(value)
+        for value, leaf in zip((patches, words, weight), leaves)
+    )
+    scores = build(p, w, wp, segments)
+    grads = tape.backward(ad.sum_reduce(ad.mul(scores, tape.constant(upstream))))
+    return scores.data, [grads.get(t.tid) for t in (p, w, wp)]
+
+
+def fused(p, w, wp, segments):
+    return ad.maxsim(p, w, segments, weight=wp)
+
+
+def composed(p, w, wp, segments):
+    return ad.maxsim(ad.relu(ad.matmul(p, wp)), w, segments)
+
+
+LEAF_CHOICES = [
+    (p, w, wp) for p in (True, False) for w in (True, False) for wp in (True, False)
+    if p or w or wp
+]
+
+
+class TestProjectedMaxSim:
+    """``maxsim(p, w, segments, weight=W_p)`` against the unfused
+    ``maxsim(relu(matmul(p, W_p)), w, segments)``."""
+
+    def instances(self, integer, seed):
+        rng = np.random.default_rng(seed)
+        for lead in TestMaxSim.LEADING:
+            for count in range(1, 5):
+                n_w = count + int(rng.integers(0, 4))
+                cuts = np.sort(rng.choice(np.arange(1, n_w), size=count - 1, replace=False))
+                segments = np.concatenate([[0], cuts, [n_w]])
+                if integer:  # small integers: exact ties, and projected rows with zeros
+                    patches = rng.integers(-1, 3, size=lead + (5, 3)).astype(float)
+                    weight = rng.integers(-1, 2, size=(3, 4)).astype(float)
+                    words = rng.integers(0, 3, size=(n_w, 4)).astype(float)
+                else:
+                    patches = rng.standard_normal(lead + (5, 3))
+                    weight = rng.standard_normal((3, 4))
+                    words = rng.standard_normal((n_w, 4))
+                upstream = rng.standard_normal(lead + (count,))
+                yield patches, words, weight, segments, upstream
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_forward_bitwise_equals_the_composition(self, integer):
+        for patches, words, weight, segments, _ in self.instances(integer, 60):
+            tape = Tape()
+            p, w, wp = tape.constant(patches), tape.constant(words), tape.constant(weight)
+            scores = fused(p, w, wp, segments)
+            assert scores.shape == patches.shape[:-2] + (segments.size - 1,)
+            assert np.array_equal(scores.data, composed(p, w, wp, segments).data)
+
+    @pytest.mark.parametrize("leaves", LEAF_CHOICES)
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_gradients_match_the_composition(self, integer, leaves):
+        for patches, words, weight, segments, upstream in self.instances(integer, 61):
+            args = (patches, words, weight, segments, upstream, leaves)
+            scores, grads = projected_maxsim_grads(fused, *args)
+            want_scores, want_grads = projected_maxsim_grads(composed, *args)
+            assert np.array_equal(scores, want_scores)
+            for leaf, got, want in zip(leaves, grads, want_grads):
+                if not leaf:
+                    assert got is None
+                    continue
+                assert got.shape == want.shape
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_one_patch_matrix_per_chunk_changes_no_bit(self, monkeypatch):
+        weighted = [
+            (fused, (p, w, wp, s, u, (True, True, True)))
+            for integer, seed in ((True, 64), (False, 65))
+            for p, w, wp, s, u in self.instances(integer, seed)
+        ]
+        unweighted = [
+            (lambda p, w, _, s: ad.maxsim(p, w, s), (p, w, np.eye(3), s, u, (True, True, False)))
+            for p, w, s, u in TestSegmentedMaxSim().instances(True, 66)
+        ]
+        cases = weighted + unweighted
+        whole = [projected_maxsim_grads(build, *args) for build, args in cases]
+        monkeypatch.setattr(ad, "MAXSIM_CHUNK_VALUES", 1)
+        for (build, args), (want_scores, want_grads) in zip(cases, whole):
+            scores, grads = projected_maxsim_grads(build, *args)
+            assert np.array_equal(scores, want_scores)
+            for got, want in zip(grads, want_grads):
+                assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_zero_components_of_a_winning_row_pass_no_gradient(self):
+        # z = relu(patches @ W_p) = [[1, 0], [2, 0]]: component 1 is negative
+        # before the ReLU for patch 0 and exactly 0 for patch 1, which wins
+        patches = np.array([[1.0, -1.0], [2.0, 0.0]])
+        weight = np.array([[1.0, 0.0], [0.0, 1.0]])
+        words = np.array([[1.0, 5.0]])
+        scores, (gp, gw, g_weight) = projected_maxsim_grads(
+            fused, patches, words, weight, None, np.array(-1.0), (True, True, True)
+        )
+        assert scores == 2.0
+        assert np.array_equal(gp, [[0.0, 0.0], [-1.0, 0.0]])
+        assert np.array_equal(gw, [[-2.0, 0.0]])
+        assert np.array_equal(g_weight, [[-2.0, 0.0], [0.0, 0.0]])
+
+    def test_a_tape_that_records_nothing_keeps_nothing(self):
+        rng = np.random.default_rng(62)
+        tape = Tape()
+        scores = ad.maxsim(
+            tape.constant(rng.standard_normal((2, 5, 3))),
+            tape.constant(rng.standard_normal((4, 3))),
+            [0, 1, 4],
+            weight=tape.constant(rng.standard_normal((3, 3))),
+        )
+        assert scores.shape == (2, 2) and not scores.requires_grad and tape.records == ()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(63)
+        store = ParameterStore()
+        store.register("p", rng.standard_normal((2, 3, 4, 3)))
+        store.register("w", rng.standard_normal((7, 5)))
+        store.register("wp", rng.standard_normal((3, 5)))
+        upstream = rng.standard_normal((2, 3, 3))
+
+        def loss_fn(params):
+            tape = Tape()
+            leaves = params.leaves(tape)
+            scores = ad.maxsim(leaves["p"], leaves["w"], [0, 1, 4, 7], weight=leaves["wp"])
+            return ad.sum_reduce(ad.mul(scores, tape.constant(upstream)))
+
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-6
+
+    @pytest.mark.parametrize("weight_shape", [(4, 3), (3,), (3, 4, 1)])
+    def test_weight_shape_errors(self, weight_shape):
+        tape = Tape()
+        with pytest.raises(ShapeMismatchError):
+            ad.maxsim(
+                tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))),
+                weight=tape.constant(np.ones(weight_shape)),
+            )
+
+
 class TestWeightedSumColumns:
     def test_each_column_matches_naive_loop_exactly(self):
         rng = np.random.default_rng(44)
@@ -454,7 +598,7 @@ def out_of_place_backward(tape, output):
 
 
 def fan_out_graph():
-    """One leaf x feeding five consumers, two of which pass g straight through;
+    """One leaf x feeding six consumers, two of which pass g straight through;
     a 0-d leaf s also feeds three consumers."""
     rng = np.random.default_rng(30)
     tape = Tape()
@@ -468,6 +612,7 @@ def fan_out_graph():
         ad.add(x, x),
         ad.softmax(ad.mul(x, s), axis=0),
         ad.mul(ad.exp(x), s),
+        ad.mul(ad.expand_dims(ad.mean_reduce(x, 0), 0), s),  # a read-only broadcast gradient
     ]
     total = branches[0]
     for branch in branches[1:]:
@@ -482,6 +627,7 @@ def every_primitive_loss(store, tape):
     nodes = [
         ad.add(x, x), ad.mul(x, 2.0), ad.div(x, 3.0), ad.neg(x), ad.exp(x), ad.relu(x),
         ad.clip(x, 0.0, 1.0), ad.matmul(x, w), ad.transpose(x), ad.maxsim(x, w, [0, 1, 3]),
+        ad.maxsim(x, w, [0, 1, 3], weight=w),
         ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1), ad.softmax(x),
         ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
         ad.expand_dims(x, 0), ad.stack([x, x]), ad.matmul(ad.sum_reduce(x, 0), ad.mean_reduce(w, 0)),

@@ -64,6 +64,19 @@ class TestDeterminism:
         b = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__, "seed": 6}))
         assert not np.array_equal(a.videos[0].features, b.videos[0].features)
 
+    # sha256 of videos.bin as written before the generator put every video's
+    # features into rows of one block
+    PINNED_VIDEOS_BIN_SHA256 = {
+        0.1: "4661facf461fea28ac2f6fd213143a60d0fcfe0f3cae78c5b477cffdaa2ecbe4",
+        0.0: "18509bf700e3332bd0bb405a2011bd95d5659e06ba50515a87ea35ce39714215",
+    }
+
+    @pytest.mark.parametrize("noise_scale", [0.1, 0.0])
+    def test_videos_bin_bytes_are_pinned(self, tmp_path, noise_scale):
+        spec = SyntheticCorpusSpec(**{**SMALL.__dict__, "noise_scale": noise_scale})
+        raw = corpus_bytes(spec, tmp_path)["videos.bin"]
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED_VIDEOS_BIN_SHA256[noise_scale]
+
 
 class TestStructure:
     def test_zero_noise_patches_equal_concept_latents(self):

@@ -1,8 +1,9 @@
 """Peak-memory guards, measured with tracemalloc (which sees numpy's array
 buffers): training gathers one batch at a time, and evaluation scores
 byte-bounded chunks, so neither holds a dense copy of its whole video set;
-backward frees each tape record's saved arrays as it goes, which bounds one
-training step's working set."""
+backward frees each tape record's saved arrays as it goes, and the fused
+MaxSim keeps only its winning rows, which bounds one training step's working
+set."""
 
 import tracemalloc
 
@@ -85,3 +86,27 @@ def test_training_step_peaks_below_five_batches():
         parameter_gradients(loss, store)
 
     assert peak_bytes(step) < 4.75 * raw_batch.nbytes
+
+
+def test_large_training_step_keeps_no_dense_projection():
+    # forward and backward of one step at the train-large shape; the bound
+    # sits between the 3.70x of a step that projects the patches in separate
+    # matmul and relu records (each keeping a dense (B, T, N_p, D) array for
+    # its backward) and the 2.09x of one that projects them chunk by chunk
+    # inside the fused MaxSim, which keeps only the winning rows
+    rng = np.random.default_rng(3)
+    shape = (16, 32, 64)
+    raw_batch = rng.standard_normal((32, *shape))
+    labels = np.arange(len(raw_batch)) % 8
+    data = TrainingData(
+        videos=random_videos(rng, 1, shape),
+        labels=[0],
+        class_texts=[ClassText(f"c{i}", text) for i, text in enumerate(random_texts(rng, 8, 64))],
+    )
+    store = default_parameter_store(64)
+
+    def step():
+        loss = training_step_loss(store, raw_batch, labels, data, TrainConfig())
+        parameter_gradients(loss, store)
+
+    assert peak_bytes(step) < 2.9 * raw_batch.nbytes
