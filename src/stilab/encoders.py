@@ -5,6 +5,9 @@ maps to a unit vector derived from (token, table seed), so identical tokens
 always share an embedding and nothing on the text side can drift during
 training. The video side is a single trainable affine map applied per patch,
 the smallest parameterization the contrastive objective can actually move.
+``encode_video_nodes`` is that map on a tape, used by ``encode_video`` (and
+so by saliency export); training and evaluation scoring run the same
+arithmetic chunk by chunk inside the fused MaxSim (``ad.encoded_maxsim``).
 """
 
 from __future__ import annotations

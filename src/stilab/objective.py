@@ -18,13 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import sti
+from . import encoders, sti
 from .autodiff import Tape, TapeTensor
-from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, encode_video_nodes
+from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
 from .sti import InteractionToggles, STIParameters, sti_pipeline_nodes
 
 Array = np.ndarray
 project_nodes = sti.project_nodes  # a re-export: perfbench/tracing.py wraps it under this name
+encode_video_nodes = encoders.encode_video_nodes  # a re-export, likewise; scoring encodes in MaxSim
 
 TEMPERATURE_FLOOR = 1e-3
 INITIAL_TEMPERATURE = 0.07
@@ -112,19 +113,21 @@ def score_matrix_nodes(
 ) -> TapeTensor:
     """Build the (B, K) cosine score matrix on a tape.
 
-    ``raw_videos`` is the stacked (B, T, N_p, D) raw feature tensor; class
-    text inputs are frozen constants. The K classes' word embeddings are
-    concatenated into one (ΣN_w, D) matrix with one segment per class, so a
-    single interaction pass yields every class's (B, K, D) feature; its
-    row-wise cosine with the K unit class embeddings gives the scores.
+    ``raw_videos`` is the stacked (B, T, N_p, D) raw feature tensor, a
+    constant; class text inputs are frozen constants. The video encoder runs
+    inside the interaction's MaxSim loop, a chunk of patch matrices at a
+    time, so no dense encoded (B, T, N_p, D) array is built. The K classes'
+    word embeddings are concatenated into one (ΣN_w, D) matrix with one
+    segment per class, so a single interaction pass yields every class's
+    (B, K, D) feature; its row-wise cosine with the K unit class embeddings
+    gives the scores.
     """
     if len(class_word_embeddings) != len(class_embeddings):
         raise ValueError("need one word-embedding matrix per class embedding")
-    patches, frames = encode_video_nodes(raw_videos, video_weight, video_bias)
     segments = np.cumsum([0] + [len(words) for words in class_word_embeddings])
     nodes = sti_pipeline_nodes(
-        patches=patches,
-        frames=frames,
+        patches=raw_videos,
+        encoder=(video_weight, video_bias),
         words=tape.constant(np.concatenate(class_word_embeddings)),
         patch_weight=patch_weight,
         word_weight=word_weight,

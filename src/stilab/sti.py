@@ -4,7 +4,11 @@ Spatial interaction projects patches and words through ReLU linear maps and
 scores each frame by the maximum dot product over all (patch, word) pairs.
 The patch projection runs inside the fused MaxSim primitive
 (``ad.maxsim(..., weight=W_p)``), so a training step's backward reaches the
-projection only through each score's winning patch row.
+projection only through each score's winning patch row. Given raw features
+and the video encoder instead of encoded patches and frames, the pipeline
+encodes the patches inside the same MaxSim loop (``ad.encoded_maxsim``),
+which also yields the frames; that loop runs, for the frames alone, with the
+spatial stage off too.
 Temporal interaction turns word-to-frame similarities into a softmax
 saliency over frames (averaged across words) and aggregates frame embeddings
 with those weights into one class-conditional video feature. The spatial
@@ -119,8 +123,12 @@ def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
 
 
 def spatial_nodes(
-    patches: TapeTensor, proj_words: TapeTensor, segments=None, patch_weight: TapeTensor | None = None
-) -> TapeTensor:
+    patches: TapeTensor,
+    proj_words: TapeTensor | None,
+    segments=None,
+    patch_weight: TapeTensor | None = None,
+    encoder: tuple[TapeTensor, TapeTensor] | None = None,
+):
     """Per-frame MaxSim score of each segment of words.
 
     patches is (..., T, N_p, D) and proj_words (N_w, D); the scores are
@@ -130,8 +138,15 @@ def spatial_nodes(
     segment, ties resolve to the lexicographically smallest (patch, word)
     pair, and the backward reaches only each score's winning patch and word
     rows, and the projection through those rows alone.
+
+    With an ``encoder`` pair (W_v, b) the patches are constant raw features,
+    encoded chunk by chunk inside the same loop (``ad.encoded_maxsim``), and
+    the result is (frames, scores): the (..., T, D) frame means of the
+    encoded patches, and the scores, or None when ``proj_words`` is None.
     """
-    return ad.maxsim(patches, proj_words, segments, weight=patch_weight)
+    if encoder is None:
+        return ad.maxsim(patches, proj_words, segments, weight=patch_weight)
+    return ad.encoded_maxsim(patches, *encoder, proj_words, segments, weight=patch_weight)
 
 
 def _segment_maps(num_words: int, segments) -> tuple[Array | None, Array]:
@@ -186,7 +201,8 @@ def aggregate_nodes(frames: TapeTensor, weights: TapeTensor) -> TapeTensor:
 def sti_pipeline_nodes(
     *,
     patches: TapeTensor,
-    frames: TapeTensor,
+    frames: TapeTensor | None = None,
+    encoder: tuple[TapeTensor, TapeTensor] | None = None,
     words: TapeTensor,
     patch_weight: TapeTensor,
     word_weight: TapeTensor,
@@ -203,14 +219,25 @@ def sti_pipeline_nodes(
     is the exact arithmetic frame mean, so disabling both reproduces the
     mean-pool baseline bitwise; that feature is the same for every segment,
     so with segments it is (..., 1, D).
+
+    Give either encoded ``patches`` and their ``frames``, or constant raw
+    features as ``patches`` with the video ``encoder`` pair (W_v, b): the
+    spatial stage then encodes them inside its MaxSim loop and yields the
+    frames too, and with that stage off the same loop yields the frames only.
     """
+    if (frames is None) == (encoder is None):
+        raise ValueError("give either frames or an encoder, not both or neither")
     if words.shape[0] < 1:
         raise ShapeMismatchError("need at least one attribute word embedding")
     needs_words = toggles.spatial or toggles.temporal
     proj_words = project_nodes(words, word_weight) if needs_words else None
 
     scores = None
-    if toggles.spatial:
+    if encoder is not None:
+        frames, scores = spatial_nodes(
+            patches, proj_words if toggles.spatial else None, segments, patch_weight, encoder
+        )
+    elif toggles.spatial:
         scores = spatial_nodes(patches, proj_words, segments, patch_weight)
 
     if toggles.temporal:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -427,3 +429,35 @@ class TestSegmentedScoreMatrix:
                 tape, rng.standard_normal((1, 2, 2, 3)), [np.ones((2, 3))] * 2, [np.ones(3)],
                 leaves, 0.07, InteractionToggles(),
             )
+
+
+class TestScoreMatrixPins:
+    # sha256 of the (13, 5) score matrix's bytes for each toggle combination,
+    # as score_matrix wrote it when the video encoder ran as separate matmul,
+    # add and mean_reduce records over the whole batch (with the temporal
+    # stage off the feature is the frame mean, so the spatial toggle is moot)
+    PINNED_SCORES_SHA256 = {
+        (True, True): "5fb990469a700eb5df0bde780e4c1f4053d5a0dafeb714706387fabc022e8912",
+        (True, False): "262e6c43f1b5e3ebec9c2ba1434613ea7a0bb132b272360562444a457ee522b9",
+        (False, True): "28d7b9864022ecd8e933b88581f7825279530ae0e7e63911a0595ae4e2959352",
+        (False, False): "262e6c43f1b5e3ebec9c2ba1434613ea7a0bb132b272360562444a457ee522b9",
+    }
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_score_bytes_are_pinned_for_each_toggle(self, spatial, temporal):
+        rng = np.random.default_rng(17)
+        shape = (8, 32, 64)
+        videos = tuple(FrameEmbeddingSet.from_raw(rng.standard_normal(shape)) for _ in range(13))
+        per_chunk = ad.MAXSIM_CHUNK_VALUES // (shape[1] * shape[2])
+        assert len(videos) * shape[0] > 3 * per_chunk  # three full MaxSim chunks and a part
+        enc = EncoderParams(
+            0, 64, np.eye(64) + 0.1 * rng.standard_normal((64, 64)), 0.1 * rng.standard_normal(64)
+        )
+        sti = STIParameters.random_init(64, seed=3, tau_saliency=0.3)
+        texts = [text_of(rng.standard_normal((n, 64))) for n in (3, 5, 2, 4, 6)]
+        batch = BatchRecord(videos=videos, labels=np.zeros(len(videos), dtype=np.int64))
+        scores = score_matrix(batch, texts, sti, enc, InteractionToggles(spatial, temporal))
+        assert scores.shape == (13, 5) and scores.dtype == np.float64
+        digest = hashlib.sha256(scores.tobytes()).hexdigest()
+        assert digest == self.PINNED_SCORES_SHA256[(spatial, temporal)]

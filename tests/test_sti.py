@@ -441,3 +441,54 @@ class TestSegmentedPipeline:
                     assert np.allclose(got, alone[key].data, rtol=0.0, atol=1e-12), key
             if temporal:
                 assert np.allclose(together["saliency"].data.sum(axis=-2), 1.0, atol=1e-12)
+
+
+class TestEncoderInsidePipeline:
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_raw_features_with_the_encoder_match_encoded_inputs_bitwise(self, spatial, temporal):
+        # every node the pipeline returns, from raw features and the encoder
+        # pair, against the same pipeline given encoded patches and frames
+        toggles = InteractionToggles(spatial, temporal)
+        rng = np.random.default_rng(40 + 2 * spatial + temporal)
+        b, t, n_p, d = 3, 4, 5, 6
+        raw = rng.standard_normal((b, t, n_p, d))
+        words = rng.standard_normal((7, d))
+        video_weight = np.eye(d) + 0.1 * rng.standard_normal((d, d))
+        video_bias = 0.1 * rng.standard_normal(d)
+        weights = [np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(2)]
+
+        def run(patches, frames=None, encoder=None):
+            tape = Tape()
+            return sti_pipeline_nodes(
+                patches=tape.constant(patches),
+                frames=None if frames is None else tape.constant(frames),
+                encoder=None if encoder is None else tuple(map(tape.constant, encoder)),
+                words=tape.constant(words), patch_weight=tape.constant(weights[0]),
+                word_weight=tape.constant(weights[1]), tau_saliency=0.3, toggles=toggles,
+                segments=[0, 2, 7],
+            )
+
+        encoded = raw @ video_weight + video_bias
+        fused = run(patches=raw, encoder=(video_weight, video_bias))
+        want = run(patches=encoded, frames=encoded.mean(axis=-2))
+        assert fused.keys() == want.keys()
+        for key, node in fused.items():
+            if want[key] is None:
+                assert node is None
+                continue
+            assert np.array_equal(node.data, want[key].data), key
+
+    def test_frames_and_encoder_are_exclusive(self):
+        tape = Tape()
+        ones = tape.constant(np.ones((2, 3, 4)))
+        common = dict(
+            words=tape.constant(np.ones((2, 4))), patch_weight=tape.constant(np.eye(4)),
+            word_weight=tape.constant(np.eye(4)), tau_saliency=0.3, toggles=InteractionToggles(),
+        )
+        encoder = (tape.constant(np.eye(4)), tape.constant(np.zeros(4)))
+        with pytest.raises(ValueError, match="either frames or an encoder"):
+            sti_pipeline_nodes(patches=ones, **common)
+        with pytest.raises(ValueError, match="either frames or an encoder"):
+            sti_pipeline_nodes(patches=ones, frames=tape.constant(np.ones((2, 4))),
+                               encoder=encoder, **common)
