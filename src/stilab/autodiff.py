@@ -35,6 +35,11 @@ words start and end, so one record scores every class. Without offsets all
 words are one segment and the segment axis is dropped. ``weighted_sum``
 likewise contracts against K weight columns at once.
 
+There is one operand layout: ``matmul`` multiplies a stack of matrices by one
+matrix, and ``weighted_sum`` always takes its weights as (..., T, K) columns.
+A single class is the one-segment case, K = 1, and ``reshape`` adds or drops
+that size-1 axis.
+
 ``stack`` and ``max_reduce`` have no pipeline caller. They stay only because
 the per-layer tracer (``perfbench/tracing.py``) names them in its op list;
 they go once that list drops them (the benchmark-upkeep item in ROADMAP.md).
@@ -309,49 +314,26 @@ def clip(x: TapeTensor, lo: float | None, hi: float | None) -> TapeTensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: TapeTensor, b: TapeTensor) -> TapeTensor:
-    """np.matmul restricted to a 1-d or 2-d right operand.
-
-    Supports the pipeline shapes: (..., m, k) @ (k, n), (..., k) @ (k, n),
-    (..., k) @ (k,) and (k,) @ (k,).
-    """
+    """np.matmul of a stack of matrices by one matrix: (..., m, k) @ (k, n)."""
     A, B, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
-    if B.ndim not in (1, 2):
-        raise ShapeMismatchError(f"matmul right operand must be 1-d or 2-d, got {B.ndim}-d")
-    if A.ndim == 0:
-        raise ShapeMismatchError("matmul left operand must have at least 1 dimension")
+    if A.ndim < 2 or B.ndim != 2:
+        raise ShapeMismatchError(f"matmul expects (..., m, k) @ (k, n), got {A.shape} @ {B.shape}")
     if A.shape[-1] != B.shape[0]:
         raise ShapeMismatchError(f"matmul inner dimensions differ: {A.shape} @ {B.shape}")
     out = np.matmul(A, B)
-    k = B.shape[0]
+    k, n = B.shape
 
     def bw(g):
-        ga = gb = None
-        if B.ndim == 2:
-            if need_a:
-                ga = np.matmul(g, B.T)
-            if need_b:
-                n = B.shape[1]
-                if A.ndim == 1:
-                    gb = np.outer(A, g)
-                else:
-                    gb = A.reshape(-1, k).T @ g.reshape(-1, n)
-        else:  # B.ndim == 1
-            if need_a:
-                ga = g[..., None] * B if A.ndim > 1 else g * B
-            if need_b:
-                if A.ndim == 1:
-                    gb = g * A
-                else:
-                    gb = (A.reshape(-1, k) * g.reshape(-1, 1)).sum(axis=0)
+        ga = np.matmul(g, B.T) if need_a else None
+        gb = A.reshape(-1, k).T @ g.reshape(-1, n) if need_b else None
         return ga, gb
 
     return _record("matmul", (a, b), out, bw)
 
 
-def transpose(x: TapeTensor, axes: tuple[int, ...] | None = None) -> TapeTensor:
-    out = np.transpose(x.data, axes)
-    inverse = None if axes is None else tuple(np.argsort(axes))
-    return _record("transpose", (x,), out, lambda g: (np.transpose(g, inverse),))
+def transpose(x: TapeTensor) -> TapeTensor:
+    """Reverse the axes (the matrix transpose of a 2-d value)."""
+    return _record("transpose", (x,), np.transpose(x.data), lambda g: (np.transpose(g),))
 
 
 def segment_offsets(segments, count: int) -> Array:
@@ -622,16 +604,8 @@ def max_reduce(x: TapeTensor, axis: int) -> TapeTensor:
     return _record("max_reduce", (x,), out, bw)
 
 
-def mean_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
+def mean_reduce(x: TapeTensor, axis: int) -> TapeTensor:
     shape = x.shape
-    if axis is None:
-        out = np.mean(x.data)
-        size = x.data.size
-
-        def bw_all(g):
-            return (np.full(shape, g / size),)
-
-        return _record("mean_reduce", (x,), out, bw_all)
     ax = _normalize_axis(axis, x.ndim)
     out = np.mean(x.data, axis=ax)
     count = shape[ax]
@@ -684,34 +658,26 @@ def log_softmax(x: TapeTensor, axis: int = -1) -> TapeTensor:
 
 
 def weighted_sum(values: TapeTensor, weights: TapeTensor) -> TapeTensor:
-    """Contract values (..., T, D) against weights (..., T) into (..., D), or
-    against each column of weights (..., T, K) into (..., K, D).
+    """Contract values (..., T, D) against each column of weights (..., T, K)
+    into (..., K, D).
 
     Accumulates strictly left-to-right over T, so each result row is bitwise
     identical to a naive per-step summation loop.
     """
-    V, need_v, need_w = values.data, values.requires_grad, weights.requires_grad
-    columns = weights.ndim == values.ndim
-    w = weights.data if columns else weights.data[..., None]  # (..., T, K)
-    if values.ndim < 2 or values.shape[:-1] != w.shape[:-1]:
+    V, w, need_v, need_w = values.data, weights.data, values.requires_grad, weights.requires_grad
+    if values.ndim < 2 or w.ndim != values.ndim or values.shape[:-1] != w.shape[:-1]:
         raise ShapeMismatchError(
-            f"weighted_sum expects values (..., T, D) with weights (..., T) or (..., T, K); "
+            f"weighted_sum expects values (..., T, D) with weights (..., T, K); "
             f"got {values.shape} and {weights.shape}"
         )
     v = V[..., None, :]  # (..., T, 1, D)
     out = v[..., 0, :, :] * w[..., 0, :, None]
     for t in range(1, values.shape[-2]):
         out = out + v[..., t, :, :] * w[..., t, :, None]
-    if not columns:
-        out = out[..., 0, :]
 
-    def bw(g):
-        g = g if columns else g[..., None, :]  # (..., K, D)
+    def bw(g):  # g is (..., K, D)
         gv = np.matmul(w, g) if need_v else None
-        gw = None
-        if need_w:
-            gw = np.matmul(V, np.swapaxes(g, -1, -2))
-            gw = gw if columns else gw[..., 0]
+        gw = np.matmul(V, np.swapaxes(g, -1, -2)) if need_w else None
         return gv, gw
 
     return _record("weighted_sum", (values, weights), out, bw)
@@ -721,10 +687,11 @@ def weighted_sum(values: TapeTensor, weights: TapeTensor) -> TapeTensor:
 # shape plumbing
 # ---------------------------------------------------------------------------
 
-def expand_dims(x: TapeTensor, axis: int) -> TapeTensor:
-    shape = x.shape
-    out = np.expand_dims(x.data, axis)
-    return _record("expand_dims", (x,), out, lambda g: (g.reshape(shape),))
+def reshape(x: TapeTensor, shape: tuple[int, ...]) -> TapeTensor:
+    """The same values in a new shape of the same size: the one primitive
+    that adds or drops a size-1 axis."""
+    before = x.shape
+    return _record("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(before),))
 
 
 def stack(tensors: Sequence[TapeTensor], axis: int = 0) -> TapeTensor:

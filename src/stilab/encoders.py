@@ -5,9 +5,12 @@ maps to a unit vector derived from (token, table seed), so identical tokens
 always share an embedding and nothing on the text side can drift during
 training. The video side is a single trainable affine map applied per patch,
 the smallest parameterization the contrastive objective can actually move.
-``encode_video_nodes`` is that map on a tape, used by ``encode_video`` (and
-so by saliency export); training and evaluation scoring run the same
-arithmetic chunk by chunk inside the fused MaxSim (``ad.encoded_maxsim``).
+Training, evaluation and saliency export all run that map chunk by chunk
+inside the fused MaxSim (``ad.encoded_maxsim``). ``encode_video_nodes`` is
+the same map as separate tape records, and ``encode_video`` applies it to
+one video; no pipeline calls either. They are kept for their tests, for
+acceptance criterion 3, and as targets of the per-layer tracer
+(``perfbench/tracing.py``).
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ def encode_video_nodes(
 
 
 def encode_video(raw_frames, params: EncoderParams) -> FrameEmbeddingSet:
-    """Encode a (T, N_p, D) tensor of raw per-patch features."""
+    """Encode a (T, N_p, D) tensor of raw per-patch features.
+
+    Only its tests and the per-layer tracer's target list name this: the
+    pipeline encodes inside the fused MaxSim instead.
+    """
     raw = np.asarray(raw_frames, dtype=np.float64)
     if raw.ndim != 3:
         raise ValueError("raw_frames must be a (T, N_p, D) tensor")

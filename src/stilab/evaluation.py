@@ -199,16 +199,13 @@ def export_saliency(
 ) -> Path:
     """Write per-frame (index, spatial score, temporal weight) rows.
 
-    Values render with 17 significant digits, which round-trips float64
-    exactly. The saliency column is checked to sum to 1 before writing, so
-    a saliency that overflowed to NaN raises ValueError and writes nothing.
+    ``video`` holds raw features: the export runs the same raw-feature pass
+    that training and evaluation score with (``sti_forward``). Values render
+    with 17 significant digits, which round-trips float64 exactly. The
+    saliency column is checked to sum to 1 before writing, so a saliency
+    that overflowed to NaN raises ValueError and writes nothing.
     """
-    # Looked up at call time, not bound at import, so that a wrapper installed
-    # on stilab.encoders.encode_video (the per-layer tracer's) sees this call.
-    from .encoders import encode_video
-
-    encoded = encode_video(video.patch_embeddings, enc_params)
-    output = sti_forward(encoded, class_text, sti_params, toggles)
+    output = sti_forward(video, class_text, sti_params, enc_params, toggles)
     scores, saliency = output["spatial_scores"], output["saliency"]
     total = float(saliency.sum())
     if not abs(total - 1.0) <= SALIENCY_SUM_TOLERANCE:  # a NaN sum fails too

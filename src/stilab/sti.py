@@ -18,9 +18,12 @@ Both stages can be toggled off; with the temporal stage off the feature is
 the frame mean whatever the spatial stage does, so with both off the result
 is exactly the mean-pool baseline.
 
-The words may be segmented: K classes' words concatenated into one matrix
+The words are segmented: K classes' words concatenated into one matrix
 with K+1 offsets, so that one pass scores every class (see the tape graph
-builders below). A single class is the one-segment case of the same code.
+builders below). A single class is the one-segment case of the same code,
+and every stage carries the K axis; only ``sti_pipeline_nodes``, called
+without segments, drops it, once, at its exit. Training, evaluation and
+saliency export (``sti_forward``) all run that one raw-feature pass.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tape, TapeTensor
-from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
+from .encoders import EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence
 
 Array = np.ndarray
 
@@ -108,12 +111,11 @@ class SpatialResult:
 # tape graph builders (shared by the numpy wrappers, the objective and the
 # trainer, so there is exactly one implementation of the math)
 #
-# Words may come as K segments, one per class, concatenated into one
-# (N_w, D) matrix and split by ``segments`` offsets (see
-# ``ad.segment_offsets``). Every class is then scored in one pass: spatial
-# scores and saliency gain a trailing K axis, (..., T, K), and the feature a
-# K axis before D, (..., K, D). With ``segments=None`` all words form one
-# segment and no K axis is added.
+# Words come as K segments, one per class, concatenated into one (N_w, D)
+# matrix and split by ``segments`` offsets (see ``ad.segment_offsets``), so
+# every class is scored in one pass: spatial scores and saliency carry a
+# trailing K axis, (..., T, K), and the feature a K axis before D,
+# (..., K, D). ``segments=None`` is one segment over every word, K = 1.
 # ---------------------------------------------------------------------------
 
 def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
@@ -149,15 +151,12 @@ def spatial_nodes(
     return ad.encoded_maxsim(patches, *encoder, proj_words, segments, weight=patch_weight)
 
 
-def _segment_maps(num_words: int, segments) -> tuple[Array | None, Array]:
+def _segment_maps(num_words: int, segments) -> tuple[Array, Array]:
     """(spread, pool) constants for the segments of ``num_words`` words.
 
     spread (K, N_w) copies each segment's value to its words; pool (N_w, K)
-    averages each segment's words. Without segments there is nothing to
-    spread, and pool is the (N_w,) mean over all words.
+    averages each segment's words.
     """
-    if segments is None:
-        return None, np.full(num_words, 1.0 / num_words)
     offsets = ad.segment_offsets(segments, num_words)
     lengths = np.diff(offsets)
     spread = np.repeat(np.eye(lengths.size), lengths, axis=1)
@@ -175,26 +174,23 @@ def temporal_nodes(
     logits, averaged over the segment's words.
 
     Word w of segment k has logit ``s[..., t, k] * (frames[..., t] . w) / tau``
-    at frame t, where s are the spatial ``scores`` ((..., T, K), or (..., T)
-    without segments); with the spatial stage off (``scores=None``) s reads
-    1. One ``frames @ proj_wordsᵀ`` serves every segment. frames is
-    (..., T, D); the saliency is (..., T, K), or (..., T) without segments.
+    at frame t, where s are the (..., T, K) spatial ``scores``; with the
+    spatial stage off (``scores=None``) s reads 1. One ``frames @
+    proj_wordsᵀ`` serves every segment. frames is (..., T, D); the saliency
+    is (..., T, K), with K = 1 without segments.
     """
     spread, pool = _segment_maps(proj_words.shape[0], segments)
     tape = frames.tape
     logits = ad.matmul(frames, ad.transpose(proj_words))  # (..., T, N_w)
     if scores is not None:
-        scale = (
-            ad.expand_dims(scores, -1) if spread is None else ad.matmul(scores, tape.constant(spread))
-        )
-        logits = ad.mul(logits, scale)
+        logits = ad.mul(logits, ad.matmul(scores, tape.constant(spread)))
     per_word = ad.softmax(ad.mul(logits, 1.0 / tau), axis=-2)  # softmax over the frame axis
     return ad.matmul(per_word, tape.constant(pool))
 
 
 def aggregate_nodes(frames: TapeTensor, weights: TapeTensor) -> TapeTensor:
     """Saliency-weighted sum of frame embeddings: (..., T, D) frames against
-    (..., T) weights give (..., D); against (..., T, K) weights, (..., K, D)."""
+    (..., T, K) weights give one feature per segment, (..., K, D)."""
     return ad.weighted_sum(frames, weights)
 
 
@@ -218,7 +214,11 @@ def sti_pipeline_nodes(
     unscaled (scores read as 1). With the temporal stage off the aggregation
     is the exact arithmetic frame mean, so disabling both reproduces the
     mean-pool baseline bitwise; that feature is the same for every segment,
-    so with segments it is (..., 1, D).
+    so it is (..., 1, D).
+
+    Without ``segments`` all words are one segment, and its size-1 K axis is
+    dropped here, once: the feature is (..., D), and the scores and saliency
+    (..., T).
 
     Give either encoded ``patches`` and their ``frames``, or constant raw
     features as ``patches`` with the video ``encoder`` pair (W_v, b): the
@@ -229,6 +229,8 @@ def sti_pipeline_nodes(
         raise ValueError("give either frames or an encoder, not both or neither")
     if words.shape[0] < 1:
         raise ShapeMismatchError("need at least one attribute word embedding")
+    one_segment = segments is None
+    segments = ad.segment_offsets(segments, words.shape[0])
     needs_words = toggles.spatial or toggles.temporal
     proj_words = project_nodes(words, word_weight) if needs_words else None
 
@@ -245,10 +247,14 @@ def sti_pipeline_nodes(
         feature = aggregate_nodes(frames, saliency)
     else:
         saliency = None
-        feature = ad.mean_reduce(frames, axis=-2)
-        if segments is not None:
-            feature = ad.expand_dims(feature, -2)
+        mean = ad.mean_reduce(frames, axis=-2)
+        feature = ad.reshape(mean, mean.shape[:-1] + (1, mean.shape[-1]))
 
+    if one_segment:
+        feature = ad.reshape(feature, feature.shape[:-2] + feature.shape[-1:])
+        scores, saliency = (
+            None if node is None else ad.reshape(node, node.shape[:-1]) for node in (scores, saliency)
+        )
     return {"feature": feature, "spatial_scores": scores, "saliency": saliency}
 
 
@@ -281,31 +287,34 @@ def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialRe
 
 
 def sti_forward(
-    frames: FrameEmbeddingSet,
+    video: FrameEmbeddingSet,
     text: TextEmbeddingSequence,
-    params: STIParameters,
+    sti_params: STIParameters,
+    enc_params: EncoderParams,
     toggles: InteractionToggles | None = None,
 ) -> dict[str, Array]:
-    """Run the full interaction for one (video, class) pair.
+    """Run the scoring pass for one (video, class) pair.
 
-    Returns ``sti_pipeline_nodes``' arrays under its keys: the (D,)
-    ``"feature"``, and the (T,) ``"spatial_scores"`` and ``"saliency"``,
-    which a disabled stage reports as neutral values (unit scores, uniform
-    saliency).
+    ``video`` holds raw per-patch features. They are encoded inside the
+    MaxSim loop, as training and evaluation encode them: this is
+    ``sti_pipeline_nodes`` with the video encoder and one segment. Returns
+    its arrays under its keys: the (D,) ``"feature"``, and the (T,)
+    ``"spatial_scores"`` and ``"saliency"``, which a disabled stage reports
+    as neutral values (unit scores, uniform saliency).
     """
     toggles = toggles or InteractionToggles()
-    if frames.dim != params.dim or text.dim != params.dim:
+    if not video.dim == text.dim == sti_params.dim == enc_params.dim:
         raise ShapeMismatchError("embedding dimensions do not match the parameters")
     tape = Tape()
     nodes = sti_pipeline_nodes(
-        patches=tape.constant(frames.patch_embeddings),
-        frames=tape.constant(frames.frame_class_embeddings),
+        patches=tape.constant(video.patch_embeddings),
+        encoder=(tape.constant(enc_params.video_weight), tape.constant(enc_params.video_bias)),
         words=tape.constant(text.word_embeddings),
-        patch_weight=tape.constant(params.patch_weight),
-        word_weight=tape.constant(params.word_weight),
-        tau_saliency=params.tau_saliency,
+        patch_weight=tape.constant(sti_params.patch_weight),
+        word_weight=tape.constant(sti_params.word_weight),
+        tau_saliency=sti_params.tau_saliency,
         toggles=toggles,
     )
-    t = frames.num_frames
+    t = video.num_frames
     neutral = {"spatial_scores": np.ones(t), "saliency": np.full(t, 1.0 / t)}
     return {key: neutral[key] if node is None else node.data for key, node in nodes.items()}

@@ -467,9 +467,11 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
     Every malformed file, including a truncated one, one with trailing
-    bytes and one holding non-finite values, raises CheckpointFormatError.
-    Version 1 files carry no saliency temperature and load with the default;
-    a config that breaks TrainConfig's rules is malformed too.
+    bytes and one holding non-finite values, raises CheckpointFormatError,
+    whose message names the file. Version 1 files carry no saliency
+    temperature and load with the default; a config that breaks
+    TrainConfig's rules is malformed too, and so is any parameter set other
+    than the one ``default_parameter_store`` registers.
     """
     path = Path(path)
     fh = io.BytesIO(path.read_bytes())
@@ -478,8 +480,25 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: bad checkpoint magic {magic!r}")
     try:
         return _parse_checkpoint(fh)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+
+
+def _check_parameters(store: ParameterStore) -> None:
+    """The parameters must be ``default_parameter_store``'s, in its order,
+    each shaped as there for one dimension D >= 1: (D, D), (D,), (D, D),
+    (D, D) and ()."""
+    template = default_parameter_store(1)
+    got = [(name, store.value(name).shape) for name in store.names()]
+    dim = got[0][1][0] if got and got[0][1] else 0
+    want = [(name, (dim,) * template.value(name).ndim) for name in template.names()]
+    if dim < 1 or got != want:
+        layout = ", ".join(  # default_parameter_store(1)'s shapes, with each 1 read as D
+            f"{name} {str(template.value(name).shape).replace('1', 'D')}" for name in template.names()
+        )
+        raise CheckpointFormatError(f"parameters {got} are not {layout} for one D >= 1")
 
 
 def _parse_checkpoint(fh) -> Checkpoint:
@@ -512,6 +531,7 @@ def _parse_checkpoint(fh) -> Checkpoint:
         second[name] = _read_array_block(fh, f"{name}.v")[1]
         if not first[name].shape == second[name].shape == value.shape:
             raise CheckpointFormatError(f"moment shapes for {name!r} differ from its value")
+    _check_parameters(store)
     history = _read_finite(fh, (_read_count(fh, "history"),), "loss history").tolist()
     if fh.read(1):
         raise CheckpointFormatError("trailing bytes after the loss history")

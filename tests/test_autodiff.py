@@ -96,12 +96,12 @@ class TestPrimitiveBackwardRules:
 
 class TestBackwardStructure:
     def test_sum_of_linear_map_has_rank_one_gradient(self):
-        # f = sum(x . W): dW = outer(x, ones), from the hand formula
+        # f = sum(x . W) for a row x: dW = outer(x, ones), from the hand formula
         rng = np.random.default_rng(1)
         x_val = rng.standard_normal(4)
         tape = Tape()
         w = tape.leaf(rng.standard_normal((4, 3)))
-        loss = ad.sum_reduce(ad.matmul(tape.constant(x_val), w))
+        loss = ad.sum_reduce(ad.matmul(tape.constant(x_val[None, :]), w))
         grads = tape.backward(loss)
         assert np.allclose(grads[w.tid], np.outer(x_val, np.ones(3)), atol=1e-15)
         assert np.linalg.matrix_rank(grads[w.tid]) == 1
@@ -808,7 +808,7 @@ def fan_out_graph():
         ad.add(x, x),
         ad.softmax(ad.mul(x, s), axis=0),
         ad.mul(ad.exp(x), s),
-        ad.mul(ad.expand_dims(ad.mean_reduce(x, 0), 0), s),  # a read-only broadcast gradient
+        ad.mul(ad.reshape(ad.mean_reduce(x, 0), (1, 3)), s),  # a read-only broadcast gradient
     ]
     total = branches[0]
     for branch in branches[1:]:
@@ -827,7 +827,8 @@ def every_primitive_loss(store, tape):
         *ad.encoded_maxsim(tape.constant(x.data), w, ad.mean_reduce(w, 0), w, [0, 1, 3], weight=w),
         ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1), ad.softmax(x),
         ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
-        ad.expand_dims(x, 0), ad.stack([x, x]), ad.matmul(ad.sum_reduce(x, 0), ad.mean_reduce(w, 0)),
+        ad.reshape(x, (1,) + x.shape), ad.stack([x, x]),
+        ad.matmul(ad.sum_reduce(x, 0), ad.reshape(ad.mean_reduce(w, 0), (-1, 1))),
     ]
     return ad.sum_reduce(ad.stack([ad.sum_reduce(node) for node in nodes]))
 
@@ -935,18 +936,19 @@ class TestShapeErrors:
         with pytest.raises(ShapeMismatchError):
             ad.matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((4, 2))))
 
-    def test_dot_requires_matching_vectors(self):
-        # (k,) @ (k,) is the inner product; unequal lengths are rejected
+    @pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,))])
+    def test_vector_operands_rejected(self, a_shape, b_shape):
+        # matmul takes a stack of matrices and one matrix, never a vector
         tape = Tape()
         with pytest.raises(ShapeMismatchError):
-            ad.matmul(tape.constant(np.ones(3)), tape.constant(np.ones(4)))
+            ad.matmul(tape.constant(np.ones(a_shape)), tape.constant(np.ones(b_shape)))
 
     def test_weighted_sum_shape_check(self):
         tape = Tape()
         with pytest.raises(ShapeMismatchError):
             ad.weighted_sum(tape.constant(np.ones((3, 4))), tape.constant(np.ones(2)))
 
-    @pytest.mark.parametrize("weights_shape", [(2, 1), (4,), (3, 4, 1), (1, 3, 4)])
+    @pytest.mark.parametrize("weights_shape", [(2, 1), (3,), (4,), (3, 4, 1), (1, 3, 4)])
     def test_weighted_sum_column_shape_check(self, weights_shape):
         tape = Tape()
         with pytest.raises(ShapeMismatchError):
@@ -960,7 +962,7 @@ class TestShapeErrors:
 
 class TestCompositePlumbingGradients:
     def test_finite_differences_through_every_plumbing_op(self):
-        # one graph using transpose, stack, index_select, expand_dims, clip,
+        # one graph using transpose, stack, index_select, reshape, clip,
         # exp, log, div, mean/sum, log_softmax, l2_normalize and matmul
         rng = np.random.default_rng(4)
         store = ParameterStore()
@@ -974,7 +976,7 @@ class TestCompositePlumbingGradients:
             x = ad.matmul(tape.constant(base), ad.transpose(leaves["w"]))
             x = ad.log_softmax(x, axis=1)
             picked = ad.index_select(x, np.array([0, 2, 1]), axis=0)
-            scaled = ad.mul(picked, ad.expand_dims(ad.exp(leaves["v"]), 0))
+            scaled = ad.mul(picked, ad.reshape(ad.exp(leaves["v"]), (1, 4)))
             vec = ad.mean_reduce(scaled, axis=0)
             unit = ad.l2_normalize(vec, axis=0)
             stacked = ad.stack([unit, ad.clip(vec, -0.5, 0.5)], axis=0)

@@ -17,6 +17,7 @@ import pytest
 import stilab
 from stilab import cli, trainer
 from stilab.attributes import load_attribute_records
+from stilab.autodiff import ParameterStore
 from stilab.cli import main
 from stilab.corpus import SyntheticCorpusSpec, load_corpus
 from stilab.encoders import FrameEmbeddingSet
@@ -188,6 +189,26 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "checkpoint config value 2.5 for 'num_attributes' has the wrong type" in err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_checkpoint_without_a_parameter_fails_naming_the_file(
+        self, synth_dir, trained, tmp_path, capsys
+    ):
+        checkpoint = load_checkpoint(trained / "checkpoint.stickpt")
+        store = ParameterStore()
+        for name in checkpoint.store.names():
+            if name != trainer.PARAM_PATCH_WEIGHT:
+                store.register(name, checkpoint.store.value(name))
+        bad = tmp_path / "no-patch-weight.stickpt"
+        trainer.save_checkpoint(bad, dataclasses.replace(
+            checkpoint, store=store, optimizer=trainer.OptimizerState.for_store(store)))
+        code = run_cli(
+            "eval", "--seed", 3, "--out-dir", tmp_path / "eval", "--corpus", synth_dir / "corpus",
+            "--checkpoint", bad,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stilab: error: {bad}: parameters [")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
     def test_mean_pool_toggles_reproduce_library_baseline(self, synth_dir, trained, tmp_path):

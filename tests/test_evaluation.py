@@ -356,10 +356,9 @@ class TestSaliencyExport:
         sti = STIParameters.identity_init(6)
         path = export_saliency(video, text, sti, enc, tmp_path / "sal.csv")
 
-        from stilab.encoders import encode_video
         from stilab.sti import sti_forward
 
-        output = sti_forward(encode_video(video.patch_embeddings, enc), text, sti)
+        output = sti_forward(video, text, sti, enc)
         for line, t in zip(path.read_text().splitlines()[1:], range(5)):
             _, s_sp, s_temp = line.split(",")
             assert float(s_sp) == output["spatial_scores"][t]

@@ -142,9 +142,8 @@ class TestScoreMatrix:
         batch, texts, sti, enc = make_setup(rng)
         scores = score_matrix(batch, texts, sti, enc)
         for i, video in enumerate(batch.videos):
-            encoded = encode_video(video.patch_embeddings, enc)
             for j, text in enumerate(texts):
-                feature = sti_forward(encoded, text, sti)["feature"]
+                feature = sti_forward(video, text, sti, enc)["feature"]
                 expected = cosine(text.class_embedding, feature)
                 assert abs(scores[i, j] - expected) < 1e-12
 
@@ -353,16 +352,17 @@ def per_class_score_matrix(tape, raw, word_sets, class_embeddings, leaves, tau_s
         feats = frames
         if toggles.spatial:
             proj_patches = ad.relu(ad.matmul(patches, leaves[PARAM_PATCH_WEIGHT]))
-            feats = ad.mul(ad.expand_dims(ad.maxsim(proj_patches, proj_words), -1), frames)
+            scores = ad.maxsim(proj_patches, proj_words)
+            feats = ad.mul(ad.reshape(scores, scores.shape + (1,)), frames)
         if toggles.temporal:
             logits = ad.mul(ad.matmul(feats, ad.transpose(proj_words)), 1.0 / tau_saliency)
-            saliency = ad.mean_reduce(ad.softmax(logits, axis=-2), axis=-1)
-            feature = ad.weighted_sum(frames, saliency)
+            saliency = ad.mean_reduce(ad.softmax(logits, axis=-2), axis=-1)  # (B, T)
+            feature = ad.weighted_sum(frames, ad.reshape(saliency, saliency.shape + (1,)))
         else:
             feature = ad.mean_reduce(frames, axis=-2)
         unit = class_embedding / np.linalg.norm(class_embedding)
-        column = ad.matmul(ad.l2_normalize(feature, axis=-1), tape.constant(unit))
-        columns.append(ad.clip(column, -1.0, 1.0))
+        column = ad.matmul(ad.l2_normalize(feature, axis=-1), tape.constant(unit[:, None]))
+        columns.append(ad.clip(ad.reshape(column, (raw.shape[0],)), -1.0, 1.0))
     return ad.stack(columns, axis=1)
 
 

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from stilab.autodiff import ParameterStore, ShapeMismatchError, Tape, finite_difference_check
-from stilab.encoders import FrameEmbeddingSet, TextEmbeddingSequence
+from stilab.encoders import EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence
 from stilab.sti import (
     InteractionToggles,
     STIParameters,
@@ -54,19 +56,25 @@ def project(x, weight) -> np.ndarray:
 
 
 def saliency(spatial_features, proj_words, tau) -> np.ndarray:
+    """The (T,) saliency of one segment holding every word."""
     tape = Tape()
-    return temporal_nodes(tape.constant(spatial_features), tape.constant(proj_words), tau).data
+    out = temporal_nodes(tape.constant(spatial_features), tape.constant(proj_words), tau).data
+    assert out.shape == (spatial_features.shape[0], 1)
+    return out[:, 0]
 
 
 def aggregate(frames, weights) -> np.ndarray:
+    """(T, D) frames against one (T,) column of weights: the (D,) feature."""
     tape = Tape()
-    return aggregate_nodes(tape.constant(frames), tape.constant(weights)).data
+    return aggregate_nodes(tape.constant(frames), tape.constant(weights[:, None])).data[0]
 
 
-def mean_pooled(frames: FrameEmbeddingSet, text: TextEmbeddingSequence) -> np.ndarray:
-    """The video feature with both interaction stages off."""
-    params = STIParameters.identity_init(frames.dim)
-    return sti_forward(frames, text, params, InteractionToggles(False, False))["feature"]
+def mean_pooled(video: FrameEmbeddingSet, text: TextEmbeddingSequence) -> np.ndarray:
+    """The video feature with both interaction stages off, under the identity
+    encoder, which leaves the raw features as they are."""
+    params = STIParameters.identity_init(video.dim)
+    enc = EncoderParams.pretrained(0, video.dim)
+    return sti_forward(video, text, params, enc, InteractionToggles(False, False))["feature"]
 
 
 def text_of(words: np.ndarray) -> TextEmbeddingSequence:
@@ -303,22 +311,32 @@ class TestMeanPoolBaseline:
 
 
 def random_pair(rng, t=4, n_p=5, n_w=3, d=6):
-    frames = FrameEmbeddingSet.from_raw(rng.standard_normal((t, n_p, d)))
+    """A raw video, a class text, and non-identity interaction and encoder
+    parameters."""
+    video = FrameEmbeddingSet.from_raw(rng.standard_normal((t, n_p, d)))
     text = text_of(rng.standard_normal((n_w, d)))
     params = STIParameters(
         np.eye(d) + 0.1 * rng.standard_normal((d, d)),
         np.eye(d) + 0.1 * rng.standard_normal((d, d)),
         tau_saliency=0.3,
     )
-    return frames, text, params
+    enc = EncoderParams(0, d, np.eye(d) + 0.1 * rng.standard_normal((d, d)),
+                        0.1 * rng.standard_normal(d))
+    return video, text, params, enc
+
+
+def encoded(video: FrameEmbeddingSet, enc: EncoderParams):
+    """Encoded patches and frames of a raw video, in plain numpy."""
+    patches = video.patch_embeddings @ enc.video_weight + enc.video_bias
+    return patches, patches.mean(axis=1)
 
 
 class TestForwardPipeline:
     def test_both_toggles_off_is_mean_pool_bitwise(self):
         rng = np.random.default_rng(10)
-        frames, text, params = random_pair(rng)
-        out = sti_forward(frames, text, params, InteractionToggles(False, False))
-        assert np.array_equal(out["feature"], np.mean(frames.frame_class_embeddings, axis=0))
+        video, text, params, enc = random_pair(rng)
+        out = sti_forward(video, text, params, enc, InteractionToggles(False, False))
+        assert np.array_equal(out["feature"], np.mean(encoded(video, enc)[1], axis=0))
 
     def test_temporal_off_spatial_on_means_frames_when_scores_equal(self):
         rng = np.random.default_rng(11)
@@ -326,31 +344,33 @@ class TestForwardPipeline:
         # one patch repeated everywhere so every frame's max-sim score is equal
         patch = np.abs(rng.standard_normal(d))
         raw = np.tile(patch, (4, 5, 1))
-        frames = FrameEmbeddingSet.from_raw(raw)
+        video = FrameEmbeddingSet.from_raw(raw)
         text = text_of(np.abs(rng.standard_normal((3, d))))
         params = STIParameters.identity_init(d)
-        out = sti_forward(frames, text, params, InteractionToggles(True, False))
+        enc = EncoderParams.pretrained(0, d)
+        out = sti_forward(video, text, params, enc, InteractionToggles(True, False))
         scores = out["spatial_scores"]
         assert np.allclose(scores, scores[0], atol=1e-12)
-        assert np.array_equal(out["feature"], np.mean(frames.frame_class_embeddings, axis=0))
+        assert np.array_equal(out["feature"], np.mean(video.frame_class_embeddings, axis=0))
 
     def test_full_pipeline_matches_straight_line_recomputation(self):
-        # independent straight-line oracle composed of the four stages,
-        # written directly in numpy
+        # independent straight-line oracle composed of the encoder and the
+        # four stages, written directly in numpy
         rng = np.random.default_rng(12)
-        frames, text, params = random_pair(rng)
-        out = sti_forward(frames, text, params)
+        video, text, params, enc = random_pair(rng)
+        out = sti_forward(video, text, params, enc)
 
-        proj_p = np.maximum(frames.patch_embeddings @ params.patch_weight, 0.0)
+        patches, frames = encoded(video, enc)
+        proj_p = np.maximum(patches @ params.patch_weight, 0.0)
         proj_w = np.maximum(text.word_embeddings @ params.word_weight, 0.0)
-        scores, feats, _ = maxsim_enumeration(proj_p, proj_w, frames.frame_class_embeddings)
+        scores, feats, _ = maxsim_enumeration(proj_p, proj_w, frames)
         logits = feats @ proj_w.T / params.tau_saliency
         shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
         per_word = shifted / shifted.sum(axis=0, keepdims=True)
         weights = per_word.mean(axis=1)
-        feature = np.zeros(frames.dim)
-        for t in range(frames.num_frames):
-            feature = feature + frames.frame_class_embeddings[t] * weights[t]
+        feature = np.zeros(video.dim)
+        for t in range(video.num_frames):
+            feature = feature + frames[t] * weights[t]
 
         assert np.allclose(out["spatial_scores"], scores, rtol=1e-12, atol=1e-12)
         assert np.allclose(out["saliency"], weights, rtol=1e-12, atol=1e-12)
@@ -358,21 +378,21 @@ class TestForwardPipeline:
 
     def test_frame_permutation_leaves_feature_unchanged(self):
         rng = np.random.default_rng(13)
-        frames, text, params = random_pair(rng)
-        base = sti_forward(frames, text, params)["feature"]
+        video, text, params, enc = random_pair(rng)
+        base = sti_forward(video, text, params, enc)["feature"]
         for _ in range(20):
-            perm = rng.permutation(frames.num_frames)
+            perm = rng.permutation(video.num_frames)
             permuted = FrameEmbeddingSet(
-                frames.frame_class_embeddings[perm], frames.patch_embeddings[perm]
+                video.frame_class_embeddings[perm], video.patch_embeddings[perm]
             )
-            moved = sti_forward(permuted, text, params)["feature"]
+            moved = sti_forward(permuted, text, params, enc)["feature"]
             rel = np.abs(moved - base) / np.maximum(1.0, np.abs(base))
             assert np.max(rel) < 1e-9
 
     def test_word_permutation_invariance(self):
         rng = np.random.default_rng(14)
-        frames, text, params = random_pair(rng)
-        base = sti_forward(frames, text, params)
+        video, text, params, enc = random_pair(rng)
+        base = sti_forward(video, text, params, enc)
         for _ in range(20):
             perm = rng.permutation(text.num_words)
             permuted = TextEmbeddingSequence(
@@ -380,19 +400,25 @@ class TestForwardPipeline:
                 word_embeddings=text.word_embeddings[perm],
                 token_texts=tuple(text.token_texts[i] for i in perm),
             )
-            moved = sti_forward(frames, permuted, params)
+            moved = sti_forward(video, permuted, params, enc)
             assert np.array_equal(moved["spatial_scores"], base["spatial_scores"])
             assert np.allclose(moved["saliency"], base["saliency"], atol=1e-12)
 
     def test_saliency_always_sums_to_one(self):
         rng = np.random.default_rng(15)
         for _ in range(25):
-            frames, text, params = random_pair(
+            video, text, params, enc = random_pair(
                 rng, t=int(rng.integers(1, 6)), n_w=int(rng.integers(1, 5))
             )
-            out = sti_forward(frames, text, params)
+            out = sti_forward(video, text, params, enc)
             assert abs(out["saliency"].sum() - 1.0) < 1e-9
             assert np.all(out["spatial_scores"] >= 0.0)
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(16)
+        video, text, params, _ = random_pair(rng)
+        with pytest.raises(ShapeMismatchError):
+            sti_forward(video, text, params, EncoderParams.pretrained(0, video.dim + 1))
 
     def test_parameter_and_result_validation(self):
         with pytest.raises(ValueError):
@@ -429,18 +455,66 @@ class TestSegmentedPipeline:
             together = run(words, segments)
             want_feature_shape = (b, lengths.size if temporal else 1, d + 1)
             assert together["feature"].shape == want_feature_shape
+            # one segment is an unsegmented call, bit for bit; with more, the
+            # pooling products span every segment and may round differently
+            same = np.array_equal if lengths.size == 1 else (
+                lambda got, want: np.allclose(got, want, rtol=0.0, atol=1e-12)
+            )
             for k, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
                 alone = run(words[lo:hi])
                 feature = together["feature"].data[:, k if temporal else 0]
-                assert np.allclose(feature, alone["feature"].data, rtol=0.0, atol=1e-12)
+                assert same(feature, alone["feature"].data)
                 for key in ("spatial_scores", "saliency"):
                     if alone[key] is None:
                         assert together[key] is None
                         continue
-                    got = together[key].data[..., k]
-                    assert np.allclose(got, alone[key].data, rtol=0.0, atol=1e-12), key
+                    assert same(together[key].data[..., k], alone[key].data), key
             if temporal:
                 assert np.allclose(together["saliency"].data.sum(axis=-2), 1.0, atol=1e-12)
+
+
+class TestUnsegmentedPins:
+    # sha256 over each returned node's key, shape and bytes, as the pipeline
+    # computed them while unsegmented calls still had their own layout (no K
+    # axis in any stage); the frames= and encoder= forms agree bit for bit
+    PINNED_SHA256 = {
+        (True, True): "a9a09935ca922b84b892d83a671fb4182625155c813902db1a996fa6e2a54708",
+        (True, False): "e359efef559244984da65568932a616269d3c60791b70c4e5b73ffacd1c5f4c9",
+        (False, True): "14b3d6f7db443bfc234a5a8dcc881ea9334dd3a8d4a7a231699186b8a0cab276",
+        (False, False): "3dd92b16ac19ccb70686e3a617d0368e6922a2329421066f9980f9cc8c403144",
+    }
+
+    @pytest.mark.parametrize("form", ["frames", "encoder"])
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_nodes_are_pinned_for_each_toggle(self, form, spatial, temporal):
+        rng = np.random.default_rng(61)
+        b, t, n_p, d = 3, 5, 6, 8
+        raw = rng.standard_normal((b, t, n_p, d))
+        words = rng.standard_normal((7, d))
+        video_weight = np.eye(d) + 0.2 * rng.standard_normal((d, d))
+        video_bias = 0.1 * rng.standard_normal(d)
+        patch_weight, word_weight = (np.eye(d) + 0.2 * rng.standard_normal((d, d)) for _ in range(2))
+        tape = Tape()
+        if form == "frames":
+            encoded = raw @ video_weight + video_bias
+            inputs = dict(patches=tape.constant(encoded), frames=tape.constant(encoded.mean(axis=-2)))
+        else:
+            inputs = dict(patches=tape.constant(raw),
+                          encoder=(tape.constant(video_weight), tape.constant(video_bias)))
+        nodes = sti_pipeline_nodes(
+            **inputs, words=tape.constant(words), patch_weight=tape.constant(patch_weight),
+            word_weight=tape.constant(word_weight), tau_saliency=0.3,
+            toggles=InteractionToggles(spatial, temporal),
+        )
+        assert nodes["feature"].shape == (b, d)
+        digest = hashlib.sha256()
+        for key, node in sorted(nodes.items()):
+            if node is not None:
+                assert key == "feature" or node.shape == (b, t), key
+                digest.update(f"{key} {node.shape}".encode())
+                digest.update(node.data.tobytes())
+        assert digest.hexdigest() == self.PINNED_SHA256[(spatial, temporal)]
 
 
 class TestEncoderInsidePipeline:

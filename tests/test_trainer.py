@@ -463,6 +463,50 @@ MALFORMED_CHECKPOINTS = {
 }
 
 
+def _swap(params, i, j):
+    params = list(params)
+    params[i], params[j] = params[j], params[i]
+    return params
+
+
+def _replace(params, i, name=None, value=None):
+    params = list(params)
+    old_name, old_value = params[i]
+    params[i] = (name or old_name, old_value if value is None else value)
+    return params
+
+
+# parameter sets other than default_parameter_store(2)'s, as (name, value) lists
+BAD_PARAMETER_SETS = {
+    "missing": lambda params: params[:2] + params[3:],  # no patch_weight
+    "extra": lambda params: params + [("extra_bias", np.zeros(2))],
+    "renamed": lambda params: _replace(params, 3, name="text_weight"),
+    "reordered": lambda params: _swap(params, 2, 3),
+    "misshapen-log-tau": lambda params: _replace(params, 4, value=np.zeros(3)),
+    "misshapen-bias": lambda params: _replace(params, 1, value=np.zeros((2, 1))),
+    "non-square-weight": lambda params: _replace(params, 0, value=np.zeros((2, 3))),
+    "mixed-dim": lambda params: _replace(params, 3, value=np.eye(3)),
+    "zero-dim": lambda params: [
+        (name, np.zeros((0,) * np.ndim(value))) if np.ndim(value) else (name, value)
+        for name, value in params
+    ],
+    "none": lambda params: [],
+}
+
+
+def checkpoint_with(params) -> Checkpoint:
+    store = ParameterStore()
+    for name, value in params:
+        store.register(name, value)
+    checkpoint = tiny_checkpoint()
+    checkpoint.store, checkpoint.optimizer = store, OptimizerState.for_store(store)
+    return checkpoint
+
+
+def as_version_1(raw: bytes) -> bytes:
+    return raw.replace(b"version 2\n", b"version 1\n", 1).replace(b"tau_saliency 0.07\n", b"", 1)
+
+
 TINY_CHECKPOINT_CONFIG = (
     b'{"batch_size": 16, "epochs": 2, "learning_rate": 5e-05, "num_attributes": 8, '
     b'"seed": 0, "spatial": true, "temporal": true, "weight_decay": 0.05}'
@@ -561,6 +605,27 @@ class TestCheckpointFormat:
         path.write_bytes(raw.replace(old, new, 1))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("alter", BAD_PARAMETER_SETS.values(), ids=BAD_PARAMETER_SETS)
+    def test_parameter_set_other_than_the_trainers_is_rejected(self, tmp_path, version, alter):
+        store = default_parameter_store(2)
+        params = alter([(name, store.value(name)) for name in store.names()])
+        path = save_checkpoint(tmp_path / "params.stickpt", checkpoint_with(params))
+        if version == 1:
+            path.write_bytes(as_version_1(path.read_bytes()))
+        with pytest.raises(CheckpointFormatError, match=r"params\.stickpt: parameters \["):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_the_trainers_parameter_set_loads_at_any_dim(self, tmp_path, version, dim):
+        store = default_parameter_store(dim)
+        params = [(name, store.value(name)) for name in store.names()]
+        path = save_checkpoint(tmp_path / "params.stickpt", checkpoint_with(params))
+        if version == 1:
+            path.write_bytes(as_version_1(path.read_bytes()))
+        assert load_checkpoint(path).store.fingerprint() == store.fingerprint()
 
     def test_every_truncation_prefix_raises_format_error(self, tmp_path):
         raw = save_checkpoint(tmp_path / "full.stickpt", tiny_checkpoint()).read_bytes()
