@@ -1,9 +1,10 @@
 """Shared file plumbing: failure-atomic writes, the content fingerprint of
 a set of files, the one codec of the binary records in ``videos.bin`` and
-checkpoints, and the rules for values read back from files. A record is an
-ASCII header line ended by ``\\n``, then row-major little-endian float64
-values. The readers raise the ``error`` class their caller passes, so each
-format keeps its own typed errors and its own header grammar."""
+checkpoints (with the sha256 of a record's bytes), and the rules for values
+read back from files. A record is an ASCII header line ended by ``\\n``,
+then row-major little-endian float64 values. The readers raise the
+``error`` class their caller passes, so each format keeps its own typed
+errors and its own header grammar."""
 
 from __future__ import annotations
 
@@ -45,51 +46,57 @@ class Fingerprint:
     """sha256 over each file's name and then its bytes, in path order: the
     one fingerprint rule of run manifests.
 
-    A reader that parses some of the files takes them in path order, with
-    ``read_bytes`` or with ``take`` and then feeding every byte it reads to
-    ``update``; so the fingerprint costs no second read of what it parses.
-    The files it passes over are hashed in 1 MiB pieces, so hashing
+    A reader that parses some of the files takes them in path order with
+    ``read_bytes``, so the fingerprint costs no second read of what it
+    parses. The files it passes over are hashed in 1 MiB pieces, so hashing
     allocates no file-sized buffer.
     """
 
     def __init__(self, paths):
         self._pending = sorted(Path(p) for p in paths)
         self._digest = hashlib.sha256()
-        self.update = self._digest.update
 
     def _hash_up_to(self, path: Path | None) -> None:
         while self._pending and self._pending[0] != path:
-            self.update(self._pending[0].name.encode("utf-8"))
+            self._digest.update(self._pending[0].name.encode("utf-8"))
             with open(self._pending.pop(0), "rb") as fh:
                 while chunk := fh.read(1 << 20):
-                    self.update(chunk)
+                    self._digest.update(chunk)
 
-    def take(self, path) -> Path:
-        """Hash the files before ``path`` and then its name; the caller
-        reads ``path`` and feeds its bytes to ``update``."""
+    def read_bytes(self, path) -> bytes:
+        """Hash the files before ``path``, then read ``path`` whole,
+        hashing its name and bytes as it is returned."""
         path = Path(path)
         if path not in self._pending:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
         self._hash_up_to(path)
-        self.update(self._pending.pop(0).name.encode("utf-8"))
-        return path
-
-    def read_bytes(self, path) -> bytes:
-        """Read ``path`` whole, hashing it as it is returned."""
-        data = self.take(path).read_bytes()
-        self.update(data)
+        self._digest.update(self._pending.pop(0).name.encode("utf-8"))
+        data = path.read_bytes()
+        self._digest.update(data)
         return data
 
     def hexdigest(self) -> str:
-        """Hash the files not yet taken and return the fingerprint."""
+        """Hash the files not yet read and return the fingerprint."""
         self._hash_up_to(None)
         return self._digest.hexdigest()
 
 
-def write_array(fh, header: str, array) -> None:
-    """Write one record: ``header`` as an ASCII line, then the values."""
-    fh.write(f"{header}\n".encode("ascii"))
-    fh.write(np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE).tobytes())
+def write_array(fh, header: str, array) -> str:
+    """Write one record: ``header`` as an ASCII line, then the values.
+    Returns the record's ``record_sha256``."""
+    line = f"{header}\n".encode("ascii")
+    values = np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE)
+    fh.write(line)
+    fh.write(values.tobytes())
+    return record_sha256(line, values)
+
+
+def record_sha256(line: bytes, values) -> str:
+    """The lowercase hex sha256 of one record's bytes as the file holds
+    them: its header ``line``, ``\\n`` included, then its values."""
+    digest = hashlib.sha256(line)
+    digest.update(np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE))
+    return digest.hexdigest()
 
 
 def bytes_left(fh) -> int:
@@ -116,28 +123,27 @@ def header_text(line: bytes, error: type[Exception], what: str) -> str:
         raise error(f"{what}: header is not ASCII text: {line[:32]!r}") from exc
 
 
+def payload_bytes(shape: tuple[int, ...], left: int, error: type[Exception], what: str) -> int:
+    """The bytes of a record's ``shape`` values; a header promising more
+    than the ``left`` bytes after it raises ``error``."""
+    count = math.prod(shape)
+    nbytes = 8 * count
+    if not 0 <= nbytes <= left:
+        raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
+    return nbytes
+
+
 def read_floats(
-    fh, shape: tuple[int, ...], error: type[Exception], what: str,
-    left: int | None = None, digest=None, into: np.ndarray | None = None,
+    fh, shape: tuple[int, ...], error: type[Exception], what: str, left: int | None = None,
 ) -> np.ndarray:
     """Read a float64 array of ``shape``; a header promising more values
     than ``fh`` holds raises ``error`` before anything is read. A caller
     that tracks its position passes the bytes ``left`` after it, which
-    spares the seeks that measure it; the bytes read also go to
-    ``digest.update`` when a digest is given. A caller that does not keep
-    the values passes a reused ``into`` buffer of at least that many
-    values, and gets back a view of its front instead of a fresh array."""
-    count = math.prod(shape)
-    nbytes = 8 * count
-    if left is None:
-        left = bytes_left(fh)
-    if not 0 <= nbytes <= left:
-        raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
-    values = np.empty(count, dtype=PAYLOAD_DTYPE) if into is None else into[:count]
+    spares the seeks that measure it."""
+    nbytes = payload_bytes(shape, bytes_left(fh) if left is None else left, error, what)
+    values = np.empty(nbytes // 8, dtype=PAYLOAD_DTYPE)
     if fh.readinto(values) != nbytes:
-        raise error(f"{what}: file ended inside its {count} values")
-    if digest is not None:
-        digest.update(values)
+        raise error(f"{what}: file ended inside its {values.size} values")
     return values.astype(np.float64, copy=False).reshape(shape)
 
 

@@ -35,6 +35,7 @@ from .evaluation import (
     MetricReport, SplitMetrics, evaluate_split, export_saliency, write_metric_csv,
 )
 from .trainer import (
+    PARAM_VIDEO_BIAS,
     TrainConfig,
     few_shot_finetune,
     load_checkpoint,
@@ -248,7 +249,7 @@ def cmd_synth(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_train(args) -> tuple[list[Path], dict, str | None]:
-    # training scores the seen classes only; the other videos are hashed, not kept
+    # training scores the seen classes only; the other videos' values are not read
     corpus = load_corpus(args.corpus, lambda _, cls: cls.seen)
     config = _from_fields(TrainConfig, args)
     run = train_on_corpus(corpus, config)
@@ -270,6 +271,11 @@ def _load_model(args, keep):
     command's --num-attributes, --spatial and --temporal values that is given."""
     corpus = load_corpus(args.corpus, keep)
     checkpoint = load_checkpoint(args.checkpoint)
+    # load_checkpoint holds every parameter to one dimension D
+    dim = checkpoint.store.value(PARAM_VIDEO_BIAS).size
+    if dim != corpus.spec.dim:
+        raise CliError(f"checkpoint {args.checkpoint} has dimension {dim}, "
+                       f"but corpus {args.corpus} has dim {corpus.spec.dim}")
     overrides = {name: getattr(args, name) for name in ("num_attributes", "spatial", "temporal")
                  if getattr(args, name, None) is not None}
     config = dataclasses.replace(checkpoint.config, **overrides)
@@ -333,7 +339,7 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
-    # one video is scored, so the other videos' features are hashed, not kept
+    # one video is scored, so the other videos' values are not read
     corpus, _, config, enc, sti = _load_model(args, lambda video_id, _: video_id == args.video_id)
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:

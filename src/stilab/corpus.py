@@ -13,6 +13,7 @@ pretrained joint embedding space.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -268,9 +269,11 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 DESCRIPTIONS_FILENAME = "descriptions.jsonl"
 VIDEOS_FILENAME = "videos.bin"
 METADATA_FILENAME = "corpus.json"
-# Version 2 writes each video's patch_concepts as one hex string; version 1
-# wrote nested lists of integers and is not read.
-CORPUS_FORMAT_VERSION = 2
+# Version 3 lists each video's sha256, the digest of its videos.bin record;
+# version 2 did not, and version 1 also wrote patch_concepts as nested lists
+# of integers instead of one hex string. Neither is read.
+CORPUS_FORMAT_VERSION = 3
+_SHA256 = re.compile(r"[0-9a-f]{64}")  # the text hexdigest() gives
 
 
 def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
@@ -294,7 +297,8 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
             )
 
     videos_path = out_dir / VIDEOS_FILENAME
-    save_embeddings(videos_path, [video.features for video in corpus.videos])
+    digests: list[str] = []
+    save_embeddings(videos_path, [video.features for video in corpus.videos], digests)
 
     meta = {
         "format_version": CORPUS_FORMAT_VERSION,
@@ -317,8 +321,9 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
                 # One byte per index is enough: validate() caps num_concepts
                 # at the 40-word vocabulary.
                 "patch_concepts": video.patch_concepts.astype(np.uint8).tobytes().hex(),
+                "sha256": digest,
             }
-            for video in corpus.videos
+            for video, digest in zip(corpus.videos, digests)
         ],
     }
     metadata_path = out_dir / METADATA_FILENAME
@@ -329,14 +334,16 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
 
 
 def corpus_fingerprint(corpus_dir) -> str:
-    """Content hash over every regular file in a corpus directory; a corpus
-    that ``load_corpus`` read carries the same value, from the bytes it
-    parsed."""
-    return Fingerprint(_corpus_files(corpus_dir)).hexdigest()
+    """Content hash of a corpus directory: the ``Fingerprint`` of every
+    regular file in it but videos.bin, which it reaches through the
+    per-video sha256 that corpus.json lists. A corpus that ``load_corpus``
+    read carries the same value, from the bytes it parsed."""
+    return Fingerprint(_fingerprinted_files(corpus_dir)).hexdigest()
 
 
-def _corpus_files(corpus_dir) -> list[Path]:
-    return [path for path in Path(corpus_dir).iterdir() if path.is_file()]
+def _fingerprinted_files(corpus_dir) -> list[Path]:
+    return [path for path in Path(corpus_dir).iterdir()
+            if path.is_file() and path.name != VIDEOS_FILENAME]
 
 
 def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
@@ -352,14 +359,16 @@ def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
     selects the videos whose features are kept: those it returns true for
     (``lambda _, cls: cls.seen`` keeps the seen group), or all of them when
     ``keep`` is None. ``videos`` holds the kept videos, in file order, each
-    with its own int64 copy of its patch concepts. The other videos'
-    features are still read, checked and hashed, but through one reused
-    buffer, so they take no memory; every video, kept or not, must have the
-    spec's (T, N_p, D) and valid patch concepts.
+    with its own int64 copy of its patch concepts. Only the kept videos'
+    features are read from videos.bin, and each kept record's bytes must
+    hash to the sha256 that corpus.json lists for it; the other records'
+    values are passed over unread, so a changed byte there goes unseen.
+    Every video, kept or not, must have a record header with the spec's
+    (T, N_p, D), valid patch concepts and a well-formed sha256.
     """
     corpus_dir = Path(corpus_dir)
     try:
-        return _parse_corpus(corpus_dir, Fingerprint(_corpus_files(corpus_dir)), keep)
+        return _parse_corpus(corpus_dir, Fingerprint(_fingerprinted_files(corpus_dir)), keep)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         metadata_path = corpus_dir / METADATA_FILENAME
         raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
@@ -408,7 +417,7 @@ def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) ->
 
 
 def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus:
-    # The files are read in name order, as the fingerprint hashes them.
+    # The fingerprinted files are read in name order, as the fingerprint hashes them.
     meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
         raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
@@ -459,6 +468,11 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus
     entries = meta["videos"]
     video_ids = [_typed(entry, "video_id", str) for entry in entries]
     labels = [_typed(entry, "class_index", int) for entry in entries]
+    listed = [_typed(entry, "sha256", str) for entry in entries]
+    for video_id, digest in zip(video_ids, listed):
+        if not _SHA256.fullmatch(digest):
+            raise ValueError(f"video {video_id!r}: 'sha256' must be 64 lowercase hex digits, "
+                             f"got {digest!r:.80}")
     for video_id, class_index in zip(video_ids, labels):
         if not 0 <= class_index < len(classes):
             raise ValueError(
@@ -470,7 +484,8 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus
         if keep(video_id, classes[class_index])
     }
     shapes: list[tuple[int, ...]] = []
-    features_list = load_embeddings(files.take(corpus_dir / VIDEOS_FILENAME), files, kept, shapes)
+    found: list[str | None] = []
+    features_list = load_embeddings(corpus_dir / VIDEOS_FILENAME, kept, shapes, found)
     fingerprint = files.hexdigest()
     if len(features_list) != len(entries):
         raise ValueError(
@@ -485,6 +500,12 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus
                 f"corpus spec expects {expected_shape}"
             )
     patch_concepts = _patch_concepts(entries, expected_shape[:2], spec.num_concepts)
+    for video_id, want, got in zip(video_ids, listed, found):
+        if got is not None and got != want:
+            raise ValueError(
+                f"video {video_id!r}: its {VIDEOS_FILENAME} record has sha256 {got}, "
+                f"corpus metadata lists {want}"
+            )
     videos = [
         VideoSample(
             video_id=video_id,

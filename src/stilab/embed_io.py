@@ -12,7 +12,7 @@ Round-trips are bitwise lossless.
 
 from __future__ import annotations
 
-import math
+import io
 import os
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._fileio import (
-    PAYLOAD_DTYPE, atomic_open, header_text, parse_counts, read_floats, write_array,
+    atomic_open, header_text, parse_counts, payload_bytes, read_floats, record_sha256, write_array,
 )
 
 MAGIC = b"STIEMB1\n"
@@ -44,10 +44,11 @@ class HeaderFormatError(EmbeddingIOError):
     pass
 
 
-def save_embeddings(path, videos: Sequence) -> Path:
+def save_embeddings(path, videos: Sequence, digests: list | None = None) -> Path:
     """Write (T, N_p, D) raw video feature arrays to a container file.
 
-    Values must be finite.
+    Values must be finite. A ``digests`` list gets each record's sha256
+    (``_fileio.record_sha256``) appended, in order, from the bytes written.
     """
     path = Path(path)
     arrays = [np.asarray(video) for video in videos]
@@ -60,7 +61,9 @@ def save_embeddings(path, videos: Sequence) -> Path:
         fh.write(MAGIC)
         for arr in arrays:
             t, n_p, d = arr.shape
-            write_array(fh, f"{KIND_RAW_VIDEO} {t} {n_p} {d}", arr)
+            digest = write_array(fh, f"{KIND_RAW_VIDEO} {t} {n_p} {d}", arr)
+            if digests is not None:
+                digests.append(digest)
     return path
 
 
@@ -76,47 +79,43 @@ def _parse_header(line: str) -> tuple[int, ...]:
     return tuple(numbers[1:])
 
 
-def load_embeddings(path, digest=None, keep=None, shapes=None) -> list[np.ndarray | None]:
-    """Read every record from a container file, in order, as writeable
-    C-contiguous float64 arrays. The file is streamed once, front to back;
-    every byte read also goes to ``digest.update`` when a digest is given.
+def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarray | None]:
+    """Read the records of a container file, in order, as writeable
+    C-contiguous float64 arrays. Every record header is read and checked,
+    front to back, each against the bytes left after it.
 
-    With ``keep``, a set of record indices, the other records are still
-    read, checked and hashed, but through one reused buffer, and stand as
-    ``None`` in the list: their values take no memory of their own. A
-    ``shapes`` list gets every record's (T, N_p, D) appended, kept or not.
+    With ``keep``, a set of record indices, only those records' values are
+    read: the reader seeks past the others, which stand as ``None`` in the
+    list. A ``shapes`` list gets every record's (T, N_p, D) appended, kept
+    or not; a ``digests`` list gets each kept record's sha256
+    (``_fileio.record_sha256``) and ``None`` for each other record.
     """
     path = Path(path)
     out: list[np.ndarray | None] = []
     parsed: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
-    scratch = np.empty(0, dtype=PAYLOAD_DTYPE)  # the values of records not kept
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         left = os.fstat(fh.fileno()).st_size - len(MAGIC)
-        if digest is not None:
-            digest.update(magic)
         while left:
             line = fh.readline()
             shape = parsed.get(line)
             if shape is None:
                 shape = _parse_header(header_text(line, HeaderFormatError, "record header"))
                 parsed[line] = shape
-            if digest is not None:
-                digest.update(line)
             left -= len(line)
-            kept = keep is None or len(out) in keep
-            count = math.prod(shape)
-            # a count past the end of the file raises in read_floats, unallocated
-            if not kept and scratch.size < count <= left // 8:
-                scratch = np.empty(count, dtype=PAYLOAD_DTYPE)
-            features = read_floats(
-                fh, shape, TruncatedPayloadError, "raw video features", left, digest,
-                into=None if kept else scratch,
-            )
-            left -= features.nbytes
-            out.append(features if kept else None)
+            if keep is None or len(out) in keep:
+                features = read_floats(fh, shape, TruncatedPayloadError, "raw video features", left)
+                nbytes = features.nbytes
+            else:
+                features = None
+                nbytes = payload_bytes(shape, left, TruncatedPayloadError, "raw video features")
+                fh.seek(nbytes, io.SEEK_CUR)
+            left -= nbytes
+            out.append(features)
             if shapes is not None:
                 shapes.append(shape)
+            if digests is not None:
+                digests.append(None if features is None else record_sha256(line, features))
     return out

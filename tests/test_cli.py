@@ -211,6 +211,23 @@ class TestEval:
         assert err.startswith(f"stilab: error: {bad}: parameters [")
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["saliency", "--video-id", "vid00_000", "--class-name", "activity00"],
+    ], ids=["eval", "saliency"])
+    def test_checkpoint_of_another_dimension_fails_naming_both(self, trained, tmp_path, capsys,
+                                                               command):
+        other = tmp_path / "dim8"
+        assert run_cli("synth", "--seed", 3, "--out-dir", other, *SMALL_SYNTH[:-1], 8) == 0
+        checkpoint = trained / "checkpoint.stickpt"
+        out = tmp_path / "out"
+        code = run_cli(*command, "--out-dir", out, "--corpus", other / "corpus",
+                       "--checkpoint", checkpoint)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"stilab: error: checkpoint {checkpoint} has dimension 16, "
+                       f"but corpus {other / 'corpus'} has dim 8\n")
+        assert [path.name for path in out.iterdir()] == []
+
     def test_mean_pool_toggles_reproduce_library_baseline(self, synth_dir, trained, tmp_path):
         out = tmp_path / "eval-off"
         run_cli(
@@ -365,6 +382,27 @@ class TestSaliency:
         assert [[video.video_id for video in corpus.videos] for corpus in loaded] == [
             ["vid04_002"]
         ]
+
+    def test_a_changed_value_of_the_scored_video_fails(self, synth_dir, trained, tmp_path,
+                                                       capsys):
+        corpus = synth_dir / "corpus"
+        fingerprint = cli.corpus_fingerprint(corpus)
+        path = corpus / "videos.bin"
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01  # a value of the last record, vid05_003
+        path.write_bytes(bytes(data))
+        pair = ("--checkpoint", trained / "checkpoint.stickpt", "--class-name", "activity05")
+        code = run_cli("saliency", "--out-dir", tmp_path / "bad", "--corpus", corpus,
+                       "--video-id", "vid05_003", *pair)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "videos.bin" in err and "'vid05_003'" in err
+        assert not (tmp_path / "bad" / "saliency_vid05_003_activity05.csv").exists()
+        # another video's values are not read, so the command runs and vouches for them
+        assert run_cli("saliency", "--out-dir", tmp_path / "good", "--corpus", corpus,
+                       "--video-id", "vid05_002", *pair) == 0
+        manifest = json.loads((tmp_path / "good" / "manifest.json").read_text())
+        assert manifest["corpus_fingerprint"] == fingerprint
 
     def test_unknown_video_id_fails(self, synth_dir, trained, tmp_path, capsys):
         code = run_cli(
@@ -607,6 +645,61 @@ class TestCorpusReads:
         assert opened == {"corpus.json": 1, "descriptions.jsonl": 1, "videos.bin": 1}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["corpus_fingerprint"] == cli.corpus_fingerprint(corpus)
+
+    @pytest.mark.parametrize("command, kept", [
+        (["train", "--epochs", 1, "--batch-size", 8], 16),
+        (["eval", "--mode", "zero-shot"], 8),
+        (["saliency", "--video-id", "vid04_000", "--class-name", "activity05"], 1),
+    ], ids=["train", "eval-zero-shot", "saliency"])
+    def test_videos_bin_values_are_read_only_for_the_kept_videos(
+        self, synth_dir, trained, tmp_path, monkeypatch, command, kept
+    ):
+        corpus = synth_dir / "corpus"
+        path = corpus / "videos.bin"
+        spec = json.loads((corpus / "corpus.json").read_text())["spec"]
+        videos = spec["videos_per_class"] * (spec["seen_classes"] + spec["unseen_classes"])
+        values = 8 * spec["frames"] * spec["patches_per_frame"] * spec["dim"]
+        read = collections.Counter()
+        real_open = io.open
+
+        class CountingReader:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def _count(self, data):
+                read[path.name] += data if isinstance(data, int) else len(data)
+                return data
+
+            def read(self, *args):
+                return self._count(self._fh.read(*args))
+
+            def readline(self, *args):
+                return self._count(self._fh.readline(*args))
+
+            def readinto(self, buffer):
+                return self._count(self._fh.readinto(buffer))
+
+        def counting_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            named_path = isinstance(file, (str, os.PathLike)) and Path(file) == path
+            return CountingReader(fh) if named_path else fh
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        extra = [] if command[0] == "train" else ["--checkpoint", trained / "checkpoint.stickpt"]
+        assert run_cli(*command, "--corpus", corpus, "--out-dir", tmp_path / "out", *extra) == 0
+        monkeypatch.undo()
+        # the magic line and every record header, then the kept records' values
+        assert read == {path.name: path.stat().st_size - (videos - kept) * values}
 
     def test_attrs_opens_its_descriptions_once(self, synth_dir, tmp_path, monkeypatch):
         corpus = synth_dir / "corpus"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from stilab.attributes import CorpusFormatError, build_attribute_set, load_stopwords
 from stilab.corpus import (
+    CORPUS_FORMAT_VERSION,
     SyntheticCorpusSpec,
     corpus_fingerprint,
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
 )
-from stilab.embed_io import EmbeddingIOError, load_embeddings, save_embeddings
+from stilab.embed_io import MAGIC, EmbeddingIOError, load_embeddings, save_embeddings
 from stilab.encoders import tokenize
 from stilab.trainer import TrainConfig, save_checkpoint
 from stilab.workflow import train_on_corpus
@@ -193,7 +195,8 @@ class TestPersistence:
         corpus = generate_synthetic_corpus(SMALL)
         save_corpus(corpus, tmp_path / "corpus")
         meta_path = tmp_path / "corpus" / "corpus.json"
-        meta_path.write_text(meta_path.read_text().replace('"format_version": 2', '"format_version": 9'))
+        meta_path.write_text(meta_path.read_text().replace(
+            f'"format_version": {CORPUS_FORMAT_VERSION}', '"format_version": 9'))
         with pytest.raises(ValueError, match="format version"):
             load_corpus(tmp_path / "corpus")
 
@@ -290,6 +293,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="corpus.json.*version 1.*stilab synth"):
             load_corpus(tmp_path)
 
+    def test_version_2_corpus_is_rejected_with_a_hint(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        meta_path = tmp_path / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 2
+        for entry in meta["videos"]:
+            del entry["sha256"]
+        meta_path.write_text(json.dumps(meta, indent=1) + "\n")
+        with pytest.raises(ValueError, match="corpus.json.*version 2.*stilab synth"):
+            load_corpus(tmp_path)
+
     def test_top_concept_index_round_trips(self, tmp_path):
         corpus = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__,
                                                                   "num_concepts": 40}))
@@ -328,7 +342,8 @@ class TestFingerprint:
         files = corpus_bytes(SyntheticCorpusSpec(), tmp_path)
         rule = hashlib.sha256()
         for name, data in sorted(files.items()):
-            rule.update(name.encode("utf-8") + data)
+            if name != "videos.bin":  # reached through corpus.json's per-video sha256
+                rule.update(name.encode("utf-8") + data)
         assert corpus_fingerprint(tmp_path) == rule.hexdigest()
         assert load_corpus(tmp_path).fingerprint == rule.hexdigest()
 
@@ -342,15 +357,18 @@ class TestFingerprint:
         loaded = load_corpus(tmp_path)
         assert loaded.fingerprint == corpus_fingerprint(tmp_path) != without_extra
 
-    def test_one_changed_payload_byte_changes_both(self, tmp_path):
+    def test_one_changed_payload_byte_raises_when_kept_and_is_unseen_when_not(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
         before = corpus_fingerprint(tmp_path)
         path = tmp_path / "videos.bin"
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01  # the last byte of the last value
         path.write_bytes(bytes(data))
-        loaded = load_corpus(tmp_path)
-        assert loaded.fingerprint == corpus_fingerprint(tmp_path) != before
+        last = json.loads((tmp_path / "corpus.json").read_text())["videos"][-1]["video_id"]
+        with pytest.raises(ValueError, match=f"corpus.json.*{last}.*videos.bin"):
+            load_corpus(tmp_path)
+        loaded = load_corpus(tmp_path, lambda video_id, _: video_id != last)
+        assert loaded.fingerprint == corpus_fingerprint(tmp_path) == before
 
     @pytest.mark.parametrize("name", ["corpus.json", "descriptions.jsonl", "videos.bin"])
     def test_missing_corpus_file_is_not_found(self, tmp_path, name):
@@ -361,6 +379,91 @@ class TestFingerprint:
 
     def test_generated_corpus_has_no_fingerprint(self):
         assert generate_synthetic_corpus(SMALL).fingerprint is None
+
+
+def named(*video_ids):
+    """A ``load_corpus`` keep predicate that selects the given video ids."""
+    return lambda video_id, _: video_id in video_ids
+
+
+def value_offset(data: bytes, index: int) -> int:
+    """Where the values of record ``index`` start in the bytes of a videos.bin."""
+    position = len(MAGIC)
+    for _ in range(index + 1):
+        end = data.index(b"\n", position) + 1
+        position = end + 8 * math.prod(int(count) for count in data[position:end].split()[1:])
+    return end
+
+
+def flip_value_bit(path, index: int) -> None:
+    """Flip the lowest bit of the first value of record ``index``."""
+    data = bytearray(path.read_bytes())
+    data[value_offset(data, index)] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestRecordDigests:
+    """corpus.json lists each video's sha256, the digest of its videos.bin
+    record; ``load_corpus`` checks the records it keeps against it."""
+
+    def test_each_video_lists_its_record_sha256(self, tmp_path):
+        files = corpus_bytes(SMALL, tmp_path)
+        data = files["videos.bin"]
+        entries = json.loads(files["corpus.json"])["videos"]
+        header = f"2 {SMALL.frames} {SMALL.patches_per_frame} {SMALL.dim}\n".encode()
+        starts = [value_offset(data, index) - len(header) for index in range(len(entries))]
+        records = [data[start:end] for start, end in zip(starts, starts[1:] + [len(data)])]
+        assert [entry["sha256"] for entry in entries] == [
+            hashlib.sha256(record).hexdigest() for record in records
+        ]
+
+    # SMALL has 3 videos per class, so vid01_002 is record 5, of a seen class
+    @pytest.mark.parametrize("keep", [None, named("vid01_002")], ids=["all", "that-one"])
+    def test_a_changed_value_in_a_kept_record_raises(self, tmp_path, keep):
+        corpus_bytes(SMALL, tmp_path)
+        flip_value_bit(tmp_path / "videos.bin", 5)
+        with pytest.raises(ValueError, match=r"corpus\.json.*'vid01_002'.*videos\.bin"):
+            load_corpus(tmp_path, keep)
+
+    def test_a_changed_value_in_a_record_not_kept_loads_with_the_same_fingerprint(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        before = load_corpus(tmp_path, lambda _, cls: not cls.seen)
+        flip_value_bit(tmp_path / "videos.bin", 5)
+        after = load_corpus(tmp_path, lambda _, cls: not cls.seen)
+        assert after.fingerprint == before.fingerprint == corpus_fingerprint(tmp_path)
+        assert all(np.array_equal(a.features, b.features)
+                   for a, b in zip(after.videos, before.videos, strict=True))
+
+    @pytest.mark.parametrize("edit", [
+        lambda digest: digest[:-1],
+        str.upper,
+        lambda digest: "g" + digest[1:],
+        None,
+        lambda digest: int(digest[:8], 16),
+    ], ids=["63-digits", "uppercase", "non-hex", "missing", "non-string"])
+    @pytest.mark.parametrize("keep", [None, named("vid00_001")], ids=["all", "another-kept"])
+    def test_a_malformed_sha256_raises_even_when_not_kept(self, tmp_path, edit, keep):
+        corpus_bytes(SMALL, tmp_path)
+        meta_path = tmp_path / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        entry = meta["videos"][0]
+        if edit is None:
+            del entry["sha256"]
+        else:
+            changed = edit(entry["sha256"])
+            assert changed != entry["sha256"]
+            entry["sha256"] = changed
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="corpus.json"):
+            load_corpus(tmp_path, keep)
+
+    @pytest.mark.parametrize("keep", [None, named("vid02_000")], ids=["all", "one-kept"])
+    def test_videos_bin_of_other_features_beside_the_old_metadata_raises(self, tmp_path, keep):
+        corpus_bytes(SMALL, tmp_path)
+        other = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__, "seed": 6}))
+        save_embeddings(tmp_path / "videos.bin", [video.features for video in other.videos])
+        with pytest.raises(ValueError, match=r"corpus\.json.*videos\.bin"):
+            load_corpus(tmp_path, keep)
 
 
 class TestLoadedFeatures:
@@ -393,14 +496,9 @@ class TestLoadedFeatures:
         assert str(through_corpus.value) == str(direct.value)
 
 
-def named(*video_ids):
-    """A ``load_corpus`` keep predicate that selects the given video ids."""
-    return lambda video_id, _: video_id in video_ids
-
-
 class TestSelectedVideos:
     """``load_corpus(dir, keep)`` keeps only the videos ``keep`` names but
-    reads, checks and hashes all of ``videos.bin``."""
+    checks every record header of ``videos.bin``."""
 
     def test_named_videos_keep_their_values_and_the_fingerprint(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)

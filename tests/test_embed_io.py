@@ -55,18 +55,22 @@ class TestRoundTrips:
 
 
 class TestKeep:
-    """With ``keep``, the records not kept stand as None, read and hashed
-    through one reused buffer."""
+    """With ``keep``, the records not kept stand as None: the reader seeks
+    past their values. Each kept record's sha256 is the one written."""
 
     VIDEOS = [np.full((1, 2, 3), 1.0), np.full((2, 5, 4), 2.0), np.full((1, 2, 3), 3.0),
               np.full((3, 3, 5), 4.0)]
 
     @pytest.mark.parametrize("keep", [set(), {0}, {2}, {1, 3}, {0, 1, 2, 3}])
     def test_kept_records_and_the_digest_are_unchanged(self, tmp_path, keep):
-        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS)
-        digest = hashlib.sha256()
-        loaded = load_embeddings(path, digest, keep)
-        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        written = []
+        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS, written)
+        records = ["2 {} {} {}\n".format(*v.shape).encode() + v.astype("<f8").tobytes()
+                   for v in self.VIDEOS]
+        assert written == [hashlib.sha256(record).hexdigest() for record in records]
+        read = []
+        loaded = load_embeddings(path, keep, digests=read)
+        assert read == [digest if index in keep else None for index, digest in enumerate(written)]
         assert len(loaded) == len(self.VIDEOS)
         for index, (got, want) in enumerate(zip(loaded, self.VIDEOS)):
             if index in keep:
