@@ -461,3 +461,31 @@ class TestScoreMatrixPins:
         assert scores.shape == (13, 5) and scores.dtype == np.float64
         digest = hashlib.sha256(scores.tobytes()).hexdigest()
         assert digest == self.PINNED_SCORES_SHA256[(spatial, temporal)]
+
+
+class TestBatchInvariance:
+    """A video scores bit for bit the same alone as inside a 64-video
+    evaluation chunk. A product of one (1, D) row can take BLAS's
+    matrix-vector path, whose bits differ from a matrix product's, so this
+    guards every stacked product in scoring, the T = 1 and N_p = 1 shapes
+    included."""
+
+    @pytest.mark.parametrize("shape", [(8, 16, 32), (16, 32, 64), (1, 16, 32), (8, 1, 32)])
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_a_video_alone_scores_as_in_a_64_video_chunk(self, shape, spatial, temporal):
+        rng = np.random.default_rng(sum(shape) + 2 * spatial + temporal)
+        d = shape[-1]
+        videos = tuple(FrameEmbeddingSet.from_raw(rng.standard_normal(shape)) for _ in range(64))
+        enc = EncoderParams(
+            0, d, np.eye(d) + 0.2 * rng.standard_normal((d, d)), 0.1 * rng.standard_normal(d)
+        )
+        sti = STIParameters.random_init(d, seed=5, tau_saliency=0.3)
+        texts = [text_of(rng.standard_normal((n, d))) for n in (3, 5, 1, 4)]
+        toggles = InteractionToggles(spatial, temporal)
+        labels = np.zeros(len(videos), dtype=np.int64)
+        chunk = score_matrix(BatchRecord(videos=videos, labels=labels), texts, sti, enc, toggles)
+        for row, video in enumerate(videos):
+            alone = score_matrix(BatchRecord(videos=(video,), labels=labels[:1]), texts, sti, enc,
+                                 toggles)
+            assert np.array_equal(alone[0], chunk[row]), row
