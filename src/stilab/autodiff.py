@@ -18,16 +18,13 @@ interaction and loss computations under differentiation, nothing more. One
 primitive is fused rather than elementary: ``maxsim``, the late-interaction
 score ``max over (patch, word) of z . word``, whose backward touches only
 the winning pair instead of a dense similarity gradient. It also projects
-the patches, z = ReLU(patches @ W_p), when given the weight, a chunk of
-patch matrices at a time: its record then keeps only the winning rows of the
-patches and of z, and the gradients of the patches and of W_p flow through
-those rows alone, never through a dense z or gradient of z.
-
-``encoded_maxsim`` runs the same chunk loop on constant raw patch features
-and encodes each chunk first, e = raw @ W_v + b, also taking each chunk's
-patch means as the frames. It appends two single-output records, frames and
-scores, and builds no dense encoded array, gradient or mask: the encoder's
-gradient comes from the raw frame means and the winners' raw rows alone.
+the patches, z = ReLU(patches @ W + c), when given the weight W and an
+optional bias c, a chunk of patch matrices at a time: its record then keeps
+only the winning rows of the patches and of z, and the gradients of the
+patches, W and c flow through those rows alone, never through a dense z or
+gradient of z. An affine video encoder followed by the linear patch
+projection is one such map, so the pipeline hands ``maxsim`` the raw patches
+with the two maps folded into one W and c (see ``sti``).
 
 ``maxsim`` scores segments: the words of K classes are concatenated into one
 (N_w, D) matrix, and K+1 offsets (``segment_offsets``) mark where each class's
@@ -360,142 +357,88 @@ def segment_offsets(segments, count: int) -> Array:
     return offsets.astype(np.intp)
 
 
-# Patch matrices are encoded, projected and scored at most this many values
-# at a time, so each chunk stays in cache across its K segment products.
+# Patch matrices are projected and scored at most this many values at a
+# time, so each chunk stays in cache across its K segment products.
 MAXSIM_CHUNK_VALUES = 1 << 16
 
 
 def maxsim(
-    patches: TapeTensor, words: TapeTensor, segments=None, weight: TapeTensor | None = None
+    patches: TapeTensor,
+    words: TapeTensor,
+    segments=None,
+    weight: TapeTensor | None = None,
+    bias: TapeTensor | None = None,
 ) -> TapeTensor:
     """Late-interaction MaxSim of patches against each segment of the words.
 
     patches is (..., N_p, D_in) and words (N_w, D). With a (D_in, D)
-    ``weight`` the patches are projected first, z = ReLU(patches @ weight),
-    by the same arithmetic as ``relu(matmul(patches, weight))``; without one
-    z is the (..., N_p, D) patches themselves. ``segments`` splits the words
-    into K segments (see ``segment_offsets``), one per class, and the result
-    is (..., K): per segment, the max over (patch, word of that segment) of
-    z[patch] . word. With ``segments=None`` every word is in one segment and
-    the segment axis is dropped, so the result is (...).
+    ``weight`` the patches are projected first, z = ReLU(patches @ weight +
+    bias), by the same arithmetic as ``relu(add(matmul(patches, weight),
+    bias))``; the (D,) ``bias`` is optional, and needs a weight. Without a
+    weight z is the (..., N_p, D) patches themselves. ``segments`` splits the
+    words into K segments (see ``segment_offsets``), one per class, and the
+    result is (..., K): per segment, the max over (patch, word of that
+    segment) of z[patch] . word. With ``segments=None`` every word is in one
+    segment and the segment axis is dropped, so the result is (...).
 
     The (N_p, D_in) patch matrices are taken in chunks of at most
     ``MAXSIM_CHUNK_VALUES`` projected values (or one matrix, if larger), and
     no full z is built. numpy multiplies a stack of matrices one matrix at a
     time, so every product is the one an unchunked ``np.matmul`` computes,
-    bit for bit. (``encoded_maxsim`` runs this loop with an encoder.) Each segment
-    takes one argmax over the row-major flattened (N_p, n_k) similarities of
-    its own ``z @ W_kᵀ``, which resolves ties to the smallest patch, then the
-    smallest word of that segment.
+    bit for bit. Each segment takes one argmax over the row-major flattened
+    (N_p, n_k) similarities of its own ``z @ W_kᵀ``, which resolves ties to
+    the smallest patch, then the smallest word of that segment.
 
     The record keeps only the winning rows of z (and of the patches, if the
     weight needs a gradient), and the backward touches those rows only.
     Score (i, k) has gz = g * words[w*], gated by z[p*] > 0 under a weight.
     It adds gz (or gz @ weightᵀ) to its winning patch row p*, segment by
     segment, in increasing k; g * z[p*] to its winning word row w*, in the
-    row-major order of the scores; and patches[p*]ᵀ gz to the weight.
-    Without a weight these are the sums of a plain sequential loop over the
-    scores, bit for bit; no dense (N_p, K) one-hot and no dense gradient of
-    z is built.
+    row-major order of the scores; patches[p*]ᵀ gz to the weight; and gz to
+    the bias. Without a weight these are the sums of a plain sequential loop
+    over the scores, bit for bit; no dense (N_p, K) one-hot and no dense
+    gradient of z is built.
     """
-    return _maxsim(patches, words, segments, weight, None)[1]
-
-
-def encoded_maxsim(
-    raw: TapeTensor,
-    video_weight: TapeTensor,
-    video_bias: TapeTensor,
-    words: TapeTensor | None = None,
-    segments=None,
-    weight: TapeTensor | None = None,
-) -> tuple[TapeTensor, TapeTensor | None]:
-    """``maxsim`` of affinely encoded patches, with their frame means.
-
-    raw is a constant (..., N_p, D_in) tensor of raw patch features. Each
-    chunk of raw patch matrices is encoded, e = raw @ video_weight +
-    video_bias (the arithmetic of ``add(matmul(raw, W_v), b)``), inside
-    ``maxsim``'s chunk loop, which then scores e exactly as ``maxsim(e,
-    words, segments, weight=weight)`` would. Returns (frames, scores): the
-    (..., D) patch means of e, bit for bit ``np.mean(e, axis=-2)``, and the
-    scores, or None when ``words`` is None (then nothing is scored). No
-    dense encoded array, gradient or mask is built.
-
-    The loop appends two records. The frames record saves the (..., D_in)
-    patch means of raw and sends the frame gradient g_f to the encoder:
-    mean_p(raw)ᵀ g_f to ``video_weight`` and Σ g_f to ``video_bias``. The
-    scores record keeps the winners' raw, encoded and projected rows only;
-    its backward forms gz as ``maxsim`` does, e[p*]ᵀ gz for ``weight``, g_e =
-    gz @ weightᵀ, raw[p*]ᵀ g_e for ``video_weight`` and Σ g_e for
-    ``video_bias``.
-    """
-    if raw.requires_grad:
-        raise AutodiffError("encoded_maxsim takes the raw features as a constant, not a leaf")
-    return _maxsim(raw, words, segments, weight, (video_weight, video_bias))
-
-
-def _maxsim(patches, words, segments, weight, encoder):
-    """The one chunk loop behind ``maxsim`` and ``encoded_maxsim``: (frames
-    or None without an encoder, scores or None without words)."""
-    P = patches.data
-    if P.ndim < 2 or (words is not None and words.ndim != 2):
+    P, W = patches.data, words.data
+    if P.ndim < 2 or W.ndim != 2:
         raise ShapeMismatchError(
-            f"maxsim expects patches (..., N_p, D) and words (N_w, D); "
-            f"got {P.shape} and {None if words is None else words.shape}"
+            f"maxsim expects patches (..., N_p, D) and words (N_w, D); got {P.shape} and {W.shape}"
         )
-    shape, n_p, d_in = P.shape, P.shape[-2], P.shape[-1]
-    width = d_in  # of the rows that are projected (or scored without a weight)
-    if encoder is not None:
-        W_v, bias = encoder
-        if W_v.ndim != 2 or W_v.shape[0] != d_in or bias.shape != W_v.shape[1:]:
-            raise ShapeMismatchError(
-                f"encoder weight {W_v.shape} and bias {bias.shape} cannot encode {P.shape}"
-            )
-        width = W_v.shape[1]
+    shape, n_p, width = P.shape, P.shape[-2], P.shape[-1]
     if weight is not None and (weight.ndim != 2 or weight.shape[0] != width):
         raise ShapeMismatchError(f"maxsim weight {weight.shape} cannot project {P.shape}")
+    if bias is not None and (weight is None or bias.shape != weight.shape[1:]):
+        raise ShapeMismatchError(
+            f"maxsim bias {bias.shape} needs a weight with {bias.shape} output columns, "
+            f"got {None if weight is None else weight.shape}"
+        )
     dim = width if weight is None else weight.shape[1]
-    if words is not None and dim != words.shape[-1]:
-        raise ShapeMismatchError(f"maxsim embedding dimensions differ: {P.shape} and {words.shape}")
-    if n_p < 1 or (words is not None and words.shape[0] < 1):
+    if dim != W.shape[-1]:
+        raise ShapeMismatchError(f"maxsim embedding dimensions differ: {P.shape} and {W.shape}")
+    if n_p < 1 or W.shape[0] < 1:
         raise ShapeMismatchError("maxsim needs at least one patch and one word")
-    matrices = P.reshape(-1, n_p, d_in)
+    offsets = segment_offsets(segments, W.shape[0])
+    lengths = np.diff(offsets)
+    count = lengths.size
+    matrices = P.reshape(-1, n_p, width)
     m = matrices.shape[0]
-    enc_inputs = () if encoder is None else (patches, W_v, bias)
-    need_wv = encoder is not None and W_v.requires_grad
-    need_b = encoder is not None and bias.requires_grad
-    frames = np.empty((m, width)) if encoder is not None else None
-    raw_mean = np.empty((m, d_in)) if need_wv else None
-
-    scored = words is not None
-    if scored:
-        W = words.data
-        offsets = segment_offsets(segments, W.shape[0])
-        lengths = np.diff(offsets)
-        count = lengths.size
-        inputs = (patches, words) + (() if weight is None else (weight,)) + enc_inputs[1:]
-        need_p, need_w = patches.requires_grad, words.requires_grad
-        need_weight = weight is not None and weight.requires_grad
-        need_rows = need_p or need_wv or need_b  # the gradient of the projected rows
-        recorded = any(t.requires_grad for t in inputs)  # an unrecorded op gathers nothing
-        best_sim = np.empty((m, count))
-        best = np.empty((m, count), dtype=np.intp)  # flat (patch, word) per segment
-        z_won = np.empty((m, count, dim)) if recorded else None
-        x_won = np.empty((m, count, width)) if need_weight else None  # rows that were projected
+    inputs = (patches, words) + tuple(t for t in (weight, bias) if t is not None)
+    need_p, need_w = patches.requires_grad, words.requires_grad
+    need_weight = weight is not None and weight.requires_grad
+    need_bias = bias is not None and bias.requires_grad
+    recorded = any(t.requires_grad for t in inputs)  # an unrecorded op gathers nothing
+    best_sim = np.empty((m, count))
+    best = np.empty((m, count), dtype=np.intp)  # flat (patch, word) per segment
+    z_won = np.empty((m, count, dim)) if recorded else None
+    x_won = np.empty((m, count, width)) if need_weight else None  # rows that were projected
     step = max(1, MAXSIM_CHUNK_VALUES // (n_p * dim))  # whole patch matrices per chunk
     for start in range(0, m, step):
         chunk = slice(start, start + step)
-        x = matrices[chunk]
-        if encoder is not None:
-            if raw_mean is not None:
-                raw_mean[chunk] = np.mean(x, axis=-2)
-            x = np.matmul(x, W_v.data)
-            x += bias.data
-            frames[chunk] = np.mean(x, axis=-2)
-        if not scored:
-            continue
-        z = x
+        x = z = matrices[chunk]
         if weight is not None:
             z = np.matmul(x, weight.data)
+            if bias is not None:
+                z += bias.data
             np.maximum(z, 0.0, out=z)  # ReLU in place: -0.0 becomes +0.0, a NaN passes
         for k in range(count):
             flat = np.matmul(z, W[offsets[k]:offsets[k + 1]].T).reshape(z.shape[0], -1)
@@ -507,57 +450,40 @@ def _maxsim(patches, words, segments, weight, encoder):
             if x_won is not None:
                 np.take(x.reshape(-1, width), won, axis=0, out=x_won[chunk])
 
-    frames_out = None
-    if encoder is not None:
-
-        def frames_bw(g):
-            g = g.reshape(-1, width)
-            g_wv = raw_mean.T @ g if need_wv else None
-            return None, g_wv, g.sum(axis=0) if need_b else None
-
-        frames_out = _record("encode", enc_inputs, frames.reshape(shape[:-2] + (width,)), frames_bw)
-    if not scored:
-        return frames_out, None
     out = best_sim.reshape(shape[:-2] + (count,))
     if segments is None:
         out = out[..., 0]
     if not recorded:
-        return frames_out, _record("maxsim", inputs, out, None)
+        return _record("maxsim", inputs, out, None)
 
     p_star, words_won = np.divmod(best, lengths)  # (M, K)
     words_won += offsets[:-1]
-    rows = p_star + n_p * np.arange(m)[:, None]  # rows of the (-1, D_in) patches
-    raw_won = P.reshape(-1, d_in)[rows.ravel()] if need_wv else None
     Wp = None if weight is None else weight.data
 
     def bw(g):
         g = g.reshape(-1, count, 1)
-        gw = g_weight = g_rows = None
+        gp = gw = g_weight = g_bias = None
         if need_w:
             gw = _scatter_add(words_won.ravel(), (g * z_won).reshape(-1, dim), W.shape[0])
-        if need_rows or need_weight:
+        if need_p or need_weight or need_bias:
             gz = g * W[words_won]  # (M, K, D)
             if Wp is not None:
                 gz *= z_won > 0.0
+            gz = gz.reshape(-1, dim)
         if need_weight:
-            g_weight = x_won.reshape(-1, width).T @ gz.reshape(-1, dim)
-        if need_rows:
-            g_rows = gz.reshape(-1, dim)  # (M·K, width)
-            if Wp is not None:
-                g_rows = g_rows @ Wp.T
-        grads = (None, gw) + (() if Wp is None else (g_weight,))
-        if encoder is not None:
-            g_wv = raw_won.T @ g_rows if need_wv else None
-            return grads + (g_wv, g_rows.sum(axis=0) if need_b else None)
+            g_weight = x_won.reshape(-1, width).T @ gz
+        if need_bias:
+            g_bias = gz.sum(axis=0)
         if need_p:
-            g_rows = g_rows.reshape(-1, count, width)
-            gp = np.zeros((m * n_p, d_in))
+            g_rows = (gz if Wp is None else gz @ Wp.T).reshape(-1, count, width)
+            rows = p_star + n_p * np.arange(m)[:, None]  # rows of the (-1, D_in) patches
+            gp = np.zeros((m * n_p, width))
             for k in range(count):  # one winner per patch matrix: no row repeats
                 gp[rows[:, k]] += g_rows[:, k]
-            grads = (gp.reshape(shape),) + grads[1:]
-        return grads
+            gp = gp.reshape(shape)
+        return (gp, gw, g_weight, g_bias)[:len(inputs)]
 
-    return frames_out, _record("maxsim", inputs, out, bw)
+    return _record("maxsim", inputs, out, bw)
 
 
 def _scatter_add(index: Array, rows: Array, size: int) -> Array:

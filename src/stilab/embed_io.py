@@ -27,6 +27,12 @@ MAGIC = b"STIEMB1\n"
 
 KIND_RAW_VIDEO = 2
 
+# The reader's buffer holds about one record header line. A larger one would
+# pull the values after each header into memory, to be thrown away when the
+# reader seeks past a record it does not keep; kept values go through
+# ``readinto`` whatever the buffer size.
+_HEADER_BUFFER_BYTES = 64
+
 
 class EmbeddingIOError(Exception):
     """Base error for container parsing."""
@@ -93,7 +99,7 @@ def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarr
     path = Path(path)
     out: list[np.ndarray | None] = []
     parsed: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_HEADER_BUFFER_BYTES) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")

@@ -22,7 +22,7 @@ SALIENCY_SUM_TOLERANCE = 1e-9
 # A scoring chunk holds at most 64 videos and at most 2**18 raw patch values:
 # 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. The stacked raw chunk, at most
 # 2 MiB of float64, is the only dense (chunk, T, N_p, D) array scoring
-# builds: the fused MaxSim encodes and projects it a few matrices at a time.
+# builds: the fused MaxSim projects it a few matrices at a time.
 _EVAL_BATCH = 64
 _EVAL_CHUNK_VALUES = 1 << 18
 

@@ -25,7 +25,7 @@ from .sti import InteractionToggles, STIParameters, sti_pipeline_nodes
 
 Array = np.ndarray
 project_nodes = sti.project_nodes  # a re-export: perfbench/tracing.py wraps it under this name
-encode_video_nodes = encoders.encode_video_nodes  # a re-export, likewise; scoring encodes in MaxSim
+encode_video_nodes = encoders.encode_video_nodes  # a re-export, likewise; scoring folds it
 
 TEMPERATURE_FLOOR = 1e-3
 INITIAL_TEMPERATURE = 0.07
@@ -114,13 +114,13 @@ def score_matrix_nodes(
     """Build the (B, K) cosine score matrix on a tape.
 
     ``raw_videos`` is the stacked (B, T, N_p, D) raw feature tensor, a
-    constant; class text inputs are frozen constants. The video encoder runs
-    inside the interaction's MaxSim loop, a chunk of patch matrices at a
-    time, so no dense encoded (B, T, N_p, D) array is built. The K classes'
-    word embeddings are concatenated into one (ΣN_w, D) matrix with one
-    segment per class, so a single interaction pass yields every class's
-    (B, K, D) feature; its row-wise cosine with the K unit class embeddings
-    gives the scores.
+    constant; class text inputs are frozen constants. The video encoder is
+    folded into the interaction's MaxSim patch projection, which runs a
+    chunk of patch matrices at a time, so no dense encoded (B, T, N_p, D)
+    array is built. The K classes' word embeddings are concatenated into one
+    (ΣN_w, D) matrix with one segment per class, so a single interaction
+    pass yields every class's (B, K, D) feature; its row-wise cosine with
+    the K unit class embeddings gives the scores.
     """
     if len(class_word_embeddings) != len(class_embeddings):
         raise ValueError("need one word-embedding matrix per class embedding")

@@ -5,10 +5,11 @@ scores each frame by the maximum dot product over all (patch, word) pairs.
 The patch projection runs inside the fused MaxSim primitive
 (``ad.maxsim(..., weight=W_p)``), so a training step's backward reaches the
 projection only through each score's winning patch row. Given raw features
-and the video encoder instead of encoded patches and frames, the pipeline
-encodes the patches inside the same MaxSim loop (``ad.encoded_maxsim``),
-which also yields the frames; that loop runs, for the frames alone, with the
-spatial stage off too.
+and the video encoder (W_v, b) instead of encoded patches and frames, the
+pipeline folds the affine encoder into the linear patch projection: MaxSim
+scores the raw patches through W_v W_p with bias b W_p, two (D, D) tape
+products, and the frames are mean_p(raw) W_v + b. With the spatial stage off
+no MaxSim runs.
 Temporal interaction turns word-to-frame similarities into a softmax
 saliency over frames (averaged across words) and aggregates frame embeddings
 with those weights into one class-conditional video feature. The spatial
@@ -126,29 +127,22 @@ def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
 
 def spatial_nodes(
     patches: TapeTensor,
-    proj_words: TapeTensor | None,
+    proj_words: TapeTensor,
     segments=None,
     patch_weight: TapeTensor | None = None,
-    encoder: tuple[TapeTensor, TapeTensor] | None = None,
-):
+    patch_bias: TapeTensor | None = None,
+) -> TapeTensor:
     """Per-frame MaxSim score of each segment of words.
 
     patches is (..., T, N_p, D) and proj_words (N_w, D); the scores are
-    (..., T, K), or (..., T) without segments. With ``patch_weight`` the
-    patches are projected, ReLU(patches . W_p), inside the fused
-    ``ad.maxsim`` primitive; without it they are scored as given. Within a
-    segment, ties resolve to the lexicographically smallest (patch, word)
-    pair, and the backward reaches only each score's winning patch and word
-    rows, and the projection through those rows alone.
-
-    With an ``encoder`` pair (W_v, b) the patches are constant raw features,
-    encoded chunk by chunk inside the same loop (``ad.encoded_maxsim``), and
-    the result is (frames, scores): the (..., T, D) frame means of the
-    encoded patches, and the scores, or None when ``proj_words`` is None.
+    (..., T, K), or (..., T) without segments. With ``patch_weight`` (and
+    an optional ``patch_bias``) the patches are projected, ReLU(patches . W_p
+    + c), inside the fused ``ad.maxsim`` primitive; without it they are
+    scored as given. Within a segment, ties resolve to the lexicographically
+    smallest (patch, word) pair, and the backward reaches only each score's
+    winning patch and word rows, and the projection through those rows alone.
     """
-    if encoder is None:
-        return ad.maxsim(patches, proj_words, segments, weight=patch_weight)
-    return ad.encoded_maxsim(patches, *encoder, proj_words, segments, weight=patch_weight)
+    return ad.maxsim(patches, proj_words, segments, weight=patch_weight, bias=patch_bias)
 
 
 def _segment_maps(num_words: int, segments) -> tuple[Array, Array]:
@@ -220,10 +214,11 @@ def sti_pipeline_nodes(
     dropped here, once: the feature is (..., D), and the scores and saliency
     (..., T).
 
-    Give either encoded ``patches`` and their ``frames``, or constant raw
-    features as ``patches`` with the video ``encoder`` pair (W_v, b): the
-    spatial stage then encodes them inside its MaxSim loop and yields the
-    frames too, and with that stage off the same loop yields the frames only.
+    Give either encoded ``patches`` and their ``frames``, or raw features as
+    ``patches`` with the video ``encoder`` pair (W_v, b). The encoder is
+    affine and the patch projection linear, so the spatial stage scores the
+    raw patches through the folded map ReLU(raw . (W_v W_p) + b W_p), and the
+    frames are the encoded patch means, mean_p(raw) . W_v + b.
     """
     if (frames is None) == (encoder is None):
         raise ValueError("give either frames or an encoder, not both or neither")
@@ -234,13 +229,18 @@ def sti_pipeline_nodes(
     needs_words = toggles.spatial or toggles.temporal
     proj_words = project_nodes(words, word_weight) if needs_words else None
 
-    scores = None
+    patch_bias = None
     if encoder is not None:
-        frames, scores = spatial_nodes(
-            patches, proj_words if toggles.spatial else None, segments, patch_weight, encoder
-        )
-    elif toggles.spatial:
-        scores = spatial_nodes(patches, proj_words, segments, patch_weight)
+        video_weight, video_bias = encoder
+        frames = ad.add(ad.matmul(ad.mean_reduce(patches, axis=-2), video_weight), video_bias)
+        if toggles.spatial:
+            row = ad.reshape(video_bias, (1,) + video_bias.shape)  # matmul takes (..., m, k)
+            patch_bias = ad.reshape(ad.matmul(row, patch_weight), patch_weight.shape[1:])
+            patch_weight = ad.matmul(video_weight, patch_weight)
+    scores = (
+        spatial_nodes(patches, proj_words, segments, patch_weight, patch_bias)
+        if toggles.spatial else None
+    )
 
     if toggles.temporal:
         saliency = temporal_nodes(frames, proj_words, tau_saliency, scores, segments)
@@ -295,8 +295,8 @@ def sti_forward(
 ) -> dict[str, Array]:
     """Run the scoring pass for one (video, class) pair.
 
-    ``video`` holds raw per-patch features. They are encoded inside the
-    MaxSim loop, as training and evaluation encode them: this is
+    ``video`` holds raw per-patch features. The encoder is folded into the
+    MaxSim patch projection, as training and evaluation fold it: this is
     ``sti_pipeline_nodes`` with the video encoder and one segment. Returns
     its arrays under its keys: the (D,) ``"feature"``, and the (T,)
     ``"spatial_scores"`` and ``"saliency"``, which a disabled stage reports

@@ -408,26 +408,29 @@ class TestSegmentedMaxSim:
             ad.maxsim(tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 3))), segments)
 
 
-def projected_maxsim_grads(build, patches, words, weight, segments, upstream, leaves):
-    """Scores and (patch, word, weight) gradients of sum(upstream * scores),
-    with each input a leaf or a constant as ``leaves`` says. ``build`` is the
-    fused primitive or the relu(matmul) composition it replaces."""
+def projected_maxsim_grads(build, patches, words, weight, segments, upstream, leaves, bias=None):
+    """Scores and (patch, word, weight[, bias]) gradients of
+    sum(upstream * scores), with each input a leaf or a constant as
+    ``leaves`` says. ``build`` is the fused primitive or the
+    relu(add(matmul)) composition it replaces; it gets ``None`` for a
+    missing bias."""
     tape = Tape()
-    p, w, wp = (
-        tape.leaf(value) if leaf else tape.constant(value)
-        for value, leaf in zip((patches, words, weight), leaves)
-    )
-    scores = build(p, w, wp, segments)
+    values = (patches, words, weight) + (() if bias is None else (bias,))
+    tensors = [
+        tape.leaf(value) if leaf else tape.constant(value) for value, leaf in zip(values, leaves)
+    ]
+    scores = build(*tensors[:3], segments, tensors[3] if bias is not None else None)
     grads = tape.backward(ad.sum_reduce(ad.mul(scores, tape.constant(upstream))))
-    return scores.data, [grads.get(t.tid) for t in (p, w, wp)]
+    return scores.data, [grads.get(t.tid) for t in tensors]
 
 
-def fused(p, w, wp, segments):
-    return ad.maxsim(p, w, segments, weight=wp)
+def fused(p, w, wp, segments, c=None):
+    return ad.maxsim(p, w, segments, weight=wp, bias=c)
 
 
-def composed(p, w, wp, segments):
-    return ad.maxsim(ad.relu(ad.matmul(p, wp)), w, segments)
+def composed(p, w, wp, segments, c=None):
+    z = ad.matmul(p, wp)
+    return ad.maxsim(ad.relu(z if c is None else ad.add(z, c)), w, segments)
 
 
 LEAF_CHOICES = [
@@ -489,7 +492,7 @@ class TestProjectedMaxSim:
             for p, w, wp, s, u in self.instances(integer, seed)
         ]
         unweighted = [
-            (lambda p, w, _, s: ad.maxsim(p, w, s), (p, w, np.eye(3), s, u, (True, True, False)))
+            (lambda p, w, _, s, c: ad.maxsim(p, w, s), (p, w, np.eye(3), s, u, (True, True, False)))
             for p, w, s, u in TestSegmentedMaxSim().instances(True, 66)
         ]
         cases = weighted + unweighted
@@ -552,95 +555,42 @@ class TestProjectedMaxSim:
             )
 
 
-def encoded_maxsim_grads(build, raw, inputs, segments, upstream, leaves):
-    """Frames, scores and (W_v, b, words, W_p) gradients of
-    sum(u_f * frames) + sum(u_s * scores), with each of the four inputs a
-    leaf or a constant as ``leaves`` says (words None: frames only). ``build``
-    is the fused primitive or the matmul/add/maxsim/mean_reduce composition."""
-    tape = Tape()
-    wv, b, words, wp = (
-        None if value is None else tape.leaf(value) if leaf else tape.constant(value)
-        for value, leaf in zip(inputs, leaves)
-    )
-    frames, scores = build(tape.constant(raw), wv, b, words, wp, segments)
-    loss = ad.sum_reduce(ad.mul(frames, tape.constant(upstream[0])))
-    if scores is not None:
-        loss = ad.add(loss, ad.sum_reduce(ad.mul(scores, tape.constant(upstream[1]))))
-    grads = tape.backward(loss) if loss.requires_grad else {}
-    outputs = (frames.data, None if scores is None else scores.data)
-    return outputs, [None if t is None else grads.get(t.tid) for t in (wv, b, words, wp)]
-
-
-def encoded(raw, wv, b, words, wp, segments):
-    return ad.encoded_maxsim(raw, wv, b, words, segments, weight=wp)
-
-
-def encoded_composed(raw, wv, b, words, wp, segments):
-    e = ad.add(ad.matmul(raw, wv), b)
-    scores = None if words is None else ad.maxsim(e, words, segments, weight=wp)
-    return ad.mean_reduce(e, axis=-2), scores
-
-
-ENCODED_LEAF_CHOICES = [
+BIASED_LEAF_CHOICES = [
     choice for choice in itertools.product((True, False), repeat=4) if any(choice)
 ]
 
 
-class TestEncodedMaxSim:
-    """``encoded_maxsim(raw, W_v, b, words, segments, weight=W_p)`` against
-    the composition ``e = add(matmul(raw, W_v), b)``,
-    ``maxsim(e, words, segments, weight=W_p)`` and ``mean_reduce(e, -2)``."""
+class TestBiasedMaxSim:
+    """``maxsim(p, w, segments, weight=W, bias=c)`` against the unfused
+    ``maxsim(relu(add(matmul(p, W), c)), w, segments)``."""
 
     def instances(self, integer, seed):
         rng = np.random.default_rng(seed)
-        for lead in TestMaxSim.LEADING:
-            for count in range(1, 5):
-                n_w = count + int(rng.integers(0, 4))
-                cuts = np.sort(rng.choice(np.arange(1, n_w), size=count - 1, replace=False))
-                segments = np.concatenate([[0], cuts, [n_w]])
-                if integer:  # small integers: exact ties, and projected rows with zeros
-                    raw = rng.integers(-1, 3, size=lead + (5, 3)).astype(float)
-                    inputs = (
-                        rng.integers(-1, 2, size=(3, 4)).astype(float),
-                        rng.integers(-1, 2, size=4).astype(float),
-                        rng.integers(0, 3, size=(n_w, 6)).astype(float),
-                        rng.integers(-1, 2, size=(4, 6)).astype(float),
-                    )
-                else:
-                    raw = rng.standard_normal(lead + (5, 3))
-                    inputs = (
-                        rng.standard_normal((3, 4)),
-                        rng.standard_normal(4),
-                        rng.standard_normal((n_w, 6)),
-                        rng.standard_normal((4, 6)),
-                    )
-                upstream = (rng.standard_normal(lead + (4,)), rng.standard_normal(lead + (count,)))
-                yield raw, inputs, segments, upstream
+        projected = TestProjectedMaxSim().instances(integer, seed)
+        for patches, words, weight, segments, upstream in projected:
+            if integer:  # small integers: exact ties, and projected rows with zeros
+                bias = rng.integers(-1, 2, size=weight.shape[1]).astype(float)
+            else:
+                bias = rng.standard_normal(weight.shape[1])
+            yield patches, words, weight, segments, upstream, bias
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_forward_bitwise_equals_the_composition(self, integer):
-        for raw, inputs, segments, upstream in self.instances(integer, 70):
-            for weighted in (True, False):
-                if not weighted:  # score the encoded patches themselves
-                    inputs = inputs[:2] + (inputs[2][:, :4], None)
-                (frames, scores), _ = encoded_maxsim_grads(
-                    encoded, raw, inputs, segments, upstream, (False,) * 4
-                )
-                want, _ = encoded_maxsim_grads(
-                    encoded_composed, raw, inputs, segments, upstream, (False,) * 4
-                )
-                assert frames.shape == raw.shape[:-2] + (4,)
-                assert scores.shape == raw.shape[:-2] + (segments.size - 1,)
-                assert np.array_equal(frames, want[0]) and np.array_equal(scores, want[1])
+        for patches, words, weight, segments, _, bias in self.instances(integer, 70):
+            tape = Tape()
+            p, w, wp, c = map(tape.constant, (patches, words, weight, bias))
+            scores = fused(p, w, wp, segments, c)
+            assert scores.shape == patches.shape[:-2] + (segments.size - 1,)
+            assert np.array_equal(scores.data, composed(p, w, wp, segments, c).data)
 
-    @pytest.mark.parametrize("leaves", ENCODED_LEAF_CHOICES)
+    @pytest.mark.parametrize("leaves", BIASED_LEAF_CHOICES)
     @pytest.mark.parametrize("integer", [False, True])
     def test_gradients_match_the_composition(self, integer, leaves):
-        for raw, inputs, segments, upstream in self.instances(integer, 71):
-            args = (raw, inputs, segments, upstream, leaves)
-            outputs, grads = encoded_maxsim_grads(encoded, *args)
-            want_outputs, want_grads = encoded_maxsim_grads(encoded_composed, *args)
-            assert all(np.array_equal(o, w) for o, w in zip(outputs, want_outputs))
+        for patches, words, weight, segments, upstream, bias in self.instances(integer, 71):
+            args = (patches, words, weight, segments, upstream, leaves, bias)
+            scores, grads = projected_maxsim_grads(fused, *args)
+            want_scores, want_grads = projected_maxsim_grads(composed, *args)
+            assert np.array_equal(scores, want_scores)
             for leaf, got, want in zip(leaves, grads, want_grads):
                 if not leaf:
                     assert got is None
@@ -648,102 +598,61 @@ class TestEncodedMaxSim:
                 assert got.shape == want.shape
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("words", [True, False])
-    def test_one_patch_matrix_per_chunk_changes_no_bit(self, monkeypatch, words):
-        leaves = (True, True, words, True)
+    def test_one_patch_matrix_per_chunk_changes_no_bit(self, monkeypatch):
         cases = [
-            (raw, inputs if words else inputs[:2] + (None, inputs[3]), segments, upstream, leaves)
+            (p, w, wp, s, u, (True,) * 4, c)
             for integer, seed in ((True, 72), (False, 73))
-            for raw, inputs, segments, upstream in self.instances(integer, seed)
+            for p, w, wp, s, u, c in self.instances(integer, seed)
         ]
-        whole = [encoded_maxsim_grads(encoded, *args) for args in cases]
+        whole = [projected_maxsim_grads(fused, *args) for args in cases]
         monkeypatch.setattr(ad, "MAXSIM_CHUNK_VALUES", 1)
-        for args, (want_outputs, want_grads) in zip(cases, whole):
-            outputs, grads = encoded_maxsim_grads(encoded, *args)
-            for got, want in zip(outputs + tuple(grads), want_outputs + tuple(want_grads)):
-                assert (got is None and want is None) or np.array_equal(got, want)
-
-    @pytest.mark.parametrize("integer", [False, True])
-    def test_frames_only_without_words(self, integer):
-        # the spatial stage off: one loop, one record, and the encoder
-        # gradients of the frame mean alone
-        for raw, (wv, b, _, wp), segments, upstream in self.instances(integer, 74):
-            args = (raw, (wv, b, None, wp), segments, upstream, (True, True, False, True))
-            (frames, scores), grads = encoded_maxsim_grads(encoded, *args)
-            (want_frames, _), want_grads = encoded_maxsim_grads(encoded_composed, *args)
-            assert scores is None and np.array_equal(frames, want_frames)
-            for got, want in zip(grads[:2], want_grads[:2]):
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-            assert grads[2:] == [None, None]
-        tape = Tape()
-        frames, scores = ad.encoded_maxsim(
-            tape.constant(raw), tape.leaf(wv), tape.leaf(b), weight=tape.leaf(wp)
-        )
-        assert scores is None and [rec.op for rec in tape.records] == ["encode"]
-
-    def test_two_single_output_records(self):
-        raw, (wv, b, words, wp), segments, _ = next(self.instances(False, 75))
-        tape = Tape()
-        frames, scores = ad.encoded_maxsim(
-            tape.constant(raw), tape.leaf(wv), tape.leaf(b), tape.constant(words), segments,
-            weight=tape.leaf(wp),
-        )
-        assert [(rec.op, rec.output_id) for rec in tape.records] == [
-            ("encode", frames.tid), ("maxsim", scores.tid)
-        ]
+        for args, (want_scores, want_grads) in zip(cases, whole):
+            scores, grads = projected_maxsim_grads(fused, *args)
+            assert np.array_equal(scores, want_scores)
+            assert all(np.array_equal(got, want) for got, want in zip(grads, want_grads))
 
     def test_a_tape_that_records_nothing_keeps_nothing(self):
         rng = np.random.default_rng(76)
         tape = Tape()
-        frames, scores = ad.encoded_maxsim(
+        scores = ad.maxsim(
             tape.constant(rng.standard_normal((2, 5, 3))),
-            tape.constant(rng.standard_normal((3, 3))),
-            tape.constant(rng.standard_normal(3)),
             tape.constant(rng.standard_normal((4, 3))),
             [0, 1, 4],
             weight=tape.constant(rng.standard_normal((3, 3))),
+            bias=tape.constant(rng.standard_normal(3)),
         )
-        assert frames.shape == (2, 3) and scores.shape == (2, 2)
-        assert not (frames.requires_grad or scores.requires_grad) and tape.records == ()
+        assert scores.shape == (2, 2) and not scores.requires_grad and tape.records == ()
 
     def test_finite_differences(self):
         rng = np.random.default_rng(77)
-        raw = rng.standard_normal((2, 3, 4, 3))
         store = ParameterStore()
-        store.register("wv", rng.standard_normal((3, 4)))
-        store.register("b", rng.standard_normal(4))
+        store.register("p", rng.standard_normal((2, 3, 4, 3)))
         store.register("w", rng.standard_normal((7, 5)))
-        store.register("wp", rng.standard_normal((4, 5)))
-        upstream = (rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3, 3)))
+        store.register("wp", rng.standard_normal((3, 5)))
+        store.register("c", rng.standard_normal(5))
+        upstream = rng.standard_normal((2, 3, 3))
 
         def loss_fn(params):
             tape = Tape()
             leaves = params.leaves(tape)
-            frames, scores = ad.encoded_maxsim(
-                tape.constant(raw), leaves["wv"], leaves["b"], leaves["w"], [0, 1, 4, 7],
-                weight=leaves["wp"],
+            scores = ad.maxsim(
+                leaves["p"], leaves["w"], [0, 1, 4, 7], weight=leaves["wp"], bias=leaves["c"]
             )
-            return ad.add(
-                ad.sum_reduce(ad.mul(frames, tape.constant(upstream[0]))),
-                ad.sum_reduce(ad.mul(scores, tape.constant(upstream[1]))),
-            )
+            return ad.sum_reduce(ad.mul(scores, tape.constant(upstream)))
 
         assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-6
 
-    def test_raw_leaf_rejected(self):
-        tape = Tape()
-        with pytest.raises(AutodiffError, match="constant"):
-            ad.encoded_maxsim(tape.leaf(np.ones((2, 3))), tape.leaf(np.eye(3)), tape.leaf(np.ones(3)))
-
     @pytest.mark.parametrize("weight_shape, bias_shape", [
-        ((4, 3), (3,)), ((3,), (3,)), ((3, 3), (4,)), ((3, 3), (1, 3)), ((3, 3), ()),
+        (None, (3,)), ((3, 4), (3,)), ((3, 4), (1, 4)), ((3, 4), ()), ((3, 4), (4, 1)),
     ])
-    def test_encoder_shape_errors(self, weight_shape, bias_shape):
+    def test_bias_shape_errors(self, weight_shape, bias_shape):
         tape = Tape()
-        with pytest.raises(ShapeMismatchError):
-            ad.encoded_maxsim(
-                tape.constant(np.ones((2, 3))), tape.constant(np.ones(weight_shape)),
-                tape.constant(np.ones(bias_shape)), tape.constant(np.ones((2, 3))),
+        width = 3 if weight_shape is None else weight_shape[1]
+        with pytest.raises(ShapeMismatchError, match="bias"):
+            ad.maxsim(
+                tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, width))),
+                weight=None if weight_shape is None else tape.constant(np.ones(weight_shape)),
+                bias=tape.constant(np.ones(bias_shape)),
             )
 
 
@@ -824,7 +733,7 @@ def every_primitive_loss(store, tape):
         ad.add(x, x), ad.mul(x, 2.0), ad.div(x, 3.0), ad.neg(x), ad.exp(x), ad.relu(x),
         ad.clip(x, 0.0, 1.0), ad.matmul(x, w), ad.transpose(x), ad.maxsim(x, w, [0, 1, 3]),
         ad.maxsim(x, w, [0, 1, 3], weight=w),
-        *ad.encoded_maxsim(tape.constant(x.data), w, ad.mean_reduce(w, 0), w, [0, 1, 3], weight=w),
+        ad.maxsim(x, w, [0, 1, 3], weight=w, bias=ad.mean_reduce(w, 0)),
         ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1), ad.softmax(x),
         ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
         ad.reshape(x, (1,) + x.shape), ad.stack([x, x]),

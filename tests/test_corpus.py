@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -542,6 +543,33 @@ class TestSelectedVideos:
             load_corpus(tmp_path, named(corpus.videos[1].video_id))
         with pytest.raises(ValueError, match=corpus.videos[1].video_id):
             load_corpus(tmp_path, named(corpus.videos[0].video_id))
+
+
+def bytes_read_by_this_process() -> int:
+    """The ``rchar`` count of /proc/self/io: every byte read() has returned."""
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("rchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_a_one_video_load_reads_little_beyond_what_it_needs(tmp_path):
+    # 32 KiB records: a read-ahead buffer of a few KiB would pull the values
+    # after each header of a record the load seeks past
+    spec = SyntheticCorpusSpec(seen_classes=2, unseen_classes=2, videos_per_class=3, seed=1)
+    corpus = generate_synthetic_corpus(spec)
+    save_corpus(corpus, tmp_path)
+    keep = named(corpus.videos[3].video_id)
+    load_corpus(tmp_path, keep)  # so that no first-use read falls in the count
+    before = bytes_read_by_this_process()
+    (video,) = load_corpus(tmp_path, keep).videos
+    read = bytes_read_by_this_process() - before
+    header = f"2 {spec.frames} {spec.patches_per_frame} {spec.dim}\n".encode()
+    needed = (
+        (tmp_path / "corpus.json").stat().st_size
+        + (tmp_path / "descriptions.jsonl").stat().st_size
+        + len(MAGIC) + len(corpus.videos) * len(header) + video.features.nbytes
+    )
+    assert needed <= read <= needed + 128 * len(corpus.videos)
 
 
 class TestClassGroupSelection:

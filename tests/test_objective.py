@@ -433,14 +433,15 @@ class TestSegmentedScoreMatrix:
 
 class TestScoreMatrixPins:
     # sha256 of the (13, 5) score matrix's bytes for each toggle combination,
-    # as score_matrix wrote it when the video encoder ran as separate matmul,
-    # add and mean_reduce records over the whole batch (with the temporal
-    # stage off the feature is the frame mean, so the spatial toggle is moot)
+    # as score_matrix computes it with the video encoder folded into the patch
+    # projection (MaxSim scores the raw patches through W_v W_p with bias
+    # b W_p; the frames are mean_p(raw) W_v + b). With the temporal stage off
+    # the feature is the frame mean, so the spatial toggle is moot.
     PINNED_SCORES_SHA256 = {
-        (True, True): "5fb990469a700eb5df0bde780e4c1f4053d5a0dafeb714706387fabc022e8912",
-        (True, False): "262e6c43f1b5e3ebec9c2ba1434613ea7a0bb132b272360562444a457ee522b9",
-        (False, True): "28d7b9864022ecd8e933b88581f7825279530ae0e7e63911a0595ae4e2959352",
-        (False, False): "262e6c43f1b5e3ebec9c2ba1434613ea7a0bb132b272360562444a457ee522b9",
+        (True, True): "808bd6c50b1010c308194e8474ef691c9e18c61d99957fd8bf4f2f5360119ecf",
+        (True, False): "9674e0cd9c581eda0fa7b6088893c119703e3e26d4374875dcce4e870c6a260d",
+        (False, True): "93bb11e2fed593a2f318d635b3a9dc2560c4396f9c0a8a355bfbbd3ff61bf4ad",
+        (False, False): "9674e0cd9c581eda0fa7b6088893c119703e3e26d4374875dcce4e870c6a260d",
     }
 
     @pytest.mark.parametrize("spatial", [True, False])

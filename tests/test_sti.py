@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stilab.autodiff import ParameterStore, ShapeMismatchError, Tape, finite_difference_check
-from stilab.encoders import EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence
+from stilab.encoders import (
+    EncoderParams, FrameEmbeddingSet, TextEmbeddingSequence, encode_video_nodes,
+)
 from stilab.sti import (
     InteractionToggles,
     STIParameters,
@@ -336,7 +338,8 @@ class TestForwardPipeline:
         rng = np.random.default_rng(10)
         video, text, params, enc = random_pair(rng)
         out = sti_forward(video, text, params, enc, InteractionToggles(False, False))
-        assert np.array_equal(out["feature"], np.mean(encoded(video, enc)[1], axis=0))
+        frames = video.patch_embeddings.mean(axis=1) @ enc.video_weight + enc.video_bias
+        assert np.array_equal(out["feature"], np.mean(frames, axis=0))
 
     def test_temporal_off_spatial_on_means_frames_when_scores_equal(self):
         rng = np.random.default_rng(11)
@@ -474,14 +477,24 @@ class TestSegmentedPipeline:
 
 
 class TestUnsegmentedPins:
-    # sha256 over each returned node's key, shape and bytes, as the pipeline
-    # computed them while unsegmented calls still had their own layout (no K
-    # axis in any stage); the frames= and encoder= forms agree bit for bit
+    # sha256 over each returned node's key, shape and bytes. The frames=
+    # form's digests are as the pipeline computed them while unsegmented calls
+    # still had their own layout (no K axis in any stage). The encoder= form
+    # folds the encoder into the patch projection, so its bits differ in the
+    # last places; its digests are as that fold computes them.
     PINNED_SHA256 = {
-        (True, True): "a9a09935ca922b84b892d83a671fb4182625155c813902db1a996fa6e2a54708",
-        (True, False): "e359efef559244984da65568932a616269d3c60791b70c4e5b73ffacd1c5f4c9",
-        (False, True): "14b3d6f7db443bfc234a5a8dcc881ea9334dd3a8d4a7a231699186b8a0cab276",
-        (False, False): "3dd92b16ac19ccb70686e3a617d0368e6922a2329421066f9980f9cc8c403144",
+        "frames": {
+            (True, True): "a9a09935ca922b84b892d83a671fb4182625155c813902db1a996fa6e2a54708",
+            (True, False): "e359efef559244984da65568932a616269d3c60791b70c4e5b73ffacd1c5f4c9",
+            (False, True): "14b3d6f7db443bfc234a5a8dcc881ea9334dd3a8d4a7a231699186b8a0cab276",
+            (False, False): "3dd92b16ac19ccb70686e3a617d0368e6922a2329421066f9980f9cc8c403144",
+        },
+        "encoder": {
+            (True, True): "b9a6f8c50b97249fed79244f2547e6b72e852cd96116d564fee91d5c617c0341",
+            (True, False): "7b52b94ed02be622f08e3c58483c0fc30079890767b594a387d9b5ffb87ece14",
+            (False, True): "f367b36674e88251a80cc880c9f0039dcbb8b52401dab0e07b7f1cde14b0c29f",
+            (False, False): "36ae3eddc08694983011ea0bd05076e03b7ea574ea70ddba72c5fe42ac021e7c",
+        },
     }
 
     @pytest.mark.parametrize("form", ["frames", "encoder"])
@@ -514,44 +527,101 @@ class TestUnsegmentedPins:
                 assert key == "feature" or node.shape == (b, t), key
                 digest.update(f"{key} {node.shape}".encode())
                 digest.update(node.data.tobytes())
-        assert digest.hexdigest() == self.PINNED_SHA256[(spatial, temporal)]
+        assert digest.hexdigest() == self.PINNED_SHA256[form][(spatial, temporal)]
+
+
+TOGGLES = [
+    InteractionToggles(spatial, temporal) for spatial in (True, False) for temporal in (True, False)
+]
 
 
 class TestEncoderInsidePipeline:
-    @pytest.mark.parametrize("spatial", [True, False])
-    @pytest.mark.parametrize("temporal", [True, False])
-    def test_raw_features_with_the_encoder_match_encoded_inputs_bitwise(self, spatial, temporal):
-        # every node the pipeline returns, from raw features and the encoder
-        # pair, against the same pipeline given encoded patches and frames
-        toggles = InteractionToggles(spatial, temporal)
-        rng = np.random.default_rng(40 + 2 * spatial + temporal)
-        b, t, n_p, d = 3, 4, 5, 6
-        raw = rng.standard_normal((b, t, n_p, d))
-        words = rng.standard_normal((7, d))
-        video_weight = np.eye(d) + 0.1 * rng.standard_normal((d, d))
-        video_bias = 0.1 * rng.standard_normal(d)
-        weights = [np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(2)]
+    """The ``encoder=`` form, which folds the affine video encoder into the
+    patch projection, against the ``frames=`` form fed by the encoder as its
+    own records (``encode_video_nodes``)."""
 
-        def run(patches, frames=None, encoder=None):
+    @staticmethod
+    def store(rng, d, identity=False):
+        store = ParameterStore()
+        if identity:
+            store.register("video_weight", np.eye(d))
+            store.register("video_bias", np.zeros(d))
+        else:
+            store.register("video_weight", np.eye(d) + 0.2 * rng.standard_normal((d, d)))
+            store.register("video_bias", 0.1 * rng.standard_normal(d))
+        for name in ("patch_weight", "word_weight"):
+            store.register(name, np.eye(d) + 0.2 * rng.standard_normal((d, d)))
+        return store
+
+    @staticmethod
+    def run(tape, form, raw, words, params, toggles):
+        video_weight, video_bias = params["video_weight"], params["video_bias"]
+        if form == "encoder":
+            inputs = dict(patches=tape.constant(raw), encoder=(video_weight, video_bias))
+        else:
+            patches, frames = encode_video_nodes(tape.constant(raw), video_weight, video_bias)
+            inputs = dict(patches=patches, frames=frames)
+        return sti_pipeline_nodes(
+            **inputs, words=tape.constant(words), patch_weight=params["patch_weight"],
+            word_weight=params["word_weight"], tau_saliency=0.3, toggles=toggles,
+            segments=[0, 2, 7],
+        )
+
+    def forms(self, seed, toggles, identity=False):
+        """Each form's nodes on a (3, 4, 5, 6) raw batch, from constants."""
+        rng = np.random.default_rng(seed)
+        raw, words = rng.standard_normal((3, 4, 5, 6)), rng.standard_normal((7, 6))
+        store = self.store(rng, 6, identity)
+        nodes = {}
+        for form in ("encoder", "frames"):
             tape = Tape()
-            return sti_pipeline_nodes(
-                patches=tape.constant(patches),
-                frames=None if frames is None else tape.constant(frames),
-                encoder=None if encoder is None else tuple(map(tape.constant, encoder)),
-                words=tape.constant(words), patch_weight=tape.constant(weights[0]),
-                word_weight=tape.constant(weights[1]), tau_saliency=0.3, toggles=toggles,
-                segments=[0, 2, 7],
-            )
+            params = {name: tape.constant(store.value(name)) for name in store.names()}
+            nodes[form] = self.run(tape, form, raw, words, params, toggles)
+        assert nodes["encoder"].keys() == nodes["frames"].keys()
+        return [(key, node, nodes["frames"][key]) for key, node in nodes["encoder"].items()]
 
-        encoded = raw @ video_weight + video_bias
-        fused = run(patches=raw, encoder=(video_weight, video_bias))
-        want = run(patches=encoded, frames=encoded.mean(axis=-2))
-        assert fused.keys() == want.keys()
-        for key, node in fused.items():
-            if want[key] is None:
-                assert node is None
-                continue
-            assert np.array_equal(node.data, want[key].data), key
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    def test_identity_encoder_matches_the_frames_form_bitwise(self, toggles):
+        # x @ I = x and b @ W_p = 0: the fold is exact, so untrained bits hold
+        for key, got, want in self.forms(40, toggles, identity=True):
+            assert (got is None) == (want is None), key
+            assert got is None or np.array_equal(got.data, want.data), key
+
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    def test_random_encoder_matches_the_frames_form_closely(self, toggles):
+        for key, got, want in self.forms(41, toggles):
+            assert (got is None) == (want is None), key
+            assert got is None or np.allclose(got.data, want.data, rtol=1e-12, atol=0.0), key
+
+    @pytest.mark.parametrize("toggles", TOGGLES)
+    def test_gradients_match_the_frames_form_and_finite_differences(self, toggles):
+        rng = np.random.default_rng(42)
+        raw, words = rng.standard_normal((3, 4, 5, 6)), rng.standard_normal((7, 6))
+        store = self.store(rng, 6)
+        upstream = {
+            "feature": rng.standard_normal((3, 2 if toggles.temporal else 1, 6)),
+            "spatial_scores": rng.standard_normal((3, 4, 2)),
+            "saliency": rng.standard_normal((3, 4, 2)),
+        }
+
+        def loss_fn(params, form="encoder"):
+            tape = Tape()
+            nodes = self.run(tape, form, raw, words, params.leaves(tape), toggles)
+            terms = [
+                ad.sum_reduce(ad.mul(node, tape.constant(upstream[key])))
+                for key, node in sorted(nodes.items()) if node is not None
+            ]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+            return loss
+
+        grads, want = (
+            ad.parameter_gradients(loss_fn(store, form), store) for form in ("encoder", "frames")
+        )
+        for name in store.names():
+            assert np.allclose(grads[name], want[name], rtol=1e-10, atol=1e-12), name
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-6
 
     def test_frames_and_encoder_are_exclusive(self):
         tape = Tape()
