@@ -6,13 +6,9 @@ __version__ = "0.1.0"
 
 from .attributes import (
     ClassDescription,
-    DescriptiveAttributeSet,
-    KeywordCandidateList,
-    compose_attribute_sentence,
     extract_keywords,
     load_description_corpus,
     normalize_and_filter,
-    select_descriptive_attributes,
 )
 from .autodiff import ParameterStore, Tape, finite_difference_check, parameter_gradients
 from .corpus import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus

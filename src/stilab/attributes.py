@@ -1,4 +1,5 @@
-"""Descriptive-attribute pipeline: class descriptions in, keyword sets out.
+"""Descriptive-attribute pipeline: class descriptions in, one AttributeRecord
+per class out.
 
 Stages: keyword extraction from an endpoint (the deterministic mock or a
 live HTTP endpoint, sent one fixed prompt), stopword/duplicate filtering,
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import http.client
 import json
-import os
 import threading
 import urllib.request
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 from ._fileio import atomic_open, json_value_fits
 from .encoders import tokenize
 
-ENDPOINT_ENV_VAR = "STILAB_EXTRACTOR_ENDPOINT"
 MOCK_ENDPOINT = "mock"
 SENTENCE_TEMPLATE = "This is a video about {}."
 
@@ -77,33 +76,9 @@ class ClassDescription:
 
 
 @dataclass(frozen=True)
-class KeywordCandidateList:
-    """Filtered keywords with consecutive 1-based ranks."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for position, (keyword, rank) in enumerate(self.entries, start=1):
-            if rank != position:
-                raise ValueError(f"ranks must be consecutive from 1, got {rank} at {position}")
-            if keyword != keyword.lower():
-                raise ValueError(f"keyword {keyword!r} is not lowercase")
-            if keyword in seen:
-                raise ValueError(f"duplicate keyword {keyword!r}")
-            seen.add(keyword)
-
-    @property
-    def keywords(self) -> tuple[str, ...]:
-        return tuple(keyword for keyword, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class DescriptiveAttributeSet:
-    """The selected keywords for one class.
+class AttributeRecord:
+    """The attribute pipeline's result for one class, one line of
+    ``attributes.jsonl``.
 
     ``shortfall`` is set when the candidate pool was smaller than the
     requested count, in which case all candidates are kept.
@@ -111,18 +86,27 @@ class DescriptiveAttributeSet:
 
     class_name: str
     keywords: tuple[str, ...]
-    requested_count: int
-    shortfall: bool = False
+    extractor: str  # "mock" | "endpoint"
+    prompt_sentence: str
+    shortfall: bool
 
     def __post_init__(self):
         if not self.class_name:
             raise ValueError("class_name must be non-empty")
-        if self.requested_count < 0:
-            raise ValueError("requested_count must be >= 0")
         if len(set(self.keywords)) != len(self.keywords):
             raise ValueError("keywords must be unique")
-        if not self.shortfall and len(self.keywords) != self.requested_count:
-            raise ValueError("keyword count must equal the requested count unless shortfall is set")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "class": self.class_name,
+                "keywords": list(self.keywords),
+                "extractor": self.extractor,
+                "prompt_sentence": self.prompt_sentence,
+                "shortfall": self.shortfall,
+            },
+            ensure_ascii=False,
+        )
 
 
 @functools.cache
@@ -135,10 +119,6 @@ def load_stopwords() -> frozenset[str]:
         if word and not word.startswith("#"):
             words.add(word)
     return frozenset(words)
-
-
-def _resolved_endpoint(endpoint: str) -> str:
-    return os.environ.get(ENDPOINT_ENV_VAR) or endpoint
 
 
 def load_description_corpus(path) -> dict[str, ClassDescription]:
@@ -260,13 +240,11 @@ def extract_keywords(
 ) -> list[str]:
     """Raw (pre-filtering) keyword list from the extractor at ``endpoint``.
 
-    ``endpoint`` is an HTTP URL or the literal ``"mock"``; the
-    STILAB_EXTRACTOR_ENDPOINT environment variable overrides it. Empty
+    ``endpoint`` is an HTTP URL or the literal ``"mock"``. Empty
     completions are an error, never a silent empty result.
     """
     if not description:
         raise ValueError("description must be non-empty")
-    endpoint = _resolved_endpoint(endpoint)
     if endpoint == MOCK_ENDPOINT:
         keywords = _mock_keywords(description)
         if not keywords:
@@ -277,80 +255,35 @@ def extract_keywords(
     return _endpoint_keywords(class_name, description, endpoint)
 
 
-def normalize_and_filter(
-    raw: Iterable[str], stopwords: frozenset[str]
-) -> KeywordCandidateList:
-    """Lowercase, drop stopwords, drop duplicates keeping first occurrence,
-    and reassign consecutive ranks. An empty result is legal."""
-    entries: list[tuple[str, int]] = []
-    seen: set[str] = set()
-    for keyword in raw:
-        keyword = keyword.lower()
-        if not keyword or keyword in stopwords or keyword in seen:
-            continue
-        seen.add(keyword)
-        entries.append((keyword, len(entries) + 1))
-    return KeywordCandidateList(tuple(entries))
-
-
-def select_descriptive_attributes(
-    class_name: str, candidates: KeywordCandidateList, num_attributes: int
-) -> DescriptiveAttributeSet:
-    """Keep the first ``num_attributes`` candidates by rank.
-
-    A smaller pool keeps everything and sets the shortfall flag; zero keeps
-    nothing (the label-only ablation arm).
-    """
-    if num_attributes < 0:
-        raise ValueError("num_attributes must be >= 0")
-    keywords = candidates.keywords[:num_attributes]
-    return DescriptiveAttributeSet(
-        class_name=class_name,
-        keywords=keywords,
-        requested_count=num_attributes,
-        shortfall=len(keywords) < num_attributes,
-    )
-
-
-def compose_attribute_sentence(attribute_set: DescriptiveAttributeSet) -> str:
-    """Single-space join of the class name and its keywords inside the
-    sentence template, with a trailing period."""
-    if not attribute_set.class_name:
-        raise ValueError("class_name must be non-empty")
-    body = " ".join((attribute_set.class_name,) + attribute_set.keywords)
-    return SENTENCE_TEMPLATE.format(body)
-
-
-@dataclass(frozen=True)
-class AttributeRecord:
-    """Serialized pipeline output for one class."""
-
-    class_name: str
-    keywords: tuple[str, ...]
-    extractor: str  # "mock" | "endpoint"
-    prompt_sentence: str
-    shortfall: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "class": self.class_name,
-                "keywords": list(self.keywords),
-                "extractor": self.extractor,
-                "prompt_sentence": self.prompt_sentence,
-                "shortfall": self.shortfall,
-            },
-            ensure_ascii=False,
-        )
+def normalize_and_filter(raw: Iterable[str], stopwords: frozenset[str]) -> tuple[str, ...]:
+    """Lowercase, drop empty strings and stopwords, and drop duplicates
+    keeping the first occurrence. An empty result is legal."""
+    lowered = (keyword.lower() for keyword in raw)
+    return tuple(dict.fromkeys(k for k in lowered if k and k not in stopwords))
 
 
 def build_attribute_set(
     entry: ClassDescription, num_attributes: int, endpoint: str = MOCK_ENDPOINT
-) -> DescriptiveAttributeSet:
-    """Run extraction + filtering + selection for one class."""
+) -> AttributeRecord:
+    """Extract and filter one class's keywords, keep the first
+    ``num_attributes``, and compose its prompt sentence: the class name and
+    the keywords, single-space joined, in the sentence template.
+
+    A smaller pool keeps everything and sets the shortfall flag; zero keeps
+    nothing (the label-only ablation arm). A negative count is rejected
+    before anything is extracted.
+    """
+    if num_attributes < 0:
+        raise ValueError("num_attributes must be >= 0")
     raw = extract_keywords(entry.class_name, entry.description, endpoint)
-    candidates = normalize_and_filter(raw, load_stopwords())
-    return select_descriptive_attributes(entry.class_name, candidates, num_attributes)
+    keywords = normalize_and_filter(raw, load_stopwords())[:num_attributes]
+    return AttributeRecord(
+        class_name=entry.class_name,
+        keywords=keywords,
+        extractor="mock" if endpoint == MOCK_ENDPOINT else "endpoint",
+        prompt_sentence=SENTENCE_TEMPLATE.format(" ".join((entry.class_name,) + keywords)),
+        shortfall=len(keywords) < num_attributes,
+    )
 
 
 def run_attribute_pipeline(
@@ -359,20 +292,7 @@ def run_attribute_pipeline(
     endpoint: str = MOCK_ENDPOINT,
 ) -> list[AttributeRecord]:
     """Produce one AttributeRecord per corpus entry, in corpus order."""
-    extractor = "mock" if _resolved_endpoint(endpoint) == MOCK_ENDPOINT else "endpoint"
-    records = []
-    for entry in corpus.values():
-        selected = build_attribute_set(entry, num_attributes, endpoint)
-        records.append(
-            AttributeRecord(
-                class_name=entry.class_name,
-                keywords=selected.keywords,
-                extractor=extractor,
-                prompt_sentence=compose_attribute_sentence(selected),
-                shortfall=selected.shortfall,
-            )
-        )
-    return records
+    return [build_attribute_set(entry, num_attributes, endpoint) for entry in corpus.values()]
 
 
 def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:
@@ -385,10 +305,11 @@ def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:
 
 def load_attribute_records(path) -> list[AttributeRecord]:
     """Read the records ``save_attribute_records`` wrote. A record that is not
-    UTF-8 JSON text, or not an object holding each field with its written
-    type, raises CorpusFormatError with the file's path and the record's
-    1-based index."""
-    records = []
+    UTF-8 JSON text, not an object holding each field with its written type,
+    or one that AttributeRecord rejects raises CorpusFormatError with the
+    file's path and the record's 1-based index; a repeated class raises
+    DuplicateClassError."""
+    records: dict[str, AttributeRecord] = {}
     for index, where, payload in _json_objects(Path(path).read_bytes(), path):
         for key, kind in (("class", str), ("extractor", str), ("prompt_sentence", str),
                           ("shortfall", bool)):
@@ -399,11 +320,17 @@ def load_attribute_records(path) -> list[AttributeRecord]:
         if not (isinstance(keywords, list) and all(json_value_fits(k, str) for k in keywords)):
             raise CorpusFormatError(
                 f"{where}: keywords must be a list of strings, got {keywords!r}", index)
-        records.append(AttributeRecord(
-            class_name=payload["class"],
-            keywords=tuple(keywords),
-            extractor=payload["extractor"],
-            prompt_sentence=payload["prompt_sentence"],
-            shortfall=payload["shortfall"],
-        ))
-    return records
+        try:
+            record = AttributeRecord(
+                class_name=payload["class"],
+                keywords=tuple(keywords),
+                extractor=payload["extractor"],
+                prompt_sentence=payload["prompt_sentence"],
+                shortfall=payload["shortfall"],
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(f"{where}: {exc}", index) from exc
+        if record.class_name in records:
+            raise DuplicateClassError(f"{where}: duplicate class {record.class_name!r}", index)
+        records[record.class_name] = record
+    return list(records.values())

@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from ._fileio import Fingerprint, atomic_open, json_value_fits
@@ -52,9 +55,24 @@ from .workflow import (
 
 MANIFEST_FILENAME = "manifest.json"
 
+# The artifact bytes hold at a fixed BLAS thread count; the manifest records
+# each of these variables as the run saw it.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class CliError(Exception):
     pass
+
+
+def _environment() -> dict:
+    """The numpy version, the BLAS numpy was built with, and the BLAS thread
+    variables as set (null when unset)."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+    }
 
 
 def _write_manifest(
@@ -76,6 +94,7 @@ def _write_manifest(
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "results": results,
+        "environment": _environment(),
     }
     path = out_dir / MANIFEST_FILENAME
     with atomic_open(path, "w", encoding="utf-8") as fh:

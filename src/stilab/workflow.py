@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attributes import build_attribute_set, compose_attribute_sentence
+from .attributes import build_attribute_set
 from .autodiff import ParameterStore
 from .corpus import SyntheticCorpus
 from .encoders import EncoderParams, FrameEmbeddingSet, encode_sentence
@@ -52,9 +52,9 @@ def prepare_class_texts(
     texts: list[ClassText] = []
     for index in class_indices:
         cls = corpus.classes[index]
-        selected = build_attribute_set(cls.description, num_attributes)
-        sentence = compose_attribute_sentence(selected)
-        texts.append(ClassText(name=cls.name, sequence=encode_sentence(sentence, enc_params)))
+        record = build_attribute_set(cls.description, num_attributes)
+        sequence = encode_sentence(record.prompt_sentence, enc_params)
+        texts.append(ClassText(name=cls.name, sequence=sequence))
     return PreparedClasses(texts=texts)
 
 

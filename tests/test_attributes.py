@@ -11,13 +11,10 @@ from stilab.attributes import (
     AttributeRecord,
     ClassDescription,
     CorpusFormatError,
-    DescriptiveAttributeSet,
     DEFAULT_EXTRACTION_PROMPT,
     DuplicateClassError,
     ExtractionError,
-    KeywordCandidateList,
     build_attribute_set,
-    compose_attribute_sentence,
     extract_keywords,
     load_attribute_records,
     load_description_corpus,
@@ -25,7 +22,6 @@ from stilab.attributes import (
     normalize_and_filter,
     run_attribute_pipeline,
     save_attribute_records,
-    select_descriptive_attributes,
 )
 
 MOCK = "mock"
@@ -146,16 +142,6 @@ class TestExtractKeywords:
             extract_keywords("swing", "a dance", endpoint)
         assert [call["request"].full_url for call in calls] == [endpoint]
 
-    def test_env_var_overrides_endpoint(self, monkeypatch):
-        calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
-        monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "http://unreachable.invalid/x")
-        with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("swing", "a dance", MOCK)
-        assert [call["request"].full_url for call in calls] == ["http://unreachable.invalid/x"]
-        monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "mock")
-        endpoint = "http://unreachable.invalid/x"
-        assert extract_keywords("swing", "a partner dance", endpoint) == ["partner", "dance"]
-
     def test_prompt_template_has_both_slots(self):
         assert "{description}" in DEFAULT_EXTRACTION_PROMPT
         assert "{action_name}" in DEFAULT_EXTRACTION_PROMPT
@@ -255,78 +241,81 @@ class TestNormalizeAndFilter:
 
     def test_lowercase_stopword_and_duplicate_rules(self):
         result = normalize_and_filter(["The", "dance", "dance", "Partner"], self.STOPS)
-        assert result.entries == (("dance", 1), ("partner", 2))
+        assert result == ("dance", "partner")
 
     def test_all_stopwords(self):
-        assert normalize_and_filter(["and", "the"], self.STOPS).entries == ()
+        assert normalize_and_filter(["and", "the"], self.STOPS) == ()
 
     def test_empty_input(self):
-        assert normalize_and_filter([], self.STOPS).entries == ()
+        assert normalize_and_filter([], self.STOPS) == ()
 
     @given(st.lists(st.text(alphabet="abcdefgh ", min_size=1, max_size=8), max_size=12))
     def test_idempotent(self, raw):
         once = normalize_and_filter(raw, self.STOPS)
-        twice = normalize_and_filter(once.keywords, self.STOPS)
+        twice = normalize_and_filter(once, self.STOPS)
         assert once == twice
 
     @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=8), max_size=12))
     def test_output_invariants(self, raw):
         result = normalize_and_filter(raw, self.STOPS)
-        assert all(k not in self.STOPS for k in result.keywords)
-        assert len(set(result.keywords)) == len(result.keywords)
-        assert [rank for _, rank in result.entries] == list(range(1, len(result) + 1))
+        assert all(k not in self.STOPS for k in result)
+        assert len(set(result)) == len(result)
 
-    def test_candidate_list_rejects_bad_ranks(self):
-        with pytest.raises(ValueError):
-            KeywordCandidateList((("a", 1), ("b", 3)))
-        with pytest.raises(ValueError):
-            KeywordCandidateList((("a", 1), ("a", 2)))
+
+def pool_of(n, class_name="swing"):
+    """A class whose mock candidates are exactly kw0 .. kw{n-1}, in order."""
+    return ClassDescription(class_name, " ".join(f"kw{i}" for i in range(n)))
 
 
 class TestSelectDescriptiveAttributes:
-    def candidates(self, n):
-        return KeywordCandidateList(tuple((f"kw{i}", i + 1) for i in range(n)))
-
     def test_top_eight_of_ten(self):
-        selected = select_descriptive_attributes("swing", self.candidates(10), 8)
+        selected = build_attribute_set(pool_of(10), 8)
         assert selected.keywords == tuple(f"kw{i}" for i in range(8))
         assert not selected.shortfall
 
     def test_pool_limited_sets_shortfall(self):
-        selected = select_descriptive_attributes("swing", self.candidates(3), 8)
+        selected = build_attribute_set(pool_of(3), 8)
         assert selected.keywords == ("kw0", "kw1", "kw2")
         assert selected.shortfall
 
     def test_zero_attribute_arm(self):
-        selected = select_descriptive_attributes("swing", self.candidates(5), 0)
+        selected = build_attribute_set(pool_of(5), 0)
         assert selected.keywords == ()
         assert not selected.shortfall
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            select_descriptive_attributes("swing", self.candidates(3), -1)
+            build_attribute_set(pool_of(3), -1)
+
+    def test_negative_rejected_before_extraction(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, b"dance\npartner\n")
+        corpus = {"salsa": ClassDescription("salsa", "a dance with a partner")}
+        with pytest.raises(ValueError, match="num_attributes"):
+            run_attribute_pipeline(corpus, -1, "http://extractor.test/v1")
+        assert calls == []
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
     def test_monotone_nesting(self, small, extra):
         large = small + extra
-        pool = self.candidates(5)
-        a = select_descriptive_attributes("c", pool, small)
-        b = select_descriptive_attributes("c", pool, large)
+        pool = pool_of(5, "c")
+        a = build_attribute_set(pool, small)
+        b = build_attribute_set(pool, large)
         assert b.keywords[: len(a.keywords)] == a.keywords
 
 
 class TestComposeAttributeSentence:
     def test_two_keywords(self):
-        da = DescriptiveAttributeSet("salsa spin", ("dance", "turn"), 2)
-        assert compose_attribute_sentence(da) == "This is a video about salsa spin dance turn."
+        entry = ClassDescription("salsa spin", "dance turn")
+        record = build_attribute_set(entry, 2)
+        assert record.prompt_sentence == "This is a video about salsa spin dance turn."
 
     def test_zero_keywords(self):
-        da = DescriptiveAttributeSet("swing", (), 0)
-        assert compose_attribute_sentence(da) == "This is a video about swing."
+        record = build_attribute_set(ClassDescription("swing", "a dance"), 0)
+        assert record.prompt_sentence == "This is a video about swing."
 
     def test_single_keyword(self):
-        da = DescriptiveAttributeSet("archery", ("bow",), 1)
-        assert compose_attribute_sentence(da) == "This is a video about archery bow."
+        record = build_attribute_set(ClassDescription("archery", "bow"), 1)
+        assert record.prompt_sentence == "This is a video about archery bow."
 
 
 class TestPipeline:
@@ -385,23 +374,38 @@ MALFORMED_ATTRIBUTE_LINES = {
     "list-prompt": _record_line(prompt_sentence=["This", "is"]),
     "string-shortfall": _record_line(shortfall="false"),
     "int-shortfall": _record_line(shortfall=0),
+    "empty-class": _record_line(**{"class": ""}),
+    "repeated-keyword": _record_line(keywords=["dance", "dance"]),
 }
+# A first record of another class, so that no malformed line repeats a class.
+OTHER_LINE = _record_line(**{"class": "tango",
+                             "prompt_sentence": "This is a video about tango dance partner."})
 
 
 class TestLoadAttributeRecords:
     def test_good_records_load(self, tmp_path):
         path = tmp_path / "attributes.jsonl"
-        path.write_bytes(GOOD_LINE + b"\n\n" + GOOD_LINE + b"\n")
+        path.write_bytes(GOOD_LINE + b"\n\n" + OTHER_LINE + b"\n")
         first, second = load_attribute_records(path)
-        assert first == second
-        assert first.keywords == ("dance", "partner") and first.shortfall is False
+        assert (first.class_name, second.class_name) == ("salsa", "tango")
+        assert first.keywords == second.keywords == ("dance", "partner")
+        assert first.shortfall is False
 
     @pytest.mark.parametrize("line", MALFORMED_ATTRIBUTE_LINES.values(),
                              ids=MALFORMED_ATTRIBUTE_LINES)
     def test_malformed_record_names_file_and_record(self, tmp_path, line):
         path = tmp_path / "attributes.jsonl"
-        path.write_bytes(GOOD_LINE + b"\n\n" + line + b"\n")
+        path.write_bytes(OTHER_LINE + b"\n\n" + line + b"\n")
         with pytest.raises(CorpusFormatError, match=r"attributes\.jsonl: record 3: ") as exc:
+            load_attribute_records(path)
+        assert exc.value.record_index == 3
+        assert not isinstance(exc.value, DuplicateClassError)
+
+    def test_repeated_class_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "attributes.jsonl"
+        path.write_bytes(GOOD_LINE + b"\n" + OTHER_LINE + b"\n" + GOOD_LINE + b"\n")
+        with pytest.raises(DuplicateClassError,
+                           match=r"attributes\.jsonl: record 3: duplicate class 'salsa'") as exc:
             load_attribute_records(path)
         assert exc.value.record_index == 3
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import typing
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,13 @@ from stilab.attributes import load_attribute_records
 from stilab.autodiff import ParameterStore
 from stilab.cli import main
 from stilab.corpus import SyntheticCorpusSpec, load_corpus
-from stilab.encoders import FrameEmbeddingSet
+from stilab.encoders import FrameEmbeddingSet, tokenize
 from stilab.evaluation import evaluate_split, export_saliency
 from stilab.sti import InteractionToggles
 from stilab.trainer import TrainConfig, load_checkpoint
-from stilab.workflow import params_from_store, training_data_for
+from stilab.workflow import (
+    corpus_encoder_params, params_from_store, prepare_class_texts, training_data_for,
+)
 
 SMALL_SYNTH = [
     "--num-concepts", "8", "--seen-classes", "4", "--unseen-classes", "2",
@@ -112,6 +115,30 @@ class TestAttrs:
         code = run_cli("attrs", "--out-dir", tmp_path / "x", "--corpus", tmp_path / "missing.jsonl")
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_attrs_writes_the_prompts_training_encodes(self, tmp_path):
+        """`attrs` and `prepare_class_texts` build the same prompt for every
+        class, on the default corpus at seed 1."""
+        assert run_cli("synth", "--seed", 1, "--out-dir", tmp_path / "synth") == 0
+        corpus_dir = tmp_path / "synth" / "corpus"
+        corpus = load_corpus(corpus_dir, lambda *_: False)
+        enc = corpus_encoder_params(corpus)
+        every_class = range(len(corpus.classes))
+        shortfalls = {}
+        for count in (0, 8, 20):
+            out = tmp_path / f"attrs{count}"
+            assert run_cli("attrs", "--out-dir", out, "--corpus", corpus_dir / "descriptions.jsonl",
+                           "--num-attributes", count) == 0
+            records = load_attribute_records(out / "attributes.jsonl")
+            texts = prepare_class_texts(corpus, every_class, count, enc).texts
+            assert [r.class_name for r in records] == [t.name for t in texts]
+            for record, text in zip(records, texts):
+                assert tuple(tokenize(record.prompt_sentence)) == text.sequence.token_texts
+            shortfalls[count] = [r.shortfall for r in records]
+        assert len(shortfalls[0]) == 12
+        assert not any(shortfalls[0])
+        assert shortfalls[8].count(False) == 5
+        assert all(shortfalls[20])
 
 
 class TestTrain:
@@ -412,6 +439,49 @@ class TestSaliency:
         )
         assert code == 1
         assert "unknown video id" in capsys.readouterr().err
+
+
+class TestExtractorEndpoint:
+    def run_pipeline(self, out, synth_dir):
+        """train one epoch and export one saliency CSV; return every artifact's bytes."""
+        corpus = synth_dir / "corpus"
+        assert run_cli("train", "--seed", 3, "--out-dir", out / "train", "--corpus", corpus,
+                       "--epochs", 1, "--batch-size", 8) == 0
+        assert run_cli("saliency", "--out-dir", out / "sal", "--corpus", corpus,
+                       "--checkpoint", out / "train" / "checkpoint.stickpt",
+                       "--video-id", "vid04_000", "--class-name", "activity05") == 0
+        return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "manifest.json"}
+
+    def test_train_and_saliency_never_reach_an_endpoint(self, synth_dir, tmp_path, monkeypatch):
+        """`train`, `eval` and `saliency` always use the mock extractor; no
+        environment variable sends their descriptions anywhere."""
+        monkeypatch.delenv("STILAB_EXTRACTOR_ENDPOINT", raising=False)
+        unset = self.run_pipeline(tmp_path / "unset", synth_dir)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("an extraction endpoint was contacted")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "http://127.0.0.1:9/extract")
+        assert self.run_pipeline(tmp_path / "set", synth_dir) == unset
+        assert len(unset) == 3
+
+
+class TestManifestEnvironment:
+    def test_manifest_records_numpy_blas_and_thread_variables(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out-dir", out, *SMALL_SYNTH) == 0
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        assert environment["numpy"] == np.__version__
+        assert set(environment["blas"]) == {"name", "version"}
+        assert environment["threads"] == {
+            "OPENBLAS_NUM_THREADS": "3",
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": None,
+        }
 
 
 class TestConfigFile:
