@@ -4,6 +4,16 @@ at desk scale, with a self-contained tape-based gradient engine."""
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# The artifact bytes hold at a fixed BLAS thread count, and OpenBLAS picks a
+# count per machine. Unless one of these variables is set, pin each to one
+# thread; this must run before anything imports numpy. The CLI's manifest
+# records them as the run saw them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in _os.environ for name in _BLAS_THREAD_VARIABLES):
+    _os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+
 from .attributes import (
     ClassDescription,
     extract_keywords,

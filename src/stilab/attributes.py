@@ -11,10 +11,8 @@ deterministic test oracle.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import threading
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -80,6 +78,8 @@ class AttributeRecord:
     """The attribute pipeline's result for one class, one line of
     ``attributes.jsonl``.
 
+    ``prompt_sentence`` must be the class name and the keywords, single-space
+    joined, in SENTENCE_TEMPLATE, and ``extractor`` "mock" or "endpoint".
     ``shortfall`` is set when the candidate pool was smaller than the
     requested count, in which case all candidates are kept.
     """
@@ -95,6 +95,12 @@ class AttributeRecord:
             raise ValueError("class_name must be non-empty")
         if len(set(self.keywords)) != len(self.keywords):
             raise ValueError("keywords must be unique")
+        if self.extractor not in ("mock", "endpoint"):
+            raise ValueError(f"extractor must be one of 'mock', 'endpoint', got {self.extractor!r}")
+        sentence = _compose_sentence(self.class_name, self.keywords)
+        if self.prompt_sentence != sentence:
+            raise ValueError(f"prompt_sentence must be {sentence!r} for its class and "
+                             f"keywords, got {self.prompt_sentence!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,6 +113,12 @@ class AttributeRecord:
             },
             ensure_ascii=False,
         )
+
+
+def _compose_sentence(class_name: str, keywords: Sequence[str]) -> str:
+    """The class name and the keywords, single-space joined, in the sentence
+    template."""
+    return SENTENCE_TEMPLATE.format(" ".join((class_name, *keywords)))
 
 
 @functools.cache
@@ -208,6 +220,11 @@ def _endpoint_lock(endpoint: str) -> threading.Lock:
 
 
 def _endpoint_keywords(class_name: str, description: str, endpoint: str) -> list[str]:
+    # Imported here, not at the top: the HTTP client pulls in ssl, email and
+    # socket, and only `attrs --extractor <URL>` ever sends a request.
+    import http.client
+    import urllib.request
+
     prompt = DEFAULT_EXTRACTION_PROMPT.format(description=description, action_name=class_name)
     body = json.dumps(
         {
@@ -266,8 +283,7 @@ def build_attribute_set(
     entry: ClassDescription, num_attributes: int, endpoint: str = MOCK_ENDPOINT
 ) -> AttributeRecord:
     """Extract and filter one class's keywords, keep the first
-    ``num_attributes``, and compose its prompt sentence: the class name and
-    the keywords, single-space joined, in the sentence template.
+    ``num_attributes``, and compose its prompt sentence.
 
     A smaller pool keeps everything and sets the shortfall flag; zero keeps
     nothing (the label-only ablation arm). A negative count is rejected
@@ -281,7 +297,7 @@ def build_attribute_set(
         class_name=entry.class_name,
         keywords=keywords,
         extractor="mock" if endpoint == MOCK_ENDPOINT else "endpoint",
-        prompt_sentence=SENTENCE_TEMPLATE.format(" ".join((entry.class_name,) + keywords)),
+        prompt_sentence=_compose_sentence(entry.class_name, keywords),
         shortfall=len(keywords) < num_attributes,
     )
 
@@ -291,7 +307,10 @@ def run_attribute_pipeline(
     num_attributes: int,
     endpoint: str = MOCK_ENDPOINT,
 ) -> list[AttributeRecord]:
-    """Produce one AttributeRecord per corpus entry, in corpus order."""
+    """Produce one AttributeRecord per corpus entry, in corpus order. A
+    negative count is rejected even when the corpus is empty."""
+    if num_attributes < 0:
+        raise ValueError("num_attributes must be >= 0")
     return [build_attribute_set(entry, num_attributes, endpoint) for entry in corpus.values()]
 
 
@@ -306,9 +325,13 @@ def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:
 def load_attribute_records(path) -> list[AttributeRecord]:
     """Read the records ``save_attribute_records`` wrote. A record that is not
     UTF-8 JSON text, not an object holding each field with its written type,
-    or one that AttributeRecord rejects raises CorpusFormatError with the
-    file's path and the record's 1-based index; a repeated class raises
-    DuplicateClassError."""
+    or one that AttributeRecord rejects (among them a prompt sentence other
+    than its class's and keywords', and an extractor other than "mock" or
+    "endpoint") raises CorpusFormatError with the file's path and the
+    record's 1-based index; a repeated class raises DuplicateClassError.
+
+    ``shortfall`` is read as written and not checked: the file does not
+    record the requested count it was set against."""
     records: dict[str, AttributeRecord] = {}
     for index, where, payload in _json_objects(Path(path).read_bytes(), path):
         for key, kind in (("class", str), ("extractor", str), ("prompt_sentence", str),

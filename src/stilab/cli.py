@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREAD_VARIABLES, __version__
 from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import (
     MOCK_ENDPOINT,
@@ -54,10 +54,6 @@ from .workflow import (
 )
 
 MANIFEST_FILENAME = "manifest.json"
-
-# The artifact bytes hold at a fixed BLAS thread count; the manifest records
-# each of these variables as the run saw it.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CliError(Exception):

@@ -287,6 +287,10 @@ class TestSelectDescriptiveAttributes:
         with pytest.raises(ValueError):
             build_attribute_set(pool_of(3), -1)
 
+    def test_negative_rejected_for_an_empty_corpus(self):
+        with pytest.raises(ValueError, match="num_attributes must be >= 0"):
+            run_attribute_pipeline({}, -1)
+
     def test_negative_rejected_before_extraction(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, b"dance\npartner\n")
         corpus = {"salsa": ClassDescription("salsa", "a dance with a partner")}
@@ -316,6 +320,22 @@ class TestComposeAttributeSentence:
     def test_single_keyword(self):
         record = build_attribute_set(ClassDescription("archery", "bow"), 1)
         assert record.prompt_sentence == "This is a video about archery bow."
+
+
+class TestAttributeRecord:
+    def test_sentence_must_compose_class_and_keywords(self):
+        record = AttributeRecord("salsa", ("dance",), "mock",
+                                 "This is a video about salsa dance.", False)
+        assert record.prompt_sentence == "This is a video about salsa dance."
+        for sentence in ("This is a video about salsa.", "This is a video about dance salsa.",
+                         "this is a video about salsa dance."):
+            with pytest.raises(ValueError, match="prompt_sentence must be"):
+                AttributeRecord("salsa", ("dance",), "mock", sentence, False)
+
+    @pytest.mark.parametrize("extractor", ["", "Mock", "http://extractor.test/v1"])
+    def test_extractor_must_be_mock_or_endpoint(self, extractor):
+        with pytest.raises(ValueError, match="extractor must be one of"):
+            AttributeRecord("salsa", (), extractor, "This is a video about salsa.", False)
 
 
 class TestPipeline:
@@ -376,6 +396,11 @@ MALFORMED_ATTRIBUTE_LINES = {
     "int-shortfall": _record_line(shortfall=0),
     "empty-class": _record_line(**{"class": ""}),
     "repeated-keyword": _record_line(keywords=["dance", "dance"]),
+    "foreign-sentence": _record_line(prompt_sentence="This is a video about archery bow."),
+    "sentence-of-other-keywords": _record_line(keywords=["dance"]),
+    "sentence-with-doubled-space": _record_line(
+        prompt_sentence="This is a video about salsa  dance partner."),
+    "unknown-extractor": _record_line(extractor="carrier-pigeon"),
 }
 # A first record of another class, so that no malformed line repeats a class.
 OTHER_LINE = _record_line(**{"class": "tango",
@@ -400,6 +425,12 @@ class TestLoadAttributeRecords:
             load_attribute_records(path)
         assert exc.value.record_index == 3
         assert not isinstance(exc.value, DuplicateClassError)
+
+    def test_endpoint_records_load(self, tmp_path):
+        path = tmp_path / "attributes.jsonl"
+        path.write_bytes(_record_line(extractor="endpoint", shortfall=True) + b"\n")
+        (record,) = load_attribute_records(path)
+        assert (record.extractor, record.shortfall) == ("endpoint", True)
 
     def test_repeated_class_is_rejected_by_name(self, tmp_path):
         path = tmp_path / "attributes.jsonl"

@@ -111,6 +111,16 @@ class TestAttrs:
             assert record.keywords == ()
             assert record.prompt_sentence == f"This is a video about {record.class_name}."
 
+    def test_negative_count_fails_on_an_empty_corpus(self, tmp_path, capsys):
+        descriptions = tmp_path / "descriptions.jsonl"
+        descriptions.write_bytes(b"")
+        out = tmp_path / "attrs"
+        code = run_cli("attrs", "--out-dir", out, "--corpus", descriptions,
+                       "--num-attributes", -1)
+        assert code == 1
+        assert "num_attributes must be >= 0" in capsys.readouterr().err
+        assert not (out / "attributes.jsonl").exists()
+
     def test_unreadable_corpus_fails_with_error(self, tmp_path, capsys):
         code = run_cli("attrs", "--out-dir", tmp_path / "x", "--corpus", tmp_path / "missing.jsonl")
         assert code == 1
@@ -607,15 +617,74 @@ def test_flags_mirror_the_settings_fields(command, settings, other_flags):
             assert action.type is types[field.name]
 
 
-def test_cli_import_does_not_load_requests():
-    src = str(Path(stilab.__file__).resolve().parents[1])
-    code = "import sys, stilab.cli; print('requests' in sys.modules)"
+SRC = str(Path(stilab.__file__).resolve().parents[1])
+# HTTP client modules: only a call to a live extraction endpoint may load the
+# standard library's, and nothing loads requests.
+NETWORK_MODULES = {"http.client", "urllib.request", "ssl", "email", "socket", "requests"}
+
+
+def test_cli_import_loads_no_network_module():
+    code = ("import sys; bare = set(sys.modules); import stilab.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert result.stdout.strip() == "False"
+    added = set(result.stdout.split())
+    assert {"stilab.cli", "stilab.attributes", "numpy"} <= added
+    assert added & NETWORK_MODULES == set()
+
+
+def without_thread_variables(**settings) -> dict:
+    """This process's environment without the BLAS thread variables (which
+    importing stilab here may have set), plus ``settings``."""
+    env = {k: v for k, v in os.environ.items() if k not in stilab._BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": SRC, **settings}
+
+
+class TestBlasThreadPin:
+    @pytest.mark.parametrize("settings, seen", [
+        ({}, ["1", "1", "1"]),
+        ({"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["3", None, None]),
+    ])
+    def test_import_pins_one_thread_unless_a_variable_is_set(self, settings, seen):
+        code = ("import json, os, stilab; "
+                "print(json.dumps([os.environ.get(n) for n in stilab._BLAS_THREAD_VARIABLES]))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=without_thread_variables(**settings),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert stilab._BLAS_THREAD_VARIABLES == (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert json.loads(result.stdout) == seen
+
+    def test_artifacts_with_no_variable_set_match_one_thread(self, tmp_path):
+        """On a shape whose GEMMs a second OpenBLAS thread would split, a
+        run that sets no thread variable writes the bytes of a run at one
+        thread: the checkpoint, loss.csv and the saliency CSV."""
+        def stilab_cli(env, *argv):
+            subprocess.run([sys.executable, "-m", "stilab.cli", *map(str, argv)], env=env,
+                           capture_output=True, check=True, timeout=300)
+
+        corpus = tmp_path / "synth" / "corpus"
+        stilab_cli(without_thread_variables(), "synth", "--seed", 1, "--out-dir", corpus.parent,
+                   "--frames", 16, "--patches-per-frame", 32, "--dim", 64)
+        meta = json.loads((corpus / "corpus.json").read_text())
+        video_id, class_name = meta["videos"][0]["video_id"], meta["classes"][0]["name"]
+        artifacts = {}
+        for name, env in (("unset", without_thread_variables()),
+                          ("one", without_thread_variables(OPENBLAS_NUM_THREADS="1"))):
+            out = tmp_path / name
+            stilab_cli(env, "train", "--seed", 1, "--corpus", corpus, "--out-dir", out,
+                       "--epochs", 2, "--batch-size", 32)
+            stilab_cli(env, "saliency", "--corpus", corpus, "--checkpoint",
+                       out / "checkpoint.stickpt", "--out-dir", out,
+                       "--video-id", video_id, "--class-name", class_name)
+            artifacts[name] = [(out / file).read_bytes() for file in (
+                "checkpoint.stickpt", "loss.csv", f"saliency_{video_id}_{class_name}.csv")]
+        assert artifacts["unset"] == artifacts["one"]
 
 
 # Each command's parsed flags with only its required flags given: the keys in
