@@ -135,16 +135,20 @@ def payload_bytes(shape: tuple[int, ...], left: int, error: type[Exception], wha
 
 def read_floats(
     fh, shape: tuple[int, ...], error: type[Exception], what: str, left: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Read a float64 array of ``shape``; a header promising more values
     than ``fh`` holds raises ``error`` before anything is read. A caller
     that tracks its position passes the bytes ``left`` after it, which
-    spares the seeks that measure it."""
+    spares the seeks that measure it. The values go into ``out``, a
+    C-contiguous float64 array of ``shape``, when one is given."""
     nbytes = payload_bytes(shape, bytes_left(fh) if left is None else left, error, what)
-    values = np.empty(nbytes // 8, dtype=PAYLOAD_DTYPE)
+    values = np.empty(shape, dtype=PAYLOAD_DTYPE) if out is None else out
     if fh.readinto(values) != nbytes:
-        raise error(f"{what}: file ended inside its {values.size} values")
-    return values.astype(np.float64, copy=False).reshape(shape)
+        raise error(f"{what}: file ended inside its {nbytes // 8} values")
+    if values.dtype != PAYLOAD_DTYPE:  # a big-endian ``out`` took little-endian bytes
+        values.byteswap(inplace=True)
+    return values.astype(np.float64, copy=False)
 
 
 def parse_counts(text: str, error: type[Exception], what: str) -> list[int]:

@@ -31,6 +31,7 @@ from .corpus import (
     corpus_fingerprint,
     generate_synthetic_corpus,
     load_corpus,
+    read_listing,
     save_corpus,
 )
 from .encoders import FrameEmbeddingSet
@@ -183,19 +184,29 @@ _COMMAND_FLAGS = {
 
 
 def _build_parser(
-    flagged=tuple(_COMMAND_FLAGS),
+    argv=None,
 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by command name.
-    Every command is registered, but only those in ``flagged`` get their
-    flags: a command line names one, and building the rest costs time."""
+    """The top-level parser and each registered command's own parser, by
+    command name. A command line that starts with a command name registers
+    that command alone, with its flags: building the rest costs time. Any
+    other line (``--help``, ``--version``, an unknown word) registers all
+    five without flags, so the help and the invalid-choice error list them.
+    Without ``argv`` every command is registered with its flags."""
     parser = argparse.ArgumentParser(
         prog="stilab",
         description="Descriptive attributes + spatial-temporal interaction, desk scale.",
     )
     parser.add_argument("--version", action="version", version=f"stilab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    if argv is None:
+        names = flagged = tuple(_COMMAND_FLAGS)
+    elif argv[:1] and argv[0] in _COMMAND_FLAGS:
+        names = flagged = (argv[0],)
+    else:
+        names, flagged = tuple(_COMMAND_FLAGS), ()
     commands = {}
-    for name, (help_line, add_flags) in _COMMAND_FLAGS.items():
+    for name in names:
+        help_line, add_flags = _COMMAND_FLAGS[name]
         commands[name] = sub.add_parser(name, help=help_line)
         if name in flagged:
             _common_flags(commands[name])
@@ -213,7 +224,7 @@ def _has_flag_type(action: argparse.Action, value) -> bool:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    parser, commands = _build_parser(argv[:1])
+    parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     # The file's values become defaults of the command's own flags, so an
     # explicit flag wins in any spelling argparse accepts and a file string
@@ -278,13 +289,11 @@ def cmd_train(args) -> tuple[list[Path], dict, str | None]:
     return [ckpt_path, loss_path], results, corpus.fingerprint
 
 
-def _load_model(args, keep):
-    """Load the corpus, keeping the videos ``keep`` selects (as
-    ``load_corpus`` takes it), and the checkpoint, and view the checkpoint's
-    store as model parameters; returns (corpus, checkpoint, config, enc, sti).
+def _load_model(args, corpus):
+    """Load the checkpoint for ``corpus``, read from --corpus, and view its
+    store as model parameters; returns (checkpoint, config, enc, sti).
     ``config``, the one effective config, is the checkpoint's with each of the
     command's --num-attributes, --spatial and --temporal values that is given."""
-    corpus = load_corpus(args.corpus, keep)
     checkpoint = load_checkpoint(args.checkpoint)
     # load_checkpoint holds every parameter to one dimension D
     dim = checkpoint.store.value(PARAM_VIDEO_BIAS).size
@@ -296,14 +305,15 @@ def _load_model(args, keep):
     config = dataclasses.replace(checkpoint.config, **overrides)
     enc, sti = params_from_store(checkpoint.store, text_table_seed=corpus.spec.seed,
                                  dim=corpus.spec.dim, tau_saliency=config.tau_saliency)
-    return corpus, checkpoint, config, enc, sti
+    return checkpoint, config, enc, sti
 
 
 def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
     # each mode scores one class group: seen for --mode seen, unseen otherwise
-    seen = args.mode == "seen"
-    corpus, checkpoint, config, enc, sti = _load_model(args, lambda _, cls: cls.seen == seen)
     if args.mode == "few-shot":
+        # fine-tuning needs the unseen group's features in memory
+        corpus = load_corpus(args.corpus, lambda _, cls: not cls.seen)
+        checkpoint, config, enc, sti = _load_model(args, corpus)
         if not corpus.unseen_class_indices:
             raise CliError("corpus has no unseen classes for few-shot evaluation")
         data, _ = training_data_for(
@@ -334,9 +344,13 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
             "top5": top5,
         }
     else:
+        # the group's features stream from videos.bin as they are scored
+        listing = read_listing(args.corpus)
+        corpus = listing.corpus
+        _, config, enc, sti = _load_model(args, corpus)
         report = eval_group_three_splits(
-            corpus, enc, sti,
-            seen=seen,
+            listing, enc, sti,
+            seen=args.mode == "seen",
             num_attributes=config.num_attributes,
             seed=args.seed,
             subset_size=args.subset_size,
@@ -355,7 +369,8 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     # one video is scored, so the other videos' values are not read
-    corpus, _, config, enc, sti = _load_model(args, lambda video_id, _: video_id == args.video_id)
+    corpus = load_corpus(args.corpus, lambda video_id, _: video_id == args.video_id)
+    _, config, enc, sti = _load_model(args, corpus)
     by_id = {video.video_id: video for video in corpus.videos}
     if args.video_id not in by_id:
         raise CliError(f"unknown video id {args.video_id!r}")

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import ClassDescription, parse_description_corpus
-from .embed_io import load_embeddings, save_embeddings
+from .embed_io import load_embeddings, read_records, save_embeddings
 from .encoders import token_vector
 
 Array = np.ndarray
@@ -346,14 +348,113 @@ def _fingerprinted_files(corpus_dir) -> list[Path]:
             if path.is_file() and path.name != VIDEOS_FILENAME]
 
 
-def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
-    """Load a corpus directory written by save_corpus, reading each file once.
+@dataclass(frozen=True)
+class CorpusListing:
+    """A corpus directory as its corpus.json lists it, checked against its
+    descriptions.jsonl, before any feature is read: ``corpus`` holds every
+    class and the fingerprint but no videos, and the other fields hold each
+    video's id, class index, listed record sha256 and patch concepts, in
+    file order. ``features`` makes the one pass over videos.bin."""
 
-    Malformed metadata, including a missing or mistyped entry and one that
-    disagrees with the other two files, raises ValueError naming corpus.json;
-    a malformed descriptions.jsonl or videos.bin raises its reader's own
-    typed errors. The corpus's ``fingerprint`` is
-    ``corpus_fingerprint(corpus_dir)``, computed from the bytes read here.
+    directory: Path
+    corpus: SyntheticCorpus
+    video_ids: tuple[str, ...]
+    labels: tuple[int, ...]
+    digests: tuple[str, ...]
+    patch_concepts: Array  # (videos, T, N_p) uint8
+
+    @property
+    def video_shape(self) -> tuple[int, int, int]:
+        spec = self.corpus.spec
+        return spec.frames, spec.patches_per_frame, spec.dim
+
+    def positions(self, keep=None) -> list[int]:
+        """The file positions of the videos ``keep(video_id, cls)`` returns
+        true for, or of every video when ``keep`` is None."""
+        classes = self.corpus.classes
+        pairs = enumerate(zip(self.video_ids, self.labels))
+        return [position for position, (video_id, label) in pairs
+                if keep is None or keep(video_id, classes[label])]
+
+    def features(self, positions, chunk_videos: int) -> Iterator[Array]:
+        """The features of the videos at ``positions``, in file order, from
+        one pass over videos.bin: (n, T, N_p, D) chunks of at most
+        ``chunk_videos`` videos, each a view of one array that the next
+        chunk overwrites. Each record is checked as ``load_corpus`` checks
+        it before its chunk is yielded, and raises the same errors."""
+        kept = set(positions)
+        buffer = np.empty((chunk_videos, *self.video_shape))
+        filled = 0
+
+        def into(position, shape):
+            if position < len(self.video_ids):  # the count is checked at the end
+                self._check_shape(position, shape)
+            return buffer[filled] if position in kept else None
+
+        with _metadata_errors(self.directory):
+            count = 0
+            for position, (values, digest) in enumerate(
+                read_records(self.directory / VIDEOS_FILENAME, into)
+            ):
+                count = position + 1
+                if values is not None:
+                    self._check_digest(position, digest)
+                    filled += 1
+                    if filled == chunk_videos:
+                        yield buffer
+                        filled = 0
+            self._check_count(count)
+            if filled:
+                yield buffer[:filled]
+
+    def _check_count(self, held: int) -> None:
+        if held != len(self.video_ids):
+            raise ValueError(f"corpus metadata lists {len(self.video_ids)} videos, "
+                             f"container holds {held}")
+
+    def _check_shape(self, position: int, shape: tuple[int, ...]) -> None:
+        if shape != self.video_shape:
+            raise ValueError(f"video {self.video_ids[position]!r} has features of shape {shape}, "
+                             f"corpus spec expects {self.video_shape}")
+
+    def _check_digest(self, position: int, digest: str) -> None:
+        if digest != self.digests[position]:
+            raise ValueError(
+                f"video {self.video_ids[position]!r}: its {VIDEOS_FILENAME} record has sha256 "
+                f"{digest}, corpus metadata lists {self.digests[position]}"
+            )
+
+
+@contextmanager
+def _metadata_errors(corpus_dir: Path):
+    """Raise a malformed entry's error as a ValueError naming corpus.json."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        metadata_path = corpus_dir / METADATA_FILENAME
+        raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
+
+
+def read_listing(corpus_dir) -> CorpusListing:
+    """Parse corpus.json and descriptions.jsonl, reading each once, and
+    carry the corpus fingerprint, ``corpus_fingerprint(corpus_dir)``,
+    computed from the bytes read here. Malformed metadata, including a
+    missing or mistyped entry and one that disagrees with descriptions.jsonl,
+    raises ValueError naming corpus.json; a malformed descriptions.jsonl
+    raises its reader's own typed errors. Every video must have valid patch
+    concepts and a well-formed sha256."""
+    corpus_dir = Path(corpus_dir)
+    with _metadata_errors(corpus_dir):
+        return _parse_listing(corpus_dir, Fingerprint(_fingerprinted_files(corpus_dir)))
+
+
+def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
+    """Load a corpus directory written by save_corpus, reading each file once:
+    ``read_listing``, then the kept videos' features.
+
+    Malformed metadata, including one that disagrees with videos.bin,
+    raises ValueError naming corpus.json; a malformed videos.bin raises its
+    reader's own typed errors.
 
     ``keep(video_id, cls)``, given each video's id and CorpusClass,
     selects the videos whose features are kept: those it returns true for
@@ -364,14 +465,33 @@ def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
     hash to the sha256 that corpus.json lists for it; the other records'
     values are passed over unread, so a changed byte there goes unseen.
     Every video, kept or not, must have a record header with the spec's
-    (T, N_p, D), valid patch concepts and a well-formed sha256.
+    (T, N_p, D).
     """
-    corpus_dir = Path(corpus_dir)
-    try:
-        return _parse_corpus(corpus_dir, Fingerprint(_fingerprinted_files(corpus_dir)), keep)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        metadata_path = corpus_dir / METADATA_FILENAME
-        raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
+    listing = read_listing(corpus_dir)
+    shapes: list[tuple[int, ...]] = []
+    found: list[str | None] = []
+    with _metadata_errors(listing.directory):
+        features_list = load_embeddings(
+            listing.directory / VIDEOS_FILENAME, set(listing.positions(keep)), shapes, found
+        )
+        listing._check_count(len(features_list))
+        for position, shape in enumerate(shapes):
+            listing._check_shape(position, shape)
+        for position, digest in enumerate(found):
+            if digest is not None:
+                listing._check_digest(position, digest)
+    videos = [
+        VideoSample(
+            video_id=video_id,
+            class_index=class_index,
+            features=features,
+            patch_concepts=concepts.astype(np.int64),
+        )
+        for video_id, class_index, features, concepts
+        in zip(listing.video_ids, listing.labels, features_list, listing.patch_concepts)
+        if features is not None
+    ]
+    return replace(listing.corpus, videos=videos)
 
 
 def _typed(entry: dict, key: str, kind: type):
@@ -416,7 +536,7 @@ def _patch_concepts(entries: list, shape: tuple[int, int], num_concepts: int) ->
     return values.reshape(len(texts), *shape)
 
 
-def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus:
+def _parse_listing(corpus_dir: Path, files: Fingerprint) -> CorpusListing:
     # The fingerprinted files are read in name order, as the fingerprint hashes them.
     meta = json.loads(files.read_bytes(corpus_dir / METADATA_FILENAME).decode("utf-8"))
     if not isinstance(meta, dict):
@@ -479,50 +599,20 @@ def _parse_corpus(corpus_dir: Path, files: Fingerprint, keep) -> SyntheticCorpus
                 f"video {video_id!r} has class_index {class_index}, "
                 f"corpus has {len(classes)} classes"
             )
-    kept = None if keep is None else {
-        position for position, (video_id, class_index) in enumerate(zip(video_ids, labels))
-        if keep(video_id, classes[class_index])
-    }
-    shapes: list[tuple[int, ...]] = []
-    found: list[str | None] = []
-    features_list = load_embeddings(corpus_dir / VIDEOS_FILENAME, kept, shapes, found)
-    fingerprint = files.hexdigest()
-    if len(features_list) != len(entries):
-        raise ValueError(
-            f"corpus metadata lists {len(entries)} videos, "
-            f"container holds {len(features_list)}"
-        )
-    expected_shape = (spec.frames, spec.patches_per_frame, spec.dim)
-    for video_id, shape in zip(video_ids, shapes):
-        if shape != expected_shape:
-            raise ValueError(
-                f"video {video_id!r} has features of shape {shape}, "
-                f"corpus spec expects {expected_shape}"
-            )
-    patch_concepts = _patch_concepts(entries, expected_shape[:2], spec.num_concepts)
-    for video_id, want, got in zip(video_ids, listed, found):
-        if got is not None and got != want:
-            raise ValueError(
-                f"video {video_id!r}: its {VIDEOS_FILENAME} record has sha256 {got}, "
-                f"corpus metadata lists {want}"
-            )
-    videos = [
-        VideoSample(
-            video_id=video_id,
-            class_index=class_index,
-            features=features,
-            patch_concepts=concepts.astype(np.int64),
-        )
-        for video_id, class_index, features, concepts
-        in zip(video_ids, labels, features_list, patch_concepts)
-        if features is not None
-    ]
-
-    return SyntheticCorpus(
-        spec=spec,
-        concept_words=concept_words,
-        concept_vectors=concept_vectors,
-        classes=classes,
-        videos=videos,
-        fingerprint=fingerprint,
+    return CorpusListing(
+        directory=corpus_dir,
+        corpus=SyntheticCorpus(
+            spec=spec,
+            concept_words=concept_words,
+            concept_vectors=concept_vectors,
+            classes=classes,
+            videos=[],
+            fingerprint=files.hexdigest(),
+        ),
+        video_ids=tuple(video_ids),
+        labels=tuple(labels),
+        digests=tuple(listed),
+        patch_concepts=_patch_concepts(
+            entries, (spec.frames, spec.patches_per_frame), spec.num_concepts
+        ),
     )

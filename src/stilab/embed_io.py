@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,25 +85,27 @@ def _parse_header(line: str) -> tuple[int, ...]:
     return tuple(numbers[1:])
 
 
-def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarray | None]:
-    """Read the records of a container file, in order, as writeable
-    C-contiguous float64 arrays. Every record header is read and checked,
-    front to back, each against the bytes left after it.
+def read_records(path, into) -> Iterator[tuple[np.ndarray | None, str | None]]:
+    """Read the records of a container file in one pass, front to back.
+    Every record header is read and checked, each against the bytes left
+    after it.
 
-    With ``keep``, a set of record indices, only those records' values are
-    read: the reader seeks past the others, which stand as ``None`` in the
-    list. A ``shapes`` list gets every record's (T, N_p, D) appended, kept
-    or not; a ``digests`` list gets each kept record's sha256
-    (``_fileio.record_sha256``) and ``None`` for each other record.
+    For each record, ``into(index, shape)`` is called with the record's
+    position and (T, N_p, D). It returns the writeable C-contiguous float64
+    array of that shape to read the values into, or None to seek past them.
+    Yields (values, sha256) for each record read (``_fileio.record_sha256``)
+    and (None, None) for each record passed over. A record is read only when
+    the consumer asks for it, so the consumer may hand out an array again
+    once it has asked for the next record.
     """
     path = Path(path)
-    out: list[np.ndarray | None] = []
     parsed: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
     with open(path, "rb", buffering=_HEADER_BUFFER_BYTES) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         left = os.fstat(fh.fileno()).st_size - len(MAGIC)
+        index = 0
         while left:
             line = fh.readline()
             shape = parsed.get(line)
@@ -111,17 +113,38 @@ def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarr
                 shape = _parse_header(header_text(line, HeaderFormatError, "record header"))
                 parsed[line] = shape
             left -= len(line)
-            if keep is None or len(out) in keep:
-                features = read_floats(fh, shape, TruncatedPayloadError, "raw video features", left)
-                nbytes = features.nbytes
-            else:
-                features = None
-                nbytes = payload_bytes(shape, left, TruncatedPayloadError, "raw video features")
+            nbytes = payload_bytes(shape, left, TruncatedPayloadError, "raw video features")
+            out = into(index, shape)
+            if out is None:
                 fh.seek(nbytes, io.SEEK_CUR)
+                record = (None, None)
+            else:
+                values = read_floats(fh, shape, TruncatedPayloadError, "raw video features",
+                                     left, out)
+                record = (values, record_sha256(line, values))
             left -= nbytes
-            out.append(features)
-            if shapes is not None:
-                shapes.append(shape)
-            if digests is not None:
-                digests.append(None if features is None else record_sha256(line, features))
+            index += 1
+            yield record
+
+
+def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarray | None]:
+    """Read the records of a container file, in order, as writeable
+    C-contiguous float64 arrays: the list of what ``read_records`` yields.
+
+    With ``keep``, a set of record indices, only those records' values are
+    read: the reader seeks past the others, which stand as ``None`` in the
+    list. A ``shapes`` list gets every record's (T, N_p, D) appended, kept
+    or not; a ``digests`` list gets each kept record's sha256
+    (``_fileio.record_sha256``) and ``None`` for each other record.
+    """
+    def into(index, shape):
+        if shapes is not None:
+            shapes.append(shape)
+        return np.empty(shape) if keep is None or index in keep else None
+
+    out: list[np.ndarray | None] = []
+    for values, digest in read_records(path, into):
+        out.append(values)
+        if digests is not None:
+            digests.append(digest)
     return out

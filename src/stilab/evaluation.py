@@ -6,13 +6,13 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._fileio import atomic_open
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence
-from .objective import BatchRecord, score_matrix
+from .objective import score_matrix
 from .sti import InteractionToggles, STIParameters, sti_forward
 
 Array = np.ndarray
@@ -20,12 +20,11 @@ Array = np.ndarray
 TOP_K = 5
 SALIENCY_SUM_TOLERANCE = 1e-9
 # A scoring chunk holds at most 64 videos and at most 2**18 raw patch values:
-# 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. The stacked raw chunk, at most
-# 2 MiB of float64, is the only dense (chunk, T, N_p, D) array scoring
-# builds: the fused MaxSim projects it a few matrices at a time.
+# 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. The raw chunk, at most 2 MiB
+# of float64, is the only dense (chunk, T, N_p, D) array scoring holds: the
+# fused MaxSim projects it a few matrices at a time.
 _EVAL_BATCH = 64
 _EVAL_CHUNK_VALUES = 1 << 18
-
 
 @dataclass(frozen=True)
 class SplitMetrics:
@@ -81,6 +80,66 @@ def _topk_hits(scores: Array, labels: Array, k: int) -> Array:
     return (order[:, :k] == labels[:, None]).any(axis=1)
 
 
+def chunk_videos(values_per_video: int) -> int:
+    """How many videos of ``values_per_video`` raw patch values one scoring
+    chunk holds: at most ``_EVAL_BATCH`` and at most ``_EVAL_CHUNK_VALUES``
+    values, one video at the least."""
+    return max(1, min(_EVAL_BATCH, _EVAL_CHUNK_VALUES // values_per_video))
+
+
+def stacked_chunks(videos: Sequence[FrameEmbeddingSet]) -> Iterator[Array]:
+    """The videos' raw features in scoring chunks, each stacked into one
+    (n, T, N_p, D) array."""
+    size = chunk_videos(videos[0].patch_embeddings.size)
+    for start in range(0, len(videos), size):
+        yield np.stack([video.patch_embeddings for video in videos[start : start + size]])
+
+
+def _score_chunks(
+    chunks: Iterable[Array],
+    labels: Array,
+    class_sets: Sequence[tuple[int, ...]],
+    class_texts: Sequence[TextEmbeddingSequence],
+    sti_params: STIParameters,
+    enc_params,
+    toggles: InteractionToggles | None,
+) -> list[tuple[float, float]]:
+    """(top-1, top-k) accuracy per class set, from one pass over ``chunks``:
+    the raw features of the labelled videos, in order, in (n, T, N_p, D)
+    arrays. Each chunk is scored once per class set, on its videos whose
+    label lies in the set, against the set's classes alone; k clamps to the
+    set's class count. A video scores the same in any chunk, so the chunking
+    does not change the accuracies."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < len(class_texts):
+        raise ValueError("labels must index into class_texts")
+    renumber = []  # per set: each class's position in the set, or -1
+    for chosen in class_sets:
+        positions = np.full(len(class_texts), -1)
+        positions[list(chosen)] = np.arange(len(chosen))
+        renumber.append(positions)
+    texts = [[class_texts[c] for c in chosen] for chosen in class_sets]
+    hits = [([], []) for _ in class_sets]
+    start = 0
+    for raw in chunks:
+        chunk_labels = labels[start : start + len(raw)]
+        start += len(raw)
+        if len(chunk_labels) != len(raw):
+            raise ValueError(f"more videos than the {len(labels)} labels")
+        for positions, set_texts, (hits1, hitsk) in zip(renumber, texts, hits):
+            set_labels = positions[chunk_labels]
+            rows = set_labels >= 0
+            if not rows.any():
+                continue
+            scores = score_matrix(raw if rows.all() else raw[rows], set_texts,
+                                  sti_params, enc_params, toggles)
+            hits1.append(_topk_hits(scores, set_labels[rows], 1))
+            hitsk.append(_topk_hits(scores, set_labels[rows], min(TOP_K, len(set_texts))))
+    if start != len(labels):
+        raise ValueError(f"{start} videos for {len(labels)} labels")
+    return [(float(np.concatenate(hits1).mean()), float(np.concatenate(hitsk).mean()))
+            for hits1, hitsk in hits]
+
+
 def evaluate_split(
     videos: Sequence[FrameEmbeddingSet],
     labels,
@@ -90,27 +149,15 @@ def evaluate_split(
     toggles: InteractionToggles | None = None,
 ) -> tuple[float, float]:
     """(top-1, top-k) accuracy over a split; k clamps to the class count.
-    The videos are scored in chunks of at most ``_EVAL_BATCH`` videos and at
-    most ``_EVAL_CHUNK_VALUES`` raw patch values, one video at the least."""
+    The videos are scored in ``stacked_chunks``."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(videos) == 0:
         raise ValueError("cannot evaluate an empty split")
     if labels.shape != (len(videos),):
         raise ValueError("need one label per video")
-    k = min(TOP_K, len(class_texts))
-    size = max(1, min(_EVAL_BATCH, _EVAL_CHUNK_VALUES // videos[0].patch_embeddings.size))
-    hits1 = []
-    hitsk = []
-    for start in range(0, len(videos), size):
-        chunk = list(videos[start : start + size])
-        chunk_labels = labels[start : start + size]
-        batch = BatchRecord(videos=tuple(chunk), labels=np.zeros(len(chunk), dtype=np.int64))
-        scores = score_matrix(batch, class_texts, sti_params, enc_params, toggles)
-        hits1.append(_topk_hits(scores, chunk_labels, 1))
-        hitsk.append(_topk_hits(scores, chunk_labels, k))
-    top1 = float(np.concatenate(hits1).mean())
-    topk = float(np.concatenate(hitsk).mean())
-    return top1, topk
+    every_class = tuple(range(len(class_texts)))
+    return _score_chunks(stacked_chunks(videos), labels, [every_class], class_texts,
+                         sti_params, enc_params, toggles)[0]
 
 
 def aggregate_splits(values) -> tuple[float, float]:
@@ -135,7 +182,7 @@ def sample_category_subset(categories: Sequence, subset_size: int, seed: int) ->
 
 
 def evaluate_three_splits(
-    videos: Sequence[FrameEmbeddingSet],
+    chunks: Iterable[Array],
     labels,
     class_texts: Sequence[TextEmbeddingSequence],
     sti_params: STIParameters,
@@ -148,33 +195,30 @@ def evaluate_three_splits(
     """Three-split protocol: per split, sample a class subset, restrict the
     videos to those classes, and score against the subset only.
 
-    A split whose class set an earlier split already chose reuses that
-    split's accuracies instead of scoring the same pairs again; with the
-    default subset size (all classes) the three splits coincide.
+    ``chunks`` holds the raw features of the labelled videos, in order, in
+    (n, T, N_p, D) arrays (``stacked_chunks``, or a corpus's
+    ``CorpusListing.features``), and is read in one pass after every split
+    has been checked. A split whose class set an earlier split already chose
+    reuses that split's accuracies instead of scoring the same pairs again;
+    with the default subset size (all classes) the three splits coincide.
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_classes = len(class_texts)
     subset_size = num_classes if subset_size is None else subset_size
-    scored: dict[tuple[int, ...], tuple[float, float]] = {}
-    splits = []
+    chosen = {}
     for split_id in (1, 2, 3):
-        chosen = tuple(sorted(
+        chosen[split_id] = tuple(sorted(
             sample_category_subset(list(range(num_classes)), subset_size, seed * 10 + split_id)
         ))
-        if chosen not in scored:
-            remap = {old: new for new, old in enumerate(chosen)}
-            keep = [i for i, label in enumerate(labels) if int(label) in remap]
-            if not keep:
-                raise ValueError(f"split {split_id} selected classes with no evaluation videos")
-            split_videos = [videos[i] for i in keep]
-            split_labels = np.array([remap[int(labels[i])] for i in keep])
-            split_texts = [class_texts[i] for i in chosen]
-            scored[chosen] = evaluate_split(
-                split_videos, split_labels, split_texts, sti_params, enc_params, toggles
-            )
-        top1, top5 = scored[chosen]
-        splits.append(SplitMetrics(split_id=split_id, top1=top1, top5=top5))
-    return MetricReport.from_splits(splits)
+        if not np.isin(labels, chosen[split_id]).any():
+            raise ValueError(f"split {split_id} selected classes with no evaluation videos")
+    class_sets = list(dict.fromkeys(chosen.values()))
+    scored = dict(zip(class_sets, _score_chunks(
+        chunks, labels, class_sets, class_texts, sti_params, enc_params, toggles
+    )))
+    return MetricReport.from_splits(
+        [SplitMetrics(split_id, *scored[classes]) for split_id, classes in chosen.items()]
+    )
 
 
 def write_metric_csv(path, report: MetricReport) -> Path:

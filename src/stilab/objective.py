@@ -142,22 +142,29 @@ def score_matrix_nodes(
 
 
 def score_matrix(
-    batch: BatchRecord,
+    batch: BatchRecord | Array,
     class_texts: Sequence[TextEmbeddingSequence],
     sti_params: STIParameters,
     enc_params,
     toggles: InteractionToggles | None = None,
 ) -> Array:
-    """Evaluate the (B, K) score matrix for a batch against K classes."""
+    """Evaluate the (B, K) score matrix for a batch against K classes.
+    ``batch`` is a BatchRecord, or its videos' raw features already stacked
+    into one finite (B, T, N_p, D) array."""
     toggles = toggles or InteractionToggles()
     if len(class_texts) < 1:
         raise ValueError("need at least one class")
-    if np.any(batch.labels >= len(class_texts)):
-        raise ValueError("batch labels exceed the class count")
-    shapes = {video.patch_embeddings.shape for video in batch.videos}
-    if len(shapes) != 1:
-        raise ValueError("all batch videos must share (T, N_p, D)")
-    raw = np.stack([video.patch_embeddings for video in batch.videos])
+    if isinstance(batch, BatchRecord):
+        if np.any(batch.labels >= len(class_texts)):
+            raise ValueError("batch labels exceed the class count")
+        shapes = {video.patch_embeddings.shape for video in batch.videos}
+        if len(shapes) != 1:
+            raise ValueError("all batch videos must share (T, N_p, D)")
+        raw = np.stack([video.patch_embeddings for video in batch.videos])
+    else:
+        raw = np.asarray(batch, dtype=np.float64)
+        if not np.isfinite(raw).all():
+            raise ValueError("video features must be finite")
     tape = Tape()
     scores = score_matrix_nodes(
         tape,

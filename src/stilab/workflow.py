@@ -3,6 +3,7 @@ trainer and evaluation harness into reproducible runs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .attributes import build_attribute_set
 from .autodiff import ParameterStore
-from .corpus import SyntheticCorpus
+from .corpus import CorpusListing, SyntheticCorpus
 from .encoders import EncoderParams, FrameEmbeddingSet, encode_sentence
 from .sti import DEFAULT_SALIENCY_TEMPERATURE, InteractionToggles, STIParameters
 from .trainer import (
@@ -25,7 +26,7 @@ from .trainer import (
     default_parameter_store,
     fit,
 )
-from .evaluation import MetricReport, evaluate_split, evaluate_three_splits
+from .evaluation import MetricReport, chunk_videos, evaluate_split, evaluate_three_splits
 
 Array = np.ndarray
 
@@ -123,17 +124,12 @@ def train_on_corpus(corpus: SyntheticCorpus, config: TrainConfig) -> TrainedRun:
     return TrainedRun(result=result, data=data, enc_params=enc, sti_params=sti)
 
 
-def _group_data(
-    corpus: SyntheticCorpus,
-    seen: bool,
-    num_attributes: int,
-    enc_params: EncoderParams,
-) -> TrainingData:
-    """Evaluation data over the seen or the unseen class group."""
+def _group_classes(corpus: SyntheticCorpus, seen: bool) -> tuple[int, ...]:
+    """The seen or the unseen class group's corpus class indices."""
     class_indices = corpus.seen_class_indices if seen else corpus.unseen_class_indices
     if not class_indices:
         raise ValueError("requested class group is empty")
-    return training_data_for(corpus, class_indices, num_attributes, enc_params)[0]
+    return class_indices
 
 
 def eval_group(
@@ -146,7 +142,7 @@ def eval_group(
     toggles: InteractionToggles | None = None,
 ) -> tuple[float, float]:
     """Single-split (top1, top5) over the seen or unseen class group."""
-    data = _group_data(corpus, seen, num_attributes, enc_params)
+    data, _ = training_data_for(corpus, _group_classes(corpus, seen), num_attributes, enc_params)
     return evaluate_split(
         data.videos, data.labels, [ct.sequence for ct in data.class_texts],
         sti_params, enc_params, toggles,
@@ -154,7 +150,7 @@ def eval_group(
 
 
 def eval_group_three_splits(
-    corpus: SyntheticCorpus,
+    listing: CorpusListing,
     enc_params: EncoderParams,
     sti_params: STIParameters,
     *,
@@ -164,11 +160,18 @@ def eval_group_three_splits(
     subset_size: int | None = None,
     toggles: InteractionToggles | None = None,
 ) -> MetricReport:
-    data = _group_data(corpus, seen, num_attributes, enc_params)
+    """The three-split protocol over the seen or unseen class group of a
+    listed corpus, scored as its videos stream from one pass over
+    videos.bin: only one scoring chunk of features is held at a time."""
+    corpus = listing.corpus
+    class_indices = _group_classes(corpus, seen)
+    prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params)
+    group = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
+    kept = listing.positions(lambda _, cls: cls.index in group)
     return evaluate_three_splits(
-        data.videos,
-        data.labels,
-        [ct.sequence for ct in data.class_texts],
+        listing.features(kept, chunk_videos(math.prod(listing.video_shape))),
+        [group[listing.labels[position]] for position in kept],
+        [ct.sequence for ct in prepared.texts],
         sti_params,
         enc_params,
         seed=seed,

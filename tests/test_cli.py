@@ -343,6 +343,49 @@ class TestEval:
             spatial=True, temporal=False, num_attributes=3, tau_saliency=0.2,
         )]
 
+    def flip_last_value(self, corpus, video_id):
+        """Flip one bit of the last value of ``video_id``'s videos.bin record."""
+        meta = json.loads((corpus / "corpus.json").read_text())
+        position = [v["video_id"] for v in meta["videos"]].index(video_id)
+        spec = meta["spec"]
+        header = f"2 {spec['frames']} {spec['patches_per_frame']} {spec['dim']}\n".encode()
+        record = len(header) + 8 * spec["frames"] * spec["patches_per_frame"] * spec["dim"]
+        path = corpus / "videos.bin"
+        data = bytearray(path.read_bytes())
+        data[len(b"STIEMB1\n") + (position + 1) * record - 1] ^= 0x01
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("mode, video_id", [("zero-shot", "vid05_003"), ("seen", "vid00_000")])
+    def test_a_changed_value_of_a_scored_video_fails_and_writes_nothing(
+        self, synth_dir, trained, tmp_path, capsys, mode, video_id
+    ):
+        corpus = synth_dir / "corpus"
+        self.flip_last_value(corpus, video_id)
+        out = tmp_path / "bad"
+        assert run_cli("eval", "--corpus", corpus, "--checkpoint", trained / "checkpoint.stickpt",
+                       "--out-dir", out, "--mode", mode) == 1
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "videos.bin" in err and repr(video_id) in err
+        assert not (out / "metrics.csv").exists() and not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode, video_id", [("zero-shot", "vid00_000"), ("seen", "vid05_003")])
+    def test_a_changed_value_of_the_other_group_is_not_read(
+        self, synth_dir, trained, tmp_path, mode, video_id
+    ):
+        corpus = synth_dir / "corpus"
+        fingerprint = cli.corpus_fingerprint(corpus)
+        args = ["eval", "--corpus", corpus, "--checkpoint", trained / "checkpoint.stickpt",
+                "--mode", mode]
+        assert run_cli(*args, "--out-dir", tmp_path / "before") == 0
+        self.flip_last_value(corpus, video_id)
+        assert run_cli(*args, "--out-dir", tmp_path / "after") == 0
+        for name in ("metrics.csv", "manifest.json"):
+            assert (tmp_path / "after" / name).is_file()
+        before = (tmp_path / "before" / "metrics.csv").read_bytes()
+        assert (tmp_path / "after" / "metrics.csv").read_bytes() == before
+        manifest = json.loads((tmp_path / "after" / "manifest.json").read_text())
+        assert manifest["corpus_fingerprint"] == fingerprint
+
     def test_identical_eval_runs_are_byte_identical(self, synth_dir, trained, tmp_path):
         outs = []
         for name in ("e1", "e2"):
@@ -742,12 +785,24 @@ def test_each_command_still_takes_config_values(command, tmp_path):
     assert (args.seed, getattr(args, dest)) == (7, value)
 
 
-def test_a_command_line_builds_only_its_own_flags():
-    _, commands = cli._build_parser(["eval"])
+def test_a_command_line_builds_only_its_own_parser():
+    _, commands = cli._build_parser(["eval", "--mode", "seen"])
+    assert list(commands) == ["eval"]
     assert {a.dest for a in commands["eval"]._actions} >= {"corpus", "checkpoint", "mode"}
-    for name, command in commands.items():
-        if name != "eval":
-            assert [a.dest for a in command._actions] == ["help"]
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (help_line, _) in cli._COMMAND_FLAGS.items():
+        assert name in out and help_line in out
+
+
+def test_an_unknown_command_is_an_invalid_choice_naming_all_five(capsys):
+    assert main(["nosuch", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    names = ", ".join(repr(name) for name in cli._COMMAND_FLAGS)
+    assert f"invalid choice: 'nosuch' (choose from {names})" in err
 
 
 class TestCorpusReads:

@@ -16,6 +16,7 @@ from stilab.evaluation import (
     evaluate_three_splits,
     export_saliency,
     sample_category_subset,
+    stacked_chunks,
     write_metric_csv,
 )
 from stilab.objective import BatchRecord, score_matrix
@@ -192,7 +193,7 @@ class TestThreeSplitProtocol:
         _, data, sti, enc = clean_corpus_setup
         texts = [ct.sequence for ct in data.class_texts]
         report = evaluate_three_splits(
-            data.videos, data.labels, texts, sti, enc, seed=5, subset_size=4
+            stacked_chunks(data.videos), data.labels, texts, sti, enc, seed=5, subset_size=4
         )
         assert len(report.per_split) == 3
         top1s = [s.top1 for s in report.per_split]
@@ -203,13 +204,14 @@ class TestThreeSplitProtocol:
     def test_split_spec_validation(self, clean_corpus_setup):
         _, data, sti, enc = clean_corpus_setup
         texts = [ct.sequence for ct in data.class_texts]
+        chunks = stacked_chunks(data.videos)
         with pytest.raises(ValueError, match="no evaluation videos"):
-            evaluate_three_splits(data.videos, data.labels, texts, sti, enc, seed=0, subset_size=0)
+            evaluate_three_splits(chunks, data.labels, texts, sti, enc, seed=0, subset_size=0)
         with pytest.raises(ValueError):
-            evaluate_three_splits(data.videos, data.labels, texts, sti, enc, seed=0, subset_size=-1)
+            evaluate_three_splits(chunks, data.labels, texts, sti, enc, seed=0, subset_size=-1)
         with pytest.raises(ValueError, match="exceeds"):
             evaluate_three_splits(
-                data.videos, data.labels, texts, sti, enc, seed=0, subset_size=len(texts) + 1
+                chunks, data.labels, texts, sti, enc, seed=0, subset_size=len(texts) + 1
             )
 
     def test_default_subset_scores_one_split(self, clean_corpus_setup, monkeypatch):
@@ -219,12 +221,12 @@ class TestThreeSplitProtocol:
         labels = np.tile(data.labels, 5)
         calls = []
 
-        def counting_score_matrix(batch, *args):
-            calls.append(len(batch.videos))
-            return score_matrix(batch, *args)
+        def counting_score_matrix(raw, *args):
+            calls.append(len(raw))
+            return score_matrix(raw, *args)
 
         monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
-        report = evaluate_three_splits(videos, labels, texts, sti, enc, seed=1)
+        report = evaluate_three_splits(stacked_chunks(videos), labels, texts, sti, enc, seed=1)
         assert calls == [64, 16]
         assert report.per_split[0].top1 == report.per_split[1].top1 == report.per_split[2].top1
         assert report.top1_std == 0.0 and report.top5_std == 0.0
@@ -244,9 +246,9 @@ class TestThreeSplitProtocol:
                 float(_topk_hits(scores, labels, 5).mean()))
         calls = []
 
-        def counting_score_matrix(batch, *args):
-            calls.append(len(batch.videos))
-            return score_matrix(batch, *args)
+        def counting_score_matrix(raw, *args):
+            calls.append(len(raw))
+            return score_matrix(raw, *args)
 
         monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
         assert evaluate_split(videos, labels, texts, sti, enc) == want
@@ -262,18 +264,18 @@ class TestThreeSplitProtocol:
         enc = EncoderParams.random(corpus.spec.seed, corpus.spec.dim, seed=100)
         sti = STIParameters.random_init(corpus.spec.dim, seed=200)
         texts = [ct.sequence for ct in data.class_texts]
-        assert len(texts) == 4
+        assert len(texts) == 4 and len(data.videos) <= 64  # one chunk
         calls = []
 
-        def counting_evaluate_split(*args):
-            calls.append(args)
-            return evaluate_split(*args)
+        def counting_score_matrix(raw, class_texts, *args):
+            calls.append(len(class_texts))
+            return score_matrix(raw, class_texts, *args)
 
-        monkeypatch.setattr(evaluation, "evaluate_split", counting_evaluate_split)
+        monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
         report = evaluate_three_splits(
-            data.videos, data.labels, texts, sti, enc, seed=seed, subset_size=2
+            stacked_chunks(data.videos), data.labels, texts, sti, enc, seed=seed, subset_size=2
         )
-        assert len(calls) == scored
+        assert calls == [2] * scored
         for split in report.per_split:
             chosen = sorted(sample_category_subset(list(range(4)), 2, seed * 10 + split.split_id))
             keep = [i for i, label in enumerate(data.labels) if int(label) in chosen]
@@ -283,6 +285,38 @@ class TestThreeSplitProtocol:
                 [texts[c] for c in chosen], sti, enc,
             )
             assert (split.top1, split.top5) == (top1, top5)
+
+    def test_one_pass_scores_a_split_as_its_own_videos_would(self, monkeypatch):
+        # 40 large videos in five 8-video chunks; a 2-class split keeps some
+        # rows of each chunk and scores them as the split's own videos score
+        rng = np.random.default_rng(4)
+        videos = [FrameEmbeddingSet.from_raw(rng.standard_normal((16, 32, 64)))
+                  for _ in range(40)]
+        labels = rng.integers(0, 5, size=len(videos))
+        texts = [text_of(rng.standard_normal((3, 64))) for _ in range(5)]
+        enc = EncoderParams.random(0, 64, seed=8)
+        sti = STIParameters.random_init(64, seed=9)
+        report = evaluate_three_splits(
+            stacked_chunks(videos), labels, texts, sti, enc, seed=3, subset_size=2
+        )
+        for split in report.per_split:
+            chosen = sorted(sample_category_subset(list(range(5)), 2, 30 + split.split_id))
+            keep = [i for i, label in enumerate(labels) if int(label) in chosen]
+            want = evaluate_split(
+                [videos[i] for i in keep], np.array([chosen.index(int(labels[i])) for i in keep]),
+                [texts[c] for c in chosen], sti, enc,
+            )
+            assert (split.top1, split.top5) == want
+
+    def test_more_chunked_videos_than_labels_fails(self, clean_corpus_setup):
+        _, data, sti, enc = clean_corpus_setup
+        texts = [ct.sequence for ct in data.class_texts]
+        with pytest.raises(ValueError, match="labels"):
+            evaluate_three_splits(stacked_chunks(data.videos), data.labels[:-1], texts, sti,
+                                  enc, seed=0)
+        with pytest.raises(ValueError, match="labels"):
+            evaluate_three_splits(stacked_chunks(data.videos[:-1]), data.labels, texts, sti,
+                                  enc, seed=0)
 
     def test_metric_report_invariants(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 """Peak-memory guards, measured with tracemalloc (which sees numpy's array
 buffers): training gathers one batch at a time, and evaluation scores
-byte-bounded chunks, so neither holds a dense copy of its whole video set;
+byte-bounded chunks, so neither holds a dense copy of its whole video set
+(``stilab eval`` reads its class group from videos.bin one chunk at a time);
 backward frees each tape record's saved arrays as it goes, and the fused
 MaxSim encodes and projects the patches chunk by chunk and keeps only its
 winning rows, which bounds one training step's working set."""
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 
+from stilab import cli
 from stilab.autodiff import parameter_gradients
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import evaluate_split
@@ -64,6 +68,28 @@ def test_evaluate_split_peaks_below_64_large_videos():
     feature_bytes = sum(video.patch_embeddings.nbytes for video in videos)
     texts = random_texts(rng, 6, 64)
     assert peak_bytes(lambda: evaluate_split(videos, labels, texts, sti, enc)) < feature_bytes
+
+
+def test_cli_eval_peaks_below_half_its_class_group(tmp_path):
+    # 80 seen videos of 16 x 32 x 64 hold 21 MB of features; eval streams
+    # them from videos.bin in 2 MiB chunks of 8 videos
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main([str(a) for a in argv])
+
+    assert run("synth", "--out-dir", tmp_path, "--seed", 1, "--videos-per-class", 10,
+               "--frames", 16, "--patches-per-frame", 32, "--dim", 64) == 0
+    corpus = tmp_path / "corpus"
+    assert run("train", "--corpus", corpus, "--out-dir", tmp_path / "train", "--seed", 1,
+               "--epochs", 1, "--batch-size", 32) == 0
+    codes = []
+    peak = peak_bytes(lambda: codes.append(run(
+        "eval", "--corpus", corpus, "--checkpoint", tmp_path / "train" / "checkpoint.stickpt",
+        "--out-dir", tmp_path / "eval", "--mode", "seen",
+    )))
+    assert codes == [0]
+    group_bytes = 8 * 10 * 16 * 32 * 64 * 8  # seen classes x videos x values x 8 bytes
+    assert peak < group_bytes / 2
 
 
 def test_training_step_peaks_below_five_batches():

@@ -164,6 +164,16 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             score_matrix(mixed, texts, sti, enc)
 
+    def test_stacked_raw_features_score_as_their_batch(self):
+        rng = np.random.default_rng(7)
+        batch, texts, sti, enc = make_setup(rng, b=3, k=2)
+        raw = np.stack([video.patch_embeddings for video in batch.videos])
+        assert np.array_equal(score_matrix(raw, texts, sti, enc),
+                              score_matrix(batch, texts, sti, enc))
+        raw[1, 0, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            score_matrix(raw, texts, sti, enc)
+
     def test_mean_pool_toggles_ignore_text_content(self):
         rng = np.random.default_rng(6)
         batch, texts, sti, enc = make_setup(rng, b=2, k=2)
