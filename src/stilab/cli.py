@@ -371,17 +371,17 @@ def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
     # one video is scored, so the other videos' values are not read
     corpus = load_corpus(args.corpus, lambda video_id, _: video_id == args.video_id)
     _, config, enc, sti = _load_model(args, corpus)
-    by_id = {video.video_id: video for video in corpus.videos}
-    if args.video_id not in by_id:
+    if not corpus.videos:
         raise CliError(f"unknown video id {args.video_id!r}")
+    (video,) = corpus.videos  # video ids are unique
     names = [cls.name for cls in corpus.classes]
     if args.class_name not in names:
         raise CliError(f"unknown class name {args.class_name!r}")
     class_index = names.index(args.class_name)
     text = prepare_class_texts(corpus, (class_index,), config.num_attributes, enc).texts[0]
-    video = FrameEmbeddingSet.from_raw(by_id[args.video_id].features)
+    frames = FrameEmbeddingSet.from_raw(video.features)
     out_path = args.out_dir / f"saliency_{args.video_id}_{args.class_name}.csv"
-    export_saliency(video, text.sequence, sti, enc, out_path, toggles=config.toggles)
+    export_saliency(frames, text.sequence, sti, enc, out_path, toggles=config.toggles)
     results = {"video_id": args.video_id, "class_name": args.class_name}
     return [out_path], results, corpus.fingerprint
 

@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import embed_io
 from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import ClassDescription, parse_description_corpus
-from .embed_io import load_embeddings, read_records, save_embeddings
+from .embed_io import read_records, save_embeddings
 from .encoders import token_vector
 
 Array = np.ndarray
+# a re-export: perfbench/tracing.py wraps it under this name
+load_embeddings = embed_io.load_embeddings
 
 CONCEPT_VOCABULARY = (
     "ball", "rope", "water", "board", "horse", "drum", "kick", "spin",
@@ -380,116 +383,96 @@ class CorpusListing:
         """The features of the videos at ``positions``, in file order, from
         one pass over videos.bin: (n, T, N_p, D) chunks of at most
         ``chunk_videos`` videos, each a view of one array that the next
-        chunk overwrites. Each record is checked as ``load_corpus`` checks
-        it before its chunk is yielded, and raises the same errors."""
+        chunk overwrites. This is the one reader of videos.bin records.
+
+        Every record header is read and checked, so a malformed videos.bin
+        raises its reader's own typed errors, whatever else is wrong. Only
+        the kept records' values are read, and each kept record's bytes
+        must hash to the sha256 that corpus.json lists for it before its
+        chunk is yielded; the other records' values are passed over unread,
+        so a changed byte there goes unseen. Every video, kept or not, must
+        have a record header with the spec's (T, N_p, D). Once a record
+        disagrees with corpus.json, no more values are read and no more
+        chunks are yielded; after the last header, a ValueError naming
+        corpus.json reports a count that differs from the listed one, or
+        else the first disagreeing record.
+        """
         kept = set(positions)
         buffer = np.empty((chunk_videos, *self.video_shape))
         filled = 0
+        disagreement = None  # the first record that disagrees with corpus.json
 
         def into(position, shape):
-            if position < len(self.video_ids):  # the count is checked at the end
-                self._check_shape(position, shape)
-            return buffer[filled] if position in kept else None
+            nonlocal disagreement
+            listed = position < len(self.video_ids)  # the count is checked at the end
+            if disagreement is None and listed and shape != self.video_shape:
+                disagreement = (f"video {self.video_ids[position]!r} has features of shape "
+                                f"{shape}, corpus spec expects {self.video_shape}")
+            return buffer[filled] if disagreement is None and position in kept else None
 
-        with _metadata_errors(self.directory):
-            count = 0
-            for position, (values, digest) in enumerate(
-                read_records(self.directory / VIDEOS_FILENAME, into)
-            ):
-                count = position + 1
-                if values is not None:
-                    self._check_digest(position, digest)
-                    filled += 1
-                    if filled == chunk_videos:
-                        yield buffer
-                        filled = 0
-            self._check_count(count)
-            if filled:
-                yield buffer[:filled]
-
-    def _check_count(self, held: int) -> None:
+        held = 0
+        for position, (values, digest) in enumerate(
+            read_records(self.directory / VIDEOS_FILENAME, into)
+        ):
+            held = position + 1
+            if values is None:
+                continue
+            if digest != self.digests[position]:
+                disagreement = (f"video {self.video_ids[position]!r}: its {VIDEOS_FILENAME} "
+                                f"record has sha256 {digest}, corpus.json lists "
+                                f"{self.digests[position]}")
+                continue
+            filled += 1
+            if filled == chunk_videos:
+                yield buffer
+                filled = 0
         if held != len(self.video_ids):
-            raise ValueError(f"corpus metadata lists {len(self.video_ids)} videos, "
-                             f"container holds {held}")
-
-    def _check_shape(self, position: int, shape: tuple[int, ...]) -> None:
-        if shape != self.video_shape:
-            raise ValueError(f"video {self.video_ids[position]!r} has features of shape {shape}, "
-                             f"corpus spec expects {self.video_shape}")
-
-    def _check_digest(self, position: int, digest: str) -> None:
-        if digest != self.digests[position]:
-            raise ValueError(
-                f"video {self.video_ids[position]!r}: its {VIDEOS_FILENAME} record has sha256 "
-                f"{digest}, corpus metadata lists {self.digests[position]}"
-            )
-
-
-@contextmanager
-def _metadata_errors(corpus_dir: Path):
-    """Raise a malformed entry's error as a ValueError naming corpus.json."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        metadata_path = corpus_dir / METADATA_FILENAME
-        raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
+            disagreement = f"lists {len(self.video_ids)} videos, {VIDEOS_FILENAME} holds {held}"
+        if disagreement is not None:
+            raise ValueError(f"{self.directory / METADATA_FILENAME}: {disagreement}")
+        if filled:
+            yield buffer[:filled]
 
 
 def read_listing(corpus_dir) -> CorpusListing:
     """Parse corpus.json and descriptions.jsonl, reading each once, and
     carry the corpus fingerprint, ``corpus_fingerprint(corpus_dir)``,
     computed from the bytes read here. Malformed metadata, including a
-    missing or mistyped entry and one that disagrees with descriptions.jsonl,
-    raises ValueError naming corpus.json; a malformed descriptions.jsonl
-    raises its reader's own typed errors. Every video must have valid patch
-    concepts and a well-formed sha256."""
+    missing or mistyped entry, a repeated video id and one that disagrees
+    with descriptions.jsonl, raises ValueError naming corpus.json; a
+    malformed descriptions.jsonl raises its reader's own typed errors.
+    Every video must have valid patch concepts and a well-formed sha256."""
     corpus_dir = Path(corpus_dir)
-    with _metadata_errors(corpus_dir):
+    try:
         return _parse_listing(corpus_dir, Fingerprint(_fingerprinted_files(corpus_dir)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        metadata_path = corpus_dir / METADATA_FILENAME
+        raise ValueError(f"{metadata_path}: malformed corpus metadata: {exc!r}") from exc
 
 
 def load_corpus(corpus_dir, keep=None) -> SyntheticCorpus:
     """Load a corpus directory written by save_corpus, reading each file once:
-    ``read_listing``, then the kept videos' features.
-
-    Malformed metadata, including one that disagrees with videos.bin,
-    raises ValueError naming corpus.json; a malformed videos.bin raises its
-    reader's own typed errors.
+    ``read_listing``, then the kept videos' features, collected from
+    ``CorpusListing.features`` and checked as it checks them.
 
     ``keep(video_id, cls)``, given each video's id and CorpusClass,
     selects the videos whose features are kept: those it returns true for
     (``lambda _, cls: cls.seen`` keeps the seen group), or all of them when
     ``keep`` is None. ``videos`` holds the kept videos, in file order, each
-    with its own int64 copy of its patch concepts. Only the kept videos'
-    features are read from videos.bin, and each kept record's bytes must
-    hash to the sha256 that corpus.json lists for it; the other records'
-    values are passed over unread, so a changed byte there goes unseen.
-    Every video, kept or not, must have a record header with the spec's
-    (T, N_p, D).
+    with its own int64 copy of its patch concepts; their features are rows
+    of one block.
     """
     listing = read_listing(corpus_dir)
-    shapes: list[tuple[int, ...]] = []
-    found: list[str | None] = []
-    with _metadata_errors(listing.directory):
-        features_list = load_embeddings(
-            listing.directory / VIDEOS_FILENAME, set(listing.positions(keep)), shapes, found
-        )
-        listing._check_count(len(features_list))
-        for position, shape in enumerate(shapes):
-            listing._check_shape(position, shape)
-        for position, digest in enumerate(found):
-            if digest is not None:
-                listing._check_digest(position, digest)
+    kept = listing.positions(keep)
+    features = [video for chunk in listing.features(kept, max(1, len(kept))) for video in chunk]
     videos = [
         VideoSample(
-            video_id=video_id,
-            class_index=class_index,
-            features=features,
-            patch_concepts=concepts.astype(np.int64),
+            video_id=listing.video_ids[position],
+            class_index=listing.labels[position],
+            features=video_features,
+            patch_concepts=listing.patch_concepts[position].astype(np.int64),
         )
-        for video_id, class_index, features, concepts
-        in zip(listing.video_ids, listing.labels, features_list, listing.patch_concepts)
-        if features is not None
+        for position, video_features in zip(kept, features, strict=True)
     ]
     return replace(listing.corpus, videos=videos)
 
@@ -587,6 +570,9 @@ def _parse_listing(corpus_dir: Path, files: Fingerprint) -> CorpusListing:
 
     entries = meta["videos"]
     video_ids = [_typed(entry, "video_id", str) for entry in entries]
+    repeated = [video_id for video_id, n in Counter(video_ids).items() if n > 1]
+    if repeated:
+        raise ValueError(f"video id {repeated[0]!r} is listed more than once")
     labels = [_typed(entry, "class_index", int) for entry in entries]
     listed = [_typed(entry, "sha256", str) for entry in entries]
     for video_id, digest in zip(video_ids, listed):

@@ -127,24 +127,15 @@ def read_records(path, into) -> Iterator[tuple[np.ndarray | None, str | None]]:
             yield record
 
 
-def load_embeddings(path, keep=None, shapes=None, digests=None) -> list[np.ndarray | None]:
+def load_embeddings(path, keep=None) -> list[np.ndarray | None]:
     """Read the records of a container file, in order, as writeable
-    C-contiguous float64 arrays: the list of what ``read_records`` yields.
+    C-contiguous float64 arrays: the values ``read_records`` yields.
 
     With ``keep``, a set of record indices, only those records' values are
     read: the reader seeks past the others, which stand as ``None`` in the
-    list. A ``shapes`` list gets every record's (T, N_p, D) appended, kept
-    or not; a ``digests`` list gets each kept record's sha256
-    (``_fileio.record_sha256``) and ``None`` for each other record.
+    list.
     """
     def into(index, shape):
-        if shapes is not None:
-            shapes.append(shape)
         return np.empty(shape) if keep is None or index in keep else None
 
-    out: list[np.ndarray | None] = []
-    for values, digest in read_records(path, into):
-        out.append(values)
-        if digests is not None:
-            digests.append(digest)
-    return out
+    return [values for values, _ in read_records(path, into)]

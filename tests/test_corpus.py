@@ -15,9 +15,12 @@ from stilab.corpus import (
     corpus_fingerprint,
     generate_synthetic_corpus,
     load_corpus,
+    read_listing,
     save_corpus,
 )
-from stilab.embed_io import MAGIC, EmbeddingIOError, load_embeddings, save_embeddings
+from stilab.embed_io import (
+    MAGIC, EmbeddingIOError, HeaderFormatError, load_embeddings, save_embeddings,
+)
 from stilab.encoders import tokenize
 from stilab.trainer import TrainConfig, save_checkpoint
 from stilab.workflow import train_on_corpus
@@ -396,11 +399,16 @@ def value_offset(data: bytes, index: int) -> int:
     return end
 
 
+def flipped_value_bit(data: bytes, index: int) -> bytes:
+    """``data`` with the lowest bit of the first value of record ``index`` flipped."""
+    changed = bytearray(data)
+    changed[value_offset(data, index)] ^= 0x01
+    return bytes(changed)
+
+
 def flip_value_bit(path, index: int) -> None:
     """Flip the lowest bit of the first value of record ``index``."""
-    data = bytearray(path.read_bytes())
-    data[value_offset(data, index)] ^= 0x01
-    path.write_bytes(bytes(data))
+    path.write_bytes(flipped_value_bit(path.read_bytes(), index))
 
 
 class TestRecordDigests:
@@ -481,8 +489,11 @@ class TestLoadedFeatures:
         lambda data: data.replace(b"\n2 4 6 16\n", b"\n3 4 6 16\n", 1),
         lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 16 \n", 1),
         lambda data: b"STIEMB2" + data[7:],
-    ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic"])
-    # the corruptions hit the first or the last record, neither of them kept
+        # record 1, kept on every path, no longer hashes to its listed sha256
+        lambda data: flipped_value_bit(data, 1)[:-5],
+    ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic",
+            "changed-value-then-truncated"])
+    # the other corruptions hit the first or the last record, which "one-kept" does not keep
     @pytest.mark.parametrize("keep", [None, lambda video_id, _: video_id == "vid00_001"],
                              ids=["all", "one-kept"])
     def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt, keep):
@@ -491,10 +502,72 @@ class TestLoadedFeatures:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(EmbeddingIOError) as direct:
             load_embeddings(path)
-        with pytest.raises(EmbeddingIOError) as through_corpus:
-            load_corpus(tmp_path, keep)
-        assert type(through_corpus.value) is type(direct.value)
-        assert str(through_corpus.value) == str(direct.value)
+        listing = read_listing(tmp_path)
+        readers = [
+            lambda: load_corpus(tmp_path, keep),
+            lambda: list(listing.features(listing.positions(), 4)),
+            lambda: list(listing.features(listing.positions(lambda _, cls: cls.seen), 4)),
+        ]
+        for read in readers:
+            with pytest.raises(EmbeddingIOError) as through_corpus:
+                read()
+            assert type(through_corpus.value) is type(direct.value)
+            assert str(through_corpus.value) == str(direct.value)
+
+
+class TestFeatureStream:
+    """``CorpusListing.features``, the one reader of videos.bin records."""
+
+    SELECTIONS = {
+        "all": None,
+        "seen": lambda _, cls: cls.seen,
+        "scattered": named("vid00_001", "vid01_001", "vid01_002", "vid03_000", "vid05_002"),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 18])
+    @pytest.mark.parametrize("selection", sorted(SELECTIONS))
+    def test_chunks_hold_the_loaded_features_in_file_order(self, tmp_path, chunk, selection):
+        corpus_bytes(SMALL, tmp_path)
+        keep = self.SELECTIONS[selection]
+        listing = read_listing(tmp_path)
+        positions = listing.positions(keep)
+        chunks = [block.copy() for block in listing.features(positions, chunk)]
+        assert [len(block) for block in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= chunk
+        want = np.stack([video.features for video in load_corpus(tmp_path, keep).videos])
+        assert np.array_equal(np.concatenate(chunks), want)
+
+    def test_an_empty_selection_yields_nothing_but_checks_every_header(self, tmp_path):
+        files = corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        assert list(listing.features([], 4)) == []
+        data = files["videos.bin"]
+        header = b"2 4 6 16\n"
+        last = value_offset(data, len(listing.video_ids) - 1) - len(header)
+        assert data[last:last + len(header)] == header
+        (tmp_path / "videos.bin").write_bytes(data[:last] + b"3 4 6 16\n" + data[last + len(header):])
+        with pytest.raises(HeaderFormatError):
+            list(listing.features([], 4))
+
+    def test_no_chunk_follows_a_record_that_disagrees(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        flip_value_bit(tmp_path / "videos.bin", 1)
+        listing = read_listing(tmp_path)
+        yielded = []
+        with pytest.raises(ValueError, match=r"corpus\.json.*'vid00_001'.*videos\.bin"):
+            for block in listing.features(listing.positions(), 1):
+                yielded.append(block.copy())
+        assert len(yielded) == 1
+        assert np.array_equal(yielded[0][0], load_corpus(tmp_path, named("vid00_000")).videos[0].features)
+
+    def test_a_count_mismatch_is_reported_before_a_disagreeing_record(self, tmp_path):
+        corpus = generate_synthetic_corpus(SMALL)
+        save_corpus(corpus, tmp_path)
+        features = [video.features for video in corpus.videos[:-1]]
+        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
+        save_embeddings(tmp_path / "videos.bin", features)
+        with pytest.raises(ValueError, match=r"corpus\.json: lists 18 videos, videos\.bin holds 17"):
+            load_corpus(tmp_path)
 
 
 class TestSelectedVideos:
@@ -526,6 +599,16 @@ class TestSelectedVideos:
         assert picked.patch_concepts.flags.owndata
         assert picked.patch_concepts.dtype == np.int64
         assert np.array_equal(picked.patch_concepts, full.videos[3].patch_concepts)
+
+    def test_a_repeated_video_id_is_malformed_metadata(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        meta_path = tmp_path / "corpus.json"
+        meta = json.loads(meta_path.read_text())
+        meta["videos"][4]["video_id"] = "vid00_000"
+        meta_path.write_text(json.dumps(meta))
+        for read in (read_listing, lambda directory: load_corpus(directory, named("vid00_000"))):
+            with pytest.raises(ValueError, match=r"corpus\.json.*'vid00_000' is listed more than once"):
+                read(tmp_path)
 
     def test_an_unknown_id_keeps_no_video(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)

@@ -13,6 +13,7 @@ from stilab.embed_io import (
     HeaderFormatError,
     TruncatedPayloadError,
     load_embeddings,
+    read_records,
     save_embeddings,
 )
 
@@ -55,8 +56,8 @@ class TestRoundTrips:
 
 
 class TestKeep:
-    """With ``keep``, the records not kept stand as None: the reader seeks
-    past their values. Each kept record's sha256 is the one written."""
+    """The records not kept stand as None: the reader seeks past their
+    values. Each kept record's sha256 is the one written."""
 
     VIDEOS = [np.full((1, 2, 3), 1.0), np.full((2, 5, 4), 2.0), np.full((1, 2, 3), 3.0),
               np.full((3, 3, 5), 4.0)]
@@ -68,9 +69,11 @@ class TestKeep:
         records = ["2 {} {} {}\n".format(*v.shape).encode() + v.astype("<f8").tobytes()
                    for v in self.VIDEOS]
         assert written == [hashlib.sha256(record).hexdigest() for record in records]
-        read = []
-        loaded = load_embeddings(path, keep, digests=read)
+        pairs = list(read_records(path, lambda index, shape:
+                                  np.empty(shape) if index in keep else None))
+        read = [digest for _, digest in pairs]
         assert read == [digest if index in keep else None for index, digest in enumerate(written)]
+        loaded = [values for values, _ in pairs]
         assert len(loaded) == len(self.VIDEOS)
         for index, (got, want) in enumerate(zip(loaded, self.VIDEOS)):
             if index in keep:
