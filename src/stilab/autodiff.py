@@ -387,7 +387,11 @@ def maxsim(
     time, so every product is the one an unchunked ``np.matmul`` computes,
     bit for bit. Each segment takes one argmax over the row-major flattened
     (N_p, n_k) similarities of its own ``z @ W_kᵀ``, which resolves ties to
-    the smallest patch, then the smallest word of that segment.
+    the smallest patch, then the smallest word of that segment. The score is
+    read from the similarities at that argmax, so it is the winning pair's
+    similarity bit for bit. That settles the sign of a zero maximum: argmax
+    holds -0.0 and +0.0 equal, so the score has the sign of the first zero
+    in that order (a separate max over the row may return either sign).
 
     The record keeps only the winning rows of z (and of the patches, if the
     weight needs a gradient), and the backward touches those rows only.
@@ -440,15 +444,18 @@ def maxsim(
             if bias is not None:
                 z += bias.data
             np.maximum(z, 0.0, out=z)  # ReLU in place: -0.0 becomes +0.0, a NaN passes
+        rows = np.arange(z.shape[0])
         for k in range(count):
             flat = np.matmul(z, W[offsets[k]:offsets[k + 1]].T).reshape(z.shape[0], -1)
-            flat.argmax(axis=-1, out=best[chunk, k])
-            flat.max(axis=-1, out=best_sim[chunk, k])
+            winners = flat.argmax(axis=-1, out=best[chunk, k])
+            best_sim[chunk, k] = flat[rows, winners]
         if recorded:  # gather the winning rows by their index in the flattened chunk
-            won = best[chunk] // lengths + n_p * np.arange(z.shape[0])[:, None]
-            np.take(z.reshape(-1, dim), won, axis=0, out=z_won[chunk])
+            won = best[chunk] // lengths + n_p * rows[:, None]
+            # every index is in range, and "clip" writes straight into ``out``,
+            # which the default mode fills through a buffered copy
+            np.take(z.reshape(-1, dim), won, axis=0, out=z_won[chunk], mode="clip")
             if x_won is not None:
-                np.take(x.reshape(-1, width), won, axis=0, out=x_won[chunk])
+                np.take(x.reshape(-1, width), won, axis=0, out=x_won[chunk], mode="clip")
 
     out = best_sim.reshape(shape[:-2] + (count,))
     if segments is None:

@@ -9,6 +9,7 @@ from the single seed; identical flags reproduce identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import ctypes  # numpy has imported it already
 import dataclasses
 import json
 import os
@@ -56,19 +57,64 @@ from .workflow import (
 
 MANIFEST_FILENAME = "manifest.json"
 
+# glibc's heap policy. By default glibc raises its mmap threshold each time a
+# large block is freed, up to 32 MiB, sets the trim threshold to twice that,
+# and returns freed memory above it to the kernel; a training step frees its
+# arrays and the next step faults the same pages in again. Setting both
+# thresholds at the ceiling that dynamic rule reaches keeps the memory for
+# reuse. Setting either one turns the dynamic rule off for both, so both are
+# set. The policy changes where memory comes from, never a computed value.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, malloc.h
+HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_heap_policy: dict | None = None  # what the process did, once decided
+
 
 class CliError(Exception):
     pass
 
 
+def _malloc_variables() -> dict[str, str]:
+    """The environment's glibc malloc settings: every ``MALLOC_*_`` variable,
+    and ``GLIBC_TUNABLES`` if it names a ``glibc.malloc.*`` tunable."""
+    found = {name: value for name, value in os.environ.items()
+             if name.startswith("MALLOC_") and name.endswith("_")}
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        found["GLIBC_TUNABLES"] = os.environ["GLIBC_TUNABLES"]
+    return found
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None where there is none."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+
+
+def _apply_heap_policy() -> dict:
+    """Set ``HEAP_POLICY`` once per process, unless a malloc variable is
+    set (the user's setting wins) or there is no ``mallopt``; returns the
+    variables seen and whether the policy applied, for the manifest."""
+    global _heap_policy
+    if _heap_policy is None:
+        variables = _malloc_variables()
+        mallopt = None if variables else _mallopt()
+        applied = mallopt is not None and all(
+            mallopt(param, value) == 1 for param, value in HEAP_POLICY
+        )
+        _heap_policy = {"variables": variables, "policy_applied": applied}
+    return _heap_policy
+
+
 def _environment() -> dict:
-    """The numpy version, the BLAS numpy was built with, and the BLAS thread
-    variables as set (null when unset)."""
+    """The numpy version, the BLAS numpy was built with, the BLAS thread
+    variables as set (null when unset), and the heap policy's outcome."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "heap": _apply_heap_policy(),
     }
 
 
@@ -397,6 +443,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     started = time.time()
+    _apply_heap_policy()
     try:
         args = _parse_args(argv if argv is not None else sys.argv[1:])
         args.out_dir.mkdir(parents=True, exist_ok=True)

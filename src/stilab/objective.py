@@ -110,6 +110,7 @@ def score_matrix_nodes(
     word_weight: TapeTensor,
     tau_saliency: float,
     toggles: InteractionToggles,
+    patch_means: TapeTensor | None = None,
 ) -> TapeTensor:
     """Build the (B, K) cosine score matrix on a tape.
 
@@ -120,7 +121,9 @@ def score_matrix_nodes(
     array is built. The K classes' word embeddings are concatenated into one
     (ΣN_w, D) matrix with one segment per class, so a single interaction
     pass yields every class's (B, K, D) feature; its row-wise cosine with
-    the K unit class embeddings gives the scores.
+    the K unit class embeddings gives the scores. ``patch_means``, the
+    constant (B, T, D) raw patch means when the caller holds them, spares
+    the pass its own mean over the patches (see ``sti_pipeline_nodes``).
     """
     if len(class_word_embeddings) != len(class_embeddings):
         raise ValueError("need one word-embedding matrix per class embedding")
@@ -134,6 +137,7 @@ def score_matrix_nodes(
         tau_saliency=tau_saliency,
         toggles=toggles,
         segments=segments,
+        patch_means=patch_means,
     )
     units = np.stack([_unit(np.asarray(embedding)) for embedding in class_embeddings])
     normalized = ad.l2_normalize(nodes["feature"], axis=-1)  # (B, K, D) or (B, 1, D)

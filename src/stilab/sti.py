@@ -199,6 +199,7 @@ def sti_pipeline_nodes(
     tau_saliency: float,
     toggles: InteractionToggles,
     segments=None,
+    patch_means: TapeTensor | None = None,
 ) -> dict[str, TapeTensor | None]:
     """Full interaction pipeline on a tape, for every segment of words at once.
 
@@ -218,10 +219,16 @@ def sti_pipeline_nodes(
     ``patches`` with the video ``encoder`` pair (W_v, b). The encoder is
     affine and the patch projection linear, so the spatial stage scores the
     raw patches through the folded map ReLU(raw . (W_v W_p) + b W_p), and the
-    frames are the encoded patch means, mean_p(raw) . W_v + b.
+    frames are the encoded patch means, mean_p(raw) . W_v + b. A caller that
+    already holds the raw means, as ``np.mean`` over the patch axis computes
+    them, may pass them as the (..., T, D) constant ``patch_means``; the pass
+    then does not read the patches for them, and the patches must be a
+    constant too.
     """
     if (frames is None) == (encoder is None):
         raise ValueError("give either frames or an encoder, not both or neither")
+    if patch_means is not None and (encoder is None or patches.requires_grad):
+        raise ValueError("patch_means stand in for the raw means of constant patches only")
     if words.shape[0] < 1:
         raise ShapeMismatchError("need at least one attribute word embedding")
     one_segment = segments is None
@@ -232,7 +239,13 @@ def sti_pipeline_nodes(
     patch_bias = None
     if encoder is not None:
         video_weight, video_bias = encoder
-        frames = ad.add(ad.matmul(ad.mean_reduce(patches, axis=-2), video_weight), video_bias)
+        if patch_means is None:
+            patch_means = ad.mean_reduce(patches, axis=-2)
+        elif patch_means.shape != patches.shape[:-2] + patches.shape[-1:]:
+            raise ShapeMismatchError(
+                f"patch_means {patch_means.shape} are not the means of patches {patches.shape}"
+            )
+        frames = ad.add(ad.matmul(patch_means, video_weight), video_bias)
         if toggles.spatial:
             row = ad.reshape(video_bias, (1,) + video_bias.shape)  # matmul takes (..., m, k)
             patch_bias = ad.reshape(ad.matmul(row, patch_weight), patch_weight.shape[1:])

@@ -233,11 +233,14 @@ def training_step_loss(
     batch_labels: Array,
     data: TrainingData,
     config: TrainConfig,
+    patch_means: Array | None = None,
 ):
     """Build one training step's loss graph; returns the scalar tensor.
 
-    The (B, B) in-batch matrix is assembled from one column per *unique*
-    label and then gathered per instance, which preserves the exact
+    ``patch_means`` are the batch's (B, T, D) raw patch means, if the caller
+    holds them; without them the step takes them from ``raw_batch``, to the
+    same bits. The (B, B) in-batch matrix is assembled from one column per
+    *unique* label and then gathered per instance, which preserves the exact
     duplicate-column semantics of the loss denominator.
     """
     tape = Tape()
@@ -256,6 +259,7 @@ def training_step_loss(
         word_weight=leaves[PARAM_WORD_WEIGHT],
         tau_saliency=config.tau_saliency,
         toggles=config.toggles,
+        patch_means=None if patch_means is None else tape.constant(patch_means),
     )
     scores = ad.index_select(unique_scores, column_of, axis=1)  # (B, B)
     tau = temperature_node(tape, leaves[PARAM_LOG_TAU])
@@ -277,7 +281,9 @@ def fit(
 
     Deterministic given (seed, config, data): the epoch shuffle derives from
     (seed, epoch) and every reduction runs in a fixed order. The frozen text
-    side is fingerprinted before and after as a hard guarantee.
+    side is fingerprinted before and after as a hard guarantee. Each video's
+    raw patch mean, which the encoded frames start from, is computed once
+    per fit rather than once per step; a step gathers its batch's rows.
     """
     store = store if store is not None else default_parameter_store(data.dim)
     optimizer = optimizer if optimizer is not None else OptimizerState.for_store(store)
@@ -286,6 +292,8 @@ def fit(
     frozen_before = text_fingerprint(ct.sequence for ct in data.class_texts)
     labels = data.labels
     count = len(data.videos)
+    # the same bits as the step's own mean over the stacked batch
+    patch_means = np.stack([np.mean(video.patch_embeddings, axis=-2) for video in data.videos])
 
     for epoch in range(start_epoch, config.epochs):
         order = _epoch_order(config.seed, epoch, count)
@@ -294,7 +302,9 @@ def fit(
             batch_idx = order[start : start + config.batch_size]
             # one batch is gathered at a time; the training set is never copied whole
             raw_batch = np.stack([data.videos[i].patch_embeddings for i in batch_idx])
-            total = training_step_loss(store, raw_batch, labels[batch_idx], data, config)
+            total = training_step_loss(
+                store, raw_batch, labels[batch_idx], data, config, patch_means[batch_idx]
+            )
             value = float(total.data)
             if not np.isfinite(value):
                 raise NonFiniteLossError(

@@ -555,6 +555,71 @@ class TestProjectedMaxSim:
             )
 
 
+def maxsim_winners(patches, words, segments, weight=None):
+    """The scores of ``ad.maxsim`` and, per score, the winning (patch, word)
+    pair it reports: the one patch row and the one word row that a backward
+    of that score alone reaches."""
+    scores = None
+    p_won, w_won = {}, {}
+    for index in np.ndindex(patches.shape[:-2] + (len(segments) - 1,)):
+        tape = Tape()
+        p, w = tape.leaf(patches), tape.leaf(words)
+        out = ad.maxsim(p, w, segments, weight=None if weight is None else tape.constant(weight))
+        upstream = np.zeros(out.shape)
+        upstream[index] = 1.0
+        grads = tape.backward(ad.sum_reduce(ad.mul(out, tape.constant(upstream))))
+        (patch_rows,) = np.nonzero(np.any(grads[p.tid][index[:-1]] != 0.0, axis=-1))
+        (word_rows,) = np.nonzero(np.any(grads[w.tid] != 0.0, axis=-1))
+        assert patch_rows.size == word_rows.size == 1, index
+        p_won[index], w_won[index] = int(patch_rows[0]), int(word_rows[0])
+        scores = out.data
+    return scores, p_won, w_won
+
+
+class TestMaxSimWinners:
+    """Every score is, bit for bit, the similarity of the winner that the
+    backward reaches, and that winner is the first maximum in row-major
+    (patch, word) order: on tied maxima, and on a maximum that is a zero."""
+
+    def instances(self):
+        rng = np.random.default_rng(70)
+        # small positive integers: ties within and across patch rows, and no
+        # zero row, so every winner shows in both gradients
+        yield (rng.integers(1, 3, size=(3, 2, 5, 3)).astype(float),
+               rng.integers(1, 3, size=(7, 3)).astype(float), [0, 3, 4, 7], None)
+        # matrix 0 scores zeros only; matrix 1 has negative similarities and
+        # a zero maximum, with -0.0 among the patch values
+        patches = np.array([
+            [[-0.0, 1.0], [0.0, 2.0], [-0.0, -1.0]],
+            [[-1.0, 5.0], [-0.0, 3.0], [0.0, 1.0]],
+        ])
+        yield patches, np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), [0, 2, 3], None
+        yield (rng.standard_normal((2, 3, 6, 4)), rng.standard_normal((5, 3)), [0, 2, 5],
+               rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("chunk_values", [ad.MAXSIM_CHUNK_VALUES, 1])
+    def test_each_score_is_its_winners_similarity(self, monkeypatch, chunk_values):
+        monkeypatch.setattr(ad, "MAXSIM_CHUNK_VALUES", chunk_values)
+        for patches, words, segments, weight in self.instances():
+            scores, p_won, w_won = maxsim_winners(patches, words, segments, weight)
+            for index, score in np.ndenumerate(scores):
+                z = patches[index[:-1]]
+                if weight is not None:
+                    z = np.maximum(np.matmul(z, weight), 0.0)
+                lo, hi = segments[index[-1]], segments[index[-1] + 1]
+                sims = np.matmul(z, words[lo:hi].T)
+                first = np.unravel_index(np.argmax(sims), sims.shape)
+                assert (p_won[index], w_won[index] - lo) == first, index
+                winner = sims[p_won[index], w_won[index] - lo]
+                assert score.tobytes() == winner.tobytes(), index  # sign of a zero included
+
+    def test_the_signed_zero_instance_has_zero_maxima(self):
+        _, (patches, words, segments, _), _ = self.instances()
+        scores, _, _ = maxsim_winners(patches, words, segments)
+        assert np.array_equal(scores, [[0.0, 0.0], [0.0, 0.0]])
+        assert patches[1, 1, 0] == 0.0 and np.signbit(patches[1, 1, 0])
+
+
 BIASED_LEAF_CHOICES = [
     choice for choice in itertools.product((True, False), repeat=4) if any(choice)
 ]

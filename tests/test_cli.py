@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import typing
@@ -686,6 +687,14 @@ def without_thread_variables(**settings) -> dict:
     return {**env, "PYTHONPATH": SRC, **settings}
 
 
+def stilab_cli(env, *argv):
+    """One CLI command in a fresh process; returns the minor page faults it took."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "stilab.cli", *map(str, argv)], env=env,
+                   capture_output=True, check=True, timeout=300)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
 class TestBlasThreadPin:
     @pytest.mark.parametrize("settings, seen", [
         ({}, ["1", "1", "1"]),
@@ -707,10 +716,6 @@ class TestBlasThreadPin:
         """On a shape whose GEMMs a second OpenBLAS thread would split, a
         run that sets no thread variable writes the bytes of a run at one
         thread: the checkpoint, loss.csv and the saliency CSV."""
-        def stilab_cli(env, *argv):
-            subprocess.run([sys.executable, "-m", "stilab.cli", *map(str, argv)], env=env,
-                           capture_output=True, check=True, timeout=300)
-
         corpus = tmp_path / "synth" / "corpus"
         stilab_cli(without_thread_variables(), "synth", "--seed", 1, "--out-dir", corpus.parent,
                    "--frames", 16, "--patches-per-frame", 32, "--dim", 64)
@@ -728,6 +733,113 @@ class TestBlasThreadPin:
             artifacts[name] = [(out / file).read_bytes() for file in (
                 "checkpoint.stickpt", "loss.csv", f"saliency_{video_id}_{class_name}.csv")]
         assert artifacts["unset"] == artifacts["one"]
+
+
+def without_malloc_variables(**settings) -> dict:
+    """``without_thread_variables`` without glibc's malloc settings as well,
+    plus ``settings``."""
+    env = {k: v for k, v in without_thread_variables().items()
+           if not (k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")}
+    return {**env, **settings}
+
+
+HAS_MALLOPT = cli._mallopt() is not None
+POLICY_CALLS = [[-3, 32 << 20, 1], [-1, 64 << 20, 1]]  # (param, value, result) per mallopt call
+
+
+class TestHeapPolicy:
+    # One small synth through cli.main, with mallopt wrapped to record each
+    # call as (param, value, result); prints the calls and the manifest's
+    # heap record.
+    SPY = """
+import json, sys
+from pathlib import Path
+from stilab import cli
+
+calls, mallopt = [], cli._mallopt()
+
+def recording(param, value):
+    calls.append([param, value, mallopt(param, value)])
+    return calls[-1][2]
+
+cli._mallopt = lambda: None if mallopt is None else recording
+assert cli.main(["synth", "--out-dir", sys.argv[1], *sys.argv[2:]]) == 0
+manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text())
+print(json.dumps([calls, manifest["environment"]["heap"]]))
+"""
+
+    def spy(self, tmp_path, env):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SPY, str(tmp_path / "out"), *SMALL_SYNTH],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return json.loads(result.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"GLIBC_TUNABLES": "glibc.rtld.optional_static_tls=512"},
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"MALLOC_TOP_PAD_": "0"},
+        {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=65536"},
+    ])
+    def test_main_applies_the_policy_unless_a_malloc_variable_is_set(self, tmp_path, settings):
+        calls, heap = self.spy(tmp_path, without_malloc_variables(**settings))
+        malloc = {k: v for k, v in settings.items() if k.startswith("MALLOC_")
+                  or "glibc.malloc." in v}
+        applies = HAS_MALLOPT and not malloc
+        assert cli.HEAP_POLICY == ((-3, 32 << 20), (-1, 64 << 20))
+        assert calls == (POLICY_CALLS if applies else [])
+        assert heap == {"variables": malloc, "policy_applied": applies}
+
+    def test_a_missing_mallopt_is_a_recorded_no_op(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_heap_policy", None)  # as in a fresh process
+        monkeypatch.setattr(cli, "_mallopt", lambda: None)
+        for name in list(os.environ):
+            if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+                monkeypatch.delenv(name)
+        assert run_cli("synth", "--out-dir", tmp_path, *SMALL_SYNTH) == 0
+        environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert environment["heap"] == {"variables": {}, "policy_applied": False}
+
+    def test_artifacts_do_not_depend_on_the_policy(self, tmp_path):
+        """A run with the policy and one with a malloc variable set (so no
+        policy, and glibc's 128 KiB thresholds held fixed) write the same
+        checkpoint, loss.csv and saliency bytes."""
+        corpus = tmp_path / "synth" / "corpus"
+        stilab_cli(without_malloc_variables(), "synth", "--seed", 2, "--out-dir", corpus.parent,
+                   "--videos-per-class", 6)
+        meta = json.loads((corpus / "corpus.json").read_text())
+        video_id, class_name = meta["videos"][-1]["video_id"], meta["classes"][-1]["name"]
+        artifacts = {}
+        for name, env in (("policy", without_malloc_variables()),
+                          ("glibc", without_malloc_variables(MALLOC_TRIM_THRESHOLD_="131072"))):
+            out = tmp_path / name
+            stilab_cli(env, "train", "--seed", 2, "--corpus", corpus, "--out-dir", out,
+                       "--epochs", 3, "--batch-size", 8)
+            stilab_cli(env, "saliency", "--corpus", corpus, "--checkpoint",
+                       out / "checkpoint.stickpt", "--out-dir", out,
+                       "--video-id", video_id, "--class-name", class_name)
+            heap = json.loads((out / "manifest.json").read_text())["environment"]["heap"]
+            assert heap["policy_applied"] == (name == "policy" and HAS_MALLOPT)
+            artifacts[name] = [(out / file).read_bytes() for file in (
+                "checkpoint.stickpt", "loss.csv", f"saliency_{video_id}_{class_name}.csv")]
+        assert artifacts["policy"] == artifacts["glibc"]
+
+    @pytest.mark.skipif(not HAS_MALLOPT, reason="no mallopt: the heap policy cannot apply")
+    def test_later_epochs_take_almost_no_page_faults(self, tmp_path):
+        """On the default corpus, three more epochs (30 more steps) add under
+        2,000 minor faults to a fresh `train`; with glibc's dynamic
+        thresholds they added about 17,000, since every step faulted its
+        freed arrays in again."""
+        env = without_malloc_variables()
+        corpus = tmp_path / "synth" / "corpus"
+        stilab_cli(env, "synth", "--seed", 1, "--out-dir", corpus.parent)
+        faults = {
+            epochs: stilab_cli(env, "train", "--seed", 1, "--corpus", corpus,
+                               "--out-dir", tmp_path / f"train{epochs}", "--epochs", epochs)
+            for epochs in (1, 4)
+        }
+        assert faults[4] - faults[1] < 2_000, faults
 
 
 # Each command's parsed flags with only its required flags given: the keys in

@@ -441,6 +441,73 @@ class TestSegmentedScoreMatrix:
             )
 
 
+class TestPerFitMeans:
+    """``fit`` takes each video's raw patch mean once and hands a step its
+    batch's rows; the scores and every parameter gradient keep their bits."""
+
+    @staticmethod
+    def scores_and_grads(store, raw, word_sets, class_embeddings, toggles, patch_means):
+        tape = Tape()
+        leaves = store.leaves(tape)
+        scores = score_matrix_nodes(
+            tape,
+            raw_videos=tape.constant(raw),
+            class_word_embeddings=word_sets,
+            class_embeddings=class_embeddings,
+            video_weight=leaves[PARAM_VIDEO_WEIGHT],
+            video_bias=leaves[PARAM_VIDEO_BIAS],
+            patch_weight=leaves[PARAM_PATCH_WEIGHT],
+            word_weight=leaves[PARAM_WORD_WEIGHT],
+            tau_saliency=0.3,
+            toggles=toggles,
+            patch_means=None if patch_means is None else tape.constant(patch_means),
+        )
+        total = ad.sum_reduce(ad.mul(scores, tape.constant(np.ones(scores.shape))))
+        return scores.data, parameter_gradients(total, store)
+
+    @pytest.mark.parametrize("shape", [(8, 16, 32), (16, 32, 64), (1, 16, 32), (8, 1, 32),
+                                       (3, 5, 1)])
+    @pytest.mark.parametrize("toggles", [InteractionToggles(True, True),
+                                         InteractionToggles(False, True),
+                                         InteractionToggles(True, False)])
+    def test_scores_and_gradients_keep_their_bits(self, shape, toggles):
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        videos = [rng.standard_normal(shape) for _ in range(12)]
+        per_fit = np.stack([np.mean(video, axis=-2) for video in videos])  # as fit takes them
+        batch = [5, 0, 11, 3, 3]  # rows a step gathers, a repeat included
+        raw = np.stack([videos[i] for i in batch])
+        word_sets = [rng.standard_normal((n, d)) for n in (3, 1, 4)]
+        class_embeddings = [rng.standard_normal(d) for _ in word_sets]
+        store = default_parameter_store(d)
+        for name in (PARAM_VIDEO_WEIGHT, PARAM_PATCH_WEIGHT, PARAM_WORD_WEIGHT):
+            store.set_value(name, np.eye(d) + 0.2 * rng.standard_normal((d, d)))
+        store.set_value(PARAM_VIDEO_BIAS, 0.1 * rng.standard_normal(d))
+        args = (store, raw, word_sets, class_embeddings, toggles)
+        scores, grads = self.scores_and_grads(*args, None)
+        given_scores, given_grads = self.scores_and_grads(*args, per_fit[batch])
+        assert scores.tobytes() == given_scores.tobytes()
+        for name, grad in grads.items():
+            assert grad.tobytes() == given_grads[name].tobytes(), name
+
+    def test_means_need_constant_patches_of_their_shape(self):
+        tape = Tape()
+        leaves = default_parameter_store(3).leaves(tape)
+        kwargs = dict(
+            class_word_embeddings=[np.ones((2, 3))], class_embeddings=[np.ones(3)],
+            video_weight=leaves[PARAM_VIDEO_WEIGHT], video_bias=leaves[PARAM_VIDEO_BIAS],
+            patch_weight=leaves[PARAM_PATCH_WEIGHT], word_weight=leaves[PARAM_WORD_WEIGHT],
+            tau_saliency=0.3, toggles=InteractionToggles(),
+        )
+        raw = np.ones((2, 4, 5, 3))
+        with pytest.raises(ValueError):
+            score_matrix_nodes(tape, raw_videos=tape.leaf(raw),
+                               patch_means=tape.constant(np.ones((2, 4, 3))), **kwargs)
+        with pytest.raises(ad.ShapeMismatchError):
+            score_matrix_nodes(tape, raw_videos=tape.constant(raw),
+                               patch_means=tape.constant(np.ones((2, 5, 3))), **kwargs)
+
+
 class TestScoreMatrixPins:
     # sha256 of the (13, 5) score matrix's bytes for each toggle combination,
     # as score_matrix computes it with the video encoder folded into the patch
