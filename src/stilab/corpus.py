@@ -12,8 +12,11 @@ pretrained joint embedding space.
 
 from __future__ import annotations
 
+import itertools
 import json
+import queue
 import re
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -379,11 +382,16 @@ class CorpusListing:
         return [position for position, (video_id, label) in pairs
                 if keep is None or keep(video_id, classes[label])]
 
-    def features(self, positions, chunk_videos: int) -> Iterator[Array]:
+    def features(self, positions, chunk_videos: int, buffers=None) -> Iterator[Array]:
         """The features of the videos at ``positions``, in file order, from
         one pass over videos.bin: (n, T, N_p, D) chunks of at most
-        ``chunk_videos`` videos, each a view of one array that the next
-        chunk overwrites. This is the one reader of videos.bin records.
+        ``chunk_videos`` videos. Each chunk is a view of one of ``buffers``,
+        (chunk_videos, T, N_p, D) float64 arrays filled in turn, so chunk i
+        lies in ``buffers[i % len(buffers)]`` until chunk i + len(buffers)
+        overwrites it; without ``buffers``, one array is allocated and every
+        chunk overwrites the one before. A ``chunk_videos`` below 1 raises
+        ValueError before any file is opened. This is the one reader of
+        videos.bin records.
 
         Every record header is read and checked, so a malformed videos.bin
         raises its reader's own typed errors, whatever else is wrong. Only
@@ -397,8 +405,11 @@ class CorpusListing:
         corpus.json reports a count that differs from the listed one, or
         else the first disagreeing record.
         """
+        if buffers is None:
+            buffers = self._chunk_buffers(chunk_videos, 1)
         kept = set(positions)
-        buffer = np.empty((chunk_videos, *self.video_shape))
+        arrays = itertools.cycle(buffers)
+        buffer = next(arrays)
         filled = 0
         disagreement = None  # the first record that disagrees with corpus.json
 
@@ -425,6 +436,7 @@ class CorpusListing:
             filled += 1
             if filled == chunk_videos:
                 yield buffer
+                buffer = next(arrays)
                 filled = 0
         if held != len(self.video_ids):
             disagreement = f"lists {len(self.video_ids)} videos, {VIDEOS_FILENAME} holds {held}"
@@ -432,6 +444,68 @@ class CorpusListing:
             raise ValueError(f"{self.directory / METADATA_FILENAME}: {disagreement}")
         if filled:
             yield buffer[:filled]
+
+    def read_ahead(self, positions, chunk_videos: int) -> Iterator[Array]:
+        """``features(positions, chunk_videos)``'s chunks, checked as it
+        checks them, read one chunk ahead: a reader thread reads and hashes
+        chunk i + 1 while the caller works on chunk i. The chunks alternate
+        between two arrays allocated here, on the calling thread (one the
+        reader allocated would come from a glibc arena of its own, pages
+        that the main heap does not reuse), and the reader refills the
+        array of chunk i only after the caller has asked for chunk i + 1.
+        So no chunk is handed over before its records' digests match, and
+        an error reaches the caller after exactly the chunks ``features``
+        yields before it, as the same exception.
+
+        The thread starts with the first chunk asked for and is joined when
+        the pass ends or fails, or when the generator is closed; a caller
+        that may stop early closes it.
+        """
+        buffers = self._chunk_buffers(chunk_videos, 2)
+        asked = threading.Semaphore(0)  # one release per chunk the caller asks for
+        handed = queue.SimpleQueue()  # holds at most one chunk, end (None) or error
+        closed = threading.Event()
+
+        def hand(item) -> bool:
+            asked.acquire()
+            if closed.is_set():
+                return False
+            handed.put(item)
+            return True
+
+        def read():
+            chunks = self.features(positions, chunk_videos, buffers)
+            try:
+                for chunk in chunks:
+                    if not hand(chunk):
+                        return
+                outcome = None
+            except BaseException as exc:  # the caller raises it
+                outcome = exc
+            finally:
+                chunks.close()
+            hand(outcome)
+
+        reader = threading.Thread(target=read, name="videos.bin read-ahead", daemon=True)
+        reader.start()
+        try:
+            while True:
+                asked.release()
+                item = handed.get()
+                if item is None:
+                    return
+                if isinstance(item, BaseException):
+                    raise item
+                yield item
+        finally:
+            closed.set()
+            asked.release()
+            reader.join()
+
+    def _chunk_buffers(self, chunk_videos: int, count: int) -> list[Array]:
+        if chunk_videos < 1:
+            raise ValueError(f"chunk_videos must be >= 1, got {chunk_videos}")
+        return [np.empty((chunk_videos, *self.video_shape)) for _ in range(count)]
 
 
 def read_listing(corpus_dir) -> CorpusListing:

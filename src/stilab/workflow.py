@@ -4,6 +4,7 @@ trainer and evaluation harness into reproducible runs."""
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,19 +163,23 @@ def eval_group_three_splits(
 ) -> MetricReport:
     """The three-split protocol over the seen or unseen class group of a
     listed corpus, scored as its videos stream from one pass over
-    videos.bin: only one scoring chunk of features is held at a time."""
+    videos.bin (``CorpusListing.read_ahead``): one scoring chunk is scored
+    while the next is read, so two chunks of features are held at a time.
+    The reader thread is joined before this returns or raises."""
     corpus = listing.corpus
     class_indices = _group_classes(corpus, seen)
     prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params)
     group = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
     kept = listing.positions(lambda _, cls: cls.index in group)
-    return evaluate_three_splits(
-        listing.features(kept, chunk_videos(math.prod(listing.video_shape))),
-        [group[listing.labels[position]] for position in kept],
-        [ct.sequence for ct in prepared.texts],
-        sti_params,
-        enc_params,
-        seed=seed,
-        subset_size=subset_size,
-        toggles=toggles,
-    )
+    chunks = listing.read_ahead(kept, chunk_videos(math.prod(listing.video_shape)))
+    with closing(chunks):
+        return evaluate_three_splits(
+            chunks,
+            [group[listing.labels[position]] for position in kept],
+            [ct.sequence for ct in prepared.texts],
+            sti_params,
+            enc_params,
+            seed=seed,
+            subset_size=subset_size,
+            toggles=toggles,
+        )

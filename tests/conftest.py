@@ -1,3 +1,4 @@
+import threading
 import time
 from dataclasses import dataclass
 
@@ -25,6 +26,27 @@ class TimedRun:
     corpus: SyntheticCorpus
     run: TrainedRun
     seconds: float
+
+
+# How long a test's leftover threads get to finish before it fails.
+THREAD_JOIN_SECONDS = 1.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread alive that was not alive at its
+    start, once the new threads have had a short join. An exception a
+    thread does not handle already fails the test, through pytest's
+    unhandled-thread-exception warning and ``filterwarnings = error``."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_JOIN_SECONDS
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = [thread.name for thread in started if thread.is_alive()]
+    if alive:
+        pytest.fail(f"the test left threads alive: {alive}")
 
 
 @pytest.fixture(scope="session")

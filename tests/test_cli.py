@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import typing
 import urllib.request
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import stilab
-from stilab import cli, trainer
+from stilab import cli, evaluation, trainer
 from stilab.attributes import load_attribute_records
 from stilab.autodiff import ParameterStore
 from stilab.cli import main
@@ -386,6 +387,34 @@ class TestEval:
         assert (tmp_path / "after" / "metrics.csv").read_bytes() == before
         manifest = json.loads((tmp_path / "after" / "manifest.json").read_text())
         assert manifest["corpus_fingerprint"] == fingerprint
+
+    @pytest.mark.parametrize("mode, video_id", [("zero-shot", "vid05_003"), ("seen", "vid00_000")])
+    @pytest.mark.parametrize("fault", [None, "changed-value", "scoring-raises"])
+    def test_a_streamed_eval_joins_its_one_reader_thread_before_returning(
+        self, synth_dir, trained, tmp_path, monkeypatch, mode, video_id, fault
+    ):
+        corpus = synth_dir / "corpus"
+        if fault == "changed-value":
+            self.flip_last_value(corpus, video_id)
+        if fault == "scoring-raises":
+            def failing_score_matrix(*args, **kwargs):
+                raise RuntimeError("scoring failed")
+
+            monkeypatch.setattr(evaluation, "score_matrix", failing_score_matrix)
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = set(threading.enumerate())
+        code = run_cli("eval", "--corpus", corpus, "--checkpoint", trained / "checkpoint.stickpt",
+                       "--out-dir", tmp_path / "eval", "--mode", mode)
+        assert code == (0 if fault is None else 1)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert set(threading.enumerate()) == before
 
     def test_identical_eval_runs_are_byte_identical(self, synth_dir, trained, tmp_path):
         outs = []

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import threading
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -568,6 +571,122 @@ class TestFeatureStream:
         save_embeddings(tmp_path / "videos.bin", features)
         with pytest.raises(ValueError, match=r"corpus\.json: lists 18 videos, videos\.bin holds 17"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    @pytest.mark.parametrize("reader", ["features", "read_ahead"])
+    def test_a_chunk_below_one_video_is_rejected_before_any_file_is_opened(
+        self, tmp_path, chunk, reader
+    ):
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        (tmp_path / "videos.bin").unlink()
+        with pytest.raises(ValueError, match=f"chunk_videos must be >= 1, got {chunk}"):
+            list(getattr(listing, reader)(listing.positions(), chunk))
+
+
+def copied_chunks(chunks) -> tuple[list, BaseException | None]:
+    """A copy of each chunk ``chunks`` yields, and the error that ended it."""
+    copies = []
+    try:
+        for chunk in chunks:
+            copies.append(chunk.copy())
+    except Exception as exc:  # noqa: BLE001 - compared with the serial pass's error
+        return copies, exc
+    return copies, None
+
+
+def with_bad_header(data: bytes, index: int) -> bytes:
+    """``data`` with record ``index``'s header of an unknown record kind."""
+    start = value_offset(data, index) - len(b"2 4 6 16\n")
+    assert data[start:start + 2] == b"2 "
+    return data[:start] + b"3" + data[start + 1:]
+
+
+class TestCorpusReads:
+    """``CorpusListing.read_ahead``: ``features``' pass, one chunk ahead on a
+    reader thread."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 18])
+    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
+    def test_chunks_equal_the_serial_pass(self, tmp_path, chunk, selection):
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
+        ahead, error = copied_chunks(listing.read_ahead(positions, chunk))
+        serial, _ = copied_chunks(listing.features(positions, chunk))
+        assert error is None
+        assert len(ahead) == len(serial) >= 1
+        assert all(a.shape == s.shape and np.array_equal(a, s) for a, s in zip(ahead, serial))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: flipped_value_bit(data, 0),
+        lambda data: flipped_value_bit(data, 4),
+        lambda data: flipped_value_bit(data, 17),
+        lambda data: with_bad_header(data, 9),
+        lambda data: data[:-5],
+    ], ids=["flipped-0", "flipped-4", "flipped-17", "bad-header-9", "truncated"])
+    @pytest.mark.parametrize("chunk", [1, 4])
+    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
+    def test_an_error_follows_the_chunks_the_serial_pass_yields(
+        self, tmp_path, corrupt, chunk, selection
+    ):
+        corpus_bytes(SMALL, tmp_path)
+        path = tmp_path / "videos.bin"
+        path.write_bytes(corrupt(path.read_bytes()))
+        listing = read_listing(tmp_path)
+        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
+        ahead, ahead_error = copied_chunks(listing.read_ahead(positions, chunk))
+        serial, serial_error = copied_chunks(listing.features(positions, chunk))
+        # a flipped value goes unseen in a record that is not kept
+        assert serial_error is not None or selection != "all"
+        assert type(ahead_error) is type(serial_error)
+        assert str(ahead_error) == str(serial_error)
+        assert len(ahead) == len(serial)
+        assert all(np.array_equal(a, s) for a, s in zip(ahead, serial))
+
+    def consumers(self, listing):
+        """Ways to take the pass: in full, stopping after the first chunk
+        and closing it, and raising while a chunk is held."""
+        positions = listing.positions()
+
+        def full():
+            return copied_chunks(listing.read_ahead(positions, 2))
+
+        def stops_after_one():
+            chunks = listing.read_ahead(positions, 2)
+            next(chunks)
+            chunks.close()
+
+        def raises_holding_a_chunk():
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                with closing(listing.read_ahead(positions, 2)) as chunks:
+                    for _ in chunks:
+                        raise RuntimeError("scoring failed")
+
+        return {"full": full, "stops-after-one": stops_after_one,
+                "raises-holding-a-chunk": raises_holding_a_chunk}
+
+    @pytest.mark.parametrize("consumer", ["full", "stops-after-one", "raises-holding-a-chunk"])
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "flipped-17"])
+    def test_the_reader_thread_is_gone_when_the_pass_ends(self, tmp_path, consumer, corrupt):
+        corpus_bytes(SMALL, tmp_path)
+        if corrupt:
+            flip_value_bit(tmp_path / "videos.bin", 17)
+        before = set(threading.enumerate())
+        self.consumers(read_listing(tmp_path))[consumer]()
+        assert set(threading.enumerate()) == before
+
+    def test_a_chunk_is_not_overwritten_before_the_next_is_asked_for(self, tmp_path):
+        # the reader may fill chunk i + 1 while chunk i is held, but not chunk i + 2
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        want = [chunk.copy() for chunk in listing.features(listing.positions(), 1)]
+        got = []
+        for chunk in listing.read_ahead(listing.positions(), 1):
+            time.sleep(0.005)  # time for the reader to run ahead, if it could
+            got.append(chunk.copy())
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestSelectedVideos:

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from stilab import evaluation
-from stilab.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
+from stilab.corpus import (
+    SyntheticCorpusSpec, generate_synthetic_corpus, read_listing, save_corpus,
+)
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import (
     MetricReport,
@@ -21,7 +24,9 @@ from stilab.evaluation import (
 )
 from stilab.objective import BatchRecord, score_matrix
 from stilab.sti import InteractionToggles, STIParameters
-from stilab.workflow import corpus_encoder_params, params_from_store, training_data_for
+from stilab.workflow import (
+    corpus_encoder_params, eval_group_three_splits, params_from_store, training_data_for,
+)
 from stilab.trainer import default_parameter_store
 from test_sti import text_of
 
@@ -339,6 +344,27 @@ class TestThreeSplitProtocol:
         assert lines[4].startswith("mean,")
         assert lines[5].startswith("std,")
         assert float(lines[4].split(",")[1]) == report.top1_mean
+
+
+def test_a_scoring_error_joins_the_read_ahead_before_it_propagates(tmp_path, monkeypatch):
+    # the raised error's traceback keeps the chunk generator reachable, so
+    # only an explicit close ends the reader thread before the error is handled
+    spec = SyntheticCorpusSpec(num_concepts=8, seen_classes=4, unseen_classes=2,
+                               videos_per_class=3, frames=4, patches_per_frame=6, dim=16, seed=5)
+    save_corpus(generate_synthetic_corpus(spec), tmp_path)
+    listing = read_listing(tmp_path)
+    enc = corpus_encoder_params(listing.corpus)
+    sti = STIParameters.random_init(spec.dim, seed=1)
+
+    def failing_score_matrix(*args, **kwargs):
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(evaluation, "score_matrix", failing_score_matrix)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="scoring failed") as raised:
+        eval_group_three_splits(listing, enc, sti, seen=True, num_attributes=4, seed=0)
+    assert raised.tb is not None
+    assert set(threading.enumerate()) == before
 
 
 class TestChanceFloor:

@@ -1,19 +1,23 @@
 """Peak-memory guards, measured with tracemalloc (which sees numpy's array
 buffers): training gathers one batch at a time, and evaluation scores
 byte-bounded chunks, so neither holds a dense copy of its whole video set
-(``stilab eval`` reads its class group from videos.bin one chunk at a time);
-backward frees each tape record's saved arrays as it goes, and the fused
-MaxSim encodes and projects the patches chunk by chunk and keeps only its
-winning rows, which bounds one training step's working set."""
+(``stilab eval`` reads its class group from videos.bin into two chunk
+arrays of at most 2 MiB each, allocated on the calling thread: a reader
+thread fills one while the other is scored); backward frees each tape
+record's saved arrays as it goes, and the fused MaxSim encodes and projects
+the patches chunk by chunk and keeps only its winning rows, which bounds
+one training step's working set."""
 
 import contextlib
 import io
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from stilab import cli
 from stilab.autodiff import parameter_gradients
+from stilab.corpus import CorpusListing
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import evaluate_split
 from stilab.sti import STIParameters
@@ -70,26 +74,48 @@ def test_evaluate_split_peaks_below_64_large_videos():
     assert peak_bytes(lambda: evaluate_split(videos, labels, texts, sti, enc)) < feature_bytes
 
 
-def test_cli_eval_peaks_below_half_its_class_group(tmp_path):
-    # 80 seen videos of 16 x 32 x 64 hold 21 MB of features; eval streams
-    # them from videos.bin in 2 MiB chunks of 8 videos
-    def run(*argv):
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.main([str(a) for a in argv])
+def run_cli(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([str(a) for a in argv])
 
-    assert run("synth", "--out-dir", tmp_path, "--seed", 1, "--videos-per-class", 10,
-               "--frames", 16, "--patches-per-frame", 32, "--dim", 64) == 0
-    corpus = tmp_path / "corpus"
-    assert run("train", "--corpus", corpus, "--out-dir", tmp_path / "train", "--seed", 1,
-               "--epochs", 1, "--batch-size", 32) == 0
+
+@pytest.fixture(scope="module")
+def large_run(tmp_path_factory):
+    """A 16 x 32 x 64 corpus, 10 videos per class, and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("large")
+    assert run_cli("synth", "--out-dir", root, "--seed", 1, "--videos-per-class", 10,
+                   "--frames", 16, "--patches-per-frame", 32, "--dim", 64) == 0
+    assert run_cli("train", "--corpus", root / "corpus", "--out-dir", root / "train",
+                   "--seed", 1, "--epochs", 1, "--batch-size", 32) == 0
+    return root / "corpus", root / "train" / "checkpoint.stickpt"
+
+
+def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
+    # 80 seen videos of 16 x 32 x 64 hold 21 MB of features; eval streams
+    # them from videos.bin in 2 MiB chunks of 8 videos, two at a time: one
+    # is scored while the reader thread reads the next
+    corpus, checkpoint = large_run
     codes = []
-    peak = peak_bytes(lambda: codes.append(run(
-        "eval", "--corpus", corpus, "--checkpoint", tmp_path / "train" / "checkpoint.stickpt",
+    peak = peak_bytes(lambda: codes.append(run_cli(
+        "eval", "--corpus", corpus, "--checkpoint", checkpoint,
         "--out-dir", tmp_path / "eval", "--mode", "seen",
     )))
     assert codes == [0]
     group_bytes = 8 * 10 * 16 * 32 * 64 * 8  # seen classes x videos x values x 8 bytes
     assert peak < group_bytes / 2
+
+
+@pytest.mark.parametrize("mode", ["zero-shot", "seen"])
+def test_cli_eval_read_ahead_writes_the_serial_pass_metrics(large_run, tmp_path, monkeypatch,
+                                                            mode):
+    # 5 (zero-shot) or 10 (seen) chunks of 8 videos: the reader thread moves no bit
+    corpus, checkpoint = large_run
+    args = ["eval", "--corpus", corpus, "--checkpoint", checkpoint, "--mode", mode]
+    assert run_cli(*args, "--out-dir", tmp_path / "ahead") == 0
+    monkeypatch.setattr(CorpusListing, "read_ahead", CorpusListing.features)
+    assert run_cli(*args, "--out-dir", tmp_path / "serial") == 0
+    metrics = [(tmp_path / out / "metrics.csv").read_bytes() for out in ("ahead", "serial")]
+    assert metrics[0] == metrics[1]
 
 
 def test_training_step_peaks_below_five_batches():
