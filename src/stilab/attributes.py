@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -208,17 +207,6 @@ def _parse_endpoint_completion(text: str) -> list[str]:
     return lines
 
 
-_ENDPOINT_LOCKS: dict[str, threading.Lock] = {}
-_ENDPOINT_LOCKS_GUARD = threading.Lock()
-
-
-def _endpoint_lock(endpoint: str) -> threading.Lock:
-    # requests to one endpoint are serialized; different endpoints proceed
-    # in parallel
-    with _ENDPOINT_LOCKS_GUARD:
-        return _ENDPOINT_LOCKS.setdefault(endpoint, threading.Lock())
-
-
 def _endpoint_keywords(class_name: str, description: str, endpoint: str) -> list[str]:
     # Imported here, not at the top: the HTTP client pulls in ssl, email and
     # socket, and only `attrs --extractor <URL>` ever sends a request.
@@ -237,9 +225,8 @@ def _endpoint_keywords(class_name: str, description: str, endpoint: str) -> list
         request = urllib.request.Request(
             endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
         )
-        with _endpoint_lock(endpoint):
-            with urllib.request.urlopen(request, timeout=_ENDPOINT_TIMEOUT_SECONDS) as response:
-                text = response.read().decode("utf-8")
+        with urllib.request.urlopen(request, timeout=_ENDPOINT_TIMEOUT_SECONDS) as response:
+            text = response.read().decode("utf-8")
     except (OSError, http.client.HTTPException, ValueError) as exc:
         # OSError covers refused connections, timeouts and HTTP error
         # statuses; ValueError covers a malformed URL and a non-UTF-8 body

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import queue
 import re
-import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -447,60 +445,36 @@ class CorpusListing:
 
     def read_ahead(self, positions, chunk_videos: int) -> Iterator[Array]:
         """``features(positions, chunk_videos)``'s chunks, checked as it
-        checks them, read one chunk ahead: a reader thread reads and hashes
-        chunk i + 1 while the caller works on chunk i. The chunks alternate
-        between two arrays allocated here, on the calling thread (one the
-        reader allocated would come from a glibc arena of its own, pages
-        that the main heap does not reuse), and the reader refills the
-        array of chunk i only after the caller has asked for chunk i + 1.
-        So no chunk is handed over before its records' digests match, and
-        an error reaches the caller after exactly the chunks ``features``
-        yields before it, as the same exception.
+        checks them, read one chunk ahead: a one-worker executor reads and
+        hashes chunk i + 1 while the caller works on chunk i. The chunks
+        alternate between two arrays allocated here, on the calling thread
+        (one the worker allocated would come from a glibc arena of its own,
+        pages that the main heap does not reuse), and the read into the
+        array of chunk i is submitted only once the caller has asked for
+        chunk i + 1. So no chunk is handed over before its records' digests
+        match, and an error reaches the caller after exactly the chunks
+        ``features`` yields before it, as the same exception.
 
-        The thread starts with the first chunk asked for and is joined when
-        the pass ends or fails, or when the generator is closed; a caller
-        that may stop early closes it.
+        The worker thread starts with the first chunk asked for and is
+        joined when the pass ends or fails, or when the generator is
+        closed; a caller that may stop early closes it.
         """
-        buffers = self._chunk_buffers(chunk_videos, 2)
-        asked = threading.Semaphore(0)  # one release per chunk the caller asks for
-        handed = queue.SimpleQueue()  # holds at most one chunk, end (None) or error
-        closed = threading.Event()
+        # imported here: concurrent.futures loads logging, and only a
+        # streamed eval reads ahead
+        from concurrent.futures import ThreadPoolExecutor
 
-        def hand(item) -> bool:
-            asked.acquire()
-            if closed.is_set():
-                return False
-            handed.put(item)
-            return True
-
-        def read():
-            chunks = self.features(positions, chunk_videos, buffers)
-            try:
-                for chunk in chunks:
-                    if not hand(chunk):
-                        return
-                outcome = None
-            except BaseException as exc:  # the caller raises it
-                outcome = exc
-            finally:
-                chunks.close()
-            hand(outcome)
-
-        reader = threading.Thread(target=read, name="videos.bin read-ahead", daemon=True)
-        reader.start()
+        chunks = self.features(positions, chunk_videos, self._chunk_buffers(chunk_videos, 2))
         try:
-            while True:
-                asked.release()
-                item = handed.get()
-                if item is None:
-                    return
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
+            with ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="videos.bin read-ahead") as reader:
+                ahead = reader.submit(next, chunks, None)
+                while (chunk := ahead.result()) is not None:
+                    ahead = reader.submit(next, chunks, None)
+                    yield chunk
         finally:
-            closed.set()
-            asked.release()
-            reader.join()
+            # after the with block has joined the worker: closing a
+            # generator that another thread is running raises
+            chunks.close()
 
     def _chunk_buffers(self, chunk_videos: int, count: int) -> list[Array]:
         if chunk_videos < 1:
@@ -512,9 +486,10 @@ def read_listing(corpus_dir) -> CorpusListing:
     """Parse corpus.json and descriptions.jsonl, reading each once, and
     carry the corpus fingerprint, ``corpus_fingerprint(corpus_dir)``,
     computed from the bytes read here. Malformed metadata, including a
-    missing or mistyped entry, a repeated video id and one that disagrees
-    with descriptions.jsonl, raises ValueError naming corpus.json; a
-    malformed descriptions.jsonl raises its reader's own typed errors.
+    missing or mistyped entry, a repeated class name or video id and one
+    that disagrees with descriptions.jsonl, raises ValueError naming
+    corpus.json; a malformed descriptions.jsonl raises its reader's own
+    typed errors.
     Every video must have valid patch concepts and a well-formed sha256."""
     corpus_dir = Path(corpus_dir)
     try:
@@ -641,6 +616,9 @@ def _parse_listing(corpus_dir: Path, files: Fingerprint) -> CorpusListing:
                 seen=_typed(entry, "seen", bool),
             )
         )
+    repeated = [name for name, n in Counter(cls.name for cls in classes).items() if n > 1]
+    if repeated:
+        raise ValueError(f"class name {repeated[0]!r} is listed more than once")
 
     entries = meta["videos"]
     video_ids = [_typed(entry, "video_id", str) for entry in entries]

@@ -165,7 +165,7 @@ def eval_group_three_splits(
     listed corpus, scored as its videos stream from one pass over
     videos.bin (``CorpusListing.read_ahead``): one scoring chunk is scored
     while the next is read, so two chunks of features are held at a time.
-    The reader thread is joined before this returns or raises."""
+    The read-ahead's worker thread is joined before this returns or raises."""
     corpus = listing.corpus
     class_indices = _group_classes(corpus, seen)
     prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params)

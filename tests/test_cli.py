@@ -694,9 +694,14 @@ SRC = str(Path(stilab.__file__).resolve().parents[1])
 # HTTP client modules: only a call to a live extraction endpoint may load the
 # standard library's, and nothing loads requests.
 NETWORK_MODULES = {"http.client", "urllib.request", "ssl", "email", "socket", "requests"}
+# The executor and the logging it loads: only a streamed eval's read-ahead
+# may load them.
+EXECUTOR_MODULES = {"concurrent.futures", "logging"}
 
 
-def test_cli_import_loads_no_network_module():
+@pytest.mark.parametrize("unloaded", [NETWORK_MODULES, EXECUTOR_MODULES],
+                         ids=["network", "executor"])
+def test_cli_import_loads_no_network_module(unloaded):
     code = ("import sys; bare = set(sys.modules); import stilab.cli; "
             "print(*sorted(set(sys.modules) - bare))")
     result = subprocess.run(
@@ -706,7 +711,7 @@ def test_cli_import_loads_no_network_module():
     )
     added = set(result.stdout.split())
     assert {"stilab.cli", "stilab.attributes", "numpy"} <= added
-    assert added & NETWORK_MODULES == set()
+    assert added & unloaded == set()
 
 
 def without_thread_variables(**settings) -> dict:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from stilab.attributes import CorpusFormatError, build_attribute_set, load_stopwords
 from stilab.corpus import (
     CORPUS_FORMAT_VERSION,
+    CorpusListing,
     SyntheticCorpusSpec,
     corpus_fingerprint,
     generate_synthetic_corpus,
@@ -257,6 +258,7 @@ class TestPersistence:
         edit_patch_concepts(lambda text: "0g" + text[2:]),
         edit_patch_concepts(lambda text: "08" + text[2:]),
         edit_patch_concepts(lambda text: "ff" + text[2:]),
+        mutated(lambda meta: meta["classes"][1].update(name=meta["classes"][0]["name"])),
     ], ids=["unknown-spec-key", "string-dim", "missing-spec", "video-without-class-index",
             "class-without-description", "not-an-object", "float-class-index",
             "bool-class-index", "int-video-id", "string-index", "index-out-of-place",
@@ -265,7 +267,7 @@ class TestPersistence:
             "string-patch-concepts",
             "int-patch-concepts", "one-patch-short", "one-patch-extra",
             "uppercase-patch-concepts", "whitespace-in-patch-concepts", "non-hex-patch-concepts",
-            "patch-concept-out-of-range", "ff-patch-concept"])
+            "patch-concept-out-of-range", "ff-patch-concept", "repeated-class-name"])
     def test_malformed_metadata_is_a_value_error_naming_the_file(self, tmp_path, edit):
         save_corpus(generate_synthetic_corpus(SMALL), tmp_path / "corpus")
         meta_path = tmp_path / "corpus" / "corpus.json"
@@ -604,7 +606,7 @@ def with_bad_header(data: bytes, index: int) -> bytes:
 
 class TestCorpusReads:
     """``CorpusListing.read_ahead``: ``features``' pass, one chunk ahead on a
-    reader thread."""
+    one-worker executor."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 18])
     @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
@@ -675,6 +677,27 @@ class TestCorpusReads:
         before = set(threading.enumerate())
         self.consumers(read_listing(tmp_path))[consumer]()
         assert set(threading.enumerate()) == before
+
+    def test_two_chunk_arrays_are_allocated_once_on_the_calling_thread(self, tmp_path,
+                                                                         monkeypatch):
+        # arrays the worker allocated would come from a glibc arena of its own
+        allocated_on = []
+        real_chunk_buffers = CorpusListing._chunk_buffers
+
+        def recording_chunk_buffers(listing, chunk_videos, count):
+            allocated_on.append(threading.current_thread())
+            return real_chunk_buffers(listing, chunk_videos, count)
+
+        monkeypatch.setattr(CorpusListing, "_chunk_buffers", recording_chunk_buffers)
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        chunks = list(listing.read_ahead(listing.positions(), 1))
+        assert allocated_on == [threading.current_thread()]
+        assert len(chunks) == len(listing.video_ids)
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert not np.shares_memory(chunk, after)
+        for chunk, two_after in zip(chunks, chunks[2:]):
+            assert np.shares_memory(chunk, two_after)
 
     def test_a_chunk_is_not_overwritten_before_the_next_is_asked_for(self, tmp_path):
         # the reader may fill chunk i + 1 while chunk i is held, but not chunk i + 2

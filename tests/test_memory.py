@@ -2,11 +2,11 @@
 buffers): training gathers one batch at a time, and evaluation scores
 byte-bounded chunks, so neither holds a dense copy of its whole video set
 (``stilab eval`` reads its class group from videos.bin into two chunk
-arrays of at most 2 MiB each, allocated on the calling thread: a reader
-thread fills one while the other is scored); backward frees each tape
-record's saved arrays as it goes, and the fused MaxSim encodes and projects
-the patches chunk by chunk and keeps only its winning rows, which bounds
-one training step's working set."""
+arrays of at most 2 MiB each, allocated on the calling thread: a
+one-worker executor fills one while the other is scored); backward frees
+each tape record's saved arrays as it goes, and the fused MaxSim encodes
+and projects the patches chunk by chunk and keeps only its winning rows,
+which bounds one training step's working set."""
 
 import contextlib
 import io
@@ -93,7 +93,7 @@ def large_run(tmp_path_factory):
 def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
     # 80 seen videos of 16 x 32 x 64 hold 21 MB of features; eval streams
     # them from videos.bin in 2 MiB chunks of 8 videos, two at a time: one
-    # is scored while the reader thread reads the next
+    # is scored while the read-ahead's worker thread reads the next
     corpus, checkpoint = large_run
     codes = []
     peak = peak_bytes(lambda: codes.append(run_cli(
@@ -108,7 +108,7 @@ def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
 @pytest.mark.parametrize("mode", ["zero-shot", "seen"])
 def test_cli_eval_read_ahead_writes_the_serial_pass_metrics(large_run, tmp_path, monkeypatch,
                                                             mode):
-    # 5 (zero-shot) or 10 (seen) chunks of 8 videos: the reader thread moves no bit
+    # 5 (zero-shot) or 10 (seen) chunks of 8 videos: the read-ahead's worker moves no bit
     corpus, checkpoint = large_run
     args = ["eval", "--corpus", corpus, "--checkpoint", checkpoint, "--mode", mode]
     assert run_cli(*args, "--out-dir", tmp_path / "ahead") == 0
