@@ -1,8 +1,8 @@
 """Shared file plumbing: failure-atomic writes, the content fingerprint of
-a set of files, the one codec of the binary records in ``videos.bin`` and
-checkpoints (with the sha256 of a record's bytes), and the rules for values
-read back from files. A record is an ASCII header line ended by ``\\n``,
-then row-major little-endian float64 values. The readers raise the
+a set of files, the float64 payload encoding of ``videos.bin`` and
+checkpoints, the one codec of the checkpoint's binary records, and the rules
+for values read back from files. A record is an ASCII header line ended by
+``\\n``, then row-major little-endian float64 values. The readers raise the
 ``error`` class their caller passes, so each format keeps its own typed
 errors and its own header grammar."""
 
@@ -81,40 +81,16 @@ class Fingerprint:
         return self._digest.hexdigest()
 
 
-def write_array(fh, header: str, array) -> str:
-    """Write one record: ``header`` as an ASCII line, then the values.
-    Returns the record's ``record_sha256``."""
-    line = f"{header}\n".encode("ascii")
-    values = np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE)
-    fh.write(line)
-    fh.write(values.tobytes())
-    return record_sha256(line, values)
-
-
-def record_sha256(line: bytes, values) -> str:
-    """The lowercase hex sha256 of one record's bytes as the file holds
-    them: its header ``line``, ``\\n`` included, then its values."""
-    digest = hashlib.sha256(line)
-    digest.update(np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE))
-    return digest.hexdigest()
-
-
-def bytes_left(fh) -> int:
-    """Bytes between the position of the seekable ``fh`` and its end."""
-    here = fh.tell()
-    end = fh.seek(0, io.SEEK_END)
-    fh.seek(here)
-    return end - here
+def write_array(fh, header: str, array) -> None:
+    """Write one record: ``header`` as an ASCII line, then the values."""
+    fh.write(f"{header}\n".encode("ascii"))
+    fh.write(np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE).tobytes())
 
 
 def read_header(fh, error: type[Exception], what: str) -> str:
     """Read one newline-terminated ASCII line and return it without the
     newline; a missing newline or a non-ASCII byte raises ``error``."""
-    return header_text(fh.readline(), error, what)
-
-
-def header_text(line: bytes, error: type[Exception], what: str) -> str:
-    """A header ``line`` as read, ``\\n`` included, without its newline."""
+    line = fh.readline()
     if not line.endswith(b"\n"):
         raise error(f"{what}: truncated header line {line[:32]!r}")
     try:
@@ -123,31 +99,17 @@ def header_text(line: bytes, error: type[Exception], what: str) -> str:
         raise error(f"{what}: header is not ASCII text: {line[:32]!r}") from exc
 
 
-def payload_bytes(shape: tuple[int, ...], left: int, error: type[Exception], what: str) -> int:
-    """The bytes of a record's ``shape`` values; a header promising more
-    than the ``left`` bytes after it raises ``error``."""
-    count = math.prod(shape)
-    nbytes = 8 * count
-    if not 0 <= nbytes <= left:
-        raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
-    return nbytes
-
-
-def read_floats(
-    fh, shape: tuple[int, ...], error: type[Exception], what: str, left: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def read_floats(fh, shape: tuple[int, ...], error: type[Exception], what: str) -> np.ndarray:
     """Read a float64 array of ``shape``; a header promising more values
-    than ``fh`` holds raises ``error`` before anything is read. A caller
-    that tracks its position passes the bytes ``left`` after it, which
-    spares the seeks that measure it. The values go into ``out``, a
-    C-contiguous float64 array of ``shape``, when one is given."""
-    nbytes = payload_bytes(shape, bytes_left(fh) if left is None else left, error, what)
-    values = np.empty(shape, dtype=PAYLOAD_DTYPE) if out is None else out
+    than ``fh`` holds raises ``error`` before anything is read."""
+    count, here = math.prod(shape), fh.tell()
+    nbytes, left = 8 * count, fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if nbytes > left:
+        raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
+    values = np.empty(shape, dtype=PAYLOAD_DTYPE)
     if fh.readinto(values) != nbytes:
-        raise error(f"{what}: file ended inside its {nbytes // 8} values")
-    if values.dtype != PAYLOAD_DTYPE:  # a big-endian ``out`` took little-endian bytes
-        values.byteswap(inplace=True)
+        raise error(f"{what}: file ended inside its {count} values")
     return values.astype(np.float64, copy=False)
 
 

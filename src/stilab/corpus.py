@@ -25,7 +25,7 @@ import numpy as np
 from . import embed_io
 from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import ClassDescription, parse_description_corpus
-from .embed_io import read_records, save_embeddings
+from .embed_io import EmbeddingFile, save_embeddings
 from .encoders import token_vector
 
 Array = np.ndarray
@@ -275,10 +275,12 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 DESCRIPTIONS_FILENAME = "descriptions.jsonl"
 VIDEOS_FILENAME = "videos.bin"
 METADATA_FILENAME = "corpus.json"
-# Version 3 lists each video's sha256, the digest of its videos.bin record;
-# version 2 did not, and version 1 also wrote patch_concepts as nested lists
-# of integers instead of one hex string. Neither is read.
-CORPUS_FORMAT_VERSION = 3
+# Version 4 goes with the one-header videos.bin and lists each video's
+# sha256, the digest of its value bytes. Version 3 listed the digest of a
+# per-video record, header line included; version 2 listed none, and version
+# 1 also wrote patch_concepts as nested lists of integers instead of one hex
+# string. None of them is read.
+CORPUS_FORMAT_VERSION = 4
 _SHA256 = re.compile(r"[0-9a-f]{64}")  # the text hexdigest() gives
 
 
@@ -303,8 +305,9 @@ def save_corpus(corpus: SyntheticCorpus, out_dir) -> list[Path]:
             )
 
     videos_path = out_dir / VIDEOS_FILENAME
-    digests: list[str] = []
-    save_embeddings(videos_path, [video.features for video in corpus.videos], digests)
+    spec = corpus.spec
+    digests = save_embeddings(videos_path, [video.features for video in corpus.videos],
+                              (spec.frames, spec.patches_per_frame, spec.dim))
 
     meta = {
         "format_version": CORPUS_FORMAT_VERSION,
@@ -357,8 +360,8 @@ class CorpusListing:
     """A corpus directory as its corpus.json lists it, checked against its
     descriptions.jsonl, before any feature is read: ``corpus`` holds every
     class and the fingerprint but no videos, and the other fields hold each
-    video's id, class index, listed record sha256 and patch concepts, in
-    file order. ``features`` makes the one pass over videos.bin."""
+    video's id, class index, listed sha256 and patch concepts, in file
+    order. ``features`` is the one reader of videos.bin."""
 
     directory: Path
     corpus: SyntheticCorpus
@@ -381,67 +384,51 @@ class CorpusListing:
                 if keep is None or keep(video_id, classes[label])]
 
     def features(self, positions, chunk_videos: int, buffers=None) -> Iterator[Array]:
-        """The features of the videos at ``positions``, in file order, from
-        one pass over videos.bin: (n, T, N_p, D) chunks of at most
-        ``chunk_videos`` videos. Each chunk is a view of one of ``buffers``,
-        (chunk_videos, T, N_p, D) float64 arrays filled in turn, so chunk i
-        lies in ``buffers[i % len(buffers)]`` until chunk i + len(buffers)
-        overwrites it; without ``buffers``, one array is allocated and every
-        chunk overwrites the one before. A ``chunk_videos`` below 1 raises
-        ValueError before any file is opened. This is the one reader of
-        videos.bin records.
+        """The features of the videos at ``positions``, which must rise
+        strictly within the listed videos: (n, T, N_p, D) chunks of at most
+        ``chunk_videos`` videos, in order. Each chunk is a view of one of
+        ``buffers``, (chunk_videos, T, N_p, D) float64 arrays filled in turn,
+        so chunk i lies in ``buffers[i % len(buffers)]`` until chunk
+        i + len(buffers) overwrites it; without ``buffers``, one array is
+        allocated and every chunk overwrites the one before. Other positions
+        or a ``chunk_videos`` below 1 raise ValueError before any file is
+        opened. This is the one reader of videos.bin.
 
-        Every record header is read and checked, so a malformed videos.bin
-        raises its reader's own typed errors, whatever else is wrong. Only
-        the kept records' values are read, and each kept record's bytes
-        must hash to the sha256 that corpus.json lists for it before its
-        chunk is yielded; the other records' values are passed over unread,
-        so a changed byte there goes unseen. Every video, kept or not, must
-        have a record header with the spec's (T, N_p, D). Once a record
-        disagrees with corpus.json, no more values are read and no more
-        chunks are yielded; after the last header, a ValueError naming
-        corpus.json reports a count that differs from the listed one, or
-        else the first disagreeing record.
+        The file's magic, header and size are checked first, so a malformed
+        videos.bin raises its reader's own typed errors, and a video count
+        or shape other than corpus.json's raises a ValueError naming
+        corpus.json, before any value is read. Then only the kept videos'
+        values are read, each straight from its offset, and each must hash
+        to the sha256 that corpus.json lists for it before its chunk is
+        yielded; a changed byte in a video not kept goes unseen. A kept
+        video whose bytes do not match raises a ValueError naming
+        corpus.json, and no chunk follows it.
         """
         if buffers is None:
             buffers = self._chunk_buffers(chunk_videos, 1)
-        kept = set(positions)
+        positions = list(positions)
+        bounded = [-1, *positions, len(self.video_ids)]
+        if any(a >= b for a, b in zip(bounded, bounded[1:])):
+            raise ValueError(f"positions must rise strictly within [0, {len(self.video_ids)}), "
+                             f"got {positions!r:.80}")
         arrays = itertools.cycle(buffers)
-        buffer = next(arrays)
-        filled = 0
-        disagreement = None  # the first record that disagrees with corpus.json
-
-        def into(position, shape):
-            nonlocal disagreement
-            listed = position < len(self.video_ids)  # the count is checked at the end
-            if disagreement is None and listed and shape != self.video_shape:
-                disagreement = (f"video {self.video_ids[position]!r} has features of shape "
-                                f"{shape}, corpus spec expects {self.video_shape}")
-            return buffer[filled] if disagreement is None and position in kept else None
-
-        held = 0
-        for position, (values, digest) in enumerate(
-            read_records(self.directory / VIDEOS_FILENAME, into)
-        ):
-            held = position + 1
-            if values is None:
-                continue
-            if digest != self.digests[position]:
-                disagreement = (f"video {self.video_ids[position]!r}: its {VIDEOS_FILENAME} "
-                                f"record has sha256 {digest}, corpus.json lists "
-                                f"{self.digests[position]}")
-                continue
-            filled += 1
-            if filled == chunk_videos:
-                yield buffer
+        with EmbeddingFile(self.directory / VIDEOS_FILENAME) as videos:
+            listed = (len(self.video_ids), self.video_shape)
+            if (videos.count, videos.shape) != listed:
+                raise ValueError(f"{self.directory / METADATA_FILENAME}: lists {listed[0]} videos "
+                                 f"of shape {listed[1]}, {VIDEOS_FILENAME} holds {videos.count} "
+                                 f"of shape {videos.shape}")
+            for start in range(0, len(positions), chunk_videos):
+                chunk = positions[start:start + chunk_videos]
                 buffer = next(arrays)
-                filled = 0
-        if held != len(self.video_ids):
-            disagreement = f"lists {len(self.video_ids)} videos, {VIDEOS_FILENAME} holds {held}"
-        if disagreement is not None:
-            raise ValueError(f"{self.directory / METADATA_FILENAME}: {disagreement}")
-        if filled:
-            yield buffer[:filled]
+                for row, position in enumerate(chunk):
+                    digest = videos.read(position, buffer[row])
+                    if digest != self.digests[position]:
+                        raise ValueError(
+                            f"{self.directory / METADATA_FILENAME}: video "
+                            f"{self.video_ids[position]!r}: its {VIDEOS_FILENAME} values have "
+                            f"sha256 {digest}, corpus.json lists {self.digests[position]}")
+                yield buffer[:len(chunk)]
 
     def read_ahead(self, positions, chunk_videos: int) -> Iterator[Array]:
         """``features(positions, chunk_videos)``'s chunks, checked as it
@@ -451,7 +438,7 @@ class CorpusListing:
         (one the worker allocated would come from a glibc arena of its own,
         pages that the main heap does not reuse), and the read into the
         array of chunk i is submitted only once the caller has asked for
-        chunk i + 1. So no chunk is handed over before its records' digests
+        chunk i + 1. So no chunk is handed over before its videos' digests
         match, and an error reaches the caller after exactly the chunks
         ``features`` yields before it, as the same exception.
 

@@ -1,36 +1,34 @@
-"""Bit-exact container for raw video features.
+"""Bit-exact container for raw video features of one shape.
 
-File layout: the magic line ``STIEMB1\\n``, then one binary record (see
-``stilab._fileio``) per video, with header ``2 T N_p D`` (record kind 2,
-raw per-patch video features) and T*N_p*D values, the counts written as
-canonical decimals separated by single spaces. Other record kinds and
-malformed headers raise ``HeaderFormatError``; a header promising more
-values than the file holds raises ``TruncatedPayloadError``.
+File layout: the magic line ``STIEMB2\\n``, then one ASCII header line
+``N T N_p D``, the counts written as canonical decimals separated by single
+spaces, then the N videos' T*N_p*D little-endian float64 values each, back
+to back. So video i's values start at a fixed offset, and a reader seeks
+straight to the videos it keeps. A malformed header raises
+``HeaderFormatError``; a file whose size is not exactly what its header
+promises raises ``TruncatedPayloadError``.
 
 Round-trips are bitwise lossless.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
+import math
 import os
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._fileio import (
-    atomic_open, header_text, parse_counts, payload_bytes, read_floats, record_sha256, write_array,
-)
+from ._fileio import PAYLOAD_DTYPE, atomic_open, parse_counts, read_header
 
-MAGIC = b"STIEMB1\n"
+MAGIC = b"STIEMB2\n"
 
-KIND_RAW_VIDEO = 2
-
-# The reader's buffer holds about one record header line. A larger one would
-# pull the values after each header into memory, to be thrown away when the
-# reader seeks past a record it does not keep; kept values go through
-# ``readinto`` whatever the buffer size.
+# The reader's buffer holds about the magic and the header line. A larger
+# one would pull values into memory that are thrown away when the reader
+# seeks to a video it keeps; kept values go through ``readinto`` whatever
+# the buffer size.
 _HEADER_BUFFER_BYTES = 64
 
 
@@ -50,92 +48,94 @@ class HeaderFormatError(EmbeddingIOError):
     pass
 
 
-def save_embeddings(path, videos: Sequence, digests: list | None = None) -> Path:
-    """Write (T, N_p, D) raw video feature arrays to a container file.
-
-    Values must be finite. A ``digests`` list gets each record's sha256
-    (``_fileio.record_sha256``) appended, in order, from the bytes written.
-    """
-    path = Path(path)
+def save_embeddings(path, videos: Sequence, shape: tuple[int, int, int]) -> list[str]:
+    """Write raw video feature arrays, each of ``shape`` (T, N_p, D), to a
+    container file. Values must be finite. Returns each video's sha256, the
+    digest of its value bytes, in order."""
     arrays = [np.asarray(video) for video in videos]
+    shape = tuple(shape)
+    if len(shape) != 3 or min(shape) < 1:
+        raise TypeError(f"expected a positive (T, N_p, D) shape, got {shape}")
     for arr in arrays:
-        if arr.ndim != 3:
-            raise TypeError(f"expected a (T, N_p, D) array, got shape {arr.shape}")
+        if arr.shape != shape:
+            raise TypeError(f"expected a {shape} array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("refusing to serialize non-finite values")
-    with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
+    digests = []
+    with atomic_open(Path(path), "wb") as fh:
+        fh.write(MAGIC + f"{len(arrays)} {' '.join(map(str, shape))}\n".encode("ascii"))
         for arr in arrays:
-            t, n_p, d = arr.shape
-            digest = write_array(fh, f"{KIND_RAW_VIDEO} {t} {n_p} {d}", arr)
-            if digests is not None:
-                digests.append(digest)
-    return path
+            values = np.ascontiguousarray(arr, dtype=PAYLOAD_DTYPE)
+            # a copy per video, freed once written: writing the array itself
+            # left train-large's peak RSS 6-10% higher in about half the
+            # benchmark runs
+            fh.write(values.tobytes())
+            digests.append(hashlib.sha256(values).hexdigest())
+    return digests
 
 
-def _parse_header(line: str) -> tuple[int, ...]:
-    """The (T, N_p, D) of a raw-video record header ``2 T N_p D``."""
-    numbers = parse_counts(line, HeaderFormatError, "record header")
-    if numbers[:1] != [KIND_RAW_VIDEO]:
-        raise HeaderFormatError(f"unknown record kind in header {line!r}")
-    if len(numbers) != 4:
-        raise HeaderFormatError(f"raw-video header needs T N_p D, got {line!r}")
-    if min(numbers[1:]) < 1:
-        raise HeaderFormatError(f"non-positive count in record header {line!r}")
-    return tuple(numbers[1:])
+class EmbeddingFile:
+    """An open container file whose magic, header and size are checked
+    before any value is read: ``count`` videos of ``shape`` (T, N_p, D).
+    Use it as a context manager, which closes the file."""
 
+    def __init__(self, path):
+        path = Path(path)
+        self._fh = open(path, "rb", buffering=_HEADER_BUFFER_BYTES)
+        try:
+            magic = self._fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise BadMagicError(f"{path}: bad magic {magic!r}")
+            line = read_header(self._fh, HeaderFormatError, f"{path}: header")
+            counts = parse_counts(line, HeaderFormatError, f"{path}: header")
+            if len(counts) != 4 or min(counts[1:]) < 1:
+                raise HeaderFormatError(f"{path}: header needs N and positive T N_p D, "
+                                        f"got {line!r}")
+            self.count, *shape = counts
+            self.shape = tuple(shape)
+            self.stride = 8 * math.prod(self.shape)
+            self._start = self._fh.tell()
+            size = os.fstat(self._fh.fileno()).st_size
+            if size != self._start + self.count * self.stride:
+                raise TruncatedPayloadError(
+                    f"{path}: header promises {self.count} videos of {self.stride} bytes, "
+                    f"file holds {size - self._start}")
+        except BaseException:
+            self._fh.close()
+            raise
 
-def read_records(path, into) -> Iterator[tuple[np.ndarray | None, str | None]]:
-    """Read the records of a container file in one pass, front to back.
-    Every record header is read and checked, each against the bytes left
-    after it.
+    def read(self, position: int, out: np.ndarray) -> str:
+        """Read video ``position``, 0 <= position < count, into ``out``, a
+        writeable C-contiguous float64 array of ``shape``, and return the
+        sha256 of its value bytes."""
+        self._fh.seek(self._start + position * self.stride)
+        if self._fh.readinto(out) != self.stride:
+            raise TruncatedPayloadError(f"file ended inside video {position}")
+        digest = hashlib.sha256(out).hexdigest()
+        if out.dtype != PAYLOAD_DTYPE:  # a big-endian machine read little-endian bytes
+            out.byteswap(inplace=True)
+        return digest
 
-    For each record, ``into(index, shape)`` is called with the record's
-    position and (T, N_p, D). It returns the writeable C-contiguous float64
-    array of that shape to read the values into, or None to seek past them.
-    Yields (values, sha256) for each record read (``_fileio.record_sha256``)
-    and (None, None) for each record passed over. A record is read only when
-    the consumer asks for it, so the consumer may hand out an array again
-    once it has asked for the next record.
-    """
-    path = Path(path)
-    parsed: dict[bytes, tuple[int, ...]] = {}  # each distinct header line is parsed once
-    with open(path, "rb", buffering=_HEADER_BUFFER_BYTES) as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
-        left = os.fstat(fh.fileno()).st_size - len(MAGIC)
-        index = 0
-        while left:
-            line = fh.readline()
-            shape = parsed.get(line)
-            if shape is None:
-                shape = _parse_header(header_text(line, HeaderFormatError, "record header"))
-                parsed[line] = shape
-            left -= len(line)
-            nbytes = payload_bytes(shape, left, TruncatedPayloadError, "raw video features")
-            out = into(index, shape)
-            if out is None:
-                fh.seek(nbytes, io.SEEK_CUR)
-                record = (None, None)
-            else:
-                values = read_floats(fh, shape, TruncatedPayloadError, "raw video features",
-                                     left, out)
-                record = (values, record_sha256(line, values))
-            left -= nbytes
-            index += 1
-            yield record
+    def __enter__(self) -> EmbeddingFile:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
 
 
 def load_embeddings(path, keep=None) -> list[np.ndarray | None]:
-    """Read the records of a container file, in order, as writeable
-    C-contiguous float64 arrays: the values ``read_records`` yields.
+    """Read the videos of a container file, in order, as writeable
+    C-contiguous float64 arrays, read by ``EmbeddingFile.read``.
 
-    With ``keep``, a set of record indices, only those records' values are
-    read: the reader seeks past the others, which stand as ``None`` in the
-    list.
+    With ``keep``, a set of video positions, only those videos' values are
+    read; the others stand as ``None`` in the list.
     """
-    def into(index, shape):
-        return np.empty(shape) if keep is None or index in keep else None
-
-    return [values for values, _ in read_records(path, into)]
+    with EmbeddingFile(path) as videos:
+        loaded = []
+        for position in range(videos.count):
+            out = None
+            if keep is None or position in keep:
+                out = np.empty(videos.shape)
+                videos.read(position, out)
+            loaded.append(out)
+    return loaded

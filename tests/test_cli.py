@@ -346,15 +346,15 @@ class TestEval:
         )]
 
     def flip_last_value(self, corpus, video_id):
-        """Flip one bit of the last value of ``video_id``'s videos.bin record."""
+        """Flip one bit of the last value of ``video_id`` in videos.bin."""
         meta = json.loads((corpus / "corpus.json").read_text())
-        position = [v["video_id"] for v in meta["videos"]].index(video_id)
+        videos = [v["video_id"] for v in meta["videos"]]
         spec = meta["spec"]
-        header = f"2 {spec['frames']} {spec['patches_per_frame']} {spec['dim']}\n".encode()
-        record = len(header) + 8 * spec["frames"] * spec["patches_per_frame"] * spec["dim"]
+        stride = 8 * spec["frames"] * spec["patches_per_frame"] * spec["dim"]
         path = corpus / "videos.bin"
         data = bytearray(path.read_bytes())
-        data[len(b"STIEMB1\n") + (position + 1) * record - 1] ^= 0x01
+        # the values of the videos after this one end the file
+        data[len(data) - (len(videos) - 1 - videos.index(video_id)) * stride - 1] ^= 0x01
         path.write_bytes(bytes(data))
 
     @pytest.mark.parametrize("mode, video_id", [("zero-shot", "vid05_003"), ("seen", "vid00_000")])
@@ -499,7 +499,7 @@ class TestSaliency:
         fingerprint = cli.corpus_fingerprint(corpus)
         path = corpus / "videos.bin"
         data = bytearray(path.read_bytes())
-        data[-1] ^= 0x01  # a value of the last record, vid05_003
+        data[-1] ^= 0x01  # a value of the last video, vid05_003
         path.write_bytes(bytes(data))
         pair = ("--checkpoint", trained / "checkpoint.stickpt", "--class-name", "activity05")
         code = run_cli("saliency", "--out-dir", tmp_path / "bad", "--corpus", corpus,
@@ -1038,7 +1038,7 @@ class TestCorpusReads:
         extra = [] if command[0] == "train" else ["--checkpoint", trained / "checkpoint.stickpt"]
         assert run_cli(*command, "--corpus", corpus, "--out-dir", tmp_path / "out", *extra) == 0
         monkeypatch.undo()
-        # the magic line and every record header, then the kept records' values
+        # the magic line and the header line, then the kept videos' values
         assert read == {path.name: path.stat().st_size - (videos - kept) * values}
 
     def test_attrs_opens_its_descriptions_once(self, synth_dir, tmp_path, monkeypatch):

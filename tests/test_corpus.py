@@ -74,11 +74,18 @@ class TestDeterminism:
         b = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__, "seed": 6}))
         assert not np.array_equal(a.videos[0].features, b.videos[0].features)
 
-    # sha256 of videos.bin as written before the generator put every video's
-    # features into rows of one block
+    # sha256 of videos.bin in its one-header layout (magic STIEMB2)
     PINNED_VIDEOS_BIN_SHA256 = {
-        0.1: "4661facf461fea28ac2f6fd213143a60d0fcfe0f3cae78c5b477cffdaa2ecbe4",
-        0.0: "18509bf700e3332bd0bb405a2011bd95d5659e06ba50515a87ea35ce39714215",
+        0.1: "cd0cbbb38c50531b29c80c6a4b45ed577cacff57886f163cb613749beb0110d0",
+        0.0: "a9f721f6a72fa81327e0372ca9cb3f77b3367417b78abb7dae4c1c3076077aca",
+    }
+
+    # sha256 of the loaded features as little-endian float64, video after
+    # video: the generated values, whatever container holds them. These are
+    # the values of the per-record layout (magic STIEMB1) too.
+    PINNED_FEATURES_SHA256 = {
+        0.1: "d8a29cd25c7e5c856342ff987435253cea77cce414db0e53ea718aa02c891aca",
+        0.0: "90421167041d2f66be15b07d37576acad77b37ca8a0f57a9d51ae041399d56f3",
     }
 
     @pytest.mark.parametrize("noise_scale", [0.1, 0.0])
@@ -86,6 +93,15 @@ class TestDeterminism:
         spec = SyntheticCorpusSpec(**{**SMALL.__dict__, "noise_scale": noise_scale})
         raw = corpus_bytes(spec, tmp_path)["videos.bin"]
         assert hashlib.sha256(raw).hexdigest() == self.PINNED_VIDEOS_BIN_SHA256[noise_scale]
+
+    @pytest.mark.parametrize("noise_scale", [0.1, 0.0])
+    def test_feature_values_are_pinned(self, tmp_path, noise_scale):
+        spec = SyntheticCorpusSpec(**{**SMALL.__dict__, "noise_scale": noise_scale})
+        corpus_bytes(spec, tmp_path)
+        digest = hashlib.sha256()
+        for video in load_corpus(tmp_path).videos:
+            digest.update(video.features.astype("<f8").tobytes())
+        assert digest.hexdigest() == self.PINNED_FEATURES_SHA256[noise_scale]
 
 
 class TestStructure:
@@ -211,10 +227,11 @@ class TestPersistence:
     def test_rejects_videos_that_do_not_match_the_spec(self, tmp_path):
         corpus = generate_synthetic_corpus(SMALL)
         save_corpus(corpus, tmp_path / "corpus")
-        features = [video.features for video in corpus.videos]
-        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
-        save_embeddings(tmp_path / "corpus" / "videos.bin", features)
-        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
+        # dim 8 in a dim-16 corpus
+        features = [video.features[..., :8] for video in corpus.videos]
+        save_embeddings(tmp_path / "corpus" / "videos.bin", features, (4, 6, 8))
+        with pytest.raises(ValueError, match=r"corpus\.json: .* of shape \(4, 6, 16\), "
+                                             r"videos\.bin holds 18 of shape \(4, 6, 8\)"):
             load_corpus(tmp_path / "corpus")
 
     def test_rejects_out_of_range_class_index(self, tmp_path):
@@ -396,50 +413,48 @@ def named(*video_ids):
 
 
 def value_offset(data: bytes, index: int) -> int:
-    """Where the values of record ``index`` start in the bytes of a videos.bin."""
-    position = len(MAGIC)
-    for _ in range(index + 1):
-        end = data.index(b"\n", position) + 1
-        position = end + 8 * math.prod(int(count) for count in data[position:end].split()[1:])
-    return end
+    """Where the values of video ``index`` start in the bytes of a videos.bin."""
+    start = data.index(b"\n", len(MAGIC)) + 1
+    _, *shape = (int(count) for count in data[len(MAGIC):start].split())
+    return start + index * 8 * math.prod(shape)
 
 
 def flipped_value_bit(data: bytes, index: int) -> bytes:
-    """``data`` with the lowest bit of the first value of record ``index`` flipped."""
+    """``data`` with the lowest bit of the first value of video ``index`` flipped."""
     changed = bytearray(data)
     changed[value_offset(data, index)] ^= 0x01
     return bytes(changed)
 
 
 def flip_value_bit(path, index: int) -> None:
-    """Flip the lowest bit of the first value of record ``index``."""
+    """Flip the lowest bit of the first value of video ``index``."""
     path.write_bytes(flipped_value_bit(path.read_bytes(), index))
 
 
-class TestRecordDigests:
-    """corpus.json lists each video's sha256, the digest of its videos.bin
-    record; ``load_corpus`` checks the records it keeps against it."""
+class TestVideoDigests:
+    """corpus.json lists each video's sha256, the digest of its value bytes
+    in videos.bin; ``load_corpus`` checks the videos it keeps against it."""
 
-    def test_each_video_lists_its_record_sha256(self, tmp_path):
+    def test_each_video_lists_the_sha256_of_its_values(self, tmp_path):
         files = corpus_bytes(SMALL, tmp_path)
         data = files["videos.bin"]
         entries = json.loads(files["corpus.json"])["videos"]
-        header = f"2 {SMALL.frames} {SMALL.patches_per_frame} {SMALL.dim}\n".encode()
-        starts = [value_offset(data, index) - len(header) for index in range(len(entries))]
-        records = [data[start:end] for start, end in zip(starts, starts[1:] + [len(data)])]
+        assert data[len(MAGIC):value_offset(data, 0)] == b"18 4 6 16\n"
+        starts = [value_offset(data, index) for index in range(len(entries) + 1)]
+        assert starts[-1] == len(data)
         assert [entry["sha256"] for entry in entries] == [
-            hashlib.sha256(record).hexdigest() for record in records
+            hashlib.sha256(data[start:end]).hexdigest() for start, end in zip(starts, starts[1:])
         ]
 
-    # SMALL has 3 videos per class, so vid01_002 is record 5, of a seen class
+    # SMALL has 3 videos per class, so vid01_002 is video 5, of a seen class
     @pytest.mark.parametrize("keep", [None, named("vid01_002")], ids=["all", "that-one"])
-    def test_a_changed_value_in_a_kept_record_raises(self, tmp_path, keep):
+    def test_a_changed_value_in_a_kept_video_raises(self, tmp_path, keep):
         corpus_bytes(SMALL, tmp_path)
         flip_value_bit(tmp_path / "videos.bin", 5)
         with pytest.raises(ValueError, match=r"corpus\.json.*'vid01_002'.*videos\.bin"):
             load_corpus(tmp_path, keep)
 
-    def test_a_changed_value_in_a_record_not_kept_loads_with_the_same_fingerprint(self, tmp_path):
+    def test_a_changed_value_in_a_video_not_kept_loads_with_the_same_fingerprint(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
         before = load_corpus(tmp_path, lambda _, cls: not cls.seen)
         flip_value_bit(tmp_path / "videos.bin", 5)
@@ -475,7 +490,8 @@ class TestRecordDigests:
     def test_videos_bin_of_other_features_beside_the_old_metadata_raises(self, tmp_path, keep):
         corpus_bytes(SMALL, tmp_path)
         other = generate_synthetic_corpus(SyntheticCorpusSpec(**{**SMALL.__dict__, "seed": 6}))
-        save_embeddings(tmp_path / "videos.bin", [video.features for video in other.videos])
+        save_embeddings(tmp_path / "videos.bin", [video.features for video in other.videos],
+                        (4, 6, 16))
         with pytest.raises(ValueError, match=r"corpus\.json.*videos\.bin"):
             load_corpus(tmp_path, keep)
 
@@ -490,15 +506,16 @@ class TestLoadedFeatures:
 
     @pytest.mark.parametrize("corrupt", [
         lambda data: data[:-5],
-        lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 99\n", 1),
-        lambda data: data.replace(b"\n2 4 6 16\n", b"\n3 4 6 16\n", 1),
-        lambda data: data.replace(b"\n2 4 6 16\n", b"\n2 4 6 16 \n", 1),
-        lambda data: b"STIEMB2" + data[7:],
-        # record 1, kept on every path, no longer hashes to its listed sha256
+        lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6 99\n", 1),
+        lambda data: data.replace(b"\n18 4 6 16\n", b"\n17 4 6 16\n", 1),
+        lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6\n", 1),
+        lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6 16 \n", 1),
+        lambda data: b"STIEMB1" + data[7:],
+        # video 1, kept on every path, no longer hashes to its listed sha256
         lambda data: flipped_value_bit(data, 1)[:-5],
-    ], ids=["truncated", "promises-too-much", "unknown-kind", "trailing-space", "bad-magic",
-            "changed-value-then-truncated"])
-    # the other corruptions hit the first or the last record, which "one-kept" does not keep
+    ], ids=["truncated", "promises-too-much", "promises-too-little", "three-counts",
+            "trailing-space", "bad-magic", "changed-value-then-truncated"])
+    # each is found before any value is read, whatever the reader keeps
     @pytest.mark.parametrize("keep", [None, lambda video_id, _: video_id == "vid00_001"],
                              ids=["all", "one-kept"])
     def test_videos_bin_errors_are_the_readers_typed_errors(self, tmp_path, corrupt, keep):
@@ -521,7 +538,7 @@ class TestLoadedFeatures:
 
 
 class TestFeatureStream:
-    """``CorpusListing.features``, the one reader of videos.bin records."""
+    """``CorpusListing.features``, the one reader of videos.bin."""
 
     SELECTIONS = {
         "all": None,
@@ -542,19 +559,16 @@ class TestFeatureStream:
         want = np.stack([video.features for video in load_corpus(tmp_path, keep).videos])
         assert np.array_equal(np.concatenate(chunks), want)
 
-    def test_an_empty_selection_yields_nothing_but_checks_every_header(self, tmp_path):
+    def test_an_empty_selection_yields_nothing_but_checks_the_header(self, tmp_path):
         files = corpus_bytes(SMALL, tmp_path)
         listing = read_listing(tmp_path)
         assert list(listing.features([], 4)) == []
         data = files["videos.bin"]
-        header = b"2 4 6 16\n"
-        last = value_offset(data, len(listing.video_ids) - 1) - len(header)
-        assert data[last:last + len(header)] == header
-        (tmp_path / "videos.bin").write_bytes(data[:last] + b"3 4 6 16\n" + data[last + len(header):])
+        (tmp_path / "videos.bin").write_bytes(data.replace(b"\n18 4 6 16\n", b"\n18 4 6 +16\n", 1))
         with pytest.raises(HeaderFormatError):
             list(listing.features([], 4))
 
-    def test_no_chunk_follows_a_record_that_disagrees(self, tmp_path):
+    def test_no_chunk_follows_a_video_that_disagrees(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
         flip_value_bit(tmp_path / "videos.bin", 1)
         listing = read_listing(tmp_path)
@@ -565,14 +579,21 @@ class TestFeatureStream:
         assert len(yielded) == 1
         assert np.array_equal(yielded[0][0], load_corpus(tmp_path, named("vid00_000")).videos[0].features)
 
-    def test_a_count_mismatch_is_reported_before_a_disagreeing_record(self, tmp_path):
+    @pytest.mark.parametrize("videos, dim", [(17, 16), (18, 8), (19, 16)])
+    def test_a_count_or_shape_unlike_the_listing_raises_before_any_chunk(self, tmp_path,
+                                                                           videos, dim):
         corpus = generate_synthetic_corpus(SMALL)
         save_corpus(corpus, tmp_path)
-        features = [video.features for video in corpus.videos[:-1]]
-        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
-        save_embeddings(tmp_path / "videos.bin", features)
-        with pytest.raises(ValueError, match=r"corpus\.json: lists 18 videos, videos\.bin holds 17"):
-            load_corpus(tmp_path)
+        features = [video.features[..., :dim] for video in corpus.videos]
+        features = (features * 2)[:videos]
+        save_embeddings(tmp_path / "videos.bin", features, (4, 6, dim))
+        listing = read_listing(tmp_path)
+        yielded = []
+        with pytest.raises(ValueError, match=r"corpus\.json: lists 18 videos of shape "
+                                             rf"\(4, 6, 16\), videos\.bin holds {videos} "
+                                             rf"of shape \(4, 6, {dim}\)"):
+            yielded.extend(listing.features(listing.positions(), 1))
+        assert yielded == []
 
     @pytest.mark.parametrize("chunk", [0, -1])
     @pytest.mark.parametrize("reader", ["features", "read_ahead"])
@@ -585,6 +606,19 @@ class TestFeatureStream:
         with pytest.raises(ValueError, match=f"chunk_videos must be >= 1, got {chunk}"):
             list(getattr(listing, reader)(listing.positions(), chunk))
 
+    # SMALL lists 18 videos
+    @pytest.mark.parametrize("positions", [[18], [24], [-1], [0, 18], [2, 2], [3, 1],
+                                           [0, 5, 4]])
+    @pytest.mark.parametrize("reader", ["features", "read_ahead"])
+    def test_positions_not_rising_within_the_listing_are_rejected_before_any_file_is_opened(
+        self, tmp_path, positions, reader
+    ):
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        (tmp_path / "videos.bin").unlink()
+        with pytest.raises(ValueError, match=r"positions must rise strictly within \[0, 18\)"):
+            list(getattr(listing, reader)(positions, 4))
+
 
 def copied_chunks(chunks) -> tuple[list, BaseException | None]:
     """A copy of each chunk ``chunks`` yields, and the error that ended it."""
@@ -595,13 +629,6 @@ def copied_chunks(chunks) -> tuple[list, BaseException | None]:
     except Exception as exc:  # noqa: BLE001 - compared with the serial pass's error
         return copies, exc
     return copies, None
-
-
-def with_bad_header(data: bytes, index: int) -> bytes:
-    """``data`` with record ``index``'s header of an unknown record kind."""
-    start = value_offset(data, index) - len(b"2 4 6 16\n")
-    assert data[start:start + 2] == b"2 "
-    return data[:start] + b"3" + data[start + 1:]
 
 
 class TestCorpusReads:
@@ -624,9 +651,9 @@ class TestCorpusReads:
         lambda data: flipped_value_bit(data, 0),
         lambda data: flipped_value_bit(data, 4),
         lambda data: flipped_value_bit(data, 17),
-        lambda data: with_bad_header(data, 9),
+        lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6 16 \n", 1),
         lambda data: data[:-5],
-    ], ids=["flipped-0", "flipped-4", "flipped-17", "bad-header-9", "truncated"])
+    ], ids=["flipped-0", "flipped-4", "flipped-17", "bad-header", "truncated"])
     @pytest.mark.parametrize("chunk", [1, 4])
     @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
     def test_an_error_follows_the_chunks_the_serial_pass_yields(
@@ -639,7 +666,7 @@ class TestCorpusReads:
         positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
         ahead, ahead_error = copied_chunks(listing.read_ahead(positions, chunk))
         serial, serial_error = copied_chunks(listing.features(positions, chunk))
-        # a flipped value goes unseen in a record that is not kept
+        # a flipped value goes unseen in a video that is not kept
         assert serial_error is not None or selection != "all"
         assert type(ahead_error) is type(serial_error)
         assert str(ahead_error) == str(serial_error)
@@ -714,7 +741,7 @@ class TestCorpusReads:
 
 class TestSelectedVideos:
     """``load_corpus(dir, keep)`` keeps only the videos ``keep`` names but
-    checks every record header of ``videos.bin``."""
+    checks the header of ``videos.bin``."""
 
     def test_named_videos_keep_their_values_and_the_fingerprint(self, tmp_path):
         corpus_bytes(SMALL, tmp_path)
@@ -758,16 +785,15 @@ class TestSelectedVideos:
         assert picked.videos == []
         assert picked.fingerprint == corpus_fingerprint(tmp_path)
 
-    def test_only_kept_videos_are_checked_against_the_spec(self, tmp_path):
+    def test_every_selection_is_checked_against_the_spec(self, tmp_path):
         corpus = generate_synthetic_corpus(SMALL)
         save_corpus(corpus, tmp_path)
-        features = [video.features for video in corpus.videos]
-        features[1] = features[1][..., :8]  # dim 8 in a dim-16 corpus
-        save_embeddings(tmp_path / "videos.bin", features)
-        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
-            load_corpus(tmp_path, named(corpus.videos[1].video_id))
-        with pytest.raises(ValueError, match=corpus.videos[1].video_id):
-            load_corpus(tmp_path, named(corpus.videos[0].video_id))
+        # dim 8 in a dim-16 corpus
+        features = [video.features[..., :8] for video in corpus.videos]
+        save_embeddings(tmp_path / "videos.bin", features, (4, 6, 8))
+        for video_id in (corpus.videos[1].video_id, "no-such-video"):
+            with pytest.raises(ValueError, match=r"corpus\.json.*videos\.bin holds 18 of shape"):
+                load_corpus(tmp_path, named(video_id))
 
 
 def bytes_read_by_this_process() -> int:
@@ -778,8 +804,8 @@ def bytes_read_by_this_process() -> int:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
 def test_a_one_video_load_reads_little_beyond_what_it_needs(tmp_path):
-    # 32 KiB records: a read-ahead buffer of a few KiB would pull the values
-    # after each header of a record the load seeks past
+    # 32 KiB videos: a read-ahead buffer of a few KiB would pull values the
+    # load then seeks past
     spec = SyntheticCorpusSpec(seen_classes=2, unseen_classes=2, videos_per_class=3, seed=1)
     corpus = generate_synthetic_corpus(spec)
     save_corpus(corpus, tmp_path)
@@ -788,13 +814,15 @@ def test_a_one_video_load_reads_little_beyond_what_it_needs(tmp_path):
     before = bytes_read_by_this_process()
     (video,) = load_corpus(tmp_path, keep).videos
     read = bytes_read_by_this_process() - before
-    header = f"2 {spec.frames} {spec.patches_per_frame} {spec.dim}\n".encode()
+    header = f"{len(corpus.videos)} {spec.frames} {spec.patches_per_frame} {spec.dim}\n"
     needed = (
         (tmp_path / "corpus.json").stat().st_size
         + (tmp_path / "descriptions.jsonl").stat().st_size
-        + len(MAGIC) + len(corpus.videos) * len(header) + video.features.nbytes
+        + len(MAGIC) + len(header) + video.features.nbytes
     )
-    assert needed <= read <= needed + 128 * len(corpus.videos)
+    # the slack: one filling of the reader's 64-byte buffer, and the
+    # /proc/self/io text that the count itself reads
+    assert needed <= read <= needed + 256
 
 
 class TestClassGroupSelection:

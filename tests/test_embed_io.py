@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from stilab.embed_io import (
     MAGIC,
     BadMagicError,
+    EmbeddingFile,
     EmbeddingIOError,
     HeaderFormatError,
     TruncatedPayloadError,
     load_embeddings,
-    read_records,
     save_embeddings,
 )
 
@@ -36,44 +36,43 @@ def mutants(raw: bytes):
     return st.one_of(byte, number, prefix)
 
 
+def container(header: bytes, values: int) -> bytes:
+    """A container with the header line ``header`` and ``values`` zeros."""
+    return MAGIC + header + b"\n" + np.zeros(values).astype("<f8").tobytes()
+
+
 class TestRoundTrips:
-    def test_raw_video_and_mixed_order(self, tmp_path):
+    def test_layout_and_values(self, tmp_path):
         rng = np.random.default_rng(2)
-        videos = [rng.standard_normal((2, 3, 4)), rng.standard_normal((1, 5, 2))]
-        path = save_embeddings(tmp_path / "m.bin", videos)
+        videos = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+        path = tmp_path / "m.bin"
+        digests = save_embeddings(path, videos, (2, 3, 4))
         loaded = load_embeddings(path)
-        assert len(loaded) == 2
+        assert len(loaded) == 3
         for got, want in zip(loaded, videos):
             assert np.array_equal(got, want)
-        layout = MAGIC + b"".join(
-            "2 {} {} {}\n".format(*v.shape).encode() + v.astype("<f8").tobytes() for v in videos
-        )
-        assert path.read_bytes() == layout
+        values = [v.astype("<f8").tobytes() for v in videos]
+        assert path.read_bytes() == MAGIC + b"3 2 3 4\n" + b"".join(values)
+        assert digests == [hashlib.sha256(data).hexdigest() for data in values]
 
     def test_empty_container(self, tmp_path):
-        path = save_embeddings(tmp_path / "e.bin", [])
+        path = tmp_path / "e.bin"
+        assert save_embeddings(path, [], (1, 2, 3)) == []
+        assert path.read_bytes() == MAGIC + b"0 1 2 3\n"
         assert load_embeddings(path) == []
 
 
 class TestKeep:
-    """The records not kept stand as None: the reader seeks past their
-    values. Each kept record's sha256 is the one written."""
+    """The videos not kept stand as None: the reader seeks past their
+    values. Each video read hashes to the sha256 written."""
 
-    VIDEOS = [np.full((1, 2, 3), 1.0), np.full((2, 5, 4), 2.0), np.full((1, 2, 3), 3.0),
-              np.full((3, 3, 5), 4.0)]
+    VIDEOS = [np.full((2, 5, 4), value) for value in (1.0, 2.0, 3.0, 4.0)]
 
     @pytest.mark.parametrize("keep", [set(), {0}, {2}, {1, 3}, {0, 1, 2, 3}])
-    def test_kept_records_and_the_digest_are_unchanged(self, tmp_path, keep):
-        written = []
-        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS, written)
-        records = ["2 {} {} {}\n".format(*v.shape).encode() + v.astype("<f8").tobytes()
-                   for v in self.VIDEOS]
-        assert written == [hashlib.sha256(record).hexdigest() for record in records]
-        pairs = list(read_records(path, lambda index, shape:
-                                  np.empty(shape) if index in keep else None))
-        read = [digest for _, digest in pairs]
-        assert read == [digest if index in keep else None for index, digest in enumerate(written)]
-        loaded = [values for values, _ in pairs]
+    def test_kept_videos_are_read_and_the_rest_stand_as_none(self, tmp_path, keep):
+        path = tmp_path / "k.bin"
+        save_embeddings(path, self.VIDEOS, (2, 5, 4))
+        loaded = load_embeddings(path, keep)
         assert len(loaded) == len(self.VIDEOS)
         for index, (got, want) in enumerate(zip(loaded, self.VIDEOS)):
             if index in keep:
@@ -81,108 +80,148 @@ class TestKeep:
             else:
                 assert got is None
 
-    def test_a_skipped_record_promising_too_much_raises(self, tmp_path):
-        path = save_embeddings(tmp_path / "k.bin", self.VIDEOS)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedPayloadError, match="file holds 352"):
-            load_embeddings(path, keep={0})
+    @pytest.mark.parametrize("position", [3, 0, 2])
+    def test_a_read_fills_the_array_and_returns_the_written_digest(self, tmp_path, position):
+        path = tmp_path / "k.bin"
+        written = save_embeddings(path, self.VIDEOS, (2, 5, 4))
+        with EmbeddingFile(path) as videos:
+            assert (videos.count, videos.shape) == (4, (2, 5, 4))
+            out = np.empty((2, 5, 4))
+            assert videos.read(position, out) == written[position]
+        assert np.array_equal(out, self.VIDEOS[position])
 
 
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXIEMB1\n" + b"0 1 1 1\n" + b"\x00" * 16)
+        path.write_bytes(b"XXIEMB2\n" + container(b"1 1 1 2", 2)[len(MAGIC):])
         with pytest.raises(BadMagicError):
             load_embeddings(path)
 
-    def test_truncated_payload(self, tmp_path):
-        rng = np.random.default_rng(3)
-        path = tmp_path / "trunc.bin"
-        # header promises 3 frames, payload holds only 2 frames of patches
-        payload = rng.standard_normal((2, 4, 5)).tobytes()
-        path.write_bytes(MAGIC + b"2 3 4 5\n" + payload)
-        with pytest.raises(TruncatedPayloadError, match="promises"):
+    def test_the_previous_format_has_a_bad_magic(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(b"STIEMB1\n2 1 1 2\n" + np.zeros(2).astype("<f8").tobytes())
+        with pytest.raises(BadMagicError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("values", [0, 5, 7, 9, 20])
+    def test_a_size_other_than_the_header_promises(self, tmp_path, values):
+        # the header promises 2 videos of 1 x 2 x 2 values: 8 in all
+        path = tmp_path / "size.bin"
+        path.write_bytes(container(b"2 1 2 2", values))
+        with pytest.raises(TruncatedPayloadError, match="promises 2 videos of 32 bytes"):
+            load_embeddings(path, keep=set())
+        path.write_bytes(container(b"2 1 2 2", 8))
+        assert len(load_embeddings(path)) == 2
+
+    def test_a_truncated_file_raises_before_any_video_is_read(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_embeddings(path, TestKeep.VIDEOS, (2, 5, 4))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(TruncatedPayloadError, match="file holds 1272"):
+            EmbeddingFile(path)
+
+    def test_a_file_cut_after_its_checks_raises_on_the_read(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_embeddings(path, TestKeep.VIDEOS, (2, 5, 4))
+        with EmbeddingFile(path) as videos:
+            path.write_bytes(path.read_bytes()[:-8])
+            videos.read(2, np.empty((2, 5, 4)))
+            with pytest.raises(TruncatedPayloadError, match="file ended inside video 3"):
+                videos.read(3, np.empty((2, 5, 4)))
 
     @pytest.mark.parametrize("header", [
-        b"2 " + b"9" * 20 + b" 1 1\n",
-        b"2 4294967296 4294967296 2\n",
-    ], ids=["beyond-int64", "int64-product-wraps-to-zero"])
+        b"1 " + b"9" * 20 + b" 1 1",
+        b"1 4294967296 4294967296 2",
+        b"4294967296 4294967296 1 1",
+    ], ids=["beyond-int64", "int64-product-wraps-to-zero", "count-times-stride-wraps"])
     def test_header_promising_more_than_the_file_holds(self, tmp_path, header):
         path = tmp_path / "huge.bin"
-        path.write_bytes(MAGIC + header + np.zeros(2).astype("<f8").tobytes())
+        path.write_bytes(container(header, 2))
         with pytest.raises(TruncatedPayloadError, match="promises"):
             load_embeddings(path)
 
-    def test_header_with_wrong_field_count(self, tmp_path):
+    @pytest.mark.parametrize("header", [b"2 3 4", b"1 1 3 4 5", b""],
+                             ids=["three-counts", "five-counts", "empty"])
+    def test_header_with_wrong_field_count(self, tmp_path, header):
         path = tmp_path / "h.bin"
-        path.write_bytes(MAGIC + b"2 3 4\n")
+        path.write_bytes(container(header, 0))
         with pytest.raises(HeaderFormatError):
+            load_embeddings(path)
+
+    def test_a_missing_header_line(self, tmp_path):
+        path = tmp_path / "h.bin"
+        path.write_bytes(MAGIC + b"1 1 1 1")
+        with pytest.raises(HeaderFormatError, match="truncated header line"):
             load_embeddings(path)
 
     def test_non_decimal_header(self, tmp_path):
         path = tmp_path / "h2.bin"
-        path.write_bytes(MAGIC + b"frame 3 4 5\n")
+        path.write_bytes(container(b"frames 3 4 5", 60))
         with pytest.raises(HeaderFormatError, match="non-decimal"):
             load_embeddings(path)
 
     @pytest.mark.parametrize("header", [
-        b"2 +1 10 1", b"2 1 1_0 1", b"2 1 010 1", b" 2 1 10 1", b"2 1 10 1 ", b"2 1  10 1",
-        b"2\t1 10 1", b"2 -1 10 1",
+        b"1 1 +1 10", b"1 1 1_0 1", b"1 1 010 1", b" 1 1 10 1", b"1 1 10 1 ", b"1 1  10 1",
+        b"1\t1 10 1", b"1 -1 10 1",
     ], ids=["plus-sign", "underscore", "leading-zero", "leading-space", "trailing-space",
             "double-space", "tab", "minus-sign"])
     def test_non_canonical_count(self, tmp_path, header):
-        # each header reads as (1, 10, 1) under int(); only "2 1 10 1" is valid
+        # each header reads as (1, 1, 10, 1) under int(); only "1 1 10 1" is valid
         path = tmp_path / "h6.bin"
-        path.write_bytes(MAGIC + header + b"\n" + np.zeros(10).astype("<f8").tobytes())
+        path.write_bytes(container(header, 10))
         with pytest.raises(HeaderFormatError, match="non-decimal"):
             load_embeddings(path)
-        path.write_bytes(MAGIC + b"2 1 10 1\n" + np.zeros(10).astype("<f8").tobytes())
+        path.write_bytes(container(b"1 1 10 1", 10))
         assert load_embeddings(path)[0].shape == (1, 10, 1)
 
     @pytest.mark.parametrize("header", [
-        b"\xff 3 4 5\n",
-        b"2 3 4 \xc3\n",
-        b"\xfe\xff\n",
-        "\uff12 1 1 1\n".encode("utf-8"),
+        b"\xff 3 4 5",
+        b"1 3 4 \xc3",
+        b"\xfe\xff",
+        "\uff12 1 1 1".encode("utf-8"),
     ], ids=["first-byte-0xff", "truncated-utf8", "utf16-bom", "fullwidth-digit"])
     def test_non_ascii_header(self, tmp_path, header):
         path = tmp_path / "h5.bin"
-        record = b"2 1 1 1\n" + np.zeros(1).astype("<f8").tobytes()
-        path.write_bytes(MAGIC + record + header + np.zeros(1).astype("<f8").tobytes())
+        path.write_bytes(container(header, 1))
         with pytest.raises(HeaderFormatError, match="not ASCII text"):
             load_embeddings(path)
 
-    @pytest.mark.parametrize("kind", [0, 1, 9])
-    def test_unknown_kind(self, tmp_path, kind):
-        path = tmp_path / "h3.bin"
-        path.write_bytes(MAGIC + f"{kind} 3 4 5\n".encode())
-        with pytest.raises(HeaderFormatError, match="unknown record kind"):
-            load_embeddings(path)
-
-    def test_non_positive_count(self, tmp_path):
+    @pytest.mark.parametrize("header", [b"1 0 4 5", b"1 3 0 5", b"1 3 4 0", b"0 0 1 1"])
+    def test_non_positive_shape(self, tmp_path, header):
         path = tmp_path / "h4.bin"
-        path.write_bytes(MAGIC + b"2 0 4 5\n")
-        with pytest.raises(HeaderFormatError, match="non-positive"):
+        path.write_bytes(container(header, 0))
+        with pytest.raises(HeaderFormatError, match="positive T N_p D"):
             load_embeddings(path)
 
     def test_save_rejects_non_finite(self, tmp_path):
         bad = np.full((1, 2, 3), np.inf)
         with pytest.raises(ValueError, match="non-finite"):
-            save_embeddings(tmp_path / "x.bin", [bad])
+            save_embeddings(tmp_path / "x.bin", [bad], (1, 2, 3))
 
-    def test_save_rejects_unknown_type(self, tmp_path):
+    @pytest.mark.parametrize("video, shape", [
+        (np.zeros((2, 2)), (2, 2)),
+        (np.zeros((1, 2, 3)), (1, 2, 4)),
+        (np.zeros((1, 0, 3)), (1, 0, 3)),
+    ], ids=["two-axes", "another-shape", "empty-axis"])
+    def test_save_rejects_a_video_of_another_shape(self, tmp_path, video, shape):
         with pytest.raises(TypeError):
-            save_embeddings(tmp_path / "x.bin", [np.zeros((2, 2))])
+            save_embeddings(tmp_path / "x.bin", [np.zeros((1, 2, 3)), video], shape)
+        assert not (tmp_path / "x.bin").exists()
 
 
 @given(data=st.data())
 @settings(max_examples=300)
 def test_corrupted_container_loads_or_raises_its_typed_error(fuzz_dir, data):
     rng = np.random.default_rng(5)
-    path = save_embeddings(fuzz_dir / "two.bin", [rng.standard_normal((2, 3, 2)) for _ in range(2)])
+    videos = [rng.standard_normal((2, 3, 2)) for _ in range(2)]
+    path = fuzz_dir / "two.bin"
+    save_embeddings(path, videos, (2, 3, 2))
     path.write_bytes(data.draw(mutants(path.read_bytes())))
     try:
-        load_embeddings(path)
+        loaded = load_embeddings(path)
     except EmbeddingIOError:
-        pass
+        return
+    # no single edit keeps the size of another header, so a mutant that
+    # loads differs from the file written at most in its values
+    assert len(loaded) == 2 and all(v.shape == (2, 3, 2) for v in loaded)
