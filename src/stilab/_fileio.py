@@ -1,23 +1,19 @@
 """Shared file plumbing: failure-atomic writes, the content fingerprint of
-a set of files, the float64 payload encoding of ``videos.bin`` and
-checkpoints, the one codec of the checkpoint's binary records, and the rules
-for values read back from files. A record is an ASCII header line ended by
-``\\n``, then row-major little-endian float64 values. The readers raise the
-``error`` class their caller passes, so each format keeps its own typed
+a set of files, the float64 value encoding of ``videos.bin`` and
+checkpoints, and the rules for text read back from files. Both binary
+formats are ASCII header lines ended by ``\\n``, then row-major
+little-endian float64 values at offsets the header fixes. The readers raise
+the ``error`` class their caller passes, so each format keeps its own typed
 errors and its own header grammar."""
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import io
-import math
 import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 PAYLOAD_DTYPE = "<f8"
 _COUNT = re.compile(r"0|[1-9][0-9]*")  # the decimal form ``str(int)`` gives a count
@@ -81,12 +77,6 @@ class Fingerprint:
         return self._digest.hexdigest()
 
 
-def write_array(fh, header: str, array) -> None:
-    """Write one record: ``header`` as an ASCII line, then the values."""
-    fh.write(f"{header}\n".encode("ascii"))
-    fh.write(np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE).tobytes())
-
-
 def read_header(fh, error: type[Exception], what: str) -> str:
     """Read one newline-terminated ASCII line and return it without the
     newline; a missing newline or a non-ASCII byte raises ``error``."""
@@ -97,20 +87,6 @@ def read_header(fh, error: type[Exception], what: str) -> str:
         return line[:-1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise error(f"{what}: header is not ASCII text: {line[:32]!r}") from exc
-
-
-def read_floats(fh, shape: tuple[int, ...], error: type[Exception], what: str) -> np.ndarray:
-    """Read a float64 array of ``shape``; a header promising more values
-    than ``fh`` holds raises ``error`` before anything is read."""
-    count, here = math.prod(shape), fh.tell()
-    nbytes, left = 8 * count, fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-    if nbytes > left:
-        raise error(f"{what}: header promises {count} values ({nbytes} bytes), file holds {left}")
-    values = np.empty(shape, dtype=PAYLOAD_DTYPE)
-    if fh.readinto(values) != nbytes:
-        raise error(f"{what}: file ended inside its {count} values")
-    return values.astype(np.float64, copy=False)
 
 
 def parse_counts(text: str, error: type[Exception], what: str) -> list[int]:

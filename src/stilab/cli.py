@@ -357,6 +357,8 @@ def _load_model(args, corpus):
 def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
     # each mode scores one class group: seen for --mode seen, unseen otherwise
     if args.mode == "few-shot":
+        if args.subset_size is not None:  # few-shot scores one split of every unseen class
+            raise CliError("--subset-size applies to --mode zero-shot and seen, not few-shot")
         # fine-tuning needs the unseen group's features in memory
         corpus = load_corpus(args.corpus, lambda _, cls: not cls.seen)
         checkpoint, config, enc, sti = _load_model(args, corpus)

@@ -18,9 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from ._fileio import (
-    atomic_open, json_value_fits, parse_counts, read_floats, read_header, write_array,
-)
+from ._fileio import PAYLOAD_DTYPE, atomic_open, json_value_fits, parse_counts, read_header
 from .autodiff import ParameterStore, ShapeMismatchError, Tape
 from .encoders import FrameEmbeddingSet, TextEmbeddingSequence, text_fingerprint
 from .objective import (
@@ -43,7 +41,7 @@ PARAM_LOG_TAU = "log_tau"
 _FEWSHOT_STREAM = 9001  # distinguishes the sampling stream from epoch shuffles
 
 CHECKPOINT_MAGIC = b"STICKPT1\n"
-CHECKPOINT_VERSION = 2  # version 1 predates the tau_saliency line
+CHECKPOINT_VERSION = 3  # versions 1 and 2 gave each array its own header line
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # optimizer settings; the betas line records them
 BETAS_TEXT = f"{BETA1!r} {BETA2!r} {EPSILON!r}"  # the only betas line a checkpoint may hold
 
@@ -398,19 +396,21 @@ def few_shot_finetune(
 def save_checkpoint(path, checkpoint: Checkpoint) -> Path:
     """Serialize training state; round-trips bitwise.
 
-    The write is atomic: a failed write leaves any previous checkpoint
-    untouched and no temporary file behind.
+    The format holds one parameter set, ``default_parameter_store(D)``'s for
+    one D >= 1; any other store raises CheckpointFormatError before the file
+    is opened. The write is atomic: a failed write leaves any previous
+    checkpoint untouched and no temporary file behind.
     """
-    path = Path(path)
-    with atomic_open(path, "wb") as fh:
-        _write_checkpoint(fh, checkpoint)
-    return path
-
-
-def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
     store, opt = checkpoint.store, checkpoint.optimizer
+    got = [(name, store.value(name).shape) for name in store.names()]
+    dim = got[0][1][0] if got and got[0][1] else 0
+    if dim < 1 or got != _layout(dim):
+        layout = ", ".join(  # the shapes at D = 1, with each 1 read as D
+            f"{name} {str(shape).replace('1', 'D')}" for name, shape in _layout(1)
+        )
+        raise CheckpointFormatError(f"parameters {got} are not {layout} for one D >= 1")
     config = asdict(checkpoint.config)
-    tau_saliency = config.pop("tau_saliency")  # version 2 gives it a line of its own
+    tau_saliency = config.pop("tau_saliency")  # it has a line of its own
     lines = [
         f"version {CHECKPOINT_VERSION}",
         "config " + json.dumps(config, sort_keys=True),
@@ -418,17 +418,24 @@ def _write_checkpoint(fh, checkpoint: Checkpoint) -> None:
         f"epoch {checkpoint.epoch}",
         f"step {opt.step}",
         f"betas {BETAS_TEXT}",
-        f"params {len(store.names())}",
+        f"dim {dim}",
+        f"history {len(checkpoint.loss_history)}",
     ]
-    fh.write(CHECKPOINT_MAGIC + "".join(f"{line}\n" for line in lines).encode("ascii"))
-    for name in store.names():
-        for block, value in (
-            (name, store.value(name)),
-            (f"{name}.m", opt.first_moment[name]),
-            (f"{name}.v", opt.second_moment[name]),
-        ):
-            write_array(fh, " ".join(map(str, (block, value.ndim, *value.shape))), value)
-    write_array(fh, f"history {len(checkpoint.loss_history)}", checkpoint.loss_history)
+    arrays = [array for name in store.names()
+              for array in (store.value(name), opt.first_moment[name], opt.second_moment[name])]
+    arrays.append(np.asarray(checkpoint.loss_history, dtype=np.float64))
+    path = Path(path)
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + "".join(f"{line}\n" for line in lines).encode("ascii"))
+        fh.write(np.concatenate([np.ravel(array) for array in arrays], dtype=PAYLOAD_DTYPE))
+    return path
+
+
+def _layout(dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """``default_parameter_store(dim)``'s names and shapes, in its order,
+    taken from ``default_parameter_store(1)`` so no (D, D) array is built."""
+    template = default_parameter_store(1)
+    return [(name, (dim,) * template.value(name).ndim) for name in template.names()]
 
 
 def _read_text_line(fh, expected_key: str) -> str:
@@ -442,23 +449,6 @@ def _read_text_line(fh, expected_key: str) -> str:
 def _read_count(fh, key: str) -> int:
     (count,) = parse_counts(_read_text_line(fh, key), CheckpointFormatError, f"checkpoint {key!r}")
     return count
-
-
-def _read_finite(fh, shape: tuple[int, ...], what: str) -> Array:
-    values = read_floats(fh, shape, CheckpointFormatError, what)
-    if not np.isfinite(values).all():
-        raise CheckpointFormatError(f"non-finite values in {what}")
-    return values
-
-
-def _read_array_block(fh, expected_name: str | None) -> tuple[str, Array]:
-    """One named block; ``expected_name=None`` accepts any name."""
-    header = read_header(fh, CheckpointFormatError, f"checkpoint array {expected_name!r}")
-    name, _, counts = header.partition(" ")
-    ndim, *dims = parse_counts(counts, CheckpointFormatError, f"checkpoint array {name!r}")
-    if (expected_name is not None and name != expected_name) or len(dims) != ndim:
-        raise CheckpointFormatError(f"corrupt array header for {expected_name!r}: {header!r}")
-    return name, _read_finite(fh, tuple(dims), f"array {name!r}")
 
 
 def _config_from_json(values: dict) -> TrainConfig:
@@ -478,80 +468,80 @@ def load_checkpoint(path) -> Checkpoint:
 
     Every malformed file, including a truncated one, one with trailing
     bytes and one holding non-finite values, raises CheckpointFormatError,
-    whose message names the file. Version 1 files carry no saliency
-    temperature and load with the default; a config that breaks
-    TrainConfig's rules is malformed too, and so is any parameter set other
-    than the one ``default_parameter_store`` registers.
+    whose message names the file. So does a config that breaks
+    TrainConfig's rules, and a file of version 1 or 2, which ``stilab
+    train`` must write again.
     """
     path = Path(path)
-    fh = io.BytesIO(path.read_bytes())
-    magic = fh.read(len(CHECKPOINT_MAGIC))
+    raw = path.read_bytes()
+    magic = raw[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad checkpoint magic {magic!r}")
     try:
-        return _parse_checkpoint(fh)
+        return _parse_checkpoint(raw)
     except CheckpointFormatError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
-def _check_parameters(store: ParameterStore) -> None:
-    """The parameters must be ``default_parameter_store``'s, in its order,
-    each shaped as there for one dimension D >= 1: (D, D), (D,), (D, D),
-    (D, D) and ()."""
-    template = default_parameter_store(1)
-    got = [(name, store.value(name).shape) for name in store.names()]
-    dim = got[0][1][0] if got and got[0][1] else 0
-    want = [(name, (dim,) * template.value(name).ndim) for name in template.names()]
-    if dim < 1 or got != want:
-        layout = ", ".join(  # default_parameter_store(1)'s shapes, with each 1 read as D
-            f"{name} {str(template.value(name).shape).replace('1', 'D')}" for name in template.names()
-        )
-        raise CheckpointFormatError(f"parameters {got} are not {layout} for one D >= 1")
-
-
-def _parse_checkpoint(fh) -> Checkpoint:
+def _parse_checkpoint(raw: bytes) -> Checkpoint:
+    fh = io.BytesIO(raw)
+    fh.seek(len(CHECKPOINT_MAGIC))
     version = _read_count(fh, "version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    values = json.loads(_read_text_line(fh, "config"))
-    if not isinstance(values, dict):
-        raise CheckpointFormatError(f"checkpoint config is not a JSON object: {values!r}")
-    if "tau_saliency" in values:
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(
+            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}; re-run "
+            "`stilab train` with the same settings to rewrite the checkpoint"
+        )
+    settings = json.loads(_read_text_line(fh, "config"))
+    if not isinstance(settings, dict):
+        raise CheckpointFormatError(f"checkpoint config is not a JSON object: {settings!r}")
+    if "tau_saliency" in settings:
         raise CheckpointFormatError("checkpoint config names tau_saliency, which has its own line")
-    if version >= 2:
-        text = _read_text_line(fh, "tau_saliency")
-        values["tau_saliency"] = float(text)
-        if repr(values["tau_saliency"]) != text:  # as for counts, only the written form loads
-            raise CheckpointFormatError(f"tau_saliency {text!r} is not written as repr() writes it")
-    config = _config_from_json(values)
+    text = _read_text_line(fh, "tau_saliency")
+    settings["tau_saliency"] = float(text)
+    if repr(settings["tau_saliency"]) != text:  # as for counts, only the written form loads
+        raise CheckpointFormatError(f"tau_saliency {text!r} is not written as repr() writes it")
+    config = _config_from_json(settings)
     epoch = _read_count(fh, "epoch")
     step = _read_count(fh, "step")
     betas = _read_text_line(fh, "betas")
     if betas != BETAS_TEXT:
         raise CheckpointFormatError(f"unsupported optimizer settings {betas!r}")
+    dim = _read_count(fh, "dim")
+    count = _read_count(fh, "history")
+    if dim < 1:
+        raise CheckpointFormatError("checkpoint 'dim' must be >= 1")
+    # each parameter's value and two moments, then the loss history; the
+    # size is checked before any array is built
+    layout = _layout(dim)
+    sizes = [math.prod(shape) for _, shape in layout]
+    start, nbytes = fh.tell(), 8 * (3 * sum(sizes) + count)
+    if len(raw) - start != nbytes:
+        raise CheckpointFormatError(
+            f"dim {dim} and history {count} take {nbytes} value bytes, file holds {len(raw) - start}"
+        )
+    values = np.frombuffer(raw, dtype=PAYLOAD_DTYPE, offset=start).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CheckpointFormatError("non-finite values in the parameters, moments or loss history")
     store = ParameterStore()
     first: dict[str, Array] = {}
     second: dict[str, Array] = {}
-    for _ in range(_read_count(fh, "params")):
-        name, value = _read_array_block(fh, None)
+    at = 0
+    for (name, shape), size in zip(layout, sizes):
+        value, first[name], second[name] = (
+            values[at + i * size : at + (i + 1) * size].reshape(shape) for i in range(3)
+        )
         store.register(name, value)
-        first[name] = _read_array_block(fh, f"{name}.m")[1]
-        second[name] = _read_array_block(fh, f"{name}.v")[1]
-        if not first[name].shape == second[name].shape == value.shape:
-            raise CheckpointFormatError(f"moment shapes for {name!r} differ from its value")
-    _check_parameters(store)
-    history = _read_finite(fh, (_read_count(fh, "history"),), "loss history").tolist()
-    if fh.read(1):
-        raise CheckpointFormatError("trailing bytes after the loss history")
+        at += 3 * size
     optimizer = OptimizerState(first_moment=first, second_moment=second, step=step)
     return Checkpoint(
         config=config,
         epoch=epoch,
         store=store,
         optimizer=optimizer,
-        loss_history=history,
+        loss_history=values[at:].tolist(),
     )
 
 

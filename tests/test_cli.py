@@ -20,7 +20,6 @@ import pytest
 import stilab
 from stilab import cli, evaluation, trainer
 from stilab.attributes import load_attribute_records
-from stilab.autodiff import ParameterStore
 from stilab.cli import main
 from stilab.corpus import SyntheticCorpusSpec, load_corpus
 from stilab.encoders import FrameEmbeddingSet, tokenize
@@ -30,6 +29,7 @@ from stilab.trainer import TrainConfig, load_checkpoint
 from stilab.workflow import (
     corpus_encoder_params, params_from_store, prepare_class_texts, training_data_for,
 )
+from test_trainer import earlier_layout
 
 SMALL_SYNTH = [
     "--num-concepts", "8", "--seen-classes", "4", "--unseen-classes", "2",
@@ -230,25 +230,24 @@ class TestEval:
         assert "checkpoint config value 2.5 for 'num_attributes' has the wrong type" in err
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
-    def test_checkpoint_without_a_parameter_fails_naming_the_file(
-        self, synth_dir, trained, tmp_path, capsys
+    @pytest.mark.parametrize("command, written", [
+        (["eval"], "metrics.csv"),
+        (["saliency", "--video-id", "vid00_000", "--class-name", "activity00"],
+         "saliency_vid00_000_activity00.csv"),
+    ], ids=["eval", "saliency"])
+    def test_version_2_checkpoint_fails_naming_the_file_and_asking_to_retrain(
+        self, synth_dir, tmp_path, capsys, command, written
     ):
-        checkpoint = load_checkpoint(trained / "checkpoint.stickpt")
-        store = ParameterStore()
-        for name in checkpoint.store.names():
-            if name != trainer.PARAM_PATCH_WEIGHT:
-                store.register(name, checkpoint.store.value(name))
-        bad = tmp_path / "no-patch-weight.stickpt"
-        trainer.save_checkpoint(bad, dataclasses.replace(
-            checkpoint, store=store, optimizer=trainer.OptimizerState.for_store(store)))
-        code = run_cli(
-            "eval", "--seed", 3, "--out-dir", tmp_path / "eval", "--corpus", synth_dir / "corpus",
-            "--checkpoint", bad,
-        )
+        checkpoint = tmp_path / "v2.stickpt"
+        checkpoint.write_bytes(earlier_layout(2, dim=16))
+        out = tmp_path / "out"
+        code = run_cli(*command, "--out-dir", out, "--corpus", synth_dir / "corpus",
+                       "--checkpoint", checkpoint)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"stilab: error: {bad}: parameters [")
-        assert not (tmp_path / "eval" / "metrics.csv").exists()
+        assert err.startswith(f"stilab: error: {checkpoint}: unsupported checkpoint version 2")
+        assert "re-run `stilab train`" in err
+        assert not (out / written).exists()
 
     @pytest.mark.parametrize("command", [
         ["eval"], ["saliency", "--video-id", "vid00_000", "--class-name", "activity00"],
@@ -316,6 +315,20 @@ class TestEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["mode"] == "few-shot"
         assert manifest["results"]["shots"] == 2
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_few_shot_mode_rejects_subset_size(self, synth_dir, trained, tmp_path, capsys, size):
+        out = tmp_path / "eval-few"
+        code = run_cli(
+            "eval", "--seed", 3, "--out-dir", out, "--corpus", synth_dir / "corpus",
+            "--checkpoint", trained / "checkpoint.stickpt",
+            "--mode", "few-shot", "--shots", 2, "--finetune-epochs", 2, "--subset-size", size,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "stilab: error: --subset-size applies to --mode zero-shot and seen, not few-shot\n"
+        )
+        assert [path.name for path in out.iterdir()] == []
 
     def test_few_shot_keeps_the_checkpoint_settings_and_the_default_batch_size(
         self, synth_dir, tmp_path, monkeypatch

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-public function of ``stilab.autodiff`` has a caller.
+"""Every name a library module imports is used in that module, every
+public function of ``stilab.autodiff`` has a caller, and every function and
+class of ``stilab._fileio`` is imported by another library module.
 
 The package ``__init__`` is exempt from the first check: its imports are the
 public re-exports.
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import stilab
+import stilab._fileio
 import stilab.autodiff
 from test_trace_targets import tracing
 
@@ -110,3 +112,45 @@ def test_the_call_check_sees_module_and_imported_calls():
     )
     assert autodiff_calls(source, package=True) == {"maxsim", "relu", "exp"}
     assert autodiff_calls(source, package=False) == {"exp"}
+
+
+# Every function and class of the shared file codec, stilab._fileio, is
+# imported by another library module; with the unused-import check above,
+# that means it is used there.
+FILEIO_NAMES = sorted(
+    name for name, obj in vars(stilab._fileio).items()
+    if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == "stilab._fileio"
+)
+
+
+def fileio_imports(source: str) -> set[str]:
+    """Names that ``source``, a module of the stilab package, imports from
+    ``stilab._fileio``, relatively or by its full name."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+        if (node.level, node.module) in ((1, "_fileio"), (0, "stilab._fileio"))
+        for alias in node.names
+    }
+
+
+@pytest.fixture(scope="module")
+def fileio_importers() -> set[str]:
+    return set().union(*(fileio_imports(path.read_text("utf-8"))
+                         for path in MODULES if path.name != "_fileio.py"))
+
+
+@pytest.mark.parametrize("name", FILEIO_NAMES)
+def test_fileio_function_is_imported_by_another_module(name, fileio_importers):
+    assert name in fileio_importers
+
+
+def test_the_fileio_check_sees_relative_and_absolute_imports():
+    source = (
+        "from ._fileio import atomic_open, parse_counts as pc\n"
+        "from stilab._fileio import Fingerprint\n"
+        "from .corpus import read_header\nfrom _fileio import json_value_fits\n"
+    )
+    assert fileio_imports(source) == {"atomic_open", "parse_counts", "Fingerprint"}
+    # a decorated function and a class are both listed
+    assert {"atomic_open", "Fingerprint"} <= set(FILEIO_NAMES)

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +31,6 @@ from stilab.trainer import (
     training_step_loss,
     write_loss_csv,
 )
-from stilab.sti import DEFAULT_SALIENCY_TEMPERATURE
 from stilab.workflow import corpus_encoder_params, train_on_corpus, training_data_for
 from test_embed_io import mutants
 
@@ -365,7 +366,7 @@ class TestCheckpointing:
     def test_wrong_version_rejected(self, small_training, tmp_path):
         _, data = small_training
         path = save_checkpoint(tmp_path / "v.stickpt", self.make_checkpoint(data))
-        raw = path.read_bytes().replace(b"version 2\n", b"version 9\n", 1)
+        raw = path.read_bytes().replace(b"version 3\n", b"version 9\n", 1)
         path.write_bytes(raw)
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
@@ -390,12 +391,27 @@ class TestCheckpointing:
         path = save_checkpoint(tmp_path / "ckpt.stickpt", checkpoint)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.stickpt"]
         before = path.read_bytes()
+        real_open = trainer.atomic_open
 
-        def fail_midway(fh, header, array):
-            fh.write(b"partial")
-            raise OSError("disk full")
+        class FailingValues:
+            """Takes the header lines, then fails part way into the values."""
 
-        monkeypatch.setattr(trainer, "write_array", fail_midway)
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    self.fh.write(b"partial")
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def failing_open(*args, **kwargs):
+            with real_open(*args, **kwargs) as fh:
+                yield FailingValues(fh)
+
+        monkeypatch.setattr(trainer, "atomic_open", failing_open)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, checkpoint)
         assert path.read_bytes() == before
@@ -413,9 +429,17 @@ def tiny_checkpoint(tau_saliency: float = 0.07, **config) -> Checkpoint:
     )
 
 
-def _nan_log_tau(raw: bytes) -> bytes:
-    start = raw.index(b"log_tau 0\n") + len(b"log_tau 0\n")
-    return raw[:start] + np.array(np.nan).astype("<f8").tobytes() + raw[start + 8 :]
+# tiny_checkpoint()'s values at D = 2: each parameter's value, first and
+# second moment ((4 + 2 + 4 + 4 + 1) * 3 = 45 values), then the 2 losses
+TINY_VALUES = 47
+
+
+def _nan_at(index: int):
+    """Write NaN over value ``index`` of the values that follow the header."""
+    def corrupt(raw: bytes) -> bytes:
+        at = len(raw) - 8 * (TINY_VALUES - index)
+        return raw[:at] + np.array(np.nan).astype("<f8").tobytes() + raw[at + 8:]
+    return corrupt
 
 
 HUGE = b"9" * 20  # beyond int64
@@ -426,7 +450,10 @@ MALFORMED_CHECKPOINTS = {
     "epoch-not-a-number": lambda raw: raw.replace(b"epoch 2\n", b"epoch x\n", 1),
     "negative-history-count": lambda raw: raw.replace(b"history 2\n", b"history -1\n", 1),
     "trailing-bytes": lambda raw: raw + b"\x00",
-    "nan-parameter-block": _nan_log_tau,
+    "nan-parameter-value": _nan_at(0),  # video_weight[0, 0]
+    "nan-moment": _nan_at(4 + 4),  # video_weight's second moment
+    "nan-log-tau": _nan_at(42),
+    "nan-loss-history": _nan_at(TINY_VALUES - 1),
     "non-positive-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency 0.0\n", 1),
     "infinite-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency inf\n", 1),
     "nan-tau": lambda raw: raw.replace(b"tau_saliency 0.07\n", b"tau_saliency nan\n", 1),
@@ -438,21 +465,22 @@ MALFORMED_CHECKPOINTS = {
     "infinite-weight-decay-config": lambda raw: raw.replace(
         b'"weight_decay": 0.05', b'"weight_decay": Infinity', 1),
     "other-optimizer-betas": lambda raw: raw.replace(b"betas 0.9 ", b"betas 0.5 ", 1),
-    # headers promising far more values than the file holds
-    "huge-array-header": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau 1 " + HUGE + b"\n", 1),
+    # a dim or history count other than the values the file holds
+    "zero-dim": lambda raw: raw.replace(b"dim 2\n", b"dim 0\n", 1),
+    "other-dim": lambda raw: raw.replace(b"dim 2\n", b"dim 1\n", 1),
+    "huge-dim": lambda raw: raw.replace(b"dim 2\n", b"dim " + HUGE + b"\n", 1),
+    "other-history-count": lambda raw: raw.replace(b"history 2\n", b"history 3\n", 1),
     "huge-history-count": lambda raw: raw.replace(b"history 2\n", b"history " + HUGE + b"\n", 1),
+    # the header lines in another order
+    "history-before-dim": lambda raw: raw.replace(b"dim 2\nhistory 2\n", b"history 2\ndim 2\n", 1),
     # counts in a form other than the canonical decimal the writer emits
-    "plus-sign-version": lambda raw: raw.replace(b"version 2\n", b"version +2\n", 1),
+    "plus-sign-version": lambda raw: raw.replace(b"version 3\n", b"version +3\n", 1),
     "underscore-epoch": lambda raw: raw.replace(b"epoch 2\n", b"epoch 0_2\n", 1),
     "leading-zero-step": lambda raw: raw.replace(b"step 0\n", b"step 00\n", 1),
-    "leading-space-params": lambda raw: raw.replace(b"params 5\n", b"params  5\n", 1),
+    "leading-zero-dim": lambda raw: raw.replace(b"dim 2\n", b"dim 02\n", 1),
+    "leading-space-dim": lambda raw: raw.replace(b"dim 2\n", b"dim  2\n", 1),
+    "tab-dim": lambda raw: raw.replace(b"dim 2\n", b"dim\t2\n", 1),
     "trailing-space-history": lambda raw: raw.replace(b"history 2\n", b"history 2 \n", 1),
-    "plus-sign-array-ndim": lambda raw: raw.replace(b"log_tau 0\n", b"log_tau +0\n", 1),
-    "double-space-array-dims": lambda raw: raw.replace(
-        b"video_weight 2 2 2\n", b"video_weight 2  2 2\n", 1),
-    "tab-in-array-dims": lambda raw: raw.replace(
-        b"video_weight 2 2 2\n", b"video_weight 2 2\t2\n", 1),
-    "underscore-array-dim": lambda raw: raw.replace(b"video_bias 1 2\n", b"video_bias 1 0_2\n", 1),
     # config values of a type their TrainConfig field does not take
     "float-for-int-config": lambda raw: raw.replace(
         b'"num_attributes": 8', b'"num_attributes": 2.5', 1),
@@ -503,8 +531,24 @@ def checkpoint_with(params) -> Checkpoint:
     return checkpoint
 
 
-def as_version_1(raw: bytes) -> bytes:
-    return raw.replace(b"version 2\n", b"version 1\n", 1).replace(b"tau_saliency 0.07\n", b"", 1)
+def earlier_layout(version: int, dim: int = 2) -> bytes:
+    """A checkpoint as versions 1 and 2 laid it out: a ``params`` count, then
+    one header line per array before its values. Version 1 has no
+    ``tau_saliency`` line."""
+    store = default_parameter_store(dim)
+    blocks = [
+        f"{name}{suffix} {' '.join(map(str, (value.ndim, *value.shape)))}\n".encode()
+        + np.asarray(value, dtype="<f8").tobytes()
+        for name in store.names() for value in [store.value(name)]
+        for suffix in ("", ".m", ".v")
+    ]
+    return b"".join([
+        b"STICKPT1\nversion %d\nconfig %s\n" % (version, TINY_CHECKPOINT_CONFIG),
+        b"tau_saliency 0.07\n" if version == 2 else b"",
+        b"epoch 2\nstep 0\nbetas 0.9 0.999 1e-08\nparams 5\n",
+        *blocks,
+        b"history 2\n" + np.array([1.5, 1.25], dtype="<f8").tobytes(),
+    ])
 
 
 TINY_CHECKPOINT_CONFIG = (
@@ -523,7 +567,7 @@ class TestCheckpointFormat:
         path = save_checkpoint(tmp_path / "hot.stickpt", tiny_checkpoint(tau_saliency=0.2))
         lines = path.read_bytes().split(b"\n")[:4]
         assert lines == [
-            b"STICKPT1", b"version 2", b"config " + TINY_CHECKPOINT_CONFIG, b"tau_saliency 0.2",
+            b"STICKPT1", b"version 3", b"config " + TINY_CHECKPOINT_CONFIG, b"tau_saliency 0.2",
         ]
         assert "tau_saliency" not in json.loads(lines[2][len(b"config "):])
 
@@ -541,53 +585,14 @@ class TestCheckpointFormat:
         assert load_checkpoint(path).config == config
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_files_of_the_earlier_layout_load_as_before(self, tmp_path, version):
-        # bytes as the writer laid them out before the temperature became a
-        # config field, with every config value other than its default
-        config = (b'{"batch_size": 5, "epochs": 7, "learning_rate": 0.001, "num_attributes": 3, '
-                  b'"seed": 11, "spatial": false, "temporal": false, "weight_decay": 0.0}')
-        store = default_parameter_store(2)
-
-        def blocks(name: str, value) -> list[bytes]:
-            dims = " ".join(map(str, (value.ndim, *value.shape)))
-            return [
-                f"{name}{suffix} {dims}\n".encode() + np.asarray(v, dtype="<f8").tobytes()
-                for suffix, v in (("", value), (".m", value * 0.5), (".v", value * 0.25))
-            ]
-
-        raw = b"".join([
-            b"STICKPT1\nversion %d\nconfig %s\n" % (version, config),
-            b"tau_saliency 0.25\n" if version == 2 else b"",
-            b"epoch 3\nstep 9\nbetas 0.9 0.999 1e-08\nparams 5\n",
-            *(block for name in store.names() for block in blocks(name, store.value(name))),
-            b"history 3\n" + np.array([2.0, 1.5, 1.25], dtype="<f8").tobytes(),
-        ])
+    def test_files_of_the_earlier_layout_ask_to_retrain(self, tmp_path, version):
         path = tmp_path / "earlier.stickpt"
-        path.write_bytes(raw)
-        loaded = load_checkpoint(path)
-        assert loaded.config == TrainConfig(
-            learning_rate=1e-3, weight_decay=0.0, epochs=7, batch_size=5, seed=11,
-            spatial=False, temporal=False, num_attributes=3,
-            tau_saliency=0.25 if version == 2 else DEFAULT_SALIENCY_TEMPERATURE,
+        path.write_bytes(earlier_layout(version))
+        with pytest.raises(CheckpointFormatError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value).startswith(
+            f"{path}: unsupported checkpoint version {version}, expected 3; re-run `stilab train`"
         )
-        assert (loaded.epoch, loaded.optimizer.step) == (3, 9)
-        assert loaded.loss_history == [2.0, 1.5, 1.25]
-        assert loaded.store.fingerprint() == store.fingerprint()
-        for name in store.names():
-            assert np.array_equal(loaded.optimizer.first_moment[name], store.value(name) * 0.5)
-            assert np.array_equal(loaded.optimizer.second_moment[name], store.value(name) * 0.25)
-        if version == 2:  # a version 2 file is written back byte for byte
-            assert save_checkpoint(tmp_path / "again.stickpt", loaded).read_bytes() == raw
-
-    def test_version_1_file_loads_with_default_temperature(self, tmp_path):
-        path = save_checkpoint(tmp_path / "v2.stickpt", tiny_checkpoint(tau_saliency=1.0))
-        raw = path.read_bytes()
-        v1 = raw.replace(b"version 2\n", b"version 1\n", 1).replace(b"tau_saliency 1.0\n", b"", 1)
-        path.write_bytes(v1)
-        loaded = load_checkpoint(path)
-        assert loaded.config.tau_saliency == 0.07
-        assert loaded.epoch == 2 and loaded.loss_history == [1.5, 1.25]
-        assert loaded.store.fingerprint() == tiny_checkpoint().store.fingerprint()
 
     @pytest.mark.parametrize("old, new", [
         (b"tau_saliency 0.5\n", b"tau_saliency 1_0\n"),
@@ -606,26 +611,36 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("alter", BAD_PARAMETER_SETS.values(), ids=BAD_PARAMETER_SETS)
-    def test_parameter_set_other_than_the_trainers_is_rejected(self, tmp_path, version, alter):
+    def test_save_rejects_a_parameter_set_other_than_the_trainers(self, tmp_path, alter):
         store = default_parameter_store(2)
         params = alter([(name, store.value(name)) for name in store.names()])
-        path = save_checkpoint(tmp_path / "params.stickpt", checkpoint_with(params))
-        if version == 1:
-            path.write_bytes(as_version_1(path.read_bytes()))
-        with pytest.raises(CheckpointFormatError, match=r"params\.stickpt: parameters \["):
-            load_checkpoint(path)
+        with pytest.raises(CheckpointFormatError, match=r"^parameters \["):
+            save_checkpoint(tmp_path / "params.stickpt", checkpoint_with(params))
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_the_trainers_parameter_set_loads_at_any_dim(self, tmp_path, version, dim):
+    def test_the_trainers_parameter_set_round_trips_bitwise_at_any_dim(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
         store = default_parameter_store(dim)
-        params = [(name, store.value(name)) for name in store.names()]
-        path = save_checkpoint(tmp_path / "params.stickpt", checkpoint_with(params))
-        if version == 1:
-            path.write_bytes(as_version_1(path.read_bytes()))
-        assert load_checkpoint(path).store.fingerprint() == store.fingerprint()
+        for name in store.names():
+            store.set_value(name, rng.standard_normal(store.value(name).shape))
+        moments = [{name: rng.standard_normal(store.value(name).shape) for name in store.names()}
+                   for _ in range(2)]
+        checkpoint = Checkpoint(
+            config=TrainConfig(epochs=4), epoch=3, store=store,
+            optimizer=OptimizerState(*moments, step=12),
+            loss_history=rng.standard_normal(3).tolist(),
+        )
+        loaded = load_checkpoint(save_checkpoint(tmp_path / "params.stickpt", checkpoint))
+        assert loaded.store.fingerprint() == store.fingerprint()
+        for name in store.names():
+            for got, want in zip((loaded.optimizer.first_moment, loaded.optimizer.second_moment),
+                                 moments):
+                assert got[name].shape == want[name].shape
+                assert got[name].tobytes() == want[name].tobytes()
+        assert (loaded.epoch, loaded.optimizer.step) == (3, 12)
+        assert loaded.loss_history == checkpoint.loss_history
 
     def test_every_truncation_prefix_raises_format_error(self, tmp_path):
         raw = save_checkpoint(tmp_path / "full.stickpt", tiny_checkpoint()).read_bytes()
@@ -645,36 +660,47 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dim, history", [
+        (b"4096", b"2"), (HUGE, b"2"), (b"2", HUGE), (HUGE, HUGE),
+    ], ids=["dim-4096", "huge-dim", "huge-history", "huge-both"])
+    def test_a_header_promising_more_values_allocates_nothing_for_them(self, tmp_path, dim,
+                                                                      history):
+        raw = save_checkpoint(tmp_path / "c.stickpt", tiny_checkpoint()).read_bytes()
+        path = tmp_path / "big.stickpt"
+        path.write_bytes(raw.replace(b"dim 2\nhistory 2\n",
+                                     b"dim %s\nhistory %s\n" % (dim, history), 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="value bytes"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_byte_layout(self, tmp_path):
-        def block(header: bytes, values) -> bytes:
-            return header + b"\n" + np.asarray(values, dtype="<f8").tobytes()
-
-        params = [
-            (b"video_weight 2 2 2", np.eye(2)),
-            (b"video_bias 1 2", np.zeros(2)),
-            (b"patch_weight 2 2 2", np.eye(2)),
-            (b"word_weight 2 2 2", np.eye(2)),
-            (b"log_tau 0", np.log(0.07)),
+        weight, zeros = np.eye(2).ravel(), np.zeros(4)
+        values = [
+            weight, zeros, zeros,  # video_weight, its first and second moments
+            np.zeros(2), np.zeros(2), np.zeros(2),  # video_bias
+            weight, zeros, zeros,  # patch_weight
+            weight, zeros, zeros,  # word_weight
+            [np.log(0.07)], [0.0], [0.0],  # log_tau
+            [1.5, 1.25],  # the loss history
         ]
         expected = b"".join([
             b"STICKPT1\n",
-            b"version 2\n",
+            b"version 3\n",
             b"config " + TINY_CHECKPOINT_CONFIG + b"\n",
             b"tau_saliency 0.07\n",
             b"epoch 2\n",
             b"step 0\n",
             b"betas 0.9 0.999 1e-08\n",
-            b"params 5\n",
-            *(
-                block(header.replace(b" ", suffix + b" ", 1), values)
-                for header, value in params
-                for suffix, values in (
-                    (b"", value), (b".m", np.zeros_like(value)), (b".v", np.zeros_like(value))
-                )
-            ),
-            block(b"history 2", [1.5, 1.25]),
+            b"dim 2\n",
+            b"history 2\n",
+            *(np.asarray(block, dtype="<f8").tobytes() for block in values),
         ])
+        assert sum(np.size(block) for block in values) == TINY_VALUES
         path = save_checkpoint(tmp_path / "tiny.stickpt", tiny_checkpoint())
         assert path.read_bytes() == expected
 
