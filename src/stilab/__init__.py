@@ -14,12 +14,7 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 if not any(name in _os.environ for name in _BLAS_THREAD_VARIABLES):
     _os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
 
-from .attributes import (
-    ClassDescription,
-    extract_keywords,
-    load_description_corpus,
-    normalize_and_filter,
-)
+from .attributes import ClassDescription, extract_keywords, load_description_corpus
 from .autodiff import ParameterStore, Tape, finite_difference_check, parameter_gradients
 from .corpus import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus
 from .encoders import (

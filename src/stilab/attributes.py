@@ -1,11 +1,11 @@
 """Descriptive-attribute pipeline: class descriptions in, one AttributeRecord
 per class out.
 
-Stages: keyword extraction from an endpoint (the deterministic mock or a
-live HTTP endpoint, sent one fixed prompt), stopword/duplicate filtering,
-top-N selection, and composition of the final prompt sentence. Everything
-except the live endpoint is a pure function, so the mock pipeline is a
-deterministic test oracle.
+Stages: keyword extraction by the deterministic mock (content words ranked
+by frequency), top-N selection, and composition of the final prompt
+sentence. Every stage is a pure function, so the pipeline is a deterministic
+test oracle. An LLM extractor runs outside the package, offline, sent
+DEFAULT_EXTRACTION_PROMPT, and writes ``attributes.jsonl`` itself.
 """
 
 from __future__ import annotations
@@ -15,24 +15,20 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._fileio import atomic_open, json_value_fits
 from .encoders import tokenize
 
-MOCK_ENDPOINT = "mock"
 SENTENCE_TEMPLATE = "This is a video about {}."
 
+# The paper's extraction prompt, for an LLM run offline; `stilab attrs --help`
+# prints it.
 DEFAULT_EXTRACTION_PROMPT = (
     "Extract 5-10 essential keywords from {description} that best describe the "
     "action {action_name} in the paragraph. Focus on objects, motions, and "
     "contexts related to the action."
 )
-
-# Request settings sent to a live endpoint with every prompt.
-_SAMPLING_TEMPERATURE = 0.7
-_MAX_OUTPUT_TOKENS = 256
-_ENDPOINT_TIMEOUT_SECONDS = 10.0
 
 
 class AttributePipelineError(Exception):
@@ -53,8 +49,7 @@ class DuplicateClassError(CorpusFormatError):
 
 
 class ExtractionError(AttributePipelineError):
-    """The extraction client failed: unreachable endpoint, empty or
-    unparseable completion."""
+    """The extractor found no keyword in a class description."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,8 @@ class AttributeRecord:
     ``attributes.jsonl``.
 
     ``prompt_sentence`` must be the class name and the keywords, single-space
-    joined, in SENTENCE_TEMPLATE, and ``extractor`` "mock" or "endpoint".
+    joined, in SENTENCE_TEMPLATE, and ``extractor`` "mock" (what this
+    package writes) or "endpoint" (a file an external extractor wrote).
     ``shortfall`` is set when the candidate pool was smaller than the
     requested count, in which case all candidates are kept.
     """
@@ -185,9 +181,13 @@ def parse_description_corpus(data: bytes, path) -> dict[str, ClassDescription]:
     return corpus
 
 
-def _mock_keywords(description: str) -> list[str]:
-    """Deterministic extraction stand-in: content words of the description,
-    ranked by descending frequency, ties broken by first occurrence."""
+def extract_keywords(class_name: str, description: str) -> list[str]:
+    """The mock extractor: the content words of ``description``, ranked by
+    descending frequency, ties broken by first occurrence. They are
+    lowercase, unique and free of stopwords. A description without content
+    words is an error, never a silent empty result."""
+    if not description:
+        raise ValueError("description must be non-empty")
     stopwords = load_stopwords()
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}
@@ -196,81 +196,14 @@ def _mock_keywords(description: str) -> list[str]:
             continue
         counts[token] = counts.get(token, 0) + 1
         first_seen.setdefault(token, position)
+    if not counts:
+        raise ExtractionError(f"mock extractor found no content words for class {class_name!r}")
     return sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
 
 
-def _parse_endpoint_completion(text: str) -> list[str]:
-    """Parse a newline- or comma-separated keyword list; anything else fails."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if len(lines) == 1 and "," in lines[0]:
-        lines = [part.strip() for part in lines[0].split(",") if part.strip()]
-    return lines
-
-
-def _endpoint_keywords(class_name: str, description: str, endpoint: str) -> list[str]:
-    # Imported here, not at the top: the HTTP client pulls in ssl, email and
-    # socket, and only `attrs --extractor <URL>` ever sends a request.
-    import http.client
-    import urllib.request
-
-    prompt = DEFAULT_EXTRACTION_PROMPT.format(description=description, action_name=class_name)
-    body = json.dumps(
-        {
-            "prompt": prompt,
-            "temperature": _SAMPLING_TEMPERATURE,
-            "max_tokens": _MAX_OUTPUT_TOKENS,
-        }
-    ).encode("utf-8")
-    try:
-        request = urllib.request.Request(
-            endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
-        )
-        with urllib.request.urlopen(request, timeout=_ENDPOINT_TIMEOUT_SECONDS) as response:
-            text = response.read().decode("utf-8")
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        # OSError covers refused connections, timeouts and HTTP error
-        # statuses; ValueError covers a malformed URL and a non-UTF-8 body
-        raise ExtractionError(f"extraction endpoint unreachable: {endpoint}: {exc}") from exc
-    keywords = _parse_endpoint_completion(text)
-    if not keywords:
-        raise ExtractionError(
-            f"extraction endpoint {endpoint} returned an unparseable or empty completion"
-        )
-    return keywords
-
-
-def extract_keywords(
-    class_name: str, description: str, endpoint: str = MOCK_ENDPOINT
-) -> list[str]:
-    """Raw (pre-filtering) keyword list from the extractor at ``endpoint``.
-
-    ``endpoint`` is an HTTP URL or the literal ``"mock"``. Empty
-    completions are an error, never a silent empty result.
-    """
-    if not description:
-        raise ValueError("description must be non-empty")
-    if endpoint == MOCK_ENDPOINT:
-        keywords = _mock_keywords(description)
-        if not keywords:
-            raise ExtractionError(
-                f"mock extractor found no content words for class {class_name!r}"
-            )
-        return keywords
-    return _endpoint_keywords(class_name, description, endpoint)
-
-
-def normalize_and_filter(raw: Iterable[str], stopwords: frozenset[str]) -> tuple[str, ...]:
-    """Lowercase, drop empty strings and stopwords, and drop duplicates
-    keeping the first occurrence. An empty result is legal."""
-    lowered = (keyword.lower() for keyword in raw)
-    return tuple(dict.fromkeys(k for k in lowered if k and k not in stopwords))
-
-
-def build_attribute_set(
-    entry: ClassDescription, num_attributes: int, endpoint: str = MOCK_ENDPOINT
-) -> AttributeRecord:
-    """Extract and filter one class's keywords, keep the first
-    ``num_attributes``, and compose its prompt sentence.
+def build_attribute_set(entry: ClassDescription, num_attributes: int) -> AttributeRecord:
+    """Extract one class's keywords, keep the first ``num_attributes``, and
+    compose its prompt sentence.
 
     A smaller pool keeps everything and sets the shortfall flag; zero keeps
     nothing (the label-only ablation arm). A negative count is rejected
@@ -278,27 +211,24 @@ def build_attribute_set(
     """
     if num_attributes < 0:
         raise ValueError("num_attributes must be >= 0")
-    raw = extract_keywords(entry.class_name, entry.description, endpoint)
-    keywords = normalize_and_filter(raw, load_stopwords())[:num_attributes]
+    keywords = tuple(extract_keywords(entry.class_name, entry.description)[:num_attributes])
     return AttributeRecord(
         class_name=entry.class_name,
         keywords=keywords,
-        extractor="mock" if endpoint == MOCK_ENDPOINT else "endpoint",
+        extractor="mock",
         prompt_sentence=_compose_sentence(entry.class_name, keywords),
         shortfall=len(keywords) < num_attributes,
     )
 
 
 def run_attribute_pipeline(
-    corpus: Mapping[str, ClassDescription],
-    num_attributes: int,
-    endpoint: str = MOCK_ENDPOINT,
+    corpus: Mapping[str, ClassDescription], num_attributes: int
 ) -> list[AttributeRecord]:
     """Produce one AttributeRecord per corpus entry, in corpus order. A
     negative count is rejected even when the corpus is empty."""
     if num_attributes < 0:
         raise ValueError("num_attributes must be >= 0")
-    return [build_attribute_set(entry, num_attributes, endpoint) for entry in corpus.values()]
+    return [build_attribute_set(entry, num_attributes) for entry in corpus.values()]
 
 
 def save_attribute_records(path, records: Sequence[AttributeRecord]) -> Path:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _BLAS_THREAD_VARIABLES, __version__
 from ._fileio import Fingerprint, atomic_open, json_value_fits
 from .attributes import (
-    MOCK_ENDPOINT,
+    DEFAULT_EXTRACTION_PROMPT,
     parse_description_corpus,
     run_attribute_pipeline,
     save_attribute_records,
@@ -185,7 +185,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 def _attrs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", type=Path, required=True, help="descriptions JSONL file")
     p.add_argument("--num-attributes", type=int, default=8)
-    p.add_argument("--extractor", default=MOCK_ENDPOINT, help='"mock" or an HTTP endpoint URL')
+    p.epilog = ("Keywords come from the deterministic mock extractor. An LLM extractor runs "
+                "offline and writes attributes.jsonl itself; the paper's prompt for it is: "
+                + DEFAULT_EXTRACTION_PROMPT)
 
 
 def _synth_flags(p: argparse.ArgumentParser) -> None:
@@ -299,7 +301,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def cmd_attrs(args) -> tuple[list[Path], dict, str | None]:
     files = Fingerprint([args.corpus])
     corpus = parse_description_corpus(files.read_bytes(args.corpus), args.corpus)
-    records = run_attribute_pipeline(corpus, args.num_attributes, args.extractor)
+    records = run_attribute_pipeline(corpus, args.num_attributes)
     out = save_attribute_records(args.out_dir / "attributes.jsonl", records)
     results = {
         "classes": len(records),
@@ -416,6 +418,11 @@ def cmd_eval(args) -> tuple[list[Path], dict, str | None]:
 
 
 def cmd_saliency(args) -> tuple[list[Path], dict, str | None]:
+    # both names go into the CSV's file name, so neither may hold a path separator
+    for flag, value in (("--video-id", args.video_id), ("--class-name", args.class_name)):
+        if Path(f"saliency_{value}").name != f"saliency_{value}":
+            raise CliError(f"{flag} {value!r} is not a plain file name part: "
+                           f"it holds a path separator")
     # one video is scored, so the other videos' values are not read
     corpus = load_corpus(args.corpus, lambda video_id, _: video_id == args.video_id)
     _, config, enc, sti = _load_model(args, corpus)

@@ -2,7 +2,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 

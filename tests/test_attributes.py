@@ -1,12 +1,10 @@
-import http.client
 import json
-import urllib.error
-import urllib.request
 from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
 
+from stilab import attributes
 from stilab.attributes import (
     AttributeRecord,
     ClassDescription,
@@ -19,12 +17,9 @@ from stilab.attributes import (
     load_attribute_records,
     load_description_corpus,
     load_stopwords,
-    normalize_and_filter,
     run_attribute_pipeline,
     save_attribute_records,
 )
-
-MOCK = "mock"
 
 
 def write_corpus(path, records):
@@ -115,151 +110,39 @@ class TestLoadDescriptionCorpus:
 
 class TestExtractKeywords:
     def test_mock_ranks_by_frequency_then_first_occurrence(self):
-        keywords = extract_keywords(
-            "salsa", "a dance with a partner, the dance has turns", MOCK
-        )
+        keywords = extract_keywords("salsa", "a dance with a partner, the dance has turns")
         assert keywords == ["dance", "partner", "turns"]
 
     def test_mock_single_content_word(self):
-        assert extract_keywords("run", "run run run", MOCK) == ["run"]
+        assert extract_keywords("run", "run run run") == ["run"]
 
     def test_mock_is_deterministic(self):
-        args = ("swing", "a dance with swing music and partner turns", MOCK)
+        args = ("swing", "a dance with swing music and partner turns")
         assert extract_keywords(*args) == extract_keywords(*args)
 
     def test_mock_all_stopwords_raises(self):
         with pytest.raises(ExtractionError, match="no content words"):
-            extract_keywords("x", "the and of a", MOCK)
+            extract_keywords("x", "the and of a")
 
     def test_empty_description_rejected(self):
         with pytest.raises(ValueError):
-            extract_keywords("x", "", MOCK)
+            extract_keywords("x", "")
 
-    def test_unreachable_endpoint(self, monkeypatch):
-        calls = fake_urlopen(monkeypatch, urllib.error.URLError("name resolution failed"))
-        endpoint = "http://unreachable.invalid/extract"
-        with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("swing", "a dance", endpoint)
-        assert [call["request"].full_url for call in calls] == [endpoint]
+    @given(st.lists(st.sampled_from(["The", "dance", "DANCE", "Partner", "and", "a", "turns",
+                                     ",", "Kw1", "kw1", "é", "É"]), min_size=1, max_size=20))
+    def test_mock_keywords_are_lowercase_unique_content_words(self, words):
+        """The mock's keywords need no further filtering before selection."""
+        stops = load_stopwords()
+        try:
+            keywords = extract_keywords("x", " ".join(words))
+        except ExtractionError:
+            return
+        assert all(k and k == k.lower() and k not in stops for k in keywords)
+        assert len(set(keywords)) == len(keywords)
 
     def test_prompt_template_has_both_slots(self):
         assert "{description}" in DEFAULT_EXTRACTION_PROMPT
         assert "{action_name}" in DEFAULT_EXTRACTION_PROMPT
-
-
-class FakeResponse:
-    def __init__(self, body: bytes):
-        self.body = body
-
-    def read(self) -> bytes:
-        return self.body
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-def fake_urlopen(monkeypatch, outcome):
-    """Replace ``urllib.request.urlopen``: ``outcome`` is the response body,
-    or an exception to raise. Returns the list of recorded calls."""
-    calls = []
-
-    def urlopen(request, timeout=None):
-        calls.append({"request": request, "timeout": timeout})
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return FakeResponse(outcome)
-
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    return calls
-
-
-class TestEndpointClient:
-    """The live client, exercised against a fake transport."""
-
-    ENDPOINT = "http://extractor.test/v1"
-
-    def test_newline_separated_completion(self, monkeypatch):
-        fake_urlopen(monkeypatch, b"dance\npartner\nturns\n")
-        assert extract_keywords("salsa", "a dance", self.ENDPOINT) == ["dance", "partner", "turns"]
-
-    def test_comma_separated_completion(self, monkeypatch):
-        fake_urlopen(monkeypatch, b"dance, partner , turns")
-        assert extract_keywords("salsa", "a dance", self.ENDPOINT) == ["dance", "partner", "turns"]
-
-    def test_request_carries_prompt_and_sampling_settings(self, monkeypatch):
-        calls = fake_urlopen(monkeypatch, b"dance")
-        extract_keywords("salsa spin", "a dance with turns", self.ENDPOINT)
-        (call,) = calls
-        request = call["request"]
-        assert request.full_url == self.ENDPOINT
-        assert request.get_method() == "POST"
-        assert request.get_header("Content-type") == "application/json"
-        assert call["timeout"] == 10.0
-        payload = json.loads(request.data.decode("utf-8"))
-        assert "a dance with turns" in payload["prompt"]
-        assert "salsa spin" in payload["prompt"]
-        assert payload["temperature"] == 0.7
-        assert payload["max_tokens"] == 256
-        assert request.data == (
-            b'{"prompt": "Extract 5-10 essential keywords from a dance with turns that best '
-            b'describe the action salsa spin in the paragraph. Focus on objects, motions, and '
-            b'contexts related to the action.", "temperature": 0.7, "max_tokens": 256}'
-        )
-
-    def test_empty_completion_is_an_error(self, monkeypatch):
-        fake_urlopen(monkeypatch, b"   \n  ")
-        with pytest.raises(ExtractionError, match="empty"):
-            extract_keywords("salsa", "a dance", self.ENDPOINT)
-
-    def test_http_error_is_reported(self, monkeypatch):
-        error = urllib.error.HTTPError(self.ENDPOINT, 500, "Internal Server Error", None, None)
-        fake_urlopen(monkeypatch, error)
-        with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("salsa", "a dance", self.ENDPOINT)
-
-    @pytest.mark.parametrize(
-        "outcome",
-        [
-            urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
-            TimeoutError("timed out"),
-            http.client.BadStatusLine("garbage"),
-            b"\xff\xfe not utf-8",
-        ],
-        ids=["connection-error", "timeout", "bad-status-line", "non-utf8-body"],
-    )
-    def test_transport_failures_are_extraction_errors(self, monkeypatch, outcome):
-        fake_urlopen(monkeypatch, outcome)
-        with pytest.raises(ExtractionError, match="unreachable"):
-            extract_keywords("salsa", "a dance", self.ENDPOINT)
-
-
-class TestNormalizeAndFilter:
-    STOPS = load_stopwords()
-
-    def test_lowercase_stopword_and_duplicate_rules(self):
-        result = normalize_and_filter(["The", "dance", "dance", "Partner"], self.STOPS)
-        assert result == ("dance", "partner")
-
-    def test_all_stopwords(self):
-        assert normalize_and_filter(["and", "the"], self.STOPS) == ()
-
-    def test_empty_input(self):
-        assert normalize_and_filter([], self.STOPS) == ()
-
-    @given(st.lists(st.text(alphabet="abcdefgh ", min_size=1, max_size=8), max_size=12))
-    def test_idempotent(self, raw):
-        once = normalize_and_filter(raw, self.STOPS)
-        twice = normalize_and_filter(once, self.STOPS)
-        assert once == twice
-
-    @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=8), max_size=12))
-    def test_output_invariants(self, raw):
-        result = normalize_and_filter(raw, self.STOPS)
-        assert all(k not in self.STOPS for k in result)
-        assert len(set(result)) == len(result)
 
 
 def pool_of(n, class_name="swing"):
@@ -292,10 +175,14 @@ class TestSelectDescriptiveAttributes:
             run_attribute_pipeline({}, -1)
 
     def test_negative_rejected_before_extraction(self, monkeypatch):
-        calls = fake_urlopen(monkeypatch, b"dance\npartner\n")
+        calls = []
+        monkeypatch.setattr(attributes, "extract_keywords",
+                            lambda *args: calls.append(args) or ["dance"])
         corpus = {"salsa": ClassDescription("salsa", "a dance with a partner")}
         with pytest.raises(ValueError, match="num_attributes"):
-            run_attribute_pipeline(corpus, -1, "http://extractor.test/v1")
+            run_attribute_pipeline(corpus, -1)
+        with pytest.raises(ValueError, match="num_attributes"):
+            build_attribute_set(corpus["salsa"], -1)
         assert calls == []
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))

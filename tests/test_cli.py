@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import typing
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 
 import stilab
 from stilab import cli, evaluation, trainer
-from stilab.attributes import load_attribute_records
+from stilab.attributes import DEFAULT_EXTRACTION_PROMPT, load_attribute_records
 from stilab.cli import main
 from stilab.corpus import SyntheticCorpusSpec, load_corpus
 from stilab.encoders import FrameEmbeddingSet, tokenize
@@ -127,6 +126,35 @@ class TestAttrs:
         code = run_cli("attrs", "--out-dir", tmp_path / "x", "--corpus", tmp_path / "missing.jsonl")
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    # sha256 of attributes.jsonl for `synth --seed 0`'s descriptions, per --num-attributes
+    ATTRIBUTES_SHA256 = {
+        0: "6319c82af5405b1fe37597de6e36adfb11267621b83b71db9a28a8b04e711cd6",
+        3: "135629db903135171b1fd55cd3da9348feb5321e9214a18b21b7d6f66af0dc58",
+        8: "75e444a20b9d94b12810064cd0ed309225a4238f44439ee41499a63b1cdcc5bc",
+    }
+
+    def test_default_corpus_attribute_bytes_are_pinned(self, tmp_path):
+        assert run_cli("synth", "--seed", 0, "--out-dir", tmp_path / "synth") == 0
+        descriptions = tmp_path / "synth" / "corpus" / "descriptions.jsonl"
+        digests = {}
+        for count in self.ATTRIBUTES_SHA256:
+            out = tmp_path / f"attrs{count}"
+            assert run_cli("attrs", "--out-dir", out, "--corpus", descriptions,
+                           "--num-attributes", count) == 0
+            digests[count] = hashlib.sha256((out / "attributes.jsonl").read_bytes()).hexdigest()
+        assert digests == self.ATTRIBUTES_SHA256
+
+    def test_extractor_flag_is_unknown(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "attrs"
+        assert run_cli("attrs", "--out-dir", out, "--extractor", "mock",
+                       "--corpus", synth_dir / "corpus" / "descriptions.jsonl") == 2
+        assert "unrecognized arguments: --extractor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_prints_the_extraction_prompt(self, capsys):
+        assert main(["attrs", "--help"]) == 0
+        assert DEFAULT_EXTRACTION_PROMPT in " ".join(capsys.readouterr().out.split())
 
     def test_attrs_writes_the_prompts_training_encodes(self, tmp_path):
         """`attrs` and `prepare_class_texts` build the same prompt for every
@@ -527,6 +555,21 @@ class TestSaliency:
         manifest = json.loads((tmp_path / "good" / "manifest.json").read_text())
         assert manifest["corpus_fingerprint"] == fingerprint
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--class-name", "../../escaped"), ("--video-id", "runs/vid08_000"),
+    ])
+    def test_name_with_a_path_separator_fails_before_any_read(self, tmp_path, capsys, flag,
+                                                             name):
+        names = {"--video-id": "vid08_000", "--class-name": "activity08", flag: name}
+        out = tmp_path / "sal" / "x"
+        code = run_cli("saliency", "--out-dir", out, "--corpus", tmp_path / "no-corpus",
+                       "--checkpoint", tmp_path / "missing.stickpt",
+                       *[item for pair in names.items() for item in pair])
+        assert code == 1
+        assert f"{flag} {name!r}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_video_id_fails(self, synth_dir, trained, tmp_path, capsys):
         code = run_cli(
             "saliency", "--out-dir", tmp_path / "x", "--corpus", synth_dir / "corpus",
@@ -535,33 +578,6 @@ class TestSaliency:
         )
         assert code == 1
         assert "unknown video id" in capsys.readouterr().err
-
-
-class TestExtractorEndpoint:
-    def run_pipeline(self, out, synth_dir):
-        """train one epoch and export one saliency CSV; return every artifact's bytes."""
-        corpus = synth_dir / "corpus"
-        assert run_cli("train", "--seed", 3, "--out-dir", out / "train", "--corpus", corpus,
-                       "--epochs", 1, "--batch-size", 8) == 0
-        assert run_cli("saliency", "--out-dir", out / "sal", "--corpus", corpus,
-                       "--checkpoint", out / "train" / "checkpoint.stickpt",
-                       "--video-id", "vid04_000", "--class-name", "activity05") == 0
-        return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
-                if path.is_file() and path.name != "manifest.json"}
-
-    def test_train_and_saliency_never_reach_an_endpoint(self, synth_dir, tmp_path, monkeypatch):
-        """`train`, `eval` and `saliency` always use the mock extractor; no
-        environment variable sends their descriptions anywhere."""
-        monkeypatch.delenv("STILAB_EXTRACTOR_ENDPOINT", raising=False)
-        unset = self.run_pipeline(tmp_path / "unset", synth_dir)
-
-        def refuse(*args, **kwargs):
-            pytest.fail("an extraction endpoint was contacted")
-
-        monkeypatch.setattr(urllib.request, "urlopen", refuse)
-        monkeypatch.setenv("STILAB_EXTRACTOR_ENDPOINT", "http://127.0.0.1:9/extract")
-        assert self.run_pipeline(tmp_path / "set", synth_dir) == unset
-        assert len(unset) == 3
 
 
 class TestManifestEnvironment:
@@ -704,8 +720,8 @@ def test_flags_mirror_the_settings_fields(command, settings, other_flags):
 
 
 SRC = str(Path(stilab.__file__).resolve().parents[1])
-# HTTP client modules: only a call to a live extraction endpoint may load the
-# standard library's, and nothing loads requests.
+# HTTP client modules: importing the CLI loads none of them (test_imports.py
+# holds every library module to importing none, in any function).
 NETWORK_MODULES = {"http.client", "urllib.request", "ssl", "email", "socket", "requests"}
 # The executor and the logging it loads: only a streamed eval's read-ahead
 # may load them.
@@ -894,7 +910,7 @@ print(json.dumps([calls, manifest["environment"]["heap"]]))
 COMMON_DEFAULTS = [("seed", 0), ("config", None), ("out_dir", Path("stilab-out"))]
 PARSED = {
     "attrs": (["--corpus", "c"], [
-        ("corpus", Path("c")), ("num_attributes", 8), ("extractor", "mock"),
+        ("corpus", Path("c")), ("num_attributes", 8),
     ]),
     "synth": ([], [
         ("num_concepts", 12), ("seen_classes", 8), ("unseen_classes", 4),

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module, every
-public function of ``stilab.autodiff`` has a caller, and every function and
-class of ``stilab._fileio`` is imported by another library module.
+"""Every name a library or test module imports is used in that module, no
+library module imports a networking module, every public function of
+``stilab.autodiff`` has a caller, and every function and class of
+``stilab._fileio`` is imported by another library module.
 
-The package ``__init__`` is exempt from the first check: its imports are the
-public re-exports.
+The package ``__init__`` is exempt from the unused-import check, because its
+imports are the public re-exports, and so is ``test_acceptance.py``, whose
+bytes stay frozen.
 """
 
 import ast
@@ -17,8 +19,11 @@ import stilab._fileio
 import stilab.autodiff
 from test_trace_targets import tracing
 
-MODULES = sorted(
-    path for path in Path(stilab.__file__).parent.glob("*.py") if path.name != "__init__.py"
+PACKAGE = sorted(Path(stilab.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+TESTS = sorted(
+    path for path in Path(__file__).resolve().parent.glob("*.py")
+    if path.name != "test_acceptance.py"
 )
 
 
@@ -36,7 +41,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[path.name for path in MODULES]
+                         + [f"tests/{path.name}" for path in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
 
@@ -44,6 +50,43 @@ def test_no_unused_imports(path):
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport sys\nfrom typing import Sequence, Mapping\nsys.exit(Sequence)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Mapping"]
+
+
+# The package runs offline: keywords come from the mock extractor, and an
+# LLM extractor writes attributes.jsonl outside it.
+NETWORK_PACKAGES = {"urllib", "http", "socket", "ssl", "email", "requests"}
+
+
+def network_imports(source: str) -> list[str]:
+    """The networking modules that ``source`` imports anywhere, function
+    bodies included, each with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] in NETWORK_PACKAGES]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
+def test_no_network_imports(path):
+    assert network_imports(path.read_text("utf-8")) == []
+
+
+def test_the_network_check_looks_inside_functions():
+    source = (
+        "import json, urllib.request\nfrom http import client\nfrom .socket import x\n"
+        "def f():\n    import ssl\n    from email.message import Message\n"
+        "import httpx\n"
+    )
+    assert network_imports(source) == [
+        "line 1: urllib.request", "line 2: http", "line 5: ssl", "line 6: email.message",
+    ]
 
 
 # Every public function of stilab.autodiff needs a caller: another library
