@@ -29,8 +29,9 @@ with the two maps folded into one W and c (see ``sti``).
 ``maxsim`` scores segments: the words of K classes are concatenated into one
 (N_w, D) matrix, and K+1 offsets (``segment_offsets``) mark where each class's
 words start and end, so one record scores every class. Without offsets all
-words are one segment and the segment axis is dropped. ``weighted_sum``
-likewise contracts against K weight columns at once.
+words are one segment and the segment axis is dropped. ``segment_matmul``
+and ``segment_mean`` likewise read each segment alone, and ``weighted_sum``
+contracts against K weight columns at once.
 
 There is one operand layout: ``matmul`` multiplies a stack of matrices by one
 matrix, and ``weighted_sum`` always takes its weights as (..., T, K) columns.
@@ -328,11 +329,6 @@ def matmul(a: TapeTensor, b: TapeTensor) -> TapeTensor:
     return _record("matmul", (a, b), out, bw)
 
 
-def transpose(x: TapeTensor) -> TapeTensor:
-    """Reverse the axes (the matrix transpose of a 2-d value)."""
-    return _record("transpose", (x,), np.transpose(x.data), lambda g: (np.transpose(g),))
-
-
 def segment_offsets(segments, count: int) -> Array:
     """Validated segment offsets for ``count`` rows.
 
@@ -355,6 +351,26 @@ def segment_offsets(segments, count: int) -> Array:
             f"segments must rise strictly from 0 to {count}, got {segments!r}"
         )
     return offsets.astype(np.intp)
+
+
+def segment_matmul(a: TapeTensor, w: TapeTensor, segments=None) -> TapeTensor:
+    """(..., m, D) a against each segment of the (N_w, D) rows of w: (..., m, N_w).
+    Each segment's columns are its own ``np.matmul(a, w_kᵀ)``, as in ``maxsim``,
+    so their bits do not depend on the other segments. The backward takes
+    whole-matrix products."""
+    A, W, need_a, need_w = a.data, w.data, a.requires_grad, w.requires_grad
+    if A.ndim < 2 or W.ndim != 2 or A.shape[-1] != W.shape[-1]:
+        raise ShapeMismatchError(f"cannot segment_matmul {A.shape} by the rows of {W.shape}")
+    offsets = segment_offsets(segments, W.shape[0])
+    out = np.empty(A.shape[:-1] + W.shape[:1])
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        np.matmul(A, W[start:stop].T, out=out[..., start:stop])
+
+    def bw(g):
+        ga = np.matmul(g, W) if need_a else None
+        return ga, g.reshape(-1, W.shape[0]).T @ A.reshape(-1, W.shape[1]) if need_w else None
+
+    return _record("segment_matmul", (a, w), out, bw)
 
 
 # Patch matrices are projected and scored at most this many values at a
@@ -549,20 +565,22 @@ def mean_reduce(x: TapeTensor, axis: int) -> TapeTensor:
     return _record("mean_reduce", (x,), out, bw)
 
 
+def segment_mean(x: TapeTensor, segments=None) -> TapeTensor:
+    """Mean of each segment of the last axis, (..., N) to (..., K): its own
+    ``np.add.reduceat`` sum over its length. The backward repeats g / length."""
+    offsets = segment_offsets(segments, x.shape[-1])
+    lengths = np.diff(offsets)
+    out = np.add.reduceat(x.data, offsets[:-1], axis=-1) / lengths
+    return _record("segment_mean", (x,), out, lambda g: (np.repeat(g / lengths, lengths, -1),))
+
+
 def sum_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
     shape = x.shape
-    if axis is None:
-        out = np.sum(x.data)
-
-        def bw_all(g):
-            return (np.full(shape, g),)
-
-        return _record("sum_reduce", (x,), out, bw_all)
-    ax = _normalize_axis(axis, x.ndim)
+    ax = None if axis is None else _normalize_axis(axis, x.ndim)
     out = np.sum(x.data, axis=ax)
 
     def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
+        return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape).copy(),)
 
     return _record("sum_reduce", (x,), out, bw)
 
@@ -571,7 +589,11 @@ def softmax(x: TapeTensor, axis: int = -1) -> TapeTensor:
     ax = _normalize_axis(axis, x.ndim)
     shifted = x.data - np.max(x.data, axis=ax, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=ax, keepdims=True)
+    # np.sum adds in order along the axis, but pairwise where no later axis is longer than 1
+    if np.prod(e.shape[ax + 1:]) > 1:
+        out = e / np.sum(e, axis=ax, keepdims=True)
+    else:
+        out = e / np.cumsum(e, axis=ax).take([-1], axis=ax)
 
     def bw(g):
         return (out * (g - np.sum(g * out, axis=ax, keepdims=True)),)
@@ -682,9 +704,6 @@ class ParameterStore:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def value(self, name: str) -> Array:
         return self._values[name]

@@ -149,7 +149,10 @@ def _write_manifest(
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    payload = json.loads(Path(path).read_text("utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a json.JSONDecodeError
+        raise CliError(f"--config {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise CliError("--config file must hold a JSON object of flag values")
     return payload
@@ -273,7 +276,10 @@ def _has_flag_type(action: argparse.Action, value) -> bool:
 
 def _parse_args(argv) -> argparse.Namespace:
     parser, commands = _build_parser(argv)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # the parser that holds the command's flags reports them, with its usage
+        reporter = commands[args.command] if argv[0] == args.command else parser
+        reporter.error(f"unrecognized arguments: {' '.join(unknown)}")
     # The file's values become defaults of the command's own flags, so an
     # explicit flag wins in any spelling argparse accepts and a file string
     # gets the flag's type. Keys naming none of the command's flags are ignored.

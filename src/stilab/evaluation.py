@@ -99,46 +99,44 @@ def stacked_chunks(videos: Sequence[FrameEmbeddingSet]) -> Iterator[Array]:
 def _score_chunks(
     chunks: Iterable[Array],
     labels: Array,
-    class_sets: Sequence[tuple[int, ...]],
+    class_sets: Sequence[Sequence[int]],
     class_texts: Sequence[TextEmbeddingSequence],
     sti_params: STIParameters,
     enc_params,
     toggles: InteractionToggles | None,
 ) -> list[tuple[float, float]]:
-    """(top-1, top-k) accuracy per class set, from one pass over ``chunks``:
-    the raw features of the labelled videos, in order, in (n, T, N_p, D)
-    arrays. Each chunk is scored once per class set, on its videos whose
-    label lies in the set, against the set's classes alone; k clamps to the
-    set's class count. A video scores the same in any chunk, so the chunking
-    does not change the accuracies."""
+    """(top-1, top-k) accuracy per sorted class set, from one pass over
+    ``chunks``: the labelled videos' raw features, in order, in (n, T, N_p, D)
+    arrays. Each chunk is scored once, on its videos of the union of the
+    sets, against the union; after the pass each set takes its rows and
+    columns of the (videos, union) scores, and k clamps to its class count.
+    A score depends only on its (video, class) pair, so neither the union
+    nor the chunking changes the accuracies."""
     if labels.size and not 0 <= labels.min() <= labels.max() < len(class_texts):
         raise ValueError("labels must index into class_texts")
-    renumber = []  # per set: each class's position in the set, or -1
-    for chosen in class_sets:
-        positions = np.full(len(class_texts), -1)
-        positions[list(chosen)] = np.arange(len(chosen))
-        renumber.append(positions)
-    texts = [[class_texts[c] for c in chosen] for chosen in class_sets]
-    hits = [([], []) for _ in class_sets]
-    start = 0
+    union = sorted(set().union(*class_sets))
+    kept = np.isin(labels, union)
+    texts = [class_texts[c] for c in union]
+    scores, start = [], 0
     for raw in chunks:
-        chunk_labels = labels[start : start + len(raw)]
+        chunk_kept = kept[start : start + len(raw)]
         start += len(raw)
-        if len(chunk_labels) != len(raw):
+        if len(chunk_kept) != len(raw):
             raise ValueError(f"more videos than the {len(labels)} labels")
-        for positions, set_texts, (hits1, hitsk) in zip(renumber, texts, hits):
-            set_labels = positions[chunk_labels]
-            rows = set_labels >= 0
-            if not rows.any():
-                continue
-            scores = score_matrix(raw if rows.all() else raw[rows], set_texts,
-                                  sti_params, enc_params, toggles)
-            hits1.append(_topk_hits(scores, set_labels[rows], 1))
-            hitsk.append(_topk_hits(scores, set_labels[rows], min(TOP_K, len(set_texts))))
+        if chunk_kept.any():
+            scores.append(score_matrix(raw if chunk_kept.all() else raw[chunk_kept], texts,
+                                       sti_params, enc_params, toggles))
     if start != len(labels):
         raise ValueError(f"{start} videos for {len(labels)} labels")
-    return [(float(np.concatenate(hits1).mean()), float(np.concatenate(hitsk).mean()))
-            for hits1, hitsk in hits]
+    scores, labels = np.concatenate(scores), labels[kept]
+    accuracies = []
+    for chosen in class_sets:
+        rows = np.isin(labels, chosen)
+        set_scores = scores[np.ix_(rows, np.searchsorted(union, chosen))]
+        set_labels = np.searchsorted(chosen, labels[rows])
+        accuracies.append(tuple(float(_topk_hits(set_scores, set_labels, k).mean())
+                                for k in (1, min(TOP_K, len(chosen)))))
+    return accuracies
 
 
 def evaluate_split(
@@ -156,8 +154,7 @@ def evaluate_split(
         raise ValueError("cannot evaluate an empty split")
     if labels.shape != (len(videos),):
         raise ValueError("need one label per video")
-    every_class = tuple(range(len(class_texts)))
-    return _score_chunks(stacked_chunks(videos), labels, [every_class], class_texts,
+    return _score_chunks(stacked_chunks(videos), labels, [range(len(class_texts))], class_texts,
                          sti_params, enc_params, toggles)[0]
 
 
@@ -194,7 +191,7 @@ def evaluate_three_splits(
     toggles: InteractionToggles | None = None,
 ) -> MetricReport:
     """Three-split protocol: per split, sample a class subset, restrict the
-    videos to those classes, and score against the subset only.
+    videos to those classes, and rank each among the subset's classes only.
 
     ``chunks`` holds the raw features of the labelled videos, in order, in
     (n, T, N_p, D) arrays (``stacked_chunks``, or a corpus's
@@ -203,28 +200,21 @@ def evaluate_three_splits(
     ``chunks``, ends the pass early and leaves ``chunks`` open: the caller
     closes a generator that holds a thread or a file, as
     ``eval_group_three_splits`` closes its read-ahead, whose reader reads
-    chunk i + 1 while chunk i is scored. A split whose class set an earlier
-    split already chose reuses that split's accuracies instead of scoring
-    the same pairs again; with the default subset size (all classes) the
-    three splits coincide.
+    chunk i + 1 while chunk i is scored. Each chunk is scored once, against
+    the union of the three split class sets, and each split takes its own
+    rows and columns of those scores; with the default subset size (all
+    classes) the three splits coincide.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    num_classes = len(class_texts)
-    subset_size = num_classes if subset_size is None else subset_size
-    chosen = {}
-    for split_id in (1, 2, 3):
-        chosen[split_id] = tuple(sorted(
-            sample_category_subset(list(range(num_classes)), subset_size, seed * 10 + split_id)
-        ))
-        if not np.isin(labels, chosen[split_id]).any():
+    size = len(class_texts) if subset_size is None else subset_size
+    class_sets = [sorted(sample_category_subset(range(len(class_texts)), size, seed * 10 + split))
+                  for split in (1, 2, 3)]
+    for split_id, classes in enumerate(class_sets, 1):
+        if not np.isin(labels, classes).any():
             raise ValueError(f"split {split_id} selected classes with no evaluation videos")
-    class_sets = list(dict.fromkeys(chosen.values()))
-    scored = dict(zip(class_sets, _score_chunks(
-        chunks, labels, class_sets, class_texts, sti_params, enc_params, toggles
-    )))
-    return MetricReport.from_splits(
-        [SplitMetrics(split_id, *scored[classes]) for split_id, classes in chosen.items()]
-    )
+    scored = _score_chunks(chunks, labels, class_sets, class_texts, sti_params, enc_params, toggles)
+    return MetricReport.from_splits([SplitMetrics(i, *accuracies)
+                                     for i, accuracies in enumerate(scored, 1)])
 
 
 def write_metric_csv(path, report: MetricReport) -> Path:

@@ -23,8 +23,10 @@ The words are segmented: K classes' words concatenated into one matrix
 with K+1 offsets, so that one pass scores every class (see the tape graph
 builders below). A single class is the one-segment case of the same code,
 and every stage carries the K axis; only ``sti_pipeline_nodes``, called
-without segments, drops it, once, at its exit. Training, evaluation and
-saliency export (``sti_forward``) all run that one raw-feature pass.
+without segments, drops it, once, at its exit. Each stage reads a segment's
+words alone, so a score depends only on its (video, class) pair, bit for
+bit. Training, evaluation and saliency export (``sti_forward``) all run that
+one raw-feature pass.
 """
 
 from __future__ import annotations
@@ -121,8 +123,12 @@ class SpatialResult:
 
 def project_nodes(x: TapeTensor, weight: TapeTensor) -> TapeTensor:
     """ReLU(x . W): the word projection (``spatial_nodes`` projects the
-    patches inside the fused MaxSim, by the same arithmetic)."""
-    return ad.relu(ad.matmul(x, weight))
+    patches inside the fused MaxSim, by the same arithmetic). A lone row is
+    doubled: alone it would take BLAS's matrix-vector path, whose bits differ."""
+    if x.shape[-2] > 1:
+        return ad.relu(ad.matmul(x, weight))
+    twice = ad.relu(ad.matmul(ad.index_select(x, [0, 0], -2), weight))
+    return ad.index_select(twice, [0], -2)
 
 
 def spatial_nodes(
@@ -145,18 +151,6 @@ def spatial_nodes(
     return ad.maxsim(patches, proj_words, segments, weight=patch_weight, bias=patch_bias)
 
 
-def _segment_maps(num_words: int, segments) -> tuple[Array, Array]:
-    """(spread, pool) constants for the segments of ``num_words`` words.
-
-    spread (K, N_w) copies each segment's value to its words; pool (N_w, K)
-    averages each segment's words.
-    """
-    offsets = ad.segment_offsets(segments, num_words)
-    lengths = np.diff(offsets)
-    spread = np.repeat(np.eye(lengths.size), lengths, axis=1)
-    return spread, spread.T / lengths
-
-
 def temporal_nodes(
     frames: TapeTensor,
     proj_words: TapeTensor,
@@ -169,17 +163,17 @@ def temporal_nodes(
 
     Word w of segment k has logit ``s[..., t, k] * (frames[..., t] . w) / tau``
     at frame t, where s are the (..., T, K) spatial ``scores``; with the
-    spatial stage off (``scores=None``) s reads 1. One ``frames @
-    proj_wordsᵀ`` serves every segment. frames is (..., T, D); the saliency
-    is (..., T, K), with K = 1 without segments.
+    spatial stage off (``scores=None``) s reads 1. Each segment's logits,
+    score spread and mean read its own words alone. frames is (..., T, D);
+    the saliency is (..., T, K), with K = 1 without segments.
     """
-    spread, pool = _segment_maps(proj_words.shape[0], segments)
-    tape = frames.tape
-    logits = ad.matmul(frames, ad.transpose(proj_words))  # (..., T, N_w)
+    offsets = ad.segment_offsets(segments, proj_words.shape[0])
+    logits = ad.segment_matmul(frames, proj_words, offsets)  # (..., T, N_w)
     if scores is not None:
-        logits = ad.mul(logits, ad.matmul(scores, tape.constant(spread)))
+        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))  # each word's segment
+        logits = ad.mul(logits, ad.index_select(scores, owner, -1))
     per_word = ad.softmax(ad.mul(logits, 1.0 / tau), axis=-2)  # softmax over the frame axis
-    return ad.matmul(per_word, tape.constant(pool))
+    return ad.segment_mean(per_word, offsets)
 
 
 def aggregate_nodes(frames: TapeTensor, weights: TapeTensor) -> TapeTensor:
@@ -276,22 +270,13 @@ def sti_pipeline_nodes(
 # ---------------------------------------------------------------------------
 
 def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialResult:
-    """MaxSim spatial scoring of already-projected patches against words.
-
-    Args:
-        proj_patches: (T, N_p, D) projected patch embeddings.
-        proj_words: (N_w, D) projected word embeddings, N_w >= 1.
-        frame_embeddings: (T, D) per-frame embeddings to rescale.
-    """
+    """MaxSim spatial scoring of already-projected (T, N_p, D) patches against
+    (N_w, D) words, N_w >= 1; the scores rescale the (T, D) frame embeddings."""
     proj_patches = np.asarray(proj_patches, dtype=np.float64)
     proj_words = np.asarray(proj_words, dtype=np.float64)
     frame_embeddings = np.asarray(frame_embeddings, dtype=np.float64)
     if proj_patches.ndim != 3 or proj_words.ndim != 2 or frame_embeddings.ndim != 2:
         raise ShapeMismatchError("expected patches (T,N_p,D), words (N_w,D), frames (T,D)")
-    if proj_words.shape[0] < 1:
-        raise ShapeMismatchError("need at least one word embedding")
-    if proj_patches.shape[-1] != proj_words.shape[-1]:
-        raise ShapeMismatchError("patch and word embedding dimensions differ")
     if frame_embeddings.shape[0] != proj_patches.shape[0]:
         raise ShapeMismatchError("frame count mismatch between patches and frame embeddings")
     tape = Tape()

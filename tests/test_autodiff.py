@@ -178,7 +178,7 @@ class TestBackwardStructure:
 
 def dense_maxsim_chain(patches, words):
     """The unfused MaxSim graph: similarities, max over words, max over patches."""
-    sims = ad.matmul(patches, ad.transpose(words))
+    sims = ad.segment_matmul(patches, words)
     return ad.max_reduce(ad.max_reduce(sims, axis=-1), axis=-1)
 
 
@@ -753,6 +753,64 @@ class TestWeightedSumColumns:
         assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-8
 
 
+class TestSegmentOps:
+    SEGMENTS = [0, 2, 3, 7]
+
+    def test_one_segment_of_segment_matmul_is_one_matmul_bitwise(self):
+        rng = np.random.default_rng(47)
+        for lead in [(), (1,), (3,), (2, 3)]:
+            for m, n in [(1, 1), (1, 5), (6, 1), (8, 7)]:
+                a, w = rng.standard_normal(lead + (m, 16)), rng.standard_normal((n, 16))
+                tape = Tape()
+                out = ad.segment_matmul(tape.constant(a), tape.constant(w)).data
+                assert np.array_equal(out, np.matmul(a, w.T))
+
+    def test_each_segment_of_segment_matmul_is_its_own_product_bitwise(self):
+        rng = np.random.default_rng(48)
+        a, w = rng.standard_normal((3, 8, 16)), rng.standard_normal((7, 16))
+        tape = Tape()
+        out = ad.segment_matmul(tape.constant(a), tape.constant(w), self.SEGMENTS).data
+        for start, stop in itertools.pairwise(self.SEGMENTS):
+            alone = ad.segment_matmul(tape.constant(a), tape.constant(w[start:stop])).data
+            assert np.array_equal(out[..., start:stop], alone)
+
+    def test_segment_mean_averages_each_segment(self):
+        x = np.arange(14.0).reshape(2, 7)
+        tape = Tape()
+        out = ad.segment_mean(tape.constant(x), self.SEGMENTS).data
+        want = [[0.5, 2.0, 4.5], [7.5, 9.0, 11.5]]
+        assert np.array_equal(out, want)
+        assert np.array_equal(ad.segment_mean(tape.constant(x)).data, x.mean(axis=-1)[:, None])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(49)
+        store = ParameterStore()
+        store.register("a", rng.standard_normal((2, 4, 5)))
+        store.register("w", rng.standard_normal((7, 5)))
+        upstream = rng.standard_normal((2, 4, 3))
+
+        def loss_fn(params):
+            tape = Tape()
+            leaves = params.leaves(tape)
+            logits = ad.segment_matmul(leaves["a"], leaves["w"], self.SEGMENTS)
+            means = ad.segment_mean(ad.mul(logits, logits), self.SEGMENTS)
+            return ad.sum_reduce(ad.mul(means, tape.constant(upstream)))
+
+        assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-8
+
+    def test_shape_and_segment_errors(self):
+        tape = Tape()
+        a, w = tape.constant(np.ones((2, 3))), tape.constant(np.ones((4, 3)))
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_matmul(a, tape.constant(np.ones((4, 2))))
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_matmul(tape.constant(np.ones(3)), w)
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_matmul(a, w, [0, 2, 2, 4])
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_mean(a, [0, 2])
+
+
 def out_of_place_backward(tape, output):
     """Reference gradient loop that always sums into a fresh array."""
     grads = {output.tid: np.ones((), dtype=np.float64)}
@@ -796,10 +854,12 @@ def every_primitive_loss(store, tape):
     x, w = leaves["x"], leaves["w"]
     nodes = [
         ad.add(x, x), ad.mul(x, 2.0), ad.div(x, 3.0), ad.neg(x), ad.exp(x), ad.relu(x),
-        ad.clip(x, 0.0, 1.0), ad.matmul(x, w), ad.transpose(x), ad.maxsim(x, w, [0, 1, 3]),
+        ad.clip(x, 0.0, 1.0), ad.matmul(x, w), ad.segment_matmul(x, w, [0, 1, 3]),
+        ad.maxsim(x, w, [0, 1, 3]),
         ad.maxsim(x, w, [0, 1, 3], weight=w),
         ad.maxsim(x, w, [0, 1, 3], weight=w, bias=ad.mean_reduce(w, 0)),
-        ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1), ad.softmax(x),
+        ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1),
+        ad.segment_mean(x, [0, 1, 3]), ad.softmax(x),
         ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
         ad.reshape(x, (1,) + x.shape), ad.stack([x, x]),
         ad.matmul(ad.sum_reduce(x, 0), ad.reshape(ad.mean_reduce(w, 0), (-1, 1))),
@@ -936,7 +996,7 @@ class TestShapeErrors:
 
 class TestCompositePlumbingGradients:
     def test_finite_differences_through_every_plumbing_op(self):
-        # one graph using transpose, stack, index_select, reshape, clip,
+        # one graph using segment_matmul, stack, index_select, reshape, clip,
         # exp, log, div, mean/sum, log_softmax, l2_normalize and matmul
         rng = np.random.default_rng(4)
         store = ParameterStore()
@@ -947,7 +1007,7 @@ class TestCompositePlumbingGradients:
         def loss_fn(params):
             tape = Tape()
             leaves = params.leaves(tape)
-            x = ad.matmul(tape.constant(base), ad.transpose(leaves["w"]))
+            x = ad.segment_matmul(tape.constant(base), leaves["w"])
             x = ad.log_softmax(x, axis=1)
             picked = ad.index_select(x, np.array([0, 2, 1]), axis=0)
             scaled = ad.mul(picked, ad.reshape(ad.exp(leaves["v"]), (1, 4)))

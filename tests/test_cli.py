@@ -690,6 +690,18 @@ class TestConfigFile:
         assert manifest["config"]["dim"] == 16
         assert manifest["config"]["seed"] == 2
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"dim": 16 "frames": 4}', "Expecting ',' delimiter: line 1 column 12"),
+    ], ids=["invalid-utf8", "invalid-json"])
+    def test_malformed_file_names_the_flag_and_the_path(self, tmp_path, capsys, content, reason):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out-dir", out, "--config", config_path, *SMALL_SYNTH) == 1
+        assert f"stilab: error: --config {config_path}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, settings, other_flags", [
     ("synth", SyntheticCorpusSpec, set()),
@@ -933,6 +945,19 @@ PARSED = {
         ("class_name", "n"), ("num_attributes", None),
     ]),
 }
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_an_unknown_flag_is_reported_with_the_commands_usage(command, tmp_path, capsys):
+    # reported before any file is read, so the required flags' values are placeholders
+    out = tmp_path / "out"
+    assert run_cli(command, "--out-dir", out, *PARSED[command][0], "--bogus") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: stilab {command} [-h] ")
+    assert f"stilab {command}: error: unrecognized arguments: --bogus\n" in err
+    assert not out.exists()
+
+
 # One file value per command, and the flag it sets.
 CONFIG_VALUES = {
     "attrs": ("num_attributes", 3),

@@ -260,34 +260,38 @@ class TestThreeSplitProtocol:
         assert calls == [8, 8, 2]
         assert 0.0 < want[0] < want[1] < 1.0  # a split that tells chunkings apart
 
-    @pytest.mark.parametrize("seed, scored", [(2, 2), (0, 3)])
-    def test_distinct_splits_are_scored_once_each(
-        self, clean_corpus_setup, monkeypatch, seed, scored
-    ):
+    @pytest.mark.parametrize("seed", [2, 0])  # two and three distinct split class sets
+    def test_each_chunk_is_scored_once_against_the_union(self, clean_corpus_setup, monkeypatch,
+                                                          seed):
         corpus, data, _, _ = clean_corpus_setup
         # random parameters, so the accuracies differ between class subsets
         enc = EncoderParams.random(corpus.spec.seed, corpus.spec.dim, seed=100)
         sti = STIParameters.random_init(corpus.spec.dim, seed=200)
         texts = [ct.sequence for ct in data.class_texts]
         assert len(texts) == 4 and len(data.videos) <= 64  # one chunk
+        chosen = {split_id: sorted(sample_category_subset(list(range(4)), 2, seed * 10 + split_id))
+                  for split_id in (1, 2, 3)}
+        union = sorted(set().union(*chosen.values()))
+        assert len({tuple(classes) for classes in chosen.values()}) == (2 if seed == 2 else 3)
         calls = []
 
         def counting_score_matrix(raw, class_texts, *args):
-            calls.append(len(class_texts))
+            calls.append((len(raw), [id(text) for text in class_texts]))
             return score_matrix(raw, class_texts, *args)
 
         monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
         report = evaluate_three_splits(
             stacked_chunks(data.videos), data.labels, texts, sti, enc, seed=seed, subset_size=2
         )
-        assert calls == [2] * scored
+        assert calls == [(int(np.isin(data.labels, union).sum()), [id(texts[c]) for c in union])]
+        monkeypatch.undo()
         for split in report.per_split:
-            chosen = sorted(sample_category_subset(list(range(4)), 2, seed * 10 + split.split_id))
-            keep = [i for i, label in enumerate(data.labels) if int(label) in chosen]
+            classes = chosen[split.split_id]
+            keep = [i for i, label in enumerate(data.labels) if int(label) in classes]
             top1, top5 = evaluate_split(
                 [data.videos[i] for i in keep],
-                np.array([chosen.index(int(data.labels[i])) for i in keep]),
-                [texts[c] for c in chosen], sti, enc,
+                np.array([classes.index(int(data.labels[i])) for i in keep]),
+                [texts[c] for c in classes], sti, enc,
             )
             assert (split.top1, split.top5) == (top1, top5)
 
@@ -438,11 +442,12 @@ class TestSaliencyExport:
         assert list(tmp_path.iterdir()) == []
 
     # sha256 of each CSV below, as the export wrote it when sti_forward still
-    # wrapped its arrays in validated result classes
+    # wrapped its arrays in validated result classes; with the temporal stage
+    # on, as its segment operations compute it
     PINNED_CSV_SHA256 = {
-        (True, True): "5a73f8a49d941662cf0a14b873fa5af8a9049d52c800c13485ac36769441f717",
+        (True, True): "0ffe35aa66489e0f77443ca75d44b7252ba5d47febe71119306581bb10869c27",
         (True, False): "fc29b931829dbbde48e5ac34c829c61ed32bceaea92aa3de47a62e2e1f8fa1c3",
-        (False, True): "74fa262c1359a54fd9d200fd7db1cd46b258e0f302c5dc5111efd77850ff97b0",
+        (False, True): "d78a5beb09a59bbe5f346cc29ec84d7036e01115a32412371c5ebf2054d3c19e",
         (False, False): "89b106477f2fc93f9b521cc47f1b122ad4e1afcac8bb3751ef4032d2191d593b",
     }
 

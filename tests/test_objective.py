@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def per_class_score_matrix(tape, raw, word_sets, class_embeddings, leaves, tau_s
             scores = ad.maxsim(proj_patches, proj_words)
             feats = ad.mul(ad.reshape(scores, scores.shape + (1,)), frames)
         if toggles.temporal:
-            logits = ad.mul(ad.matmul(feats, ad.transpose(proj_words)), 1.0 / tau_saliency)
+            logits = ad.mul(ad.segment_matmul(feats, proj_words), 1.0 / tau_saliency)
             saliency = ad.mean_reduce(ad.softmax(logits, axis=-2), axis=-1)  # (B, T)
             feature = ad.weighted_sum(frames, ad.reshape(saliency, saliency.shape + (1,)))
         else:
@@ -512,12 +513,14 @@ class TestScoreMatrixPins:
     # sha256 of the (13, 5) score matrix's bytes for each toggle combination,
     # as score_matrix computes it with the video encoder folded into the patch
     # projection (MaxSim scores the raw patches through W_v W_p with bias
-    # b W_p; the frames are mean_p(raw) W_v + b). With the temporal stage off
-    # the feature is the frame mean, so the spatial toggle is moot.
+    # b W_p; the frames are mean_p(raw) W_v + b), and with the temporal stage
+    # on as its segment operations compute it (ad.segment_matmul and
+    # ad.segment_mean). With the temporal stage off the feature is the frame
+    # mean, so the spatial toggle is moot.
     PINNED_SCORES_SHA256 = {
-        (True, True): "808bd6c50b1010c308194e8474ef691c9e18c61d99957fd8bf4f2f5360119ecf",
+        (True, True): "9a654f67f84f56c185a42f7152c58f61bbd925cf8c1651f8063ac1059ce5a9ca",
         (True, False): "9674e0cd9c581eda0fa7b6088893c119703e3e26d4374875dcce4e870c6a260d",
-        (False, True): "93bb11e2fed593a2f318d635b3a9dc2560c4396f9c0a8a355bfbbd3ff61bf4ad",
+        (False, True): "8dbc925a044df3539f1d8ad1ed8d75a33b215ffa5c462939db2b14b0e89186a6",
         (False, False): "9674e0cd9c581eda0fa7b6088893c119703e3e26d4374875dcce4e870c6a260d",
     }
 
@@ -567,3 +570,34 @@ class TestBatchInvariance:
             alone = score_matrix(BatchRecord(videos=(video,), labels=labels[:1]), texts, sti, enc,
                                  toggles)
             assert np.array_equal(alone[0], chunk[row]), row
+
+
+class TestPairInvariance:
+    """A video scores bit for bit the same against any subset of the classes
+    as against all of them: a score depends only on its (video, class) pair.
+    One-hot products or one product over every class's words would sum a
+    column differently as the word count changes. A one-word class scored
+    alone is the edge case: its word projection is a one-row product, and
+    its (B, T, 1) logits leave the frame axis innermost for the softmax's
+    sum (which numpy then sums pairwise, at T = 16)."""
+
+    @pytest.mark.parametrize("frames", [8, 16])
+    @pytest.mark.parametrize("spatial", [True, False])
+    @pytest.mark.parametrize("temporal", [True, False])
+    def test_every_class_subset_scores_its_columns_bitwise(self, frames, spatial, temporal):
+        rng = np.random.default_rng(frames + 2 * spatial + temporal)
+        d = 32
+        videos = tuple(FrameEmbeddingSet.from_raw(rng.standard_normal((frames, 16, d)))
+                       for _ in range(6))
+        enc = EncoderParams(
+            0, d, np.eye(d) + 0.2 * rng.standard_normal((d, d)), 0.1 * rng.standard_normal(d)
+        )
+        sti = STIParameters.random_init(d, seed=5, tau_saliency=0.3)
+        texts = [text_of(rng.standard_normal((n, d))) for n in (3, 5, 1, 4, 2, 6)]
+        toggles = InteractionToggles(spatial, temporal)
+        batch = BatchRecord(videos=videos, labels=np.zeros(len(videos), dtype=np.int64))
+        full = score_matrix(batch, texts, sti, enc, toggles)
+        for size in (1, 2, 3, 5):
+            for subset in itertools.combinations(range(len(texts)), size):
+                scores = score_matrix(batch, [texts[c] for c in subset], sti, enc, toggles)
+                assert np.array_equal(scores, full[:, subset]), subset

@@ -481,18 +481,20 @@ class TestUnsegmentedPins:
     # form's digests are as the pipeline computed them while unsegmented calls
     # still had their own layout (no K axis in any stage). The encoder= form
     # folds the encoder into the patch projection, so its bits differ in the
-    # last places; its digests are as that fold computes them.
+    # last places; its digests are as that fold computes them. With the
+    # temporal stage on, both forms' digests are as its segment operations
+    # compute them.
     PINNED_SHA256 = {
         "frames": {
-            (True, True): "a9a09935ca922b84b892d83a671fb4182625155c813902db1a996fa6e2a54708",
+            (True, True): "83147f2a353a7c0533982bc10645b1fcede544bac6fad1b7829bddcaada597d6",
             (True, False): "e359efef559244984da65568932a616269d3c60791b70c4e5b73ffacd1c5f4c9",
-            (False, True): "14b3d6f7db443bfc234a5a8dcc881ea9334dd3a8d4a7a231699186b8a0cab276",
+            (False, True): "faa9a1dacde7bd22b87a4c538d583b10644474122feccd8f2b1d19cb9b3258fb",
             (False, False): "3dd92b16ac19ccb70686e3a617d0368e6922a2329421066f9980f9cc8c403144",
         },
         "encoder": {
-            (True, True): "b9a6f8c50b97249fed79244f2547e6b72e852cd96116d564fee91d5c617c0341",
+            (True, True): "b8352a30a1064949c61b28c695b79dcfbdd5a77798c64c2f3b6b5c12d6f8cbc4",
             (True, False): "7b52b94ed02be622f08e3c58483c0fc30079890767b594a387d9b5ffb87ece14",
-            (False, True): "f367b36674e88251a80cc880c9f0039dcbb8b52401dab0e07b7f1cde14b0c29f",
+            (False, True): "832b3a184fcfe28c3e7b9463c84cf488c43821e8eb9bad8774b45fdb75698c86",
             (False, False): "36ae3eddc08694983011ea0bd05076e03b7ea574ea70ddba72c5fe42ac021e7c",
         },
     }
