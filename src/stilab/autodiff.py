@@ -29,9 +29,9 @@ with the two maps folded into one W and c (see ``sti``).
 ``maxsim`` scores segments: the words of K classes are concatenated into one
 (N_w, D) matrix, and K+1 offsets (``segment_offsets``) mark where each class's
 words start and end, so one record scores every class. Without offsets all
-words are one segment and the segment axis is dropped. ``segment_matmul``
-and ``segment_mean`` likewise read each segment alone, and ``weighted_sum``
-contracts against K weight columns at once.
+words are one segment and the segment axis is dropped. ``segment_matmul``,
+``segment_mean`` and ``segment_spread`` likewise read each segment alone,
+and ``weighted_sum`` contracts against K weight columns at once.
 
 There is one operand layout: ``matmul`` multiplies a stack of matrices by one
 matrix, and ``weighted_sum`` always takes its weights as (..., T, K) columns.
@@ -574,13 +574,31 @@ def segment_mean(x: TapeTensor, segments=None) -> TapeTensor:
     return _record("segment_mean", (x,), out, lambda g: (np.repeat(g / lengths, lengths, -1),))
 
 
+def segment_spread(x: TapeTensor, segments, count: int) -> TapeTensor:
+    """Each of the K values on the last axis repeated over its segment of
+    ``count`` rows, (..., K) to (..., count). The backward sums each segment
+    of g with ``np.add.reduceat``."""
+    offsets = segment_offsets(segments, count)
+    if x.shape[-1] != offsets.size - 1:
+        raise ShapeMismatchError(f"cannot spread {x.shape} over {offsets.size - 1} segments")
+    out = np.repeat(x.data, np.diff(offsets), axis=-1)
+    return _record("segment_spread", (x,), out, lambda g: (np.add.reduceat(g, offsets[:-1], -1),))
+
+
 def sum_reduce(x: TapeTensor, axis: int | None = None) -> TapeTensor:
     shape = x.shape
-    ax = None if axis is None else _normalize_axis(axis, x.ndim)
+    if axis is None:
+        out = np.sum(x.data)
+
+        def bw_all(g):
+            return (np.full(shape, g),)
+
+        return _record("sum_reduce", (x,), out, bw_all)
+    ax = _normalize_axis(axis, x.ndim)
     out = np.sum(x.data, axis=ax)
 
     def bw(g):
-        return (np.broadcast_to(g if ax is None else np.expand_dims(g, ax), shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
 
     return _record("sum_reduce", (x,), out, bw)
 
@@ -589,11 +607,8 @@ def softmax(x: TapeTensor, axis: int = -1) -> TapeTensor:
     ax = _normalize_axis(axis, x.ndim)
     shifted = x.data - np.max(x.data, axis=ax, keepdims=True)
     e = np.exp(shifted)
-    # np.sum adds in order along the axis, but pairwise where no later axis is longer than 1
-    if np.prod(e.shape[ax + 1:]) > 1:
-        out = e / np.sum(e, axis=ax, keepdims=True)
-    else:
-        out = e / np.cumsum(e, axis=ax).take([-1], axis=ax)
+    # np.cumsum adds in order; np.sum adds pairwise when no later axis is longer than 1
+    out = e / np.cumsum(e, axis=ax).take([-1], axis=ax)
 
     def bw(g):
         return (out * (g - np.sum(g * out, axis=ax, keepdims=True)),)

@@ -170,8 +170,7 @@ def temporal_nodes(
     offsets = ad.segment_offsets(segments, proj_words.shape[0])
     logits = ad.segment_matmul(frames, proj_words, offsets)  # (..., T, N_w)
     if scores is not None:
-        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))  # each word's segment
-        logits = ad.mul(logits, ad.index_select(scores, owner, -1))
+        logits = ad.mul(logits, ad.segment_spread(scores, offsets, proj_words.shape[0]))
     per_word = ad.softmax(ad.mul(logits, 1.0 / tau), axis=-2)  # softmax over the frame axis
     return ad.segment_mean(per_word, offsets)
 
@@ -270,13 +269,22 @@ def sti_pipeline_nodes(
 # ---------------------------------------------------------------------------
 
 def spatial_interaction(proj_patches, proj_words, frame_embeddings) -> SpatialResult:
-    """MaxSim spatial scoring of already-projected (T, N_p, D) patches against
-    (N_w, D) words, N_w >= 1; the scores rescale the (T, D) frame embeddings."""
+    """MaxSim spatial scoring of already-projected patches against words.
+
+    Args:
+        proj_patches: (T, N_p, D) projected patch embeddings.
+        proj_words: (N_w, D) projected word embeddings, N_w >= 1.
+        frame_embeddings: (T, D) per-frame embeddings to rescale.
+    """
     proj_patches = np.asarray(proj_patches, dtype=np.float64)
     proj_words = np.asarray(proj_words, dtype=np.float64)
     frame_embeddings = np.asarray(frame_embeddings, dtype=np.float64)
     if proj_patches.ndim != 3 or proj_words.ndim != 2 or frame_embeddings.ndim != 2:
         raise ShapeMismatchError("expected patches (T,N_p,D), words (N_w,D), frames (T,D)")
+    if proj_words.shape[0] < 1:
+        raise ShapeMismatchError("need at least one word embedding")
+    if proj_patches.shape[-1] != proj_words.shape[-1]:
+        raise ShapeMismatchError("patch and word embedding dimensions differ")
     if frame_embeddings.shape[0] != proj_patches.shape[0]:
         raise ShapeMismatchError("frame count mismatch between patches and frame embeddings")
     tape = Tape()

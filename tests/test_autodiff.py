@@ -782,19 +782,26 @@ class TestSegmentOps:
         assert np.array_equal(out, want)
         assert np.array_equal(ad.segment_mean(tape.constant(x)).data, x.mean(axis=-1)[:, None])
 
+    def test_segment_spread_repeats_each_value_over_its_segment(self):
+        x = np.arange(6.0).reshape(2, 3)
+        tape = Tape()
+        out = ad.segment_spread(tape.constant(x), self.SEGMENTS, 7).data
+        assert np.array_equal(out, [[0, 0, 1, 2, 2, 2, 2], [3, 3, 4, 5, 5, 5, 5]])
+
     def test_finite_differences(self):
         rng = np.random.default_rng(49)
         store = ParameterStore()
         store.register("a", rng.standard_normal((2, 4, 5)))
         store.register("w", rng.standard_normal((7, 5)))
-        upstream = rng.standard_normal((2, 4, 3))
+        upstream = rng.standard_normal((2, 4, 7))
 
         def loss_fn(params):
             tape = Tape()
             leaves = params.leaves(tape)
             logits = ad.segment_matmul(leaves["a"], leaves["w"], self.SEGMENTS)
             means = ad.segment_mean(ad.mul(logits, logits), self.SEGMENTS)
-            return ad.sum_reduce(ad.mul(means, tape.constant(upstream)))
+            spread = ad.segment_spread(means, self.SEGMENTS, 7)
+            return ad.sum_reduce(ad.mul(ad.mul(logits, spread), tape.constant(upstream)))
 
         assert finite_difference_check(loss_fn, store, eps=1e-6, coords_per_param=12) < 1e-8
 
@@ -809,6 +816,8 @@ class TestSegmentOps:
             ad.segment_matmul(a, w, [0, 2, 2, 4])
         with pytest.raises(ShapeMismatchError):
             ad.segment_mean(a, [0, 2])
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_spread(a, [0, 2, 4], 4)
 
 
 def out_of_place_backward(tape, output):
@@ -859,7 +868,7 @@ def every_primitive_loss(store, tape):
         ad.maxsim(x, w, [0, 1, 3], weight=w),
         ad.maxsim(x, w, [0, 1, 3], weight=w, bias=ad.mean_reduce(w, 0)),
         ad.l2_normalize(x), ad.max_reduce(x, 1), ad.mean_reduce(x, 1),
-        ad.segment_mean(x, [0, 1, 3]), ad.softmax(x),
+        ad.segment_mean(x, [0, 1, 3]), ad.segment_spread(x, [0, 1, 2, 5], 5), ad.softmax(x),
         ad.log_softmax(x), ad.weighted_sum(x, ad.index_select(x, [0, 2], 2)),
         ad.reshape(x, (1,) + x.shape), ad.stack([x, x]),
         ad.matmul(ad.sum_reduce(x, 0), ad.reshape(ad.mean_reduce(w, 0), (-1, 1))),
