@@ -240,8 +240,10 @@ def _build_parser(
     """The top-level parser and each registered command's own parser, by
     command name. A command line that starts with a command name registers
     that command alone, with its flags: building the rest costs time. Any
-    other line (``--help``, ``--version``, an unknown word) registers all
-    five without flags, so the help and the invalid-choice error list them.
+    other line (``--help``, ``--version``, an unknown word, a flag before
+    the command) registers all five, so the help and the invalid-choice
+    error list them, with flags only for its first word not starting with
+    ``-`` when that names a command, so only the stray flag is reported.
     Without ``argv`` every command is registered with its flags."""
     parser = argparse.ArgumentParser(
         prog="stilab",
@@ -254,7 +256,9 @@ def _build_parser(
     elif argv[:1] and argv[0] in _COMMAND_FLAGS:
         names = flagged = (argv[0],)
     else:
-        names, flagged = tuple(_COMMAND_FLAGS), ()
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
+        names = tuple(_COMMAND_FLAGS)
+        flagged = (command,) if command in _COMMAND_FLAGS else ()
     commands = {}
     for name in names:
         help_line, add_flags = _COMMAND_FLAGS[name]

@@ -12,7 +12,6 @@ pretrained joint embedding space.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from collections import Counter
@@ -383,16 +382,14 @@ class CorpusListing:
         return [position for position, (video_id, label) in pairs
                 if keep is None or keep(video_id, classes[label])]
 
-    def features(self, positions, chunk_videos: int, buffers=None) -> Iterator[Array]:
+    def features(self, positions, chunk_videos: int) -> Iterator[Array]:
         """The features of the videos at ``positions``, which must rise
         strictly within the listed videos: (n, T, N_p, D) chunks of at most
-        ``chunk_videos`` videos, in order. Each chunk is a view of one of
-        ``buffers``, (chunk_videos, T, N_p, D) float64 arrays filled in turn,
-        so chunk i lies in ``buffers[i % len(buffers)]`` until chunk
-        i + len(buffers) overwrites it; without ``buffers``, one array is
-        allocated and every chunk overwrites the one before. Other positions
-        or a ``chunk_videos`` below 1 raise ValueError before any file is
-        opened. This is the one reader of videos.bin.
+        ``chunk_videos`` videos, in order, each a view of one
+        (chunk_videos, T, N_p, D) float64 array allocated here, which every
+        chunk overwrites in turn. Other positions or a ``chunk_videos``
+        below 1 raise ValueError before any file is opened. This is the one
+        reader of videos.bin.
 
         The file's magic, header and size are checked first, so a malformed
         videos.bin raises its reader's own typed errors, and a video count
@@ -404,14 +401,14 @@ class CorpusListing:
         video whose bytes do not match raises a ValueError naming
         corpus.json, and no chunk follows it.
         """
-        if buffers is None:
-            buffers = self._chunk_buffers(chunk_videos, 1)
+        if chunk_videos < 1:
+            raise ValueError(f"chunk_videos must be >= 1, got {chunk_videos}")
         positions = list(positions)
         bounded = [-1, *positions, len(self.video_ids)]
         if any(a >= b for a, b in zip(bounded, bounded[1:])):
             raise ValueError(f"positions must rise strictly within [0, {len(self.video_ids)}), "
                              f"got {positions!r:.80}")
-        arrays = itertools.cycle(buffers)
+        buffer = np.empty((chunk_videos, *self.video_shape))
         with EmbeddingFile(self.directory / VIDEOS_FILENAME) as videos:
             listed = (len(self.video_ids), self.video_shape)
             if (videos.count, videos.shape) != listed:
@@ -420,7 +417,6 @@ class CorpusListing:
                                  f"of shape {videos.shape}")
             for start in range(0, len(positions), chunk_videos):
                 chunk = positions[start:start + chunk_videos]
-                buffer = next(arrays)
                 for row, position in enumerate(chunk):
                     digest = videos.read(position, buffer[row])
                     if digest != self.digests[position]:
@@ -429,44 +425,6 @@ class CorpusListing:
                             f"{self.video_ids[position]!r}: its {VIDEOS_FILENAME} values have "
                             f"sha256 {digest}, corpus.json lists {self.digests[position]}")
                 yield buffer[:len(chunk)]
-
-    def read_ahead(self, positions, chunk_videos: int) -> Iterator[Array]:
-        """``features(positions, chunk_videos)``'s chunks, checked as it
-        checks them, read one chunk ahead: a one-worker executor reads and
-        hashes chunk i + 1 while the caller works on chunk i. The chunks
-        alternate between two arrays allocated here, on the calling thread
-        (one the worker allocated would come from a glibc arena of its own,
-        pages that the main heap does not reuse), and the read into the
-        array of chunk i is submitted only once the caller has asked for
-        chunk i + 1. So no chunk is handed over before its videos' digests
-        match, and an error reaches the caller after exactly the chunks
-        ``features`` yields before it, as the same exception.
-
-        The worker thread starts with the first chunk asked for and is
-        joined when the pass ends or fails, or when the generator is
-        closed; a caller that may stop early closes it.
-        """
-        # imported here: concurrent.futures loads logging, and only a
-        # streamed eval reads ahead
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = self.features(positions, chunk_videos, self._chunk_buffers(chunk_videos, 2))
-        try:
-            with ThreadPoolExecutor(max_workers=1,
-                                    thread_name_prefix="videos.bin read-ahead") as reader:
-                ahead = reader.submit(next, chunks, None)
-                while (chunk := ahead.result()) is not None:
-                    ahead = reader.submit(next, chunks, None)
-                    yield chunk
-        finally:
-            # after the with block has joined the worker: closing a
-            # generator that another thread is running raises
-            chunks.close()
-
-    def _chunk_buffers(self, chunk_videos: int, count: int) -> list[Array]:
-        if chunk_videos < 1:
-            raise ValueError(f"chunk_videos must be >= 1, got {chunk_videos}")
-        return [np.empty((chunk_videos, *self.video_shape)) for _ in range(count)]
 
 
 def read_listing(corpus_dir) -> CorpusListing:

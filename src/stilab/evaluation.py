@@ -22,8 +22,8 @@ SALIENCY_SUM_TOLERANCE = 1e-9
 # A scoring chunk holds at most 64 videos and at most 2**18 raw patch values:
 # 64 videos of 8 x 16 x 32, 8 of 16 x 32 x 64. The raw chunk, at most 2 MiB
 # of float64, is the only dense (chunk, T, N_p, D) array scoring holds: the
-# fused MaxSim projects it a few matrices at a time. A streamed eval holds one
-# more, the next chunk, read while this one is scored.
+# fused MaxSim projects it a few matrices at a time. A streamed eval reads
+# each chunk into one such array on the calling thread, then scores it.
 _EVAL_BATCH = 64
 _EVAL_CHUNK_VALUES = 1 << 18
 
@@ -195,15 +195,13 @@ def evaluate_three_splits(
 
     ``chunks`` holds the raw features of the labelled videos, in order, in
     (n, T, N_p, D) arrays (``stacked_chunks``, or a corpus's
-    ``CorpusListing.features`` or ``CorpusListing.read_ahead``), and is read
-    in one pass after every split has been checked. An error, here or in
-    ``chunks``, ends the pass early and leaves ``chunks`` open: the caller
-    closes a generator that holds a thread or a file, as
-    ``eval_group_three_splits`` closes its read-ahead, whose reader reads
-    chunk i + 1 while chunk i is scored. Each chunk is scored once, against
-    the union of the three split class sets, and each split takes its own
-    rows and columns of those scores; with the default subset size (all
-    classes) the three splits coincide.
+    ``CorpusListing.features``), and is read in one pass after every split
+    has been checked. An error, here or in ``chunks``, ends the pass early
+    and leaves ``chunks`` open: the caller closes a generator that holds a
+    file, as ``eval_group_three_splits`` closes its pass over videos.bin.
+    Each chunk is scored once, against the union of the three split class
+    sets, and each split takes its own rows and columns of those scores;
+    with the default subset size (all classes) the three splits coincide.
     """
     labels = np.asarray(labels, dtype=np.int64)
     size = len(class_texts) if subset_size is None else subset_size

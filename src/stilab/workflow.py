@@ -163,15 +163,15 @@ def eval_group_three_splits(
 ) -> MetricReport:
     """The three-split protocol over the seen or unseen class group of a
     listed corpus, scored as its videos stream from one pass over
-    videos.bin (``CorpusListing.read_ahead``): one scoring chunk is scored
-    while the next is read, so two chunks of features are held at a time.
-    The read-ahead's worker thread is joined before this returns or raises."""
+    videos.bin (``CorpusListing.features``) on the calling thread: one
+    scoring chunk of features is held at a time, read and then scored.
+    videos.bin is closed before this returns or raises."""
     corpus = listing.corpus
     class_indices = _group_classes(corpus, seen)
     prepared = prepare_class_texts(corpus, class_indices, num_attributes, enc_params)
     group = {corpus_index: i for i, corpus_index in enumerate(class_indices)}
     kept = listing.positions(lambda _, cls: cls.index in group)
-    chunks = listing.read_ahead(kept, chunk_videos(math.prod(listing.video_shape)))
+    chunks = listing.features(kept, chunk_videos(math.prod(listing.video_shape)))
     with closing(chunks):
         return evaluate_three_splits(
             chunks,

@@ -431,7 +431,7 @@ class TestEval:
 
     @pytest.mark.parametrize("mode, video_id", [("zero-shot", "vid05_003"), ("seen", "vid00_000")])
     @pytest.mark.parametrize("fault", [None, "changed-value", "scoring-raises"])
-    def test_a_streamed_eval_joins_its_one_reader_thread_before_returning(
+    def test_a_streamed_eval_starts_no_thread(
         self, synth_dir, trained, tmp_path, monkeypatch, mode, video_id, fault
     ):
         corpus = synth_dir / "corpus"
@@ -450,12 +450,10 @@ class TestEval:
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        before = set(threading.enumerate())
         code = run_cli("eval", "--corpus", corpus, "--checkpoint", trained / "checkpoint.stickpt",
                        "--out-dir", tmp_path / "eval", "--mode", mode)
         assert code == (0 if fault is None else 1)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert set(threading.enumerate()) == before
+        assert started == []
 
     def test_identical_eval_runs_are_byte_identical(self, synth_dir, trained, tmp_path):
         outs = []
@@ -735,8 +733,8 @@ SRC = str(Path(stilab.__file__).resolve().parents[1])
 # HTTP client modules: importing the CLI loads none of them (test_imports.py
 # holds every library module to importing none, in any function).
 NETWORK_MODULES = {"http.client", "urllib.request", "ssl", "email", "socket", "requests"}
-# The executor and the logging it loads: only a streamed eval's read-ahead
-# may load them.
+# The executor and the logging it loads: no command runs a thread, so none
+# loads them.
 EXECUTOR_MODULES = {"concurrent.futures", "logging"}
 
 
@@ -955,6 +953,17 @@ def test_an_unknown_flag_is_reported_with_the_commands_usage(command, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"usage: stilab {command} [-h] ")
     assert f"stilab {command}: error: unrecognized arguments: --bogus\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_a_flag_before_the_command_is_the_only_one_reported(command, tmp_path, capsys):
+    # the command's own flags after it are valid, so the error names --bogus alone
+    out = tmp_path / "out"
+    assert run_cli("--bogus", command, "--out-dir", out, *PARSED[command][0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stilab [-h] [--version] ")
+    assert err.endswith("stilab: error: unrecognized arguments: --bogus\n")
     assert not out.exists()
 
 

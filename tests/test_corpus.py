@@ -2,9 +2,6 @@ import hashlib
 import json
 import math
 import os
-import threading
-import time
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from hypothesis import strategies as st
 from stilab.attributes import CorpusFormatError, build_attribute_set, load_stopwords
 from stilab.corpus import (
     CORPUS_FORMAT_VERSION,
-    CorpusListing,
     SyntheticCorpusSpec,
     corpus_fingerprint,
     generate_synthetic_corpus,
@@ -596,147 +592,24 @@ class TestFeatureStream:
         assert yielded == []
 
     @pytest.mark.parametrize("chunk", [0, -1])
-    @pytest.mark.parametrize("reader", ["features", "read_ahead"])
-    def test_a_chunk_below_one_video_is_rejected_before_any_file_is_opened(
-        self, tmp_path, chunk, reader
-    ):
+    def test_a_chunk_below_one_video_is_rejected_before_any_file_is_opened(self, tmp_path, chunk):
         corpus_bytes(SMALL, tmp_path)
         listing = read_listing(tmp_path)
         (tmp_path / "videos.bin").unlink()
         with pytest.raises(ValueError, match=f"chunk_videos must be >= 1, got {chunk}"):
-            list(getattr(listing, reader)(listing.positions(), chunk))
+            list(listing.features(listing.positions(), chunk))
 
     # SMALL lists 18 videos
     @pytest.mark.parametrize("positions", [[18], [24], [-1], [0, 18], [2, 2], [3, 1],
                                            [0, 5, 4]])
-    @pytest.mark.parametrize("reader", ["features", "read_ahead"])
     def test_positions_not_rising_within_the_listing_are_rejected_before_any_file_is_opened(
-        self, tmp_path, positions, reader
+        self, tmp_path, positions
     ):
         corpus_bytes(SMALL, tmp_path)
         listing = read_listing(tmp_path)
         (tmp_path / "videos.bin").unlink()
         with pytest.raises(ValueError, match=r"positions must rise strictly within \[0, 18\)"):
-            list(getattr(listing, reader)(positions, 4))
-
-
-def copied_chunks(chunks) -> tuple[list, BaseException | None]:
-    """A copy of each chunk ``chunks`` yields, and the error that ended it."""
-    copies = []
-    try:
-        for chunk in chunks:
-            copies.append(chunk.copy())
-    except Exception as exc:  # noqa: BLE001 - compared with the serial pass's error
-        return copies, exc
-    return copies, None
-
-
-class TestCorpusReads:
-    """``CorpusListing.read_ahead``: ``features``' pass, one chunk ahead on a
-    one-worker executor."""
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 18])
-    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
-    def test_chunks_equal_the_serial_pass(self, tmp_path, chunk, selection):
-        corpus_bytes(SMALL, tmp_path)
-        listing = read_listing(tmp_path)
-        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
-        ahead, error = copied_chunks(listing.read_ahead(positions, chunk))
-        serial, _ = copied_chunks(listing.features(positions, chunk))
-        assert error is None
-        assert len(ahead) == len(serial) >= 1
-        assert all(a.shape == s.shape and np.array_equal(a, s) for a, s in zip(ahead, serial))
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda data: flipped_value_bit(data, 0),
-        lambda data: flipped_value_bit(data, 4),
-        lambda data: flipped_value_bit(data, 17),
-        lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6 16 \n", 1),
-        lambda data: data[:-5],
-    ], ids=["flipped-0", "flipped-4", "flipped-17", "bad-header", "truncated"])
-    @pytest.mark.parametrize("chunk", [1, 4])
-    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
-    def test_an_error_follows_the_chunks_the_serial_pass_yields(
-        self, tmp_path, corrupt, chunk, selection
-    ):
-        corpus_bytes(SMALL, tmp_path)
-        path = tmp_path / "videos.bin"
-        path.write_bytes(corrupt(path.read_bytes()))
-        listing = read_listing(tmp_path)
-        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
-        ahead, ahead_error = copied_chunks(listing.read_ahead(positions, chunk))
-        serial, serial_error = copied_chunks(listing.features(positions, chunk))
-        # a flipped value goes unseen in a video that is not kept
-        assert serial_error is not None or selection != "all"
-        assert type(ahead_error) is type(serial_error)
-        assert str(ahead_error) == str(serial_error)
-        assert len(ahead) == len(serial)
-        assert all(np.array_equal(a, s) for a, s in zip(ahead, serial))
-
-    def consumers(self, listing):
-        """Ways to take the pass: in full, stopping after the first chunk
-        and closing it, and raising while a chunk is held."""
-        positions = listing.positions()
-
-        def full():
-            return copied_chunks(listing.read_ahead(positions, 2))
-
-        def stops_after_one():
-            chunks = listing.read_ahead(positions, 2)
-            next(chunks)
-            chunks.close()
-
-        def raises_holding_a_chunk():
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                with closing(listing.read_ahead(positions, 2)) as chunks:
-                    for _ in chunks:
-                        raise RuntimeError("scoring failed")
-
-        return {"full": full, "stops-after-one": stops_after_one,
-                "raises-holding-a-chunk": raises_holding_a_chunk}
-
-    @pytest.mark.parametrize("consumer", ["full", "stops-after-one", "raises-holding-a-chunk"])
-    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "flipped-17"])
-    def test_the_reader_thread_is_gone_when_the_pass_ends(self, tmp_path, consumer, corrupt):
-        corpus_bytes(SMALL, tmp_path)
-        if corrupt:
-            flip_value_bit(tmp_path / "videos.bin", 17)
-        before = set(threading.enumerate())
-        self.consumers(read_listing(tmp_path))[consumer]()
-        assert set(threading.enumerate()) == before
-
-    def test_two_chunk_arrays_are_allocated_once_on_the_calling_thread(self, tmp_path,
-                                                                         monkeypatch):
-        # arrays the worker allocated would come from a glibc arena of its own
-        allocated_on = []
-        real_chunk_buffers = CorpusListing._chunk_buffers
-
-        def recording_chunk_buffers(listing, chunk_videos, count):
-            allocated_on.append(threading.current_thread())
-            return real_chunk_buffers(listing, chunk_videos, count)
-
-        monkeypatch.setattr(CorpusListing, "_chunk_buffers", recording_chunk_buffers)
-        corpus_bytes(SMALL, tmp_path)
-        listing = read_listing(tmp_path)
-        chunks = list(listing.read_ahead(listing.positions(), 1))
-        assert allocated_on == [threading.current_thread()]
-        assert len(chunks) == len(listing.video_ids)
-        for chunk, after in zip(chunks, chunks[1:]):
-            assert not np.shares_memory(chunk, after)
-        for chunk, two_after in zip(chunks, chunks[2:]):
-            assert np.shares_memory(chunk, two_after)
-
-    def test_a_chunk_is_not_overwritten_before_the_next_is_asked_for(self, tmp_path):
-        # the reader may fill chunk i + 1 while chunk i is held, but not chunk i + 2
-        corpus_bytes(SMALL, tmp_path)
-        listing = read_listing(tmp_path)
-        want = [chunk.copy() for chunk in listing.features(listing.positions(), 1)]
-        got = []
-        for chunk in listing.read_ahead(listing.positions(), 1):
-            time.sleep(0.005)  # time for the reader to run ahead, if it could
-            got.append(chunk.copy())
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            list(listing.features(positions, 4))
 
 
 class TestSelectedVideos:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from stilab import evaluation
 from stilab.corpus import (
     SyntheticCorpusSpec, generate_synthetic_corpus, read_listing, save_corpus,
 )
+from stilab.embed_io import EmbeddingFile
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import (
     MetricReport,
@@ -350,25 +350,31 @@ class TestThreeSplitProtocol:
         assert float(lines[4].split(",")[1]) == report.top1_mean
 
 
-def test_a_scoring_error_joins_the_read_ahead_before_it_propagates(tmp_path, monkeypatch):
+def test_a_scoring_error_closes_videos_bin_before_it_propagates(tmp_path, monkeypatch):
     # the raised error's traceback keeps the chunk generator reachable, so
-    # only an explicit close ends the reader thread before the error is handled
+    # only an explicit close shuts videos.bin before the error is handled
     spec = SyntheticCorpusSpec(num_concepts=8, seen_classes=4, unseen_classes=2,
                                videos_per_class=3, frames=4, patches_per_frame=6, dim=16, seed=5)
     save_corpus(generate_synthetic_corpus(spec), tmp_path)
     listing = read_listing(tmp_path)
     enc = corpus_encoder_params(listing.corpus)
     sti = STIParameters.random_init(spec.dim, seed=1)
+    opened = []
+
+    class RecordedFile(EmbeddingFile):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
 
     def failing_score_matrix(*args, **kwargs):
         raise RuntimeError("scoring failed")
 
+    monkeypatch.setattr("stilab.corpus.EmbeddingFile", RecordedFile)
     monkeypatch.setattr(evaluation, "score_matrix", failing_score_matrix)
-    before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="scoring failed") as raised:
         eval_group_three_splits(listing, enc, sti, seen=True, num_attributes=4, seed=0)
     assert raised.tb is not None
-    assert set(threading.enumerate()) == before
+    assert len(opened) == 1 and opened[0]._fh.closed
 
 
 class TestChanceFloor:

@@ -1,7 +1,7 @@
 """Every name a library or test module imports is used in that module, no
-library module imports a networking module, every public function of
-``stilab.autodiff`` has a caller, and every function and class of
-``stilab._fileio`` is imported by another library module.
+library module imports a networking or threading module, every public
+function of ``stilab.autodiff`` has a caller, and every function and class
+of ``stilab._fileio`` is imported by another library module.
 
 The package ``__init__`` is exempt from the unused-import check, because its
 imports are the public re-exports, and so is ``test_acceptance.py``, whose
@@ -53,13 +53,16 @@ def test_the_check_finds_an_unused_import():
 
 
 # The package runs offline: keywords come from the mock extractor, and an
-# LLM extractor writes attributes.jsonl outside it.
+# LLM extractor writes attributes.jsonl outside it. It also runs on one
+# thread: every command reads and scores on the calling thread.
 NETWORK_PACKAGES = {"urllib", "http", "socket", "ssl", "email", "requests"}
+THREAD_PACKAGES = {"threading", "_thread", "concurrent", "multiprocessing"}
+FORBIDDEN = {"network": NETWORK_PACKAGES, "thread": THREAD_PACKAGES}
 
 
-def network_imports(source: str) -> list[str]:
-    """The networking modules that ``source`` imports anywhere, function
-    bodies included, each with its line."""
+def forbidden_imports(source: str, packages: set[str]) -> list[str]:
+    """The modules of ``packages`` that ``source`` imports anywhere,
+    function bodies included, each with its line."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -69,23 +72,31 @@ def network_imports(source: str) -> list[str]:
         else:
             continue
         found += [f"line {node.lineno}: {name}" for name in names
-                  if name.partition(".")[0] in NETWORK_PACKAGES]
+                  if name.partition(".")[0] in packages]
     return found
 
 
+@pytest.mark.parametrize("kind", sorted(FORBIDDEN))
 @pytest.mark.parametrize("path", PACKAGE, ids=[path.name for path in PACKAGE])
-def test_no_network_imports(path):
-    assert network_imports(path.read_text("utf-8")) == []
+def test_no_forbidden_imports(path, kind):
+    assert forbidden_imports(path.read_text("utf-8"), FORBIDDEN[kind]) == []
 
 
-def test_the_network_check_looks_inside_functions():
+def test_the_forbidden_import_check_looks_inside_functions():
     source = (
         "import json, urllib.request\nfrom http import client\nfrom .socket import x\n"
         "def f():\n    import ssl\n    from email.message import Message\n"
-        "import httpx\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "import httpx, threading, _thread\nfrom multiprocessing import Pool\n"
+        "from .threading import y\nimport threadpoolctl\n"
     )
-    assert network_imports(source) == [
+    assert forbidden_imports(source, NETWORK_PACKAGES) == [
         "line 1: urllib.request", "line 2: http", "line 5: ssl", "line 6: email.message",
+    ]
+    # ast.walk reaches a function's body after the module's own statements
+    assert forbidden_imports(source, THREAD_PACKAGES) == [
+        "line 8: threading", "line 8: _thread", "line 9: multiprocessing",
+        "line 7: concurrent.futures",
     ]
 
 

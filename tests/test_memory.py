@@ -1,9 +1,9 @@
 """Peak-memory guards, measured with tracemalloc (which sees numpy's array
 buffers): training gathers one batch at a time, and evaluation scores
 byte-bounded chunks, so neither holds a dense copy of its whole video set
-(``stilab eval`` reads its class group from videos.bin into two chunk
-arrays of at most 2 MiB each, allocated on the calling thread: a
-one-worker executor fills one while the other is scored); backward frees
+(``stilab eval`` reads its class group from videos.bin into one chunk
+array of at most 2 MiB, on the calling thread, and scores each chunk
+before it reads the next); backward frees
 each tape record's saved arrays as it goes, and the fused MaxSim encodes
 and projects the patches chunk by chunk and keeps only its winning rows,
 which bounds one training step's working set."""
@@ -17,7 +17,6 @@ import pytest
 
 from stilab import cli
 from stilab.autodiff import parameter_gradients
-from stilab.corpus import CorpusListing
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import evaluate_split
 from stilab.sti import STIParameters
@@ -92,8 +91,8 @@ def large_run(tmp_path_factory):
 
 def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
     # 80 seen videos of 16 x 32 x 64 hold 21 MB of features; eval streams
-    # them from videos.bin in 2 MiB chunks of 8 videos, two at a time: one
-    # is scored while the read-ahead's worker thread reads the next
+    # them from videos.bin in 2 MiB chunks of 8 videos, one at a time: each
+    # is read into the same array and scored before the next is read
     corpus, checkpoint = large_run
     codes = []
     peak = peak_bytes(lambda: codes.append(run_cli(
@@ -103,19 +102,6 @@ def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
     assert codes == [0]
     group_bytes = 8 * 10 * 16 * 32 * 64 * 8  # seen classes x videos x values x 8 bytes
     assert peak < group_bytes / 2
-
-
-@pytest.mark.parametrize("mode", ["zero-shot", "seen"])
-def test_cli_eval_read_ahead_writes_the_serial_pass_metrics(large_run, tmp_path, monkeypatch,
-                                                            mode):
-    # 5 (zero-shot) or 10 (seen) chunks of 8 videos: the read-ahead's worker moves no bit
-    corpus, checkpoint = large_run
-    args = ["eval", "--corpus", corpus, "--checkpoint", checkpoint, "--mode", mode]
-    assert run_cli(*args, "--out-dir", tmp_path / "ahead") == 0
-    monkeypatch.setattr(CorpusListing, "read_ahead", CorpusListing.features)
-    assert run_cli(*args, "--out-dir", tmp_path / "serial") == 0
-    metrics = [(tmp_path / out / "metrics.csv").read_bytes() for out in ("ahead", "serial")]
-    assert metrics[0] == metrics[1]
 
 
 def test_training_step_peaks_below_five_batches():
