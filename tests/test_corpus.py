@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from stilab.corpus import (
     save_corpus,
 )
 from stilab.embed_io import (
-    MAGIC, EmbeddingIOError, HeaderFormatError, load_embeddings, save_embeddings,
+    MAGIC, EmbeddingFile, EmbeddingIOError, HeaderFormatError, load_embeddings,
+    save_embeddings,
 )
 from stilab.encoders import tokenize
 from stilab.trainer import TrainConfig, save_checkpoint
@@ -610,6 +612,126 @@ class TestFeatureStream:
         (tmp_path / "videos.bin").unlink()
         with pytest.raises(ValueError, match=r"positions must rise strictly within \[0, 18\)"):
             list(listing.features(positions, 4))
+
+
+def copied_chunks(chunks) -> tuple[list, BaseException | None]:
+    """A copy of each chunk ``chunks`` yields, and the error that ended it."""
+    copies = []
+    try:
+        for chunk in chunks:
+            copies.append(chunk.copy())
+    except Exception as exc:  # noqa: BLE001 - the error is what the caller checks
+        return copies, exc
+    return copies, None
+
+
+class TestFeatureReads:
+    """How ``CorpusListing.features`` reads videos.bin: against the
+    whole-file reader, up to an error, and into one chunk array that it
+    closes the file behind."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 18])
+    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
+    def test_chunks_equal_the_whole_file_reader(self, tmp_path, chunk, selection):
+        # load_embeddings reads every video in order and checks no digest
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
+        chunks, error = copied_chunks(listing.features(positions, chunk))
+        assert error is None
+        assert len(chunks) == math.ceil(len(positions) / chunk) >= 1
+        whole = load_embeddings(tmp_path / "videos.bin")
+        assert np.array_equal(np.concatenate(chunks), np.stack([whole[p] for p in positions]))
+
+    @pytest.mark.parametrize("corrupt, bad_video", [
+        (lambda data: flipped_value_bit(data, 0), 0),
+        (lambda data: flipped_value_bit(data, 4), 4),
+        (lambda data: flipped_value_bit(data, 17), 17),
+        (lambda data: data.replace(b"\n18 4 6 16\n", b"\n18 4 6 16 \n", 1), None),
+        (lambda data: data[:-5], None),
+    ], ids=["flipped-0", "flipped-4", "flipped-17", "bad-header", "truncated"])
+    @pytest.mark.parametrize("chunk", [1, 4])
+    @pytest.mark.parametrize("selection", sorted(TestFeatureStream.SELECTIONS))
+    def test_an_error_follows_the_whole_chunks_before_the_bad_video(
+        self, tmp_path, corrupt, bad_video, chunk, selection
+    ):
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        positions = listing.positions(TestFeatureStream.SELECTIONS[selection])
+        intact, _ = copied_chunks(listing.features(positions, chunk))
+        path = tmp_path / "videos.bin"
+        path.write_bytes(corrupt(path.read_bytes()))
+        chunks, error = copied_chunks(listing.features(positions, chunk))
+        if bad_video is None:
+            # the header and the file size are checked before any value is read
+            assert isinstance(error, EmbeddingIOError) and chunks == []
+        elif bad_video in positions:
+            # the chunk holding the bad video is not yielded, even in part
+            assert isinstance(error, ValueError)
+            assert repr(listing.video_ids[bad_video]) in str(error)
+            assert len(chunks) == positions.index(bad_video) // chunk
+        else:
+            # a flipped value goes unseen in a video that is not kept
+            assert error is None and len(chunks) == len(intact)
+        assert all(np.array_equal(c, i) for c, i in zip(chunks, intact))
+
+    def consumers(self, listing):
+        """Ways to take the pass: in full, stopping after the first chunk
+        and closing it, and raising while a chunk is held."""
+        positions = listing.positions()
+
+        def full():
+            return copied_chunks(listing.features(positions, 2))
+
+        def stops_after_one():
+            chunks = listing.features(positions, 2)
+            next(chunks)
+            chunks.close()
+
+        def raises_holding_a_chunk():
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                with closing(listing.features(positions, 2)) as chunks:
+                    for _ in chunks:
+                        raise RuntimeError("scoring failed")
+
+        return {"full": full, "stops-after-one": stops_after_one,
+                "raises-holding-a-chunk": raises_holding_a_chunk}
+
+    @pytest.mark.parametrize("consumer", ["full", "stops-after-one", "raises-holding-a-chunk"])
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "flipped-17"])
+    def test_videos_bin_is_closed_when_the_pass_ends(self, tmp_path, monkeypatch, consumer,
+                                                     corrupt):
+        opened = []
+
+        class RecordedFile(EmbeddingFile):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        monkeypatch.setattr("stilab.corpus.EmbeddingFile", RecordedFile)
+        corpus_bytes(SMALL, tmp_path)
+        if corrupt:
+            flip_value_bit(tmp_path / "videos.bin", 17)
+        self.consumers(read_listing(tmp_path))[consumer]()
+        assert len(opened) == 1 and opened[0]._fh.closed
+
+    def test_one_chunk_array_serves_the_whole_pass(self, tmp_path):
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        chunks = list(listing.features(listing.positions(), 4))
+        assert [len(chunk) for chunk in chunks] == [4, 4, 4, 4, 2]
+        assert all(np.shares_memory(chunk, chunks[0]) for chunk in chunks[1:])
+
+    def test_each_chunk_is_overwritten_by_the_next(self, tmp_path):
+        # a caller that keeps a chunk past the next read must copy it
+        corpus_bytes(SMALL, tmp_path)
+        listing = read_listing(tmp_path)
+        whole = load_embeddings(tmp_path / "videos.bin")
+        held = []
+        for position, chunk in zip(listing.positions(), listing.features(listing.positions(), 1)):
+            assert np.array_equal(chunk[0], whole[position])
+            held.append(chunk)
+        assert all(np.array_equal(chunk[0], whole[-1]) for chunk in held)
 
 
 class TestSelectedVideos:

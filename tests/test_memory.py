@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stilab import cli
+from stilab import cli, workflow
 from stilab.autodiff import parameter_gradients
 from stilab.encoders import EncoderParams, FrameEmbeddingSet
 from stilab.evaluation import evaluate_split
@@ -102,6 +102,20 @@ def test_cli_eval_peaks_below_half_its_class_group(large_run, tmp_path):
     assert codes == [0]
     group_bytes = 8 * 10 * 16 * 32 * 64 * 8  # seen classes x videos x values x 8 bytes
     assert peak < group_bytes / 2
+
+
+@pytest.mark.parametrize("mode", ["zero-shot", "seen"])
+def test_cli_eval_writes_the_metrics_of_one_video_chunks(large_run, tmp_path, monkeypatch,
+                                                          mode):
+    # 5 (zero-shot) or 10 (seen) chunks of 8 videos against one chunk per
+    # video: a score depends only on its (video, class) pair, so no bit moves
+    corpus, checkpoint = large_run
+    args = ["eval", "--corpus", corpus, "--checkpoint", checkpoint, "--mode", mode]
+    assert run_cli(*args, "--out-dir", tmp_path / "chunked") == 0
+    monkeypatch.setattr(workflow, "chunk_videos", lambda values_per_video: 1)
+    assert run_cli(*args, "--out-dir", tmp_path / "single") == 0
+    metrics = [(tmp_path / out / "metrics.csv").read_bytes() for out in ("chunked", "single")]
+    assert metrics[0] == metrics[1]
 
 
 def test_training_step_peaks_below_five_batches():
